@@ -23,14 +23,14 @@ def main():
 
     truth = np.full(patches.patch_count, E0)
     truth[-1] = 0.25 * E0
-    material = fu.MaterialField(fu.DesignVector(truth, truth * 0.01, truth * 3), 0.3)
     bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+    model = fu.ForwardModel(mesh, patches, 0.3, bcs)
 
     grid = fu.grid_for_footprint((100, 20), counts=(40, 10))
     print(f"measurement grid: {grid.describe()}")
 
-    clean = fu.generate_synthetic(mesh, patches, material, bcs, grid, noise_sigma=0.0)
-    noisy = fu.generate_synthetic(mesh, patches, material, bcs, grid, noise_sigma=0.02, rng_seed=42)
+    clean = fu.generate_synthetic(model, truth, grid, noise_sigma=0.0)
+    noisy = fu.generate_synthetic(model, truth, grid, noise_sigma=0.02, rng_seed=42)
 
     for name in ("exx", "eyy", "exy"):
         c = getattr(clean, name)

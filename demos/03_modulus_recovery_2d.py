@@ -26,10 +26,9 @@ def main():
 
     truth = np.full(patches.patch_count, E0)
     truth[5] = 0.3 * E0
-    material = fu.MaterialField(fu.DesignVector(truth, truth * 0.01, truth * 5), 0.3)
     bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
     grid = fu.grid_for_footprint((100, 20), counts=(20, 6))
-    measurement = fu.generate_synthetic(mesh, patches, material, bcs, grid, noise_sigma=0.0)
+    measurement = fu.generate_synthetic(fu.ForwardModel(mesh, patches, 0.3, bcs), truth, grid)
 
     context = fu.CostContext(mesh, patches, bcs, 0.3, [measurement])
     lower = np.full(patches.patch_count, 0.01 * E0)

@@ -29,9 +29,8 @@ def main():
     baseline = np.abs(model.strain_field(homogeneous).exx)
     print(f"front-face exx perturbation from the buried defect: {float((signature / baseline).max()):.1%}")
 
-    material = fu.MaterialField(fu.DesignVector(truth, truth * 0.01, truth * 5), 0.3)
     grid = fu.grid_for_footprint((100, 20), counts=(14, 4))
-    measurement = fu.generate_synthetic(mesh, patches, material, bcs, grid, noise_sigma=0.0)
+    measurement = fu.generate_synthetic(model, truth, grid)
 
     context = fu.CostContext(mesh, patches, bcs, 0.3, [measurement])
     lower = np.full(3, 0.01 * E0)

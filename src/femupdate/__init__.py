@@ -50,16 +50,10 @@ from .measurement import (
 )
 from .solver import (
     BoundaryConditions,
-    DesignVector,
-    DisplacementField,
     ForwardModel,
-    MaterialField,
     StrainField,
-    assemble,
     elastic_matrix,
     element_stiffness,
-    solve_static,
-    surface_strains,
 )
 
 __version__ = "0.1.0"

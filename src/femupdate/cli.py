@@ -22,13 +22,8 @@ import numpy as np
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, NumericalError, OutOfDomainError
 from .inversion import STAGE_GA, STAGE_GRADIENT, CostContext, run_hybrid
-from .measurement import (
-    ExperimentalField,
-    generate_synthetic,
-    load_measurement_csv,
-    measurement_csv_text,
-)
-from .solver import DesignVector, ForwardModel, MaterialField
+from .measurement import generate_synthetic, load_measurement_csv, measurement_csv_text
+from .solver import ForwardModel
 from .vtkio import atomic_write_text, write_mesh_vtk, write_points_vtk, write_table_csv
 
 REPORT_SCHEMA_VERSION = 1
@@ -137,31 +132,33 @@ def cmd_forward(config: RunConfig) -> int:
     with _locked_output(outdir):
         _write_resolved_config(config, outdir)
         model = ForwardModel(mesh, pmap, config.poisson_ratio, bcs)
-        u = model.displacement_field(truth)
-        field = model.strain_field(truth)
+        u_flat = model.solve_displacement(truth)
+        exx, eyy, exy = model.sample_strains(u_flat)
+        u = u_flat.reshape(mesh.n_nodes, mesh.dimension)
+        points = model.surface_points
 
         axes = "xyz"[: mesh.dimension]
         write_mesh_vtk(
             os.path.join(outdir, "displacement.vtk"),
             mesh,
             cell_data={"modulus_mpa": truth[pmap.patch_of_element]},
-            point_data={"displacement_mm": u.values},
+            point_data={"displacement_mm": u},
             title="displacement field",
         )
         header = [f"{a}_mm" for a in axes] + [f"u{a}_mm" for a in axes]
-        rows = [list(mesh.nodes[n]) + list(u.values[n]) for n in range(mesh.n_nodes)]
+        rows = [list(mesh.nodes[n]) + list(u[n]) for n in range(mesh.n_nodes)]
         write_table_csv(os.path.join(outdir, "displacement.csv"), header, rows)
 
         write_points_vtk(
             os.path.join(outdir, "strains.vtk"),
-            field.points,
-            {"exx": field.exx, "eyy": field.eyy, "exy": field.exy},
+            points,
+            {"exx": exx, "eyy": eyy, "exy": exy},
             title="surface strains at Gauss points",
         )
         write_table_csv(
             os.path.join(outdir, "strains.csv"),
             ["x_mm", "y_mm", "exx", "eyy", "exy"],
-            zip(field.points[:, 0], field.points[:, 1], field.exx, field.eyy, field.exy),
+            zip(points[:, 0], points[:, 1], exx, eyy, exy),
         )
         _modulus_outputs(outdir, mesh, pmap, truth)
     return 0
@@ -172,39 +169,18 @@ def cmd_synth(config: RunConfig) -> int:
     outdir = config.output_dir
     mesh, pmap, bcs = _build_problem(config)
     truth = config.truth_values(pmap.patch_count)
-    lower, upper = config.bounds(pmap.patch_count)
-    material = MaterialField(
-        DesignVector(truth, np.minimum(truth, lower), np.maximum(truth, upper)),
-        config.poisson_ratio,
-    )
     try:
         grid = config.build_grid()
     except ValueError as exc:
         raise ConfigError("measurement", str(exc)) from None
     with _locked_output(outdir):
         _write_resolved_config(config, outdir)
+        model = ForwardModel(mesh, pmap, config.poisson_ratio, bcs)
         field = generate_synthetic(
-            mesh, pmap, material, bcs, grid,
-            noise_sigma=config.noise_sigma, rng_seed=config.measurement_seed,
+            model, truth, grid, noise_sigma=config.noise_sigma, rng_seed=config.measurement_seed
         )
         atomic_write_text(os.path.join(outdir, "measurement.csv"), measurement_csv_text(field))
     return 0
-
-
-def _check_measurement_fits(field: ExperimentalField, mesh, sample_points) -> None:
-    pts = field.grid.points()
-    footprint = mesh.extent[:2]
-    lo = sample_points.min(axis=0)
-    hi = sample_points.max(axis=0)
-    inside_footprint = np.all(pts >= 0.0) and np.all(pts <= np.array(footprint))
-    inside_samples = np.all(pts >= lo) and np.all(pts <= hi)
-    if not (inside_footprint and inside_samples):
-        raise DataError(
-            "measurement grid does not fit the configured geometry: "
-            f"measurement is a {field.grid.describe()}; the model surface covers "
-            f"{footprint[0]:g} x {footprint[1]:g} mm with strain samples in "
-            f"[{lo[0]:.4g}, {hi[0]:.4g}] x [{lo[1]:.4g}, {hi[1]:.4g}] mm"
-        )
 
 
 def cmd_invert(config: RunConfig, measurement_path: str) -> int:
@@ -214,14 +190,16 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
     mesh, pmap, bcs = _build_problem(config)
     with _locked_output(outdir):
         _write_resolved_config(config, outdir)
-        model_probe = ForwardModel(mesh, pmap, config.poisson_ratio, bcs)
-        _check_measurement_fits(field, mesh, model_probe.surface_points)
         try:
             context = CostContext(
                 mesh, pmap, bcs, config.poisson_ratio, [field], strain_floor=config.strain_floor
             )
         except OutOfDomainError as exc:
-            raise DataError(f"measurement grid outside the model sample domain: {exc}") from exc
+            length, width = mesh.extent[:2]
+            raise DataError(
+                f"measurement grid does not fit the configured geometry: measurement is a "
+                f"{field.grid.describe()}; the model surface covers {length:g} x {width:g} mm; {exc}"
+            ) from exc
         lower, upper = config.bounds(pmap.patch_count)
         guess = config.initial_guess(pmap.patch_count)
 
@@ -343,19 +321,33 @@ def _summary_text(report: InversionReport) -> str:
     if report.gradient_stalled:
         lines.append("note: gradient line search stalled before meeting its tolerance")
     lines.append("")
-    has_truth = report.truth_moduli_mpa is not None
+    lines.extend(
+        _patch_table(
+            report.initial_moduli_mpa,
+            report.recovered_moduli_mpa,
+            report.truth_moduli_mpa,
+            report.relative_errors,
+            report.pinned_patch,
+        )
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _patch_table(initial, recovered, truth, rel, pinned) -> list:
+    """Per-patch rows of initial, final and (when known) truth moduli."""
+    has_truth = truth is not None and rel is not None
     head = f"{'patch':>5} {'initial_MPa':>14} {'final_MPa':>14}"
     if has_truth:
         head += f" {'truth_MPa':>14} {'rel_error':>10}"
-    lines.append(head)
-    for k, (e0, ef) in enumerate(zip(report.initial_moduli_mpa, report.recovered_moduli_mpa)):
+    lines = [head]
+    for k, (e0, ef) in enumerate(zip(initial, recovered)):
         row = f"{k:>5} {e0:>14.4f} {ef:>14.4f}"
         if has_truth:
-            row += f" {report.truth_moduli_mpa[k]:>14.4f} {report.relative_errors[k]:>10.2e}"
-        if report.pinned_patch == k:
+            row += f" {truth[k]:>14.4f} {rel[k]:>10.2e}"
+        if pinned == k:
             row += "  (pinned)"
         lines.append(row)
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def cmd_report(report_path: str) -> int:
@@ -371,21 +363,15 @@ def cmd_report(report_path: str) -> int:
         if key not in data:
             raise ConfigError(str(report_path), f"report is missing field {key!r}")
 
-    recovered = data["recovered_moduli_mpa"]
-    initial = data["initial_moduli_mpa"]
-    truth = data.get("truth_moduli_mpa")
-    rel = data.get("relative_errors")
-    has_truth = truth is not None and rel is not None
-    print(f"patches: {len(recovered)}")
-    head = f"{'patch':>5} {'initial_MPa':>14} {'final_MPa':>14}"
-    if has_truth:
-        head += f" {'truth_MPa':>14} {'rel_error':>10}"
-    print(head)
-    for k in range(len(recovered)):
-        row = f"{k:>5} {initial[k]:>14.4f} {recovered[k]:>14.4f}"
-        if has_truth:
-            row += f" {truth[k]:>14.4f} {rel[k]:>10.2e}"
-        print(row)
+    print(f"patches: {len(data['recovered_moduli_mpa'])}")
+    table = _patch_table(
+        data["initial_moduli_mpa"],
+        data["recovered_moduli_mpa"],
+        data.get("truth_moduli_mpa"),
+        data.get("relative_errors"),
+        data.get("pinned_patch"),
+    )
+    print("\n".join(table))
     factor = data.get("cost_reduction_factor")
     if factor is None and data["final_cost"]:
         factor = data["initial_cost"] / data["final_cost"]

@@ -6,6 +6,7 @@ All fields have defaults except the physical geometry dimensions.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,6 +194,8 @@ class _Section:
                     value = kind(value)
             except (TypeError, ValueError):
                 raise ConfigError(path, f"expected {kind.__name__}, got {value!r}") from None
+        if not _all_finite(value):
+            raise ConfigError(path, f"must be finite, got {value!r}")
         if check is not None and value is not None:
             ok, msg = check(value)
             if not ok:
@@ -208,6 +211,17 @@ class _Section:
             key = sorted(self.data)[0]
             path = f"{self.path}.{key}" if self.path else key
             raise ConfigError(path, "unknown key")
+
+
+def _all_finite(value) -> bool:
+    """False if a float anywhere in ``value`` (lists and objects included) is inf or NaN."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    return True
 
 
 def _positive(v):
@@ -298,12 +312,14 @@ def load_config(source) -> RunConfig:
             raise ConfigError(
                 "material.truth_moduli_mpa", f"bad entry {k!r}: {v!r} (want integer key, number value)"
             ) from None
-        if modulus <= 0:
-            raise ConfigError("material.truth_moduli_mpa", f"modulus for patch {idx} must be positive")
+        if not 0 < modulus < math.inf:
+            raise ConfigError(
+                "material.truth_moduli_mpa", f"modulus for patch {idx} must be positive and finite"
+            )
         truth[idx] = modulus
 
     bcs = top.subsection("bcs")
-    u_applied = bcs.take("u_applied_mm", 0.1, float, lambda v: (np.isfinite(v), "must be finite"))
+    u_applied = bcs.take("u_applied_mm", 0.1, float)
     fixed_face = bcs.take("fixed_face", "xmin", str, _face)
     loaded_face = bcs.take("loaded_face", "xmax", str, _face)
     clamp = bcs.take("clamp_fixed_face", False, bool)
@@ -325,8 +341,8 @@ def load_config(source) -> RunConfig:
             pair[:] = [kind(v) for v in pair]
         except (TypeError, ValueError):
             raise ConfigError(f"measurement.{name}", f"expected {kind.__name__} values") from None
-        if any(v <= 0 for v in pair):
-            raise ConfigError(f"measurement.{name}", "values must be positive")
+        if not all(0 < v < math.inf for v in pair):
+            raise ConfigError(f"measurement.{name}", "values must be positive and finite")
     if grid_counts is None and grid_spacing is None:
         grid_spacing = [length / nx, width / ny]  # default: one element per grid step
     if grid_counts is not None and grid_spacing is not None:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _shape
-from .errors import DegenerateElementError
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -47,9 +46,10 @@ class Mesh:
         n_nodes = self.nodes.shape[0]
         if self.elements.min() < 0 or self.elements.max() >= n_nodes:
             raise ValueError("element connectivity references out-of-range node ids")
-        for e, conn in enumerate(self.elements):
-            if len(set(conn.tolist())) != len(conn):
-                raise ValueError(f"element {e} repeats a node id")
+        ordered = np.sort(self.elements, axis=1)
+        repeats = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if repeats.size:
+            raise ValueError(f"element {repeats[0]} repeats a node id")
 
     @property
     def n_nodes(self) -> int:
@@ -153,45 +153,21 @@ def build_coupon_mesh(
 
     xs = np.linspace(0.0, length_mm, nx + 1)
     ys = np.linspace(0.0, width_mm, ny + 1)
+    # Nodes and elements are numbered x fastest, then y, then z.
+    cell = np.arange(nx * ny * (nz or 1))
+    layer = (nx + 1) * (ny + 1)
+    first = cell % nx + (nx + 1) * (cell // nx % ny) + layer * (cell // (nx * ny))
+    quad = np.array([0, 1, nx + 2, nx + 1])  # counterclockwise corners from the first node
     if nz is None:
         xg, yg = np.meshgrid(xs, ys, indexing="xy")
         nodes = np.column_stack([xg.ravel(), yg.ravel()])
-
-        def nid(i, j):
-            return j * (nx + 1) + i
-
-        elems = np.empty((nx * ny, 4), dtype=np.int64)
-        for j in range(ny):
-            for i in range(nx):
-                elems[j * nx + i] = (nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1))
+        elems = first[:, None] + quad
         mesh = Mesh(2, nodes, elems, float(thickness_mm), (nx, ny), (length_mm, width_mm))
     else:
         zs = np.linspace(0.0, thickness_mm, nz + 1)
-        nodes = np.empty(((nx + 1) * (ny + 1) * (nz + 1), 3))
-        idx = 0
-        for z in zs:
-            for y in ys:
-                for x in xs:
-                    nodes[idx] = (x, y, z)
-                    idx += 1
-
-        def nid3(i, j, k):
-            return k * (nx + 1) * (ny + 1) + j * (nx + 1) + i
-
-        elems = np.empty((nx * ny * nz, 8), dtype=np.int64)
-        for k in range(nz):
-            for j in range(ny):
-                for i in range(nx):
-                    elems[k * nx * ny + j * nx + i] = (
-                        nid3(i, j, k),
-                        nid3(i + 1, j, k),
-                        nid3(i + 1, j + 1, k),
-                        nid3(i, j + 1, k),
-                        nid3(i, j, k + 1),
-                        nid3(i + 1, j, k + 1),
-                        nid3(i + 1, j + 1, k + 1),
-                        nid3(i, j + 1, k + 1),
-                    )
+        zg, yg, xg = np.meshgrid(zs, ys, xs, indexing="ij")
+        nodes = np.column_stack([xg.ravel(), yg.ravel(), zg.ravel()])
+        elems = first[:, None] + np.concatenate([quad, quad + layer])
         mesh = Mesh(3, nodes, elems, None, (nx, ny, nz), (length_mm, width_mm, thickness_mm))
     _check_jacobians(mesh)
     return mesh
@@ -235,23 +211,12 @@ def stamp_defect_patches(patch_map: PatchMap, mesh: Mesh, defects: list[DefectSp
 
 def element_volumes(mesh: Mesh) -> np.ndarray:
     """Gauss-integrated element volumes (area times thickness for QUAD4)."""
-    gauss = _shape.gauss_points_2d() if mesh.dimension == 2 else _shape.gauss_points_3d()
-    grads = [_shape.shape_gradients(g) for g in gauss]
-    vols = np.empty(mesh.n_elements)
-    for e in range(mesh.n_elements):
-        coords = mesh.element_coords(e)
-        vols[e] = sum(np.linalg.det(_shape.jacobian(coords, d)) for d in grads)
-    if mesh.dimension == 2:
-        vols *= mesh.thickness
-    return vols
+    coords = mesh.nodes[mesh.elements]
+    vols = sum(_shape.strain_displacement(coords, gp)[1] for gp in _shape.gauss_points(mesh.dimension))
+    return vols * mesh.thickness if mesh.dimension == 2 else vols
 
 
 def _check_jacobians(mesh: Mesh) -> None:
-    gauss = _shape.gauss_points_2d() if mesh.dimension == 2 else _shape.gauss_points_3d()
-    grads = [_shape.shape_gradients(g) for g in gauss]
-    for e in range(mesh.n_elements):
-        coords = mesh.element_coords(e)
-        for d in grads:
-            detj = np.linalg.det(_shape.jacobian(coords, d))
-            if detj <= 0.0:
-                raise DegenerateElementError(e, detj)
+    coords = mesh.nodes[mesh.elements]
+    for gp in _shape.gauss_points(mesh.dimension):
+        _shape.strain_displacement(coords, gp)

@@ -13,8 +13,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import OutOfDomainError, ParseError
-from .geometry import Mesh, PatchMap
-from .solver import BoundaryConditions, ForwardModel, MaterialField, StrainField
+from .solver import ForwardModel, StrainField
 
 IDW_NEIGHBORS = 4
 IDW_POWER = 2
@@ -164,30 +163,21 @@ class Interpolator:
 
 
 def interpolate_fe_to_grid(
-    strain_field: StrainField, mesh: Mesh, grid: MeasurementGrid
+    strain_field: StrainField, grid: MeasurementGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bring FE strain samples onto the measurement grid (exx, eyy, exy)."""
-    pts = grid.points()
-    footprint_hi = np.array(mesh.extent[:2])
-    if np.any(pts < 0.0) or np.any(pts > footprint_hi):
-        raise OutOfDomainError(
-            f"grid ({grid.describe()}) extends beyond the coupon footprint "
-            f"{footprint_hi[0]:g} x {footprint_hi[1]:g} mm"
-        )
-    interp = Interpolator(strain_field.points, pts)
+    interp = Interpolator(strain_field.points, grid.points())
     return interp(strain_field.exx), interp(strain_field.eyy), interp(strain_field.exy)
 
 
 def generate_synthetic(
-    mesh: Mesh,
-    patch_map: PatchMap,
-    truth_material: MaterialField,
-    bcs: BoundaryConditions,
+    model: ForwardModel,
+    truth: np.ndarray,
     grid: MeasurementGrid,
     noise_sigma: float = 0.0,
     rng_seed: int | None = None,
 ) -> ExperimentalField:
-    """Forward-solve a ground-truth model and sample it like a DIC system.
+    """Forward-solve the ground-truth moduli and sample them like a DIC system.
 
     Gaussian noise of standard deviation ``noise_sigma`` times the RMS of
     each clean component is added independently per component (exx, eyy,
@@ -196,9 +186,7 @@ def generate_synthetic(
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    model = ForwardModel(mesh, patch_map, truth_material.poisson_ratio, bcs)
-    field = model.strain_field(truth_material.design.values)
-    exx, eyy, exy = interpolate_fe_to_grid(field, mesh, grid)
+    exx, eyy, exy = interpolate_fe_to_grid(model.strain_field(truth), grid)
     if noise_sigma > 0:
         rng = np.random.default_rng(rng_seed)
         noisy = []

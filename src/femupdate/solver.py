@@ -1,8 +1,10 @@
 """Linear elastic forward solver for patched coupon meshes.
 
 Isoparametric QUAD4 (plane stress) and HEX8 elements with full Gauss
-integration, sparse assembly, displacement-controlled boundary conditions
-applied by elimination, and strain sampling at surface Gauss points.
+integration, displacement-controlled boundary conditions applied by
+elimination, and strain sampling at surface Gauss points. ``ForwardModel``
+is the one forward path: it assembles the free-free stiffness per patch
+once and then factors K(E) = sum_k E_k A_k afresh for every solve.
 
 Shear convention: the xy strain reported everywhere is the engineering
 shear gamma_xy = du/dy + dv/dx (twice the tensor component), matching the
@@ -16,47 +18,13 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import _shape
-from .errors import DegenerateElementError, NumericalError, SingularSystemError
+from .errors import NumericalError, SingularSystemError
 from .geometry import Mesh, PatchMap
 
 _EQUILIBRIUM_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class DesignVector:
-    """Per-patch elastic moduli (MPa) with box bounds."""
-
-    values: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        if not (v.shape == lo.shape == hi.shape):
-            raise ValueError("values and bounds must have matching shapes")
-        if not np.all(lo > 0):
-            raise ValueError("lower bounds must be positive")
-        if not np.all((lo <= v) & (v <= hi)):
-            raise ValueError("design values must lie within bounds")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class MaterialField:
-    """Per-patch modulus distribution plus the shared Poisson ratio."""
-
-    design: DesignVector
-    poisson_ratio: float = 0.3
-
-    def __post_init__(self):
-        _check_poisson(self.poisson_ratio)
+# Smallest |U_ii| / max |U_ii| of the unit-moduli factorization accepted as
+# nonsingular.
+_PIVOT_RTOL = 1e-12
 
 
 def _check_poisson(nu: float) -> None:
@@ -131,22 +99,6 @@ class BoundaryConditions:
 
 
 @dataclass(frozen=True)
-class DisplacementField:
-    """Nodal displacement vectors (mm), shape (n_nodes, dimension)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("displacement field contains non-finite entries")
-
-    def flat(self) -> np.ndarray:
-        return self.values.ravel()
-
-
-@dataclass(frozen=True)
 class StrainField:
     """In-plane strain samples: exx, eyy and engineering shear in the exy slot."""
 
@@ -185,32 +137,17 @@ def elastic_matrix(modulus: float, nu: float, dimension: int) -> np.ndarray:
     return d
 
 
-def _strain_displacement(coords: np.ndarray, parent_point: np.ndarray):
-    """B matrix and det J at one parent point for an element's node coords."""
-    dim = coords.shape[1]
-    dnp = _shape.shape_gradients(parent_point)
-    jac = _shape.jacobian(coords, dnp)
-    detj = np.linalg.det(jac)
-    dnx = dnp @ np.linalg.inv(jac)
-    n_nodes = coords.shape[0]
-    if dim == 2:
-        b = np.zeros((3, 2 * n_nodes))
-        b[0, 0::2] = dnx[:, 0]
-        b[1, 1::2] = dnx[:, 1]
-        b[2, 0::2] = dnx[:, 1]
-        b[2, 1::2] = dnx[:, 0]
-    else:
-        b = np.zeros((6, 3 * n_nodes))
-        b[0, 0::3] = dnx[:, 0]
-        b[1, 1::3] = dnx[:, 1]
-        b[2, 2::3] = dnx[:, 2]
-        b[3, 0::3] = dnx[:, 1]
-        b[3, 1::3] = dnx[:, 0]
-        b[4, 1::3] = dnx[:, 2]
-        b[4, 2::3] = dnx[:, 1]
-        b[5, 0::3] = dnx[:, 2]
-        b[5, 2::3] = dnx[:, 0]
-    return b, detj
+def _element_stiffnesses(coords: np.ndarray, d: np.ndarray, scale: float, element_ids=None):
+    """Stiffness matrices of many elements, shape (n_elements, n_dofs, n_dofs).
+
+    ``coords`` is (n_elements, n_nodes, dim); ``d`` the constitutive matrix
+    and ``scale`` the plate thickness (1 for HEX8).
+    """
+    k = 0.0
+    for gp in _shape.gauss_points(coords.shape[2]):
+        b, detj = _shape.strain_displacement(coords, gp, element_ids)
+        k = k + (scale * detj)[:, None, None] * (b.transpose(0, 2, 1) @ d @ b)
+    return k
 
 
 def element_stiffness(
@@ -223,137 +160,27 @@ def element_stiffness(
     """Isoparametric element stiffness, 8x8 for QUAD4 or 24x24 for HEX8.
 
     Full Gauss integration (2x2 or 2x2x2). ``thickness`` is required for
-    QUAD4 and ignored for HEX8. Raises DegenerateElementError when the
-    Jacobian determinant is non-positive at any integration point.
+    QUAD4 and ignored for HEX8. Raises DegenerateElementError unless the
+    Jacobian determinant is positive at every integration point.
     """
     coords = np.asarray(element_nodes, dtype=float)
     if coords.shape == (4, 2):
-        gauss = _shape.gauss_points_2d()
         if thickness is None or thickness <= 0:
             raise ValueError("QUAD4 stiffness requires a positive thickness")
         scale = float(thickness)
     elif coords.shape == (8, 3):
-        gauss = _shape.gauss_points_3d()
         scale = 1.0
     else:
         raise ValueError(f"element_nodes must be (4, 2) or (8, 3), got {coords.shape}")
     d = elastic_matrix(modulus, nu, coords.shape[1])
-    ndof = coords.size
-    k = np.zeros((ndof, ndof))
-    for gp in gauss:
-        b, detj = _strain_displacement(coords, gp)
-        if detj <= 0.0:
-            raise DegenerateElementError(element_id, detj)
-        k += scale * detj * (b.T @ d @ b)
-    return k
-
-
-def _align_to_pattern(template: sp.csr_matrix, a: sp.csr_matrix) -> np.ndarray:
-    """Data of ``a`` scattered onto the sparsity slots of ``template``.
-
-    Every entry of ``a`` must exist in the template pattern; both must be
-    canonical CSR with sorted indices.
-    """
-    a = a.tocsr()
-    a.sort_indices()
-    out = np.zeros(template.nnz)
-    for r in range(a.shape[0]):
-        a0, a1 = a.indptr[r], a.indptr[r + 1]
-        if a0 == a1:
-            continue
-        t0, t1 = template.indptr[r], template.indptr[r + 1]
-        pos = t0 + np.searchsorted(template.indices[t0:t1], a.indices[a0:a1])
-        if np.any(template.indices[pos] != a.indices[a0:a1]):
-            raise AssertionError("sparsity pattern is not a superset of the patch matrix")
-        out[pos] = a.data[a0:a1]
-    return out
+    return _element_stiffnesses(coords[None], d, scale, [element_id])[0]
 
 
 def _element_dofs(mesh: Mesh) -> np.ndarray:
     """Global dof indices per element, node-major: (n_elements, dim*nodes)."""
     dim = mesh.dimension
     conn = mesh.elements
-    dofs = (dim * conn[:, :, None] + np.arange(dim)[None, None, :]).reshape(conn.shape[0], -1)
-    return dofs
-
-
-def assemble(mesh: Mesh, patch_map: PatchMap, material: MaterialField) -> sp.csr_matrix:
-    """Assemble the global stiffness; element e uses its patch modulus."""
-    if patch_map.patch_count != len(material.design):
-        raise ValueError(
-            f"patch_count {patch_map.patch_count} != design length {len(material.design)}"
-        )
-    moduli = material.design.values
-    nu = material.poisson_ratio
-    dim = mesh.dimension
-    n_dofs = dim * mesh.n_nodes
-    edofs = _element_dofs(mesh)
-    ndof_el = edofs.shape[1]
-    rows = np.empty(mesh.n_elements * ndof_el * ndof_el, dtype=np.int64)
-    cols = np.empty_like(rows)
-    vals = np.empty(rows.shape[0])
-    at = 0
-    for e in range(mesh.n_elements):
-        ke = element_stiffness(
-            mesh.element_coords(e),
-            moduli[patch_map.patch_of_element[e]],
-            nu,
-            mesh.thickness,
-            element_id=e,
-        )
-        ed = edofs[e]
-        block = ndof_el * ndof_el
-        rows[at : at + block] = np.repeat(ed, ndof_el)
-        cols[at : at + block] = np.tile(ed, ndof_el)
-        vals[at : at + block] = ke.ravel()
-        at += block
-    k = sp.coo_matrix((vals, (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
-    k.sum_duplicates()
-    return k
-
-
-def solve_constrained(
-    k: sp.spmatrix, dofs: np.ndarray, values: np.ndarray, rtol: float = _EQUILIBRIUM_RTOL
-) -> np.ndarray:
-    """Solve K u = 0 subject to u[dofs] = values by row/column elimination."""
-    n = k.shape[0]
-    k = k.tocsr()
-    free = np.setdiff1d(np.arange(n, dtype=np.int64), dofs)
-    u = np.zeros(n)
-    u[dofs] = values
-    if free.size == 0:
-        return u
-    rhs = -(k[free][:, dofs] @ values)
-    kff = k[free][:, free].tocsc()
-    try:
-        lu = splu(kff)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"stiffness factorization failed: {exc}") from exc
-    udiag = np.abs(lu.U.diagonal())
-    if udiag.min() < 1e-12 * udiag.max():
-        raise SingularSystemError(
-            "stiffness is numerically singular; boundary conditions leave rigid modes"
-        )
-    uf = lu.solve(rhs)
-    if not np.all(np.isfinite(uf)):
-        raise SingularSystemError("solution is non-finite; boundary conditions leave rigid modes")
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm > 0:
-        rel = np.linalg.norm(kff @ uf - rhs) / rhs_norm
-        if rel > rtol:
-            raise NumericalError(f"equilibrium residual {rel:.3e} exceeds {rtol:.1e}")
-    u[free] = uf
-    return u
-
-
-def solve_static(
-    mesh: Mesh, patch_map: PatchMap, material: MaterialField, bcs: BoundaryConditions
-) -> DisplacementField:
-    """Static solve under displacement control; returns nodal displacements."""
-    k = assemble(mesh, patch_map, material)
-    dofs, values = bcs.prescribed_dofs(mesh)
-    u = solve_constrained(k, dofs, values)
-    return DisplacementField(u.reshape(mesh.n_nodes, mesh.dimension))
+    return (dim * conn[:, :, None] + np.arange(dim)[None, None, :]).reshape(conn.shape[0], -1)
 
 
 def _surface_sampling(mesh: Mesh, surface: str | None):
@@ -380,36 +207,20 @@ def _surface_sampling(mesh: Mesh, surface: str | None):
     return element_ids, parent_points
 
 
-def surface_strains(
-    mesh: Mesh, displacement: DisplacementField, surface: str | None = None
-) -> StrainField:
-    """Sample in-plane strains (exx, eyy, gamma_xy) on the coupon surface."""
-    element_ids, parent_points = _surface_sampling(mesh, surface)
-    u = displacement.flat()
-    edofs = _element_dofs(mesh)
-    rows = (0, 1, 2) if mesh.dimension == 2 else (0, 1, 3)
-    points, exx, eyy, exy = [], [], [], []
-    for e in element_ids:
-        coords = mesh.element_coords(e)
-        ue = u[edofs[e]]
-        for gp in parent_points:
-            b, _ = _strain_displacement(coords, gp)
-            eps = b @ ue
-            points.append((_shape.shape_values(gp) @ coords)[:2])
-            exx.append(eps[rows[0]])
-            eyy.append(eps[rows[1]])
-            exy.append(eps[rows[2]])
-    return StrainField(np.array(points), np.array(exx), np.array(eyy), np.array(exy))
-
-
 class ForwardModel:
-    """Cached forward operator for repeated solves with varying moduli.
+    """The forward operator: patch moduli to displacements and surface strains.
 
-    The global stiffness is linear in each patch modulus, so the model
-    precomputes per-patch unit-modulus assemblies once and rebuilds
-    K(E) = sum_k E_k A_k per call; every call still performs a fresh
-    factorization and solve. Surface strain sampling and its Gauss-point
-    geometry are likewise precomputed. Instances are immutable after
+    K(E) = sum_k E_k A_k is linear in the patch moduli, so construction
+    builds the free-free sparsity pattern once (CSC, int32 indices) with one
+    column of slot weights per patch, and the matching per-patch right-hand
+    sides of the prescribed displacements. Every solve fills the pattern,
+    factors afresh and checks the result. The rank is checked once, at
+    construction: for positive moduli the null space of K(E) is the
+    intersection of those of the A_k, so one factorization at unit moduli
+    shows whether any solve can be singular.
+
+    ``bcs`` may be any object whose ``prescribed_dofs(mesh)`` returns
+    (sorted dof indices, values). Instances are immutable after
     construction and safe to share across threads.
     """
 
@@ -422,6 +233,7 @@ class ForwardModel:
         surface: str | None = None,
     ):
         _check_poisson(poisson_ratio)
+        surface_elements, parent_points = _surface_sampling(mesh, surface)
         self.mesh = mesh
         self.patch_map = patch_map
         self.poisson_ratio = poisson_ratio
@@ -430,80 +242,57 @@ class ForwardModel:
         n_dofs = mesh.dimension * mesh.n_nodes
         self._n_dofs = n_dofs
         self._free = np.setdiff1d(np.arange(n_dofs, dtype=np.int64), self._dofs)
+        edofs = _element_dofs(mesh)
+        self._build_patch_weights(edofs)
+        self._check_rank()
+        self._init_strain_sampling(edofs, surface_elements, parent_points)
 
-        patch_unit = self._unit_patch_matrices()
-        kff = [a[self._free][:, self._free].tocsr() for a in patch_unit]
-        # Structural union of the patch patterns. Built from ones so slots
-        # where stiffness contributions cancel exactly are still kept.
-        coo = [a.tocoo() for a in kff]
+    def _build_patch_weights(self, edofs: np.ndarray) -> None:
+        """Fill the slot map (``_indices``, ``_indptr``), ``_weights`` and ``_rhs_per_patch``."""
+        mesh, patch = self.mesh, self.patch_map.patch_of_element
+        n_patches = self.patch_map.patch_count
         n_free = self._free.size
-        template = sp.coo_matrix(
-            (
-                np.ones(sum(c.nnz for c in coo)),
-                (
-                    np.concatenate([c.row for c in coo]),
-                    np.concatenate([c.col for c in coo]),
-                ),
-            ),
-            shape=(n_free, n_free),
-        ).tocsr()
-        template.sum_duplicates()
-        template.sort_indices()
-        template.data = np.zeros_like(template.data)
-        weights = np.zeros((template.nnz, patch_map.patch_count))
-        for k, a in enumerate(kff):
-            weights[:, k] = _align_to_pattern(template, a)
-        self._template = template
-        self._weights = weights
+        d = elastic_matrix(1.0, self.poisson_ratio, mesh.dimension)
+        scale = mesh.thickness if mesh.dimension == 2 else 1.0
+        ke = _element_stiffnesses(mesh.nodes[mesh.elements], d, scale)
+
+        free_of = np.full(self._n_dofs, -1, dtype=np.int32)  # free index, -1 if prescribed
+        free_of[self._free] = np.arange(n_free, dtype=np.int32)
+        fe = free_of[edofs]
+        rows = np.broadcast_to(fe[:, :, None], ke.shape)
+        cols = np.broadcast_to(fe[:, None, :], ke.shape)
+        keep = (rows >= 0) & (cols >= 0)
+        # One slot per structural free-free (row, col) pair, in CSC order.
+        pattern, slot = np.unique(cols[keep].astype(np.int64) * n_free + rows[keep], return_inverse=True)
+        entry_patch = np.broadcast_to(patch[:, None, None], ke.shape)[keep]
+        self._weights = _sum_at(slot, entry_patch, ke[keep], (pattern.size, n_patches))
+        self._indices = (pattern % n_free).astype(np.int32)
+        self._indptr = np.zeros(n_free + 1, dtype=np.int32)
+        np.cumsum(np.bincount(pattern // n_free, minlength=n_free), out=self._indptr[1:])
+
         # rhs = -(sum_k E_k A_k)[free, prescribed] @ values = -B @ E
-        self._rhs_per_patch = np.column_stack(
-            [a[self._free][:, self._dofs] @ self._dof_values for a in patch_unit]
-        )
-        self._init_strain_sampling(surface)
+        u0 = np.zeros(self._n_dofs)
+        u0[self._dofs] = self._dof_values
+        f = (ke @ u0[edofs][:, :, None])[:, :, 0]
+        free_row = fe >= 0
+        row_patch = np.broadcast_to(patch[:, None], fe.shape)[free_row]
+        self._rhs_per_patch = _sum_at(fe[free_row], row_patch, f[free_row], (n_free, n_patches))
 
-    def _unit_patch_matrices(self) -> list[sp.csr_matrix]:
-        mesh, pmap = self.mesh, self.patch_map
-        edofs = _element_dofs(mesh)
-        ndof_el = edofs.shape[1]
-        n_dofs = self._n_dofs
-        per_patch: list[list] = [[] for _ in range(pmap.patch_count)]
-        for e in range(mesh.n_elements):
-            ke = element_stiffness(
-                mesh.element_coords(e), 1.0, self.poisson_ratio, mesh.thickness, element_id=e
+    def _check_rank(self) -> None:
+        udiag = np.abs(_factor(self.stiffness(np.ones(self.patch_map.patch_count))).U.diagonal())
+        if not udiag.min() >= _PIVOT_RTOL * udiag.max():
+            raise SingularSystemError(
+                "stiffness is numerically singular; boundary conditions leave rigid modes"
             )
-            per_patch[pmap.patch_of_element[e]].append((edofs[e], ke))
-        out = []
-        for contributions in per_patch:
-            rows, cols, vals = [], [], []
-            for ed, ke in contributions:
-                rows.append(np.repeat(ed, ndof_el))
-                cols.append(np.tile(ed, ndof_el))
-                vals.append(ke.ravel())
-            a = sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n_dofs, n_dofs),
-            ).tocsr()
-            a.sum_duplicates()
-            out.append(a)
-        return out
 
-    def _init_strain_sampling(self, surface: str | None) -> None:
-        mesh = self.mesh
-        element_ids, parent_points = _surface_sampling(mesh, surface)
-        edofs = _element_dofs(mesh)
-        rows = (0, 1, 2) if mesh.dimension == 2 else (0, 1, 3)
-        n_gp = parent_points.shape[0]
-        b_all = np.empty((element_ids.size, n_gp, 3, edofs.shape[1]))
-        pts = np.empty((element_ids.size, n_gp, 2))
-        for i, e in enumerate(element_ids):
-            coords = mesh.element_coords(e)
-            for g, gp in enumerate(parent_points):
-                b, _ = _strain_displacement(coords, gp)
-                b_all[i, g] = b[list(rows)]
-                pts[i, g] = (_shape.shape_values(gp) @ coords)[:2]
+    def _init_strain_sampling(self, edofs, element_ids, parent_points) -> None:
+        coords = self.mesh.nodes[self.mesh.elements[element_ids]]
+        rows = [0, 1, 2] if self.mesh.dimension == 2 else [0, 1, 3]
+        b = [_shape.strain_displacement(coords, gp, element_ids)[0][:, rows] for gp in parent_points]
+        pts = [(_shape.shape_values(gp) @ coords)[:, :2] for gp in parent_points]
         self._surface_edofs = edofs[element_ids]
-        self._surface_b = b_all
-        self._surface_points = pts.reshape(-1, 2)
+        self._surface_b = np.stack(b, axis=1)  # (elements, points, 3, element dofs)
+        self._surface_points = np.stack(pts, axis=1).reshape(-1, 2)
 
     @property
     def surface_points(self) -> np.ndarray:
@@ -514,23 +303,27 @@ class ForwardModel:
         values = np.asarray(values, dtype=float)
         if values.shape != (self.patch_map.patch_count,):
             raise ValueError(
-                f"expected {self.patch_map.patch_count} moduli, got shape {values.shape}"
+                f"expected patch_count = {self.patch_map.patch_count} moduli, got shape {values.shape}"
             )
         if not np.all(values > 0):
             raise ValueError("all patch moduli must be positive")
         return values
 
+    def stiffness(self, values: np.ndarray) -> sp.csc_matrix:
+        """Free-free stiffness K(E) = sum_k E_k A_k, rows and columns in free-dof order."""
+        n_free = self._free.size
+        data = self._weights @ self._check_values(values)
+        return sp.csc_matrix((data, self._indices, self._indptr), shape=(n_free, n_free))
+
+    def rhs(self, values: np.ndarray) -> np.ndarray:
+        """Free-dof right-hand side -K(E)[free, prescribed] @ prescribed values."""
+        return -(self._rhs_per_patch @ self._check_values(values))
+
     def solve_displacement(self, values: np.ndarray) -> np.ndarray:
         """Flat displacement vector for the given patch moduli."""
-        values = self._check_values(values)
-        k = self._template.copy()
-        k.data = self._weights @ values
-        rhs = -(self._rhs_per_patch @ values)
-        try:
-            lu = splu(k.tocsc())
-        except RuntimeError as exc:
-            raise SingularSystemError(f"stiffness factorization failed: {exc}") from exc
-        uf = lu.solve(rhs)
+        k = self.stiffness(values)
+        rhs = self.rhs(values)
+        uf = _factor(k).solve(rhs)
         if not np.all(np.isfinite(uf)):
             raise SingularSystemError("solution is non-finite")
         rhs_norm = np.linalg.norm(rhs)
@@ -543,18 +336,27 @@ class ForwardModel:
         u[self._free] = uf
         return u
 
+    def sample_strains(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(exx, eyy, gamma_xy) of a flat displacement vector at the surface points."""
+        eps = np.einsum("egij,ej->egi", self._surface_b, u[self._surface_edofs]).reshape(-1, 3)
+        return eps[:, 0], eps[:, 1], eps[:, 2]
+
     def surface_strain_arrays(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exx, eyy, gamma_xy) at the surface sample points; one fresh solve."""
-        u = self.solve_displacement(values)
-        ue = u[self._surface_edofs]
-        eps = np.einsum("egij,ej->egi", self._surface_b, ue)
-        flat = eps.reshape(-1, 3)
-        return flat[:, 0], flat[:, 1], flat[:, 2]
+        return self.sample_strains(self.solve_displacement(values))
 
     def strain_field(self, values: np.ndarray) -> StrainField:
-        exx, eyy, exy = self.surface_strain_arrays(values)
-        return StrainField(self._surface_points, exx, eyy, exy)
+        return StrainField(self._surface_points, *self.surface_strain_arrays(values))
 
-    def displacement_field(self, values: np.ndarray) -> DisplacementField:
-        u = self.solve_displacement(values)
-        return DisplacementField(u.reshape(self.mesh.n_nodes, self.mesh.dimension))
+
+def _sum_at(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
+    """Dense array of ``shape`` holding the sum of ``values`` landing on each (row, col)."""
+    flat = rows.astype(np.int64) * shape[1] + cols
+    return np.bincount(flat, weights=values, minlength=shape[0] * shape[1]).reshape(shape)
+
+
+def _factor(k: sp.csc_matrix):
+    try:
+        return splu(k)
+    except RuntimeError as exc:
+        raise SingularSystemError(f"stiffness factorization failed: {exc}") from exc

@@ -20,12 +20,35 @@ def single_patch(coupon_mesh):
     return fu.partition_longitudinal(coupon_mesh, 1)
 
 
-def homogeneous_material(patch_count: int, modulus: float = 200000.0, nu: float = 0.3):
-    values = np.full(patch_count, modulus)
-    design = fu.DesignVector(values, 0.01 * values, 3.0 * values)
-    return fu.MaterialField(design, nu)
+def homogeneous_material(patch_count: int, modulus: float = 200000.0):
+    return np.full(patch_count, modulus)
 
 
 @pytest.fixture
 def material_factory():
     return homogeneous_material
+
+
+class Prescribed:
+    """Boundary conditions as an explicit list of prescribed dofs and values."""
+
+    def __init__(self, dofs, values):
+        self.dofs = np.asarray(dofs, dtype=np.int64)
+        self.values = np.asarray(values, dtype=float)
+
+    def prescribed_dofs(self, mesh):
+        order = np.argsort(self.dofs)
+        return self.dofs[order], self.values[order]
+
+
+def dense_stiffness(mesh, patch_map, values, nu=0.3):
+    """Global stiffness assembled element by element from element_stiffness."""
+    dim = mesh.dimension
+    k = np.zeros((dim * mesh.n_nodes, dim * mesh.n_nodes))
+    for e in range(mesh.n_elements):
+        ke = fu.element_stiffness(
+            mesh.element_coords(e), values[patch_map.patch_of_element[e]], nu, mesh.thickness
+        )
+        gdofs = (dim * mesh.elements[e][:, None] + np.arange(dim)).ravel()
+        k[np.ix_(gdofs, gdofs)] += ke
+    return k

@@ -20,8 +20,8 @@ import pytest
 
 import femupdate as fu
 import femupdate.cli as cli
+from conftest import Prescribed
 from femupdate.config import load_config
-from femupdate.solver import solve_constrained
 
 E0 = 200000.0
 NU = 0.3
@@ -145,22 +145,20 @@ def test_criterion_1_solver_analytic():
         mesh = fu.build_coupon_mesh(100, 20, 2, 40, 10)
         pmap = fu.partition_longitudinal(mesh, 1)
         values = np.array([E0])
-        material = fu.MaterialField(fu.DesignVector(values, values * 0.5, values * 2), NU)
         bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
-        u = fu.solve_static(mesh, pmap, material, bcs)
-        field = fu.surface_strains(mesh, u)
+        field = fu.ForwardModel(mesh, pmap, NU, bcs).strain_field(values)
         np.testing.assert_allclose(field.exx, 1.0e-3, rtol=1e-8)
         np.testing.assert_allclose(field.eyy, -NU * 1.0e-3, rtol=1e-8)
         assert np.abs(field.exy).max() < 1e-8 * 1e-3
 
         # patch test: affine displacement on the full boundary
         small = fu.build_coupon_mesh(30, 10, 1.0, 6, 4)
-        k = fu.assemble(small, fu.partition_longitudinal(small, 1), material)
         a = np.array([[2e-3, 5e-4], [3e-4, -1e-3]])
         boundary = np.unique(np.concatenate([small.face_nodes(f) for f in ("xmin", "xmax", "ymin", "ymax")]))
         dofs = np.concatenate([[2 * n, 2 * n + 1] for n in boundary])
-        u_patch = solve_constrained(k, dofs, (small.nodes @ a.T)[boundary].ravel())
-        strains = fu.surface_strains(small, fu.DisplacementField(u_patch.reshape(-1, 2)))
+        patch_bcs = Prescribed(dofs, (small.nodes @ a.T)[boundary].ravel())
+        model = fu.ForwardModel(small, fu.partition_longitudinal(small, 1), NU, patch_bcs)
+        strains = model.strain_field(values)
         np.testing.assert_allclose(strains.exx, a[0, 0], rtol=1e-10)
         np.testing.assert_allclose(strains.eyy, a[1, 1], rtol=1e-10)
         np.testing.assert_allclose(strains.exy, a[0, 1] + a[1, 0], rtol=1e-10)

@@ -63,6 +63,15 @@ class TestLoadConfig:
                 }
             )
 
+    def test_non_finite_numbers_rejected(self):
+        geometry = {"length_mm": 10, "width_mm": 5, "thickness_mm": 1}
+        with pytest.raises(ConfigError, match="geometry.length_mm"):
+            load_config({"geometry": dict(geometry, length_mm=float("inf"))})
+        with pytest.raises(ConfigError, match="material.truth_moduli_mpa"):
+            load_config({"geometry": geometry, "material": {"truth_moduli_mpa": {"1": "inf"}}})
+        with pytest.raises(ConfigError, match="measurement.grid_spacing_mm"):
+            load_config({"geometry": geometry, "measurement": {"grid_spacing_mm": ["nan", 1.0]}})
+
     def test_defect_box_validation(self):
         with pytest.raises(ConfigError, match=r"patches.defects\[0\]"):
             load_config(
@@ -188,6 +197,13 @@ class TestCmdSynthAndForward:
     def test_missing_geometry_field_exit_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "x")
         del cfg["geometry"]["length_mm"]
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["forward", "--config", cfg_path]) == 2
+        assert "geometry.length_mm" in capsys.readouterr().err
+
+    def test_infinite_geometry_field_exit_2(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "x")
+        cfg["geometry"]["length_mm"] = float("inf")  # written as the JSON token Infinity
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["forward", "--config", cfg_path]) == 2
         assert "geometry.length_mm" in capsys.readouterr().err

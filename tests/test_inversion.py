@@ -23,9 +23,8 @@ def small_context(noise=0.0, seed=None, nx=10, ny=4):
     bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
     truth = np.full(4, E0)
     truth[3] = 0.3 * E0
-    material = fu.MaterialField(fu.DesignVector(truth, truth * 1e-3, truth * 10), 0.3)
     grid = fu.grid_for_footprint((100, 20), counts=(12, 5))
-    field = fu.generate_synthetic(mesh, pmap, bcs=bcs, grid=grid, truth_material=material,
+    field = fu.generate_synthetic(fu.ForwardModel(mesh, pmap, 0.3, bcs), truth, grid,
                                   noise_sigma=noise, rng_seed=seed)
     context = fu.CostContext(mesh, pmap, bcs, 0.3, [field])
     lower = np.full(4, 0.01 * E0)

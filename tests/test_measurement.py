@@ -22,8 +22,7 @@ def make_problem(nx=10, ny=4, defect=True):
     values = np.full(pmap.patch_count, E0)
     if defect:
         values[-1] = 0.3 * E0
-    material = fu.MaterialField(fu.DesignVector(values, values * 1e-3, values * 10), 0.3)
-    return mesh, pmap, bcs, material
+    return fu.ForwardModel(mesh, pmap, 0.3, bcs), values
 
 
 class TestMeasurementGrid:
@@ -61,20 +60,20 @@ class TestMeasurementGrid:
 
 class TestInterpolation:
     def test_constant_field_exact(self):
-        mesh, pmap, bcs, material = make_problem(defect=False)
+        model, _ = make_problem(defect=False)
         grid = fu.grid_for_footprint((100, 20), counts=(9, 5), margin=2.5)
-        pts = fu.ForwardModel(mesh, pmap, 0.3, bcs).surface_points
+        pts = model.surface_points
         field = fu.StrainField(pts, np.full(len(pts), 1e-3), np.zeros(len(pts)), np.zeros(len(pts)))
-        exx, eyy, exy = fu.interpolate_fe_to_grid(field, mesh, grid)
+        exx, eyy, exy = fu.interpolate_fe_to_grid(field, grid)
         assert_allclose(exx, 1e-3, rtol=0, atol=1e-18)
 
     def test_linear_field_within_one_percent(self):
-        mesh, pmap, bcs, material = make_problem(nx=20, ny=8, defect=False)
-        pts = fu.ForwardModel(mesh, pmap, 0.3, bcs).surface_points
+        model, _ = make_problem(nx=20, ny=8, defect=False)
+        pts = model.surface_points
         a = 2e-5
         field = fu.StrainField(pts, a * pts[:, 0], np.zeros(len(pts)), np.zeros(len(pts)))
         grid = fu.grid_for_footprint((100, 20), spacing=(5.0, 2.5), margin=5.0)
-        exx, _, _ = fu.interpolate_fe_to_grid(field, mesh, grid)
+        exx, _, _ = fu.interpolate_fe_to_grid(field, grid)
         expected = a * grid.points()[:, 0]
         assert np.abs(exx - expected).max() < 0.01 * np.abs(expected).max()
 
@@ -92,12 +91,12 @@ class TestInterpolation:
             Interpolator(samples, np.array([[0.5, 0.5], [2.0, 0.5]]))
 
     def test_grid_beyond_footprint_rejected(self):
-        mesh, pmap, bcs, material = make_problem()
-        pts = fu.ForwardModel(mesh, pmap, 0.3, bcs).surface_points
+        model, _ = make_problem()
+        pts = model.surface_points
         field = fu.StrainField(pts, np.zeros(len(pts)), np.zeros(len(pts)), np.zeros(len(pts)))
         grid = fu.MeasurementGrid((90.0, 5.0), (2.0, 2.0), (10, 3))  # runs past x = 100
         with pytest.raises(OutOfDomainError):
-            fu.interpolate_fe_to_grid(field, mesh, grid)
+            fu.interpolate_fe_to_grid(field, grid)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -116,31 +115,31 @@ class TestInterpolation:
 
 class TestGenerateSynthetic:
     def test_zero_noise_equals_clean_field(self):
-        mesh, pmap, bcs, material = make_problem()
+        model, truth = make_problem()
         grid = fu.grid_for_footprint((100, 20), counts=(12, 5))
-        field = fu.generate_synthetic(mesh, pmap, material, bcs, grid, noise_sigma=0.0)
-        model = fu.ForwardModel(mesh, pmap, 0.3, bcs)
-        clean = fu.interpolate_fe_to_grid(model.strain_field(material.design.values), mesh, grid)
+        field = fu.generate_synthetic(model, truth, grid, noise_sigma=0.0)
+        rebuilt = fu.ForwardModel(model.mesh, model.patch_map, 0.3, model.bcs)
+        clean = fu.interpolate_fe_to_grid(rebuilt.strain_field(truth), grid)
         assert np.array_equal(field.exx, clean[0])
         assert np.array_equal(field.eyy, clean[1])
         assert np.array_equal(field.exy, clean[2])
 
     def test_same_seed_bitwise_identical(self):
-        mesh, pmap, bcs, material = make_problem()
+        model, truth = make_problem()
         grid = fu.grid_for_footprint((100, 20), counts=(12, 5))
-        a = fu.generate_synthetic(mesh, pmap, material, bcs, grid, 0.02, rng_seed=77)
-        b = fu.generate_synthetic(mesh, pmap, material, bcs, grid, 0.02, rng_seed=77)
+        a = fu.generate_synthetic(model, truth, grid, 0.02, rng_seed=77)
+        b = fu.generate_synthetic(model, truth, grid, 0.02, rng_seed=77)
         assert np.array_equal(a.exx, b.exx)
         assert np.array_equal(a.eyy, b.eyy)
         assert np.array_equal(a.exy, b.exy)
 
     def test_noise_level_statistics(self):
         """Sample std of (noisy - clean)/RMS is within 15% of noise_sigma."""
-        mesh, pmap, bcs, material = make_problem()
+        model, truth = make_problem()
         grid = fu.grid_for_footprint((100, 20), counts=(100, 100), margin=2.3)
         assert grid.n_points == 10_000
-        clean = fu.generate_synthetic(mesh, pmap, material, bcs, grid, 0.0)
-        noisy = fu.generate_synthetic(mesh, pmap, material, bcs, grid, 0.01, rng_seed=4)
+        clean = fu.generate_synthetic(model, truth, grid, 0.0)
+        noisy = fu.generate_synthetic(model, truth, grid, 0.01, rng_seed=4)
         for name in ("exx", "eyy", "exy"):
             c = getattr(clean, name)
             n = getattr(noisy, name)
@@ -149,10 +148,10 @@ class TestGenerateSynthetic:
             assert 0.0085 < ratio < 0.0115, f"{name}: {ratio}"
 
     def test_negative_noise_rejected(self):
-        mesh, pmap, bcs, material = make_problem()
+        model, truth = make_problem()
         grid = fu.grid_for_footprint((100, 20), counts=(5, 3))
         with pytest.raises(ValueError):
-            fu.generate_synthetic(mesh, pmap, material, bcs, grid, -0.1)
+            fu.generate_synthetic(model, truth, grid, -0.1)
 
 
 class TestMeasurementCsv:
@@ -201,9 +200,9 @@ class TestMeasurementCsv:
             fu.load_measurement_csv(path)
 
     def test_round_trip_lossless(self, tmp_path):
-        mesh, pmap, bcs, material = make_problem()
+        model, truth = make_problem()
         grid = fu.grid_for_footprint((100, 20), counts=(12, 5))
-        field = fu.generate_synthetic(mesh, pmap, material, bcs, grid, 0.01, rng_seed=13)
+        field = fu.generate_synthetic(model, truth, grid, 0.01, rng_seed=13)
         path = tmp_path / "m.csv"
         fu.write_measurement_csv(field, path)
         loaded = fu.load_measurement_csv(path)
@@ -232,8 +231,8 @@ class TestMeasurementCsv:
 
 class TestInverseCrimeZero:
     def test_noiseless_cost_against_same_truth_is_zero(self):
-        mesh, pmap, bcs, material = make_problem()
+        model, truth = make_problem()
         grid = fu.grid_for_footprint((100, 20), counts=(12, 5))
-        field = fu.generate_synthetic(mesh, pmap, material, bcs, grid, 0.0)
-        context = fu.CostContext(mesh, pmap, bcs, 0.3, [field])
-        assert fu.evaluate_cost(material.design.values, context) < 1e-20
+        field = fu.generate_synthetic(model, truth, grid, 0.0)
+        context = fu.CostContext(model.mesh, model.patch_map, model.bcs, 0.3, [field])
+        assert fu.evaluate_cost(truth, context) < 1e-20

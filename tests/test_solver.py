@@ -6,8 +6,8 @@ from numpy.linalg import eigvalsh
 from numpy.testing import assert_allclose
 
 import femupdate as fu
+from conftest import Prescribed, dense_stiffness
 from femupdate.errors import DegenerateElementError, NumericalError
-from femupdate.solver import solve_constrained
 
 E_STEEL = 200000.0
 NU = 0.3
@@ -97,6 +97,10 @@ class TestElementStiffness:
         with pytest.raises(DegenerateElementError, match="element 7"):
             fu.element_stiffness(inverted, E_STEEL, NU, thickness=1.0, element_id=7)
 
+    def test_nan_coordinates_raise(self):
+        with pytest.raises(DegenerateElementError):
+            fu.element_stiffness(np.full((4, 2), np.nan), E_STEEL, NU, thickness=1.0)
+
     def test_quad4_requires_thickness(self):
         with pytest.raises(ValueError, match="thickness"):
             fu.element_stiffness(UNIT_QUAD, E_STEEL, NU)
@@ -107,47 +111,48 @@ class TestElementStiffness:
 
 
 class TestAssemble:
-    def test_single_element_equals_element_matrix(self):
+    def test_single_element_equals_element_matrix(self, uniaxial_bcs):
         mesh = fu.build_coupon_mesh(2.0, 1.0, 0.5, 1, 1)
         pmap = fu.partition_longitudinal(mesh, 1)
-        material = fu.MaterialField(
-            fu.DesignVector(np.array([E_STEEL]), np.array([1.0]), np.array([1e6])), NU
-        )
-        k = fu.assemble(mesh, pmap, material).toarray()
+        model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
         ke = fu.element_stiffness(mesh.element_coords(0), E_STEEL, NU, mesh.thickness)
         # map local element dofs onto global dofs through the connectivity
         gdofs = np.concatenate([(2 * n, 2 * n + 1) for n in mesh.elements[0]])
-        assert_allclose(k[np.ix_(gdofs, gdofs)], ke, rtol=0, atol=1e-12 * np.abs(ke).max())
+        k_global = np.zeros((8, 8))
+        k_global[np.ix_(gdofs, gdofs)] = ke
+        free = np.setdiff1d(np.arange(8), uniaxial_bcs.prescribed_dofs(mesh)[0])
+        k = model.stiffness(np.array([E_STEEL])).toarray()
+        assert_allclose(k, k_global[np.ix_(free, free)], rtol=0, atol=1e-12 * np.abs(ke).max())
 
-    def test_assembled_symmetry_random_moduli(self, coupon_mesh):
+    def test_assembled_symmetry_random_moduli(self, coupon_mesh, uniaxial_bcs):
         pmap = fu.partition_longitudinal(coupon_mesh, 9)
         rng = np.random.default_rng(3)
         values = rng.uniform(0.5, 3.0, 9) * E_STEEL
-        material = fu.MaterialField(fu.DesignVector(values, values * 0.01, values * 10), NU)
-        k = fu.assemble(coupon_mesh, pmap, material)
+        k = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs).stiffness(values)
         asym = np.abs(k - k.T).max()
         assert asym < 1e-10 * np.abs(k).max()
 
-    def test_doubling_all_moduli_doubles_matrix(self, coupon_mesh, single_patch):
+    def test_doubling_all_moduli_doubles_matrix(self, coupon_mesh, single_patch, uniaxial_bcs):
         v1 = np.array([E_STEEL])
-        m1 = fu.MaterialField(fu.DesignVector(v1, v1 * 0.01, v1 * 10), NU)
-        m2 = fu.MaterialField(fu.DesignVector(2 * v1, v1 * 0.01, v1 * 10), NU)
-        k1 = fu.assemble(coupon_mesh, single_patch, m1)
-        k2 = fu.assemble(coupon_mesh, single_patch, m2)
+        model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
+        k1 = model.stiffness(v1)
+        k2 = model.stiffness(2 * v1)
         assert np.abs(k2 - 2 * k1).max() < 1e-12 * np.abs(k1).max()
 
-    def test_patch_count_mismatch(self, coupon_mesh, single_patch, material_factory):
+    def test_patch_count_mismatch(self, coupon_mesh, single_patch, material_factory, uniaxial_bcs):
+        model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
         with pytest.raises(ValueError, match="patch_count"):
-            fu.assemble(coupon_mesh, single_patch, material_factory(3))
+            model.stiffness(material_factory(3))
 
 
 class TestBoundaryConditions:
     def test_prescribed_values_exact(self, coupon_mesh, single_patch, material_factory, uniaxial_bcs):
-        u = fu.solve_static(coupon_mesh, single_patch, material_factory(1), uniaxial_bcs)
+        model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
+        u = model.solve_displacement(material_factory(1)).reshape(-1, 2)
         loaded = coupon_mesh.face_nodes("xmax")
         fixed = coupon_mesh.face_nodes("xmin")
-        assert np.all(u.values[loaded, 0] == 0.1)
-        assert np.all(u.values[fixed, 0] == 0.0)
+        assert np.all(u[loaded, 0] == 0.1)
+        assert np.all(u[fixed, 0] == 0.0)
 
     def test_faces_must_be_disjoint(self, coupon_mesh):
         bcs = fu.BoundaryConditions("xmin", "ymax", 0.1)  # share the corner node
@@ -167,59 +172,74 @@ class TestBoundaryConditions:
             bcs.prescribed_dofs(coupon_mesh)
 
 
+def nodal_displacements(mesh, pmap, values, bcs):
+    """Nodal displacements, shape (n_nodes, dimension), from one ForwardModel solve."""
+    u = fu.ForwardModel(mesh, pmap, NU, bcs).solve_displacement(values)
+    return u.reshape(mesh.n_nodes, mesh.dimension)
+
+
 class TestSolveStatic:
     def test_uniform_bar_analytic(self, coupon_mesh, single_patch, material_factory, uniaxial_bcs):
-        u = fu.solve_static(coupon_mesh, single_patch, material_factory(1), uniaxial_bcs)
+        u = nodal_displacements(coupon_mesh, single_patch, material_factory(1), uniaxial_bcs)
         expected = 0.001 * coupon_mesh.nodes[:, 0]
-        assert np.abs(u.values[:, 0] - expected).max() < 1e-8 * 0.1
+        assert np.abs(u[:, 0] - expected).max() < 1e-8 * 0.1
 
     def test_zero_applied_displacement(self, coupon_mesh, single_patch, material_factory):
         bcs = fu.BoundaryConditions("xmin", "xmax", 0.0)
-        u = fu.solve_static(coupon_mesh, single_patch, material_factory(1), bcs)
-        assert np.abs(u.values).max() == 0.0
+        u = nodal_displacements(coupon_mesh, single_patch, material_factory(1), bcs)
+        assert np.abs(u).max() == 0.0
 
     def test_mesh_consistency_for_linear_field(self, material_factory, uniaxial_bcs):
         coarse = fu.build_coupon_mesh(100, 20, 2, 20, 5)
         fine = fu.build_coupon_mesh(100, 20, 2, 40, 10)
-        uc = fu.solve_static(coarse, fu.partition_longitudinal(coarse, 1), material_factory(1), uniaxial_bcs)
-        uf = fu.solve_static(fine, fu.partition_longitudinal(fine, 1), material_factory(1), uniaxial_bcs)
+        e = material_factory(1)
+        uc = nodal_displacements(coarse, fu.partition_longitudinal(coarse, 1), e, uniaxial_bcs)
+        uf = nodal_displacements(fine, fu.partition_longitudinal(fine, 1), e, uniaxial_bcs)
         # every coarse node coincides with a fine node
         fine_lookup = {tuple(np.round(p, 9)): i for i, p in enumerate(fine.nodes)}
         for i, p in enumerate(coarse.nodes):
             j = fine_lookup[tuple(np.round(p, 9))]
-            assert np.abs(uc.values[i] - uf.values[j]).max() < 1e-8 * 0.1
+            assert np.abs(uc[i] - uf[j]).max() < 1e-8 * 0.1
 
     def test_insufficient_constraints_fail(self):
         mesh = fu.build_coupon_mesh(1, 1, 1, 1, 1)
         pmap = fu.partition_longitudinal(mesh, 1)
         values = np.array([E_STEEL])
-        material = fu.MaterialField(fu.DesignVector(values, values * 0.01, values * 10), NU)
-        k = fu.assemble(mesh, pmap, material)
         # only one x-dof prescribed: y-translation and rotation stay free
         with pytest.raises(NumericalError):
-            solve_constrained(k, np.array([0]), np.array([0.1]))
+            fu.ForwardModel(mesh, pmap, NU, Prescribed([0], [0.1])).solve_displacement(values)
+
+    def test_x_only_face_constraints_fail(self):
+        mesh = fu.build_coupon_mesh(1, 1, 1, 1, 1)
+        pmap = fu.partition_longitudinal(mesh, 1)
+        values = np.array([E_STEEL])
+        # both x faces held in x only: y-translation stays free
+        x_dofs = 2 * np.concatenate([mesh.face_nodes("xmin"), mesh.face_nodes("xmax")])
+        x_values = np.where(mesh.nodes[x_dofs // 2, 0] > 0, 0.1, 0.0)
+        with pytest.raises(NumericalError):
+            fu.ForwardModel(mesh, pmap, NU, Prescribed(x_dofs, x_values)).solve_displacement(values)
 
 
 class TestSurfaceStrains:
     def test_uniform_bar_strains(self, coupon_mesh, single_patch, material_factory, uniaxial_bcs):
-        u = fu.solve_static(coupon_mesh, single_patch, material_factory(1), uniaxial_bcs)
-        field = fu.surface_strains(coupon_mesh, u)
+        model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
+        field = model.strain_field(material_factory(1))
         assert_allclose(field.exx, 1e-3, rtol=1e-8)
         assert_allclose(field.eyy, -NU * 1e-3, rtol=1e-8)
         assert np.abs(field.exy).max() < 1e-8 * 1e-3
 
-    def test_rigid_rotation_produces_no_strain(self, coupon_mesh):
+    def test_rigid_rotation_produces_no_strain(self, coupon_mesh, single_patch, uniaxial_bcs):
         angle = 1e-6
         disp = angle * np.column_stack([-coupon_mesh.nodes[:, 1], coupon_mesh.nodes[:, 0]])
-        field = fu.surface_strains(coupon_mesh, fu.DisplacementField(disp))
+        model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
+        strains = model.sample_strains(disp.ravel())
         bound = 1e-12 + angle**2
-        for comp in (field.exx, field.eyy, field.exy):
+        for comp in strains:
             assert np.abs(comp).max() < bound
 
-    def test_invalid_selector(self, coupon_mesh, single_patch, material_factory, uniaxial_bcs):
-        u = fu.solve_static(coupon_mesh, single_patch, material_factory(1), uniaxial_bcs)
+    def test_invalid_selector(self, coupon_mesh, single_patch, uniaxial_bcs):
         with pytest.raises(ValueError, match="midplane"):
-            fu.surface_strains(coupon_mesh, u, surface="front")
+            fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs, surface="front")
 
     def test_3d_buried_patch_perturbs_front_face(self):
         mesh = fu.build_coupon_mesh(100, 20, 8, 15, 4, 4)
@@ -236,9 +256,9 @@ class TestSurfaceStrains:
         mesh = fu.build_coupon_mesh(100, 20, 8, 6, 3, 2)
         pmap = fu.partition_longitudinal(mesh, 1)
         values = np.array([E_STEEL])
-        material = fu.MaterialField(fu.DesignVector(values, values * 0.01, values * 10), NU)
-        u = fu.solve_static(mesh, pmap, material, fu.BoundaryConditions("xmin", "xmax", 0.1))
-        field = fu.surface_strains(mesh, u, surface="front")
+        bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+        model = fu.ForwardModel(mesh, pmap, NU, bcs, surface="front")
+        field = model.strain_field(values)
         assert field.n_points == 6 * 3 * 4  # top-layer elements, 2x2 face points each
         assert_allclose(field.exx, 1e-3, rtol=1e-8)
 
@@ -249,8 +269,6 @@ class TestSolverInvariants:
         mesh = fu.build_coupon_mesh(30, 10, 1.0, 6, 4)
         pmap = fu.partition_longitudinal(mesh, 1)
         values = np.array([E_STEEL])
-        material = fu.MaterialField(fu.DesignVector(values, values * 0.01, values * 10), NU)
-        k = fu.assemble(mesh, pmap, material)
         a = np.array([[2e-3, 5e-4], [3e-4, -1e-3]])
         boundary = np.unique(
             np.concatenate([mesh.face_nodes(f) for f in ("xmin", "xmax", "ymin", "ymax")])
@@ -258,8 +276,7 @@ class TestSolverInvariants:
         dofs = np.concatenate([[2 * n, 2 * n + 1] for n in boundary])
         u_affine = mesh.nodes @ a.T
         prescribed = u_affine[boundary].ravel()
-        u = solve_constrained(k, dofs, prescribed)
-        field = fu.surface_strains(mesh, fu.DisplacementField(u.reshape(-1, 2)))
+        field = fu.ForwardModel(mesh, pmap, NU, Prescribed(dofs, prescribed)).strain_field(values)
         assert_allclose(field.exx, a[0, 0], rtol=1e-10)
         assert_allclose(field.eyy, a[1, 1], rtol=1e-10)
         assert_allclose(field.exy, a[0, 1] + a[1, 0], rtol=1e-10)
@@ -268,8 +285,7 @@ class TestSolverInvariants:
         mesh = fu.build_coupon_mesh(10, 5, 1, 4, 2)
         pmap = fu.partition_longitudinal(mesh, 1)
         values = np.array([E_STEEL])
-        material = fu.MaterialField(fu.DesignVector(values, values * 0.01, values * 10), NU)
-        k = fu.assemble(mesh, pmap, material).toarray()
+        k = dense_stiffness(mesh, pmap, values, NU)
         rigid = np.zeros((3, 2 * mesh.n_nodes))
         rigid[0, 0::2] = 1.0
         rigid[1, 1::2] = 1.0
@@ -289,10 +305,9 @@ class TestSolverInvariants:
         )
         rng = np.random.default_rng(5)
         values = rng.uniform(0.3, 2.0, 11) * E_STEEL
-        material = fu.MaterialField(fu.DesignVector(values, values * 0.01, values * 10), NU)
-        k = fu.assemble(coupon_mesh, pmap, material)
-        u = fu.solve_static(coupon_mesh, pmap, material, uniaxial_bcs)
-        reactions = k @ u.flat()
+        k = dense_stiffness(coupon_mesh, pmap, values, NU)
+        u = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs).solve_displacement(values)
+        reactions = k @ u
         fixed = coupon_mesh.face_nodes("xmin")
         loaded = coupon_mesh.face_nodes("xmax")
         r_fixed = reactions[2 * fixed].sum()
@@ -303,28 +318,26 @@ class TestSolverInvariants:
         pmap = fu.partition_longitudinal(coupon_mesh, 9)
         rng = np.random.default_rng(8)
         values = rng.uniform(0.3, 2.0, 9) * E_STEEL
-
-        def solve(v):
-            material = fu.MaterialField(fu.DesignVector(v, v * 1e-3, v * 1e3), NU)
-            return fu.solve_static(coupon_mesh, pmap, material, uniaxial_bcs).values
-
-        u1 = solve(values)
-        u2 = solve(2.0 * values)
+        model = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs)
+        u1 = model.solve_displacement(values)
+        u2 = model.solve_displacement(2.0 * values)
         assert np.abs(u1 - u2).max() <= 1e-10 * np.abs(u1).max()
 
     def test_forward_model_matches_general_path(self, coupon_mesh, uniaxial_bcs):
+        """K(E) and rhs of the cached model against a dense element-by-element assembly."""
         pmap = fu.partition_longitudinal(coupon_mesh, 9)
         pmap = fu.stamp_defect_patches(
             pmap, coupon_mesh, [fu.DefectSpec((20, 6), (32, 14)), fu.DefectSpec((60, 4), (72, 12))]
         )
         rng = np.random.default_rng(21)
         values = rng.uniform(0.3, 2.0, 11) * E_STEEL
-        material = fu.MaterialField(fu.DesignVector(values, values * 1e-3, values * 1e3), NU)
-        u_general = fu.solve_static(coupon_mesh, pmap, material, uniaxial_bcs)
+        k_dense = dense_stiffness(coupon_mesh, pmap, values, NU)
+        dofs, prescribed = uniaxial_bcs.prescribed_dofs(coupon_mesh)
+        free = np.setdiff1d(np.arange(k_dense.shape[0]), dofs)
+        k_general = k_dense[np.ix_(free, free)]
+        rhs_general = -k_dense[np.ix_(free, dofs)] @ prescribed
         model = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs)
-        u_fast = model.displacement_field(values)
-        assert np.abs(u_general.values - u_fast.values).max() < 1e-12 * np.abs(u_general.values).max()
-        field_general = fu.surface_strains(coupon_mesh, u_general)
-        field_fast = model.strain_field(values)
-        assert_allclose(field_fast.points, field_general.points, rtol=0, atol=1e-12)
-        assert_allclose(field_fast.exx, field_general.exx, rtol=0, atol=1e-12 * np.abs(field_general.exx).max())
+        k_fast = model.stiffness(values).toarray()
+        rhs_fast = model.rhs(values)
+        assert np.abs(k_fast - k_general).max() < 1e-12 * np.abs(k_general).max()
+        assert_allclose(rhs_fast, rhs_general, rtol=0, atol=1e-12 * np.abs(rhs_general).max())
