@@ -183,7 +183,8 @@ class _Section:
                 raise ConfigError(path, required_msg or "required field is missing")
             return default
         value = self.data.pop(key)
-        if kind is not None and value is not None:
+        # Non-finite values skip conversion (int(inf) would overflow) and are rejected below.
+        if kind is not None and value is not None and _all_finite(value):
             try:
                 if kind is bool:
                     if not isinstance(value, bool):

@@ -311,8 +311,11 @@ class ForwardModel:
 
     def stiffness(self, values: np.ndarray) -> sp.csc_matrix:
         """Free-free stiffness K(E) = sum_k E_k A_k, rows and columns in free-dof order."""
+        return self._stiffness(self._check_values(values))
+
+    def _stiffness(self, values: np.ndarray) -> sp.csc_matrix:
         n_free = self._free.size
-        data = self._weights @ self._check_values(values)
+        data = self._weights @ values
         return sp.csc_matrix((data, self._indices, self._indptr), shape=(n_free, n_free))
 
     def rhs(self, values: np.ndarray) -> np.ndarray:
@@ -321,8 +324,9 @@ class ForwardModel:
 
     def solve_displacement(self, values: np.ndarray) -> np.ndarray:
         """Flat displacement vector for the given patch moduli."""
-        k = self.stiffness(values)
-        rhs = self.rhs(values)
+        values = self._check_values(values)
+        k = self._stiffness(values)
+        rhs = -(self._rhs_per_patch @ values)
         uf = _factor(k).solve(rhs)
         if not np.all(np.isfinite(uf)):
             raise SingularSystemError("solution is non-finite")

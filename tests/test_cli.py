@@ -67,6 +67,10 @@ class TestLoadConfig:
         geometry = {"length_mm": 10, "width_mm": 5, "thickness_mm": 1}
         with pytest.raises(ConfigError, match="geometry.length_mm"):
             load_config({"geometry": dict(geometry, length_mm=float("inf"))})
+        with pytest.raises(ConfigError, match="geometry.nx"):
+            load_config({"geometry": dict(geometry, nx=float("inf"))})
+        with pytest.raises(ConfigError, match="bounds.pin_reference_patch"):
+            load_config({"geometry": geometry, "bounds": {"pin_reference_patch": float("nan")}})
         with pytest.raises(ConfigError, match="material.truth_moduli_mpa"):
             load_config({"geometry": geometry, "material": {"truth_moduli_mpa": {"1": "inf"}}})
         with pytest.raises(ConfigError, match="measurement.grid_spacing_mm"):

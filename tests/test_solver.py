@@ -111,18 +111,23 @@ class TestElementStiffness:
 
 
 class TestAssemble:
-    def test_single_element_equals_element_matrix(self, uniaxial_bcs):
+    def test_single_element_equals_element_matrix(self):
         mesh = fu.build_coupon_mesh(2.0, 1.0, 0.5, 1, 1)
         pmap = fu.partition_longitudinal(mesh, 1)
-        model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
+        # pin node 0 in x and y and node 1 in y: removes the three rigid modes
+        prescribed = np.array([0, 1, 3])
+        v = np.array([0.01, -0.02, 0.03])
+        model = fu.ForwardModel(mesh, pmap, NU, Prescribed(prescribed, v))
         ke = fu.element_stiffness(mesh.element_coords(0), E_STEEL, NU, mesh.thickness)
         # map local element dofs onto global dofs through the connectivity
         gdofs = np.concatenate([(2 * n, 2 * n + 1) for n in mesh.elements[0]])
         k_global = np.zeros((8, 8))
         k_global[np.ix_(gdofs, gdofs)] = ke
-        free = np.setdiff1d(np.arange(8), uniaxial_bcs.prescribed_dofs(mesh)[0])
-        k = model.stiffness(np.array([E_STEEL])).toarray()
-        assert_allclose(k, k_global[np.ix_(free, free)], rtol=0, atol=1e-12 * np.abs(ke).max())
+        free = np.setdiff1d(np.arange(8), prescribed)
+        e = np.array([E_STEEL])
+        atol = 1e-12 * np.abs(ke).max()
+        assert_allclose(model.stiffness(e).toarray(), k_global[np.ix_(free, free)], rtol=0, atol=atol)
+        assert_allclose(model.rhs(e), -k_global[np.ix_(free, prescribed)] @ v, rtol=0, atol=atol)
 
     def test_assembled_symmetry_random_moduli(self, coupon_mesh, uniaxial_bcs):
         pmap = fu.partition_longitudinal(coupon_mesh, 9)
