@@ -9,6 +9,7 @@ atomically and an output directory accepts only one run at a time.
 
 import argparse
 import dataclasses
+import fcntl
 import json
 import os
 import sys
@@ -60,19 +61,22 @@ class InversionReport:
 
 @contextmanager
 def _locked_output(outdir: str):
+    """Hold an exclusive ``flock`` on the output directory's lock file.
+
+    The kernel drops the lock when the holder exits, so a run that died
+    leaves nothing that blocks the next one. The empty lock file stays.
+    """
     os.makedirs(outdir, exist_ok=True)
     lock = os.path.join(outdir, _LOCK_NAME)
+    fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(lock, "output directory is locked by another run") from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(lock, "output directory is locked by another run") from None
         yield
     finally:
-        if os.path.exists(lock):
-            os.unlink(lock)
+        os.close(fd)
 
 
 def _json_text(obj) -> str:

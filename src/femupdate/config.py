@@ -150,7 +150,6 @@ class RunConfig:
                 "rng_seed": ga.rng_seed,
             },
             "grad": {
-                "fd_step_rel": grad.fd_step_rel,
                 "max_iterations": grad.max_iterations,
                 "armijo_c": grad.armijo_c,
                 "backtrack_factor": grad.backtrack_factor,
@@ -375,7 +374,6 @@ def load_config(source) -> RunConfig:
     grad_sec = top.subsection("grad")
     grad_kwargs = {}
     for name, kind in (
-        ("fd_step_rel", float),
         ("max_iterations", int),
         ("armijo_c", float),
         ("backtrack_factor", float),

@@ -7,8 +7,12 @@ over all grid points, components and load steps.
 
 Minimization runs in two stages: a real-coded genetic algorithm explores
 the bounded design space, then projected gradient descent with Armijo
-backtracking refines the best individual. Both stages are deterministic
-given their seeds and log every iterate into a ConvergenceHistory.
+backtracking refines the best individual. Its gradients are exact adjoint
+sensitivities: one factorization of K(E) serves the forward solve and the
+adjoint solve, so a cost and its gradient cost one forward solve. Both
+stages are deterministic given their seeds and log every iterate into a
+ConvergenceHistory. ``fd_gradient`` remains as a finite-difference oracle
+for checking gradients.
 """
 
 from dataclasses import dataclass, field
@@ -63,10 +67,9 @@ class GAConfig:
 
 @dataclass(frozen=True)
 class GradConfig:
-    """Projected-gradient settings: finite-difference step, Armijo line
-    search, and gradient / step stopping tolerances."""
+    """Projected-gradient settings: Armijo line search and gradient / step
+    stopping tolerances."""
 
-    fd_step_rel: float = 1e-6
     max_iterations: int = 300
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
@@ -74,7 +77,7 @@ class GradConfig:
     step_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("fd_step_rel", "max_iterations", "grad_tol", "step_tol"):
+        for name in ("max_iterations", "grad_tol", "step_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not (0.0 < self.armijo_c < 1.0):
@@ -97,8 +100,8 @@ class ConvergenceHistory:
     """Per-iteration log of the optimization, both stages concatenated.
 
     Records carry the cumulative forward-solve count at the time they were
-    written; ``total_forward_solves`` additionally includes evaluations
-    spent on the final termination check.
+    written; ``total_forward_solves`` additionally includes the trial
+    points of a final line search that found no acceptable step.
     """
 
     records: list = field(default_factory=list)
@@ -124,13 +127,14 @@ class ConvergenceHistory:
 
 
 class _CountingCost:
-    """Wraps a cost function, counting every forward evaluation."""
+    """Wraps a cost (or cost-and-gradient) function, counting every call:
+    each one is one forward solve."""
 
     def __init__(self, fn, count: int = 0):
         self.fn = fn
         self.count = count
 
-    def __call__(self, x: np.ndarray) -> float:
+    def __call__(self, x: np.ndarray):
         self.count += 1
         return self.fn(x)
 
@@ -196,7 +200,24 @@ class CostContext:
         return self._interp(exx), self._interp(eyy), self._interp(exy)
 
     def cost(self, design: np.ndarray) -> float:
-        num = self.numerical_grid_field(design)
+        return self._misfit(self.numerical_grid_field(design))
+
+    def cost_and_grad(self, design: np.ndarray) -> tuple[float, np.ndarray]:
+        """Cost and its exact gradient with respect to the patch moduli.
+
+        One factorization and two triangular solves (forward and adjoint);
+        the cost is bitwise the value ``cost`` returns.
+        """
+        strains, pullback = self.forward.strains_with_pullback(design)
+        num = tuple(self._interp(s) for s in strains)
+        d_num = [0.0, 0.0, 0.0]
+        for m in self.measurements:
+            for c, exp in enumerate((m.exx, m.eyy, m.exy)):
+                denom = np.maximum(np.abs(exp), self.strain_floor)
+                d_num[c] = d_num[c] - 2.0 * (exp - num[c]) / denom**2
+        return self._misfit(num), pullback(*(self._interp.transpose(d) for d in d_num))
+
+    def _misfit(self, num: tuple) -> float:
         return sum(
             relative_residual_cost((m.exx, m.eyy, m.exy), num, self.strain_floor)
             for m in self.measurements
@@ -214,18 +235,20 @@ def fd_gradient(
     lower: np.ndarray,
     upper: np.ndarray,
     fd_step_rel: float = 1e-6,
-    f0: float | None = None,
 ) -> np.ndarray:
     """Finite-difference gradient with per-coordinate step h_k = rel * range_k.
 
     Central differences where the stencil fits inside the bounds; second
     order one-sided stencils at the box faces. Coordinates with zero range
-    (pinned entries) get a zero gradient component.
+    (pinned entries) get a zero gradient component. The optimizer uses the
+    adjoint gradient of ``CostContext.cost_and_grad``; this is the oracle
+    that checks it.
     """
     x = np.asarray(design, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     grad = np.zeros_like(x)
+    f0 = None
     for k in range(x.size):
         h = fd_step_rel * (upper[k] - lower[k])
         if h == 0.0:
@@ -336,13 +359,19 @@ def run_ga(
 
 
 def run_gradient(
-    cost_fn,
+    cost_and_grad,
     start_design: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     config: GradConfig,
 ) -> tuple[np.ndarray, ConvergenceHistory]:
     """Projected gradient descent with Armijo backtracking inside the box.
+
+    ``cost_and_grad(x)`` returns the cost and its exact gradient (for a
+    CostContext, the adjoint sensitivities of ``CostContext.cost_and_grad``),
+    so every evaluation costs one forward solve and the gradient of an
+    accepted trial point serves the next iteration. Gradient components of
+    pinned coordinates (``lower == upper``) are set to zero.
 
     The trial step length is initialized with alternating Barzilai-Borwein
     spectral estimates (plain gradient differences, no stored matrix),
@@ -356,18 +385,23 @@ def run_gradient(
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     x = np.clip(np.asarray(start_design, dtype=float), lower, upper)
-    counter = cost_fn if isinstance(cost_fn, _CountingCost) else _CountingCost(cost_fn)
-    f = counter(x)
+    counter = cost_and_grad if isinstance(cost_and_grad, _CountingCost) else _CountingCost(cost_and_grad)
+    span = upper - lower
+    pinned = span == 0
+
+    def evaluate(z):
+        f_z, g_z = counter(z)
+        return f_z, np.where(pinned, 0.0, g_z)
+
+    f, grad = evaluate(x)
     history = ConvergenceHistory()
     history.append(STAGE_GRADIENT, 0, f, x, counter.count)
 
-    span = upper - lower
     max_span = float(span.max())
     x_prev = grad_prev = None
     t_accepted = None
     use_bb2 = False
     for it in range(1, config.max_iterations + 1):
-        grad = fd_gradient(counter, x, lower, upper, config.fd_step_rel, f0=f)
         projected = x - np.clip(x - grad, lower, upper)
         if np.max(np.abs(projected)) < config.grad_tol:
             break
@@ -391,7 +425,7 @@ def run_gradient(
             if step_sq == 0.0:
                 t *= config.backtrack_factor
                 continue
-            f_new = counter(x_new)
+            f_new, grad_new = evaluate(x_new)
             if f_new <= f - (config.armijo_c / t) * step_sq:
                 accepted = True
                 break
@@ -402,7 +436,7 @@ def run_gradient(
         with np.errstate(invalid="ignore", divide="ignore"):
             rel_step = np.where(span > 0, np.abs(x - x_new) / span, 0.0)
         x_prev, grad_prev = x, grad
-        x, f, t_accepted = x_new, f_new, t
+        x, f, grad, t_accepted = x_new, f_new, grad_new, t
         history.append(STAGE_GRADIENT, it, f, x, counter.count)
         if float(rel_step.max()) < config.step_tol:
             break
@@ -420,14 +454,17 @@ def run_hybrid(
 ) -> tuple[np.ndarray, ConvergenceHistory]:
     """GA exploration followed by gradient refinement from the GA's best.
 
-    The returned history concatenates both stages with a shared forward
-    solve counter; the final cost never exceeds the GA stage's best.
+    The GA scores designs with ``context.cost``, the gradient stage with
+    ``context.cost_and_grad``. The returned history concatenates both
+    stages with a shared forward solve counter (one count per
+    factorization); the final cost never exceeds the GA stage's best.
     """
-    counter = _CountingCost(lambda design: evaluate_cost(design, context))
-    ga_best, history = run_ga(counter, lower, upper, ga_config, initial_guess)
-    refined, grad_history = run_gradient(counter, ga_best, lower, upper, grad_config)
+    cost = _CountingCost(context.cost)
+    ga_best, history = run_ga(cost, lower, upper, ga_config, initial_guess)
+    cost_and_grad = _CountingCost(context.cost_and_grad, cost.count)
+    refined, grad_history = run_gradient(cost_and_grad, ga_best, lower, upper, grad_config)
     history.extend(grad_history)
-    history.total_forward_solves = counter.count
+    history.total_forward_solves = cost_and_grad.count
     ga_final = history.stage_records(STAGE_GA)[-1].best_cost
     grad_final = history.stage_records(STAGE_GRADIENT)[-1].best_cost
     final = refined if grad_final <= ga_final else ga_best

@@ -143,6 +143,7 @@ class Interpolator:
         weights /= weights.sum(axis=1, keepdims=True)
         self._idx = idx
         self._weights = weights
+        self._n_samples = sample_points.shape[0]
 
     @staticmethod
     def _check_domain(samples: np.ndarray, targets: np.ndarray) -> None:
@@ -160,6 +161,11 @@ class Interpolator:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return np.sum(self._weights * np.asarray(values, dtype=float)[self._idx], axis=1)
+
+    def transpose(self, target_values: np.ndarray) -> np.ndarray:
+        """Adjoint of the interpolation: spreads target values back onto the samples."""
+        spread = self._weights * np.asarray(target_values, dtype=float)[:, None]
+        return np.bincount(self._idx.ravel(), weights=spread.ravel(), minlength=self._n_samples)
 
 
 def interpolate_fe_to_grid(

@@ -214,10 +214,11 @@ class ForwardModel:
     builds the free-free sparsity pattern once (CSC, int32 indices) with one
     column of slot weights per patch, and the matching per-patch right-hand
     sides of the prescribed displacements. Every solve fills the pattern,
-    factors afresh and checks the result. The rank is checked once, at
-    construction: for positive moduli the null space of K(E) is the
-    intersection of those of the A_k, so one factorization at unit moduli
-    shows whether any solve can be singular.
+    factors afresh and checks the result; ``strains_with_pullback`` reuses
+    that factor for the adjoint solve of an exact gradient. The rank is
+    checked once, at construction: for positive moduli the null space of
+    K(E) is the intersection of those of the A_k, so one factorization at
+    unit moduli shows whether any solve can be singular.
 
     ``bcs`` may be any object whose ``prescribed_dofs(mesh)`` returns
     (sorted dof indices, values). Instances are immutable after
@@ -267,8 +268,9 @@ class ForwardModel:
         entry_patch = np.broadcast_to(patch[:, None, None], ke.shape)[keep]
         self._weights = _sum_at(slot, entry_patch, ke[keep], (pattern.size, n_patches))
         self._indices = (pattern % n_free).astype(np.int32)
+        self._col_of_slot = (pattern // n_free).astype(np.int32)
         self._indptr = np.zeros(n_free + 1, dtype=np.int32)
-        np.cumsum(np.bincount(pattern // n_free, minlength=n_free), out=self._indptr[1:])
+        np.cumsum(np.bincount(self._col_of_slot, minlength=n_free), out=self._indptr[1:])
 
         # rhs = -(sum_k E_k A_k)[free, prescribed] @ values = -B @ E
         u0 = np.zeros(self._n_dofs)
@@ -322,12 +324,12 @@ class ForwardModel:
         """Free-dof right-hand side -K(E)[free, prescribed] @ prescribed values."""
         return -(self._rhs_per_patch @ self._check_values(values))
 
-    def solve_displacement(self, values: np.ndarray) -> np.ndarray:
-        """Flat displacement vector for the given patch moduli."""
-        values = self._check_values(values)
+    def _solve(self, values: np.ndarray):
+        """Free-dof displacements and the factor of K(E) for checked moduli."""
         k = self._stiffness(values)
         rhs = -(self._rhs_per_patch @ values)
-        uf = _factor(k).solve(rhs)
+        lu = _factor(k)
+        uf = lu.solve(rhs)
         if not np.all(np.isfinite(uf)):
             raise SingularSystemError("solution is non-finite")
         rhs_norm = np.linalg.norm(rhs)
@@ -335,15 +337,49 @@ class ForwardModel:
             rel = np.linalg.norm(k @ uf - rhs) / rhs_norm
             if rel > _EQUILIBRIUM_RTOL:
                 raise NumericalError(f"equilibrium residual {rel:.3e} exceeds {_EQUILIBRIUM_RTOL:.1e}")
+        return uf, lu
+
+    def _full(self, uf: np.ndarray) -> np.ndarray:
         u = np.zeros(self._n_dofs)
         u[self._dofs] = self._dof_values
         u[self._free] = uf
         return u
 
+    def solve_displacement(self, values: np.ndarray) -> np.ndarray:
+        """Flat displacement vector for the given patch moduli."""
+        return self._full(self._solve(self._check_values(values))[0])
+
     def sample_strains(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exx, eyy, gamma_xy) of a flat displacement vector at the surface points."""
         eps = np.einsum("egij,ej->egi", self._surface_b, u[self._surface_edofs]).reshape(-1, 3)
         return eps[:, 0], eps[:, 1], eps[:, 2]
+
+    def strains_with_pullback(self, values: np.ndarray):
+        """Surface strains of one fresh solve, and their pullback to the moduli.
+
+        Returns ((exx, eyy, gamma_xy), pullback). ``pullback(d_exx, d_eyy,
+        d_exy)`` maps the gradient of a scalar with respect to the sampled
+        strains to its gradient with respect to the patch moduli by the
+        adjoint method: with K u_f = -R E, the adjoint solve K^T lam = dF/du_f
+        on the same factor gives dF/dE_k = -lam^T (A_k u_f + R_k).
+        """
+        values = self._check_values(values)
+        uf, lu = self._solve(values)
+        strains = self.sample_strains(self._full(uf))
+
+        def pullback(d_exx, d_eyy, d_exy):
+            lam = lu.solve(self._sample_strains_transpose(d_exx, d_eyy, d_exy)[self._free], trans="T")
+            a_u = self._weights.T @ (lam[self._indices] * uf[self._col_of_slot])
+            return -(a_u + lam @ self._rhs_per_patch)
+
+        return strains, pullback
+
+    def _sample_strains_transpose(self, d_exx, d_eyy, d_exy) -> np.ndarray:
+        """Transpose of ``sample_strains``: per-point strain weights to a flat dof vector."""
+        n_elements, n_points = self._surface_b.shape[:2]
+        d = np.column_stack([d_exx, d_eyy, d_exy]).reshape(n_elements, n_points, 3)
+        local = np.einsum("egij,egi->ej", self._surface_b, d)
+        return np.bincount(self._surface_edofs.ravel(), weights=local.ravel(), minlength=self._n_dofs)
 
     def surface_strain_arrays(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exx, eyy, gamma_xy) at the surface sample points; one fresh solve."""

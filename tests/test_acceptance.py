@@ -185,6 +185,23 @@ def test_criterion_2_gradient_fidelity(run_2d):
         assert time.perf_counter() - start < 30.0
 
 
+def test_adjoint_gradient_matches_fd_oracle(run_2d):
+    """The optimizer's adjoint gradient matches the FD gradient to 1e-6 at the
+    criterion-2 designs (free coordinates; the pinned patch is fixed)."""
+    cfg = json.loads((run_2d["inv1"] / "resolved_config.json").read_text())
+    _, context, lower, upper = context_from(cfg, run_2d["measurement"])
+    cost = lambda v: fu.evaluate_cost(v, context)
+    free = upper > lower
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        design = np.clip(rng.uniform(0.4, 2.0, 11) * E0, lower, upper)
+        f, g = context.cost_and_grad(design)
+        assert f == cost(design)
+        g_fd = fu.fd_gradient(cost, design, lower, upper)
+        rel = np.abs(g - g_fd)[free].max() / np.abs(g_fd).max()
+        assert rel < 1e-6, f"adjoint vs FD relative error {rel:.2e}"
+
+
 def test_criterion_3_inverse_crime_recovery(run_2d):
     """11-patch noiseless identification: 1% moduli, 1e-6 cost drop, < 5 min."""
     with criterion(3, "inverse-crime recovery"):

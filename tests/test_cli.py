@@ -1,7 +1,10 @@
 """Config loading, subcommands, file formats and the exit-code contract."""
 
+import fcntl
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -215,10 +218,29 @@ class TestCmdSynthAndForward:
     def test_locked_output_dir_exit_2(self, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()
-        (out / ".femupdate.lock").write_text("1\n")
-        cfg_path = write_config(tmp_path, base_config(out))
-        assert cli.main(["synth", "--config", cfg_path]) == 2
+        with open(out / ".femupdate.lock", "w") as held:  # a live run's lock
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            cfg_path = write_config(tmp_path, base_config(out))
+            assert cli.main(["synth", "--config", cfg_path]) == 2
         assert "locked" in capsys.readouterr().err
+
+    def test_dead_runs_lock_does_not_block(self, tmp_path):
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        out = tmp_path / "stale"
+        out.mkdir()
+        (out / ".femupdate.lock").write_text(f"{dead.pid}\n")
+        cfg_path = write_config(tmp_path, base_config(out))
+        assert cli.main(["forward", "--config", cfg_path]) == 0
+        assert cli.main(["forward", "--config", cfg_path]) == 0  # and the lock is released again
+
+    def test_removed_fd_step_knob_exit_2(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "x", grad={"max_iterations": 60, "fd_step_rel": 1e-6})
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["forward", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "grad.fd_step_rel" in err
+        assert "unknown key" in err
 
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "clean"

@@ -1,4 +1,4 @@
-"""Cost function, finite-difference gradients, GA and gradient stages."""
+"""Cost function, adjoint and finite-difference gradients, GA and gradient stages."""
 
 import numpy as np
 import pytest
@@ -31,6 +31,29 @@ def small_context(noise=0.0, seed=None, nx=10, ny=4):
     upper = np.full(4, 3.0 * E0)
     lower[0] = upper[0] = E0  # fix the modulus scale at the reference section
     return context, truth, lower, upper
+
+
+def front_face_context():
+    """3D coupon with a buried soft block, measured on the z = T face."""
+    mesh = fu.build_coupon_mesh(100, 20, 8, 10, 4, 2)
+    pmap = fu.partition_longitudinal(mesh, 2)
+    pmap = fu.stamp_defect_patches(pmap, mesh, [fu.DefectSpec((40, 5, 0), (60, 15, 4))])
+    bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+    truth = np.array([E0, E0, 0.25 * E0])
+    grid = fu.grid_for_footprint((100, 20), counts=(9, 4))
+    field = fu.generate_synthetic(fu.ForwardModel(mesh, pmap, 0.3, bcs), truth, grid,
+                                  noise_sigma=0.01, rng_seed=5)
+    return fu.CostContext(mesh, pmap, bcs, 0.3, [field], strain_floor=3e-5), truth
+
+
+def assert_adjoint_matches_fd(context, designs, lower, upper):
+    """cost_and_grad against the central-difference oracle, 1e-6 relative in the max norm."""
+    for design in designs:
+        f, g = context.cost_and_grad(design)
+        assert f == context.cost(design)  # bitwise: the same operations
+        g_fd = fu.fd_gradient(context.cost, design, lower, upper)
+        rel = np.abs(g - g_fd).max() / np.abs(g_fd).max()
+        assert rel < 1e-6, f"adjoint vs FD relative error {rel:.2e}"
 
 
 class TestRelativeResidualCost:
@@ -181,6 +204,48 @@ class TestFdGradient:
         assert err_h / err_h2 >= 3.5
 
 
+class TestAdjointGradient:
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_matches_fd_oracle_2d(self, noise):
+        context, truth, _, _ = small_context(noise=noise, seed=4)
+        lower = np.full(4, 0.01 * E0)  # unpinned box: the oracle sees every coordinate
+        upper = np.full(4, 3.0 * E0)
+        rng = np.random.default_rng(5)
+        designs = [rng.uniform(0.3, 2.0, 4) * E0 for _ in range(5)]
+        assert_adjoint_matches_fd(context, designs, lower, upper)
+
+    def test_matches_fd_oracle_3d_front_face(self):
+        context, truth = front_face_context()
+        lower = np.full(3, 0.01 * E0)
+        upper = np.full(3, 3.0 * E0)
+        rng = np.random.default_rng(6)
+        designs = [rng.uniform(0.2, 2.0, 3) * E0 for _ in range(5)]
+        assert_adjoint_matches_fd(context, designs, lower, upper)
+
+    def test_cost_is_bitwise_cost(self):
+        context, truth, _, _ = small_context()
+        f, g = context.cost_and_grad(truth)
+        assert f == context.cost(truth) == 0.0
+        assert np.abs(g).max() < 1e-12 * np.abs(context.cost_and_grad(1.2 * truth)[1]).max()
+
+    def test_several_load_steps_sum(self):
+        context, truth, _, _ = small_context(noise=0.01, seed=2)
+        twice = fu.CostContext(context.mesh, context.patch_map, context.bcs, 0.3,
+                               [context.measurements[0]] * 2)
+        design = truth * np.array([1.0, 1.2, 0.9, 1.5])
+        f1, g1 = context.cost_and_grad(design)
+        f2, g2 = twice.cost_and_grad(design)
+        assert f2 == pytest.approx(2 * f1, rel=1e-14)
+        assert_allclose(g2, 2 * g1, rtol=1e-12)
+
+    def test_nonpositive_moduli_rejected(self):
+        context, truth, _, _ = small_context()
+        bad = truth.copy()
+        bad[2] = 0.0
+        with pytest.raises(ValueError):
+            context.cost_and_grad(bad)
+
+
 class TestRunGa:
     def test_sphere_regression_pin(self):
         cost = lambda x: float(np.sum(x * x))
@@ -248,31 +313,53 @@ class TestRunGa:
             fu.GAConfig(tournament_size=1)
 
 
+def bowl(c):
+    """Cost and analytic gradient of |x - c|^2."""
+    return lambda x: (float(np.sum((x - c) ** 2)), 2.0 * (x - c))
+
+
 class TestRunGradient:
     def test_bowl_from_corner(self):
         c = np.array([1.0, -2.0, 0.5])
-        cost = lambda x: float(np.sum((x - c) ** 2))
-        x, history = fu.run_gradient(cost, np.full(3, -5.0), np.full(3, -5.0), np.full(3, 5.0), fu.GradConfig())
+        x, history = fu.run_gradient(bowl(c), np.full(3, -5.0), np.full(3, -5.0), np.full(3, 5.0), fu.GradConfig())
         assert np.abs(x - c).max() < 1e-6
 
     def test_start_at_minimum_terminates_immediately(self):
         c = np.array([0.5, 0.5])
-        cost = lambda x: float(np.sum((x - c) ** 2))
-        x, history = fu.run_gradient(cost, c.copy(), np.full(2, -1.0), np.full(2, 1.0), fu.GradConfig())
+        x, history = fu.run_gradient(bowl(c), c.copy(), np.full(2, -1.0), np.full(2, 1.0), fu.GradConfig())
         assert len(history.records) == 1  # no accepted step needed
         assert np.array_equal(x, c)
 
     def test_converges_to_box_projection(self):
         c = np.array([10.0, -8.0, 2.0])
-        cost = lambda x: float(np.sum((x - c) ** 2))
-        x, _ = fu.run_gradient(cost, np.zeros(3), np.full(3, -5.0), np.full(3, 5.0), fu.GradConfig())
+        x, _ = fu.run_gradient(bowl(c), np.zeros(3), np.full(3, -5.0), np.full(3, 5.0), fu.GradConfig())
         assert_allclose(x, np.clip(c, -5, 5), atol=1e-6)
+
+    def test_pinned_coordinate_gradient_is_zeroed(self):
+        c = np.array([0.7, -0.4, 0.2])
+        lower = np.array([1.0, -1.0, -1.0])
+        upper = np.array([1.0, 1.0, 1.0])
+
+        def tilted(pinned_component):
+            def cost_and_grad(x):
+                f, g = bowl(c)(x)
+                g[0] = pinned_component
+                return f, g
+            return cost_and_grad
+
+        x0, h0 = fu.run_gradient(tilted(0.0), np.zeros(3), lower, upper, fu.GradConfig())
+        x1, h1 = fu.run_gradient(tilted(1e3), np.zeros(3), lower, upper, fu.GradConfig())
+        assert x0[0] == x1[0] == 1.0
+        assert_allclose(x0[1:], c[1:], atol=1e-6)
+        assert len(h0.records) == len(h1.records)
+        for r0, r1 in zip(h0.records, h1.records):
+            assert r0.best_cost == r1.best_cost
+            assert np.array_equal(r0.design, r1.design)
 
     def test_costs_non_increasing_and_in_bounds(self):
         context, truth, lower, upper = small_context()
         start = np.clip(truth * 1.4, lower, upper)
-        cost = lambda v: fu.evaluate_cost(v, context)
-        x, history = fu.run_gradient(cost, start, lower, upper, fu.GradConfig(max_iterations=20))
+        x, history = fu.run_gradient(context.cost_and_grad, start, lower, upper, fu.GradConfig(max_iterations=20))
         costs = [r.best_cost for r in history.records]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         for r in history.records:
@@ -281,10 +368,13 @@ class TestRunGradient:
 
     def test_line_search_failure_sets_stalled_flag(self):
         # kink at the start point: every move increases the cost, but the
-        # symmetric difference sees only the tiny linear tilt
-        cost = lambda x: float(abs(x[0] - 0.3) - 1e-9 * x[0])
+        # gradient there (sign(0) = 0, as a symmetric difference sees it)
+        # is only the tiny linear tilt
+        def cost_and_grad(x):
+            return float(abs(x[0] - 0.3) - 1e-9 * x[0]), np.sign(x - 0.3) - 1e-9
+
         x, history = fu.run_gradient(
-            cost, np.array([0.3]), np.array([0.0]), np.array([1.0]), fu.GradConfig()
+            cost_and_grad, np.array([0.3]), np.array([0.0]), np.array([1.0]), fu.GradConfig()
         )
         assert history.gradient_stalled
         assert x[0] == 0.3
@@ -293,13 +383,13 @@ class TestRunGradient:
         calls = [0]
         c = np.array([0.2, -0.4])
 
-        def cost(x):
+        def cost_and_grad(x):
             calls[0] += 1
-            return float(np.sum((x - c) ** 2))
+            return bowl(c)(x)
 
-        _, history = fu.run_gradient(cost, np.zeros(2), np.full(2, -1.0), np.full(2, 1.0), fu.GradConfig())
+        _, history = fu.run_gradient(cost_and_grad, np.zeros(2), np.full(2, -1.0), np.full(2, 1.0), fu.GradConfig())
         assert history.total_forward_solves == calls[0]
-        # trailing evaluations only come from the final termination check
+        # trailing evaluations only come from a final line search that failed
         assert history.final.forward_solve_count <= calls[0]
 
 

@@ -112,6 +112,17 @@ class TestInterpolation:
         assert np.all(out >= values.min() - 1e-12)
         assert np.all(out <= values.max() + 1e-12)
 
+    def test_transpose_is_adjoint(self):
+        rng = np.random.default_rng(8)
+        samples = rng.uniform(0, 10, size=(25, 2))
+        targets = np.vstack([samples[3], 2.0 + rng.uniform(0, 6, size=(11, 2))])  # one coincident
+        interp = Interpolator(samples, targets)
+        a = rng.normal(size=25)
+        b = rng.normal(size=12)
+        back = interp.transpose(b)
+        assert back.shape == (25,)
+        assert float(interp(a) @ b) == pytest.approx(float(a @ back), rel=1e-13)
+
 
 class TestGenerateSynthetic:
     def test_zero_noise_equals_clean_field(self):
