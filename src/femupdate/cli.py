@@ -27,7 +27,7 @@ from .measurement import generate_synthetic, load_measurement_csv, measurement_c
 from .solver import ForwardModel
 from .vtkio import atomic_write_text, write_mesh_vtk, write_points_vtk, write_table_csv
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 _LOCK_NAME = ".femupdate.lock"
 
 
@@ -44,6 +44,7 @@ class InversionReport:
     cost_reduction_factor: float | None  # None when the final cost is exactly zero
     forward_solve_count: int
     gradient_stalled: bool
+    failed_evaluations: int  # GA candidates whose solve failed, scored +inf
     stage_iterations: dict
     bounds_lo_mpa: list
     bounds_hi_mpa: list
@@ -271,6 +272,7 @@ def _build_report(config, context, pmap, guess, final, history, lower, upper, wa
         cost_reduction_factor=float(initial_cost / final_cost) if final_cost > 0 else None,
         forward_solve_count=history.total_forward_solves,
         gradient_stalled=history.gradient_stalled,
+        failed_evaluations=history.failed_evaluations,
         stage_iterations=stage_iters,
         bounds_lo_mpa=[float(v) for v in lower],
         bounds_hi_mpa=[float(v) for v in upper],

@@ -7,10 +7,12 @@ over all grid points, components and load steps.
 
 Minimization runs in two stages: a real-coded genetic algorithm explores
 the bounded design space, then projected gradient descent with Armijo
-backtracking refines the best individual. Its gradients are exact adjoint
-sensitivities: one factorization of K(E) serves the forward solve and the
-adjoint solve, so a cost and its gradient cost one forward solve. Both
-stages are deterministic given their seeds and log every iterate into a
+backtracking refines the best individual. The GA solves each distinct
+design once: elites and children identical to an earlier candidate reuse
+its cost. The gradient stage runs on exact adjoint sensitivities: one
+factorization of K(E) serves the forward solve and the adjoint solve, so
+a cost and its gradient cost one forward solve. Both stages are
+deterministic given their seeds and log every iterate into a
 ConvergenceHistory. ``fd_gradient`` remains as a finite-difference oracle
 for checking gradients.
 """
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
 from .measurement import ExperimentalField, Interpolator
 from .solver import BoundaryConditions, ForwardModel
 from .geometry import Mesh, PatchMap
@@ -102,11 +105,14 @@ class ConvergenceHistory:
     Records carry the cumulative forward-solve count at the time they were
     written; ``total_forward_solves`` additionally includes the trial
     points of a final line search that found no acceptable step.
+    ``failed_evaluations`` counts the distinct GA candidates whose solve
+    raised a NumericalError and were scored +inf.
     """
 
     records: list = field(default_factory=list)
     gradient_stalled: bool = False
     total_forward_solves: int = 0
+    failed_evaluations: int = 0
 
     def append(self, stage, iteration, best_cost, design, forward_solve_count):
         self.records.append(
@@ -117,6 +123,7 @@ class ConvergenceHistory:
         self.records.extend(other.records)
         self.gradient_stalled = self.gradient_stalled or other.gradient_stalled
         self.total_forward_solves = max(self.total_forward_solves, other.total_forward_solves)
+        self.failed_evaluations += other.failed_evaluations
 
     @property
     def final(self) -> ConvergenceRecord:
@@ -307,6 +314,12 @@ def run_ga(
     midpoint when omitted) plus uniform random individuals. Stops at
     ``generations_max`` or when the best cost improves by less than
     ``rel_tol`` (relative) over ``stall_generations`` generations.
+
+    Costs are cached per run by the design's bytes, so ``cost_fn`` sees
+    each distinct design once: elites and repeated children reuse their
+    bitwise-identical cost, and the forward-solve count is the number of
+    distinct designs. A candidate whose cost raises NumericalError scores
+    +inf and is counted in ``failed_evaluations``; the run goes on.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -317,14 +330,25 @@ def run_ga(
     rng = np.random.default_rng(config.rng_seed)
     dim = lower.size
     counter = cost_fn if isinstance(cost_fn, _CountingCost) else _CountingCost(cost_fn)
+    history = ConvergenceHistory()
+    cache: dict = {}
+
+    def score(ind):
+        key = ind.tobytes()
+        if key not in cache:
+            try:
+                cache[key] = counter(ind)
+            except NumericalError:
+                cache[key] = np.inf
+                history.failed_evaluations += 1
+        return cache[key]
 
     pop = np.empty((config.population_size, dim))
     guess = 0.5 * (lower + upper) if initial_guess is None else np.asarray(initial_guess, dtype=float)
     pop[0] = np.clip(guess, lower, upper)
     pop[1:] = rng.uniform(lower, upper, size=(config.population_size - 1, dim))
-    costs = np.array([counter(ind) for ind in pop])
+    costs = np.array([score(ind) for ind in pop])
 
-    history = ConvergenceHistory()
     best_per_gen = [float(costs.min())]
     best_idx = int(np.argmin(costs))
     history.append(STAGE_GA, 0, costs[best_idx], pop[best_idx], counter.count)
@@ -344,7 +368,7 @@ def run_ga(
             if len(children) < config.population_size - config.elite_count:
                 children.append(_mutate(c2, lower, upper, config, rng))
         pop = np.vstack([elites, np.array(children)])
-        costs = np.array([counter(ind) for ind in pop])
+        costs = np.array([score(ind) for ind in pop])
         best_idx = int(np.argmin(costs))
         best_per_gen.append(float(costs[best_idx]))
         history.append(STAGE_GA, gen, costs[best_idx], pop[best_idx], counter.count)
@@ -454,10 +478,11 @@ def run_hybrid(
 ) -> tuple[np.ndarray, ConvergenceHistory]:
     """GA exploration followed by gradient refinement from the GA's best.
 
-    The GA scores designs with ``context.cost``, the gradient stage with
-    ``context.cost_and_grad``. The returned history concatenates both
-    stages with a shared forward solve counter (one count per
-    factorization); the final cost never exceeds the GA stage's best.
+    The GA scores designs with ``context.cost`` (each distinct design
+    once), the gradient stage with ``context.cost_and_grad``. The returned
+    history concatenates both stages with a shared forward solve counter
+    (one count per factorization); the final cost never exceeds the GA
+    stage's best.
     """
     cost = _CountingCost(context.cost)
     ga_best, history = run_ga(cost, lower, upper, ga_config, initial_guess)

@@ -4,7 +4,10 @@ Isoparametric QUAD4 (plane stress) and HEX8 elements with full Gauss
 integration, displacement-controlled boundary conditions applied by
 elimination, and strain sampling at surface Gauss points. ``ForwardModel``
 is the one forward path: it assembles the free-free stiffness per patch
-once and then factors K(E) = sum_k E_k A_k afresh for every solve.
+once, in a reverse Cuthill-McKee order of the free dofs fixed at
+construction, and then factors K(E) = sum_k E_k A_k for every solve in that
+banded order without pivoting (K(E) is symmetric positive definite for
+positive moduli).
 
 Shear convention: the xy strain reported everywhere is the engineering
 shear gamma_xy = du/dy + dv/dx (twice the tensor component), matching the
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import _shape
@@ -213,12 +217,17 @@ class ForwardModel:
     K(E) = sum_k E_k A_k is linear in the patch moduli, so construction
     builds the free-free sparsity pattern once (CSC, int32 indices) with one
     column of slot weights per patch, and the matching per-patch right-hand
-    sides of the prescribed displacements. Every solve fills the pattern,
-    factors afresh and checks the result; ``strains_with_pullback`` reuses
-    that factor for the adjoint solve of an exact gradient. The rank is
-    checked once, at construction: for positive moduli the null space of
-    K(E) is the intersection of those of the A_k, so one factorization at
-    unit moduli shows whether any solve can be singular.
+    sides of the prescribed displacements. The free dofs are numbered once,
+    in ``free_dofs`` order: reverse Cuthill-McKee of the node adjacency
+    graph, the dofs of a node kept together. K(E) is therefore assembled
+    already banded, and every solve fills the pattern and factors it in
+    that order (``splu`` with the natural column order and no pivoting; the
+    order never changes and K(E) is symmetric positive definite), then
+    checks the result. ``strains_with_pullback`` reuses that factor for the
+    adjoint solve of an exact gradient. The rank is checked once, at
+    construction: for positive moduli the null space of K(E) is the
+    intersection of those of the A_k, so one factorization at unit moduli
+    shows whether any solve can be singular.
 
     ``bcs`` may be any object whose ``prescribed_dofs(mesh)`` returns
     (sorted dof indices, values). Instances are immutable after
@@ -242,7 +251,7 @@ class ForwardModel:
         self._dofs, self._dof_values = bcs.prescribed_dofs(mesh)
         n_dofs = mesh.dimension * mesh.n_nodes
         self._n_dofs = n_dofs
-        self._free = np.setdiff1d(np.arange(n_dofs, dtype=np.int64), self._dofs)
+        self._free = _banded_free_dofs(mesh, self._dofs)
         edofs = _element_dofs(mesh)
         self._build_patch_weights(edofs)
         self._check_rank()
@@ -297,6 +306,12 @@ class ForwardModel:
         self._surface_points = np.stack(pts, axis=1).reshape(-1, 2)
 
     @property
+    def free_dofs(self) -> np.ndarray:
+        """Global indices of the free dofs, in the row and column order of
+        ``stiffness`` and ``rhs`` (read-only)."""
+        return self._free
+
+    @property
     def surface_points(self) -> np.ndarray:
         """Physical (x, y) coordinates of the strain sample points."""
         return self._surface_points
@@ -312,7 +327,7 @@ class ForwardModel:
         return values
 
     def stiffness(self, values: np.ndarray) -> sp.csc_matrix:
-        """Free-free stiffness K(E) = sum_k E_k A_k, rows and columns in free-dof order."""
+        """Free-free stiffness K(E) = sum_k E_k A_k; rows and columns follow ``free_dofs``."""
         return self._stiffness(self._check_values(values))
 
     def _stiffness(self, values: np.ndarray) -> sp.csc_matrix:
@@ -321,7 +336,8 @@ class ForwardModel:
         return sp.csc_matrix((data, self._indices, self._indptr), shape=(n_free, n_free))
 
     def rhs(self, values: np.ndarray) -> np.ndarray:
-        """Free-dof right-hand side -K(E)[free, prescribed] @ prescribed values."""
+        """Free-dof right-hand side -K(E)[free, prescribed] @ prescribed values;
+        rows follow ``free_dofs``."""
         return -(self._rhs_per_patch @ self._check_values(values))
 
     def _solve(self, values: np.ndarray):
@@ -395,8 +411,24 @@ def _sum_at(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple
     return np.bincount(flat, weights=values, minlength=shape[0] * shape[1]).reshape(shape)
 
 
+def _banded_free_dofs(mesh: Mesh, prescribed: np.ndarray) -> np.ndarray:
+    """Free dofs in reverse Cuthill-McKee order of the node adjacency graph,
+    the dofs of each node kept together (read-only int64 array)."""
+    n_nodes, nodes_per_element = mesh.n_nodes, mesh.elements.shape[1]
+    rows = np.repeat(mesh.elements, nodes_per_element, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, nodes_per_element)).ravel()
+    graph = sp.csr_matrix((np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(n_nodes, n_nodes))
+    node_order = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.int64)
+    dofs = (mesh.dimension * node_order[:, None] + np.arange(mesh.dimension)).ravel()
+    free = dofs[~np.isin(dofs, prescribed)]
+    free.flags.writeable = False
+    return free
+
+
 def _factor(k: sp.csc_matrix):
+    """LU of a free-free stiffness already in banded order: no column
+    reordering and no pivoting, since K(E) is symmetric positive definite."""
     try:
-        return splu(k)
+        return splu(k, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystemError(f"stiffness factorization failed: {exc}") from exc

@@ -280,7 +280,8 @@ class TestCmdInvert:
     def test_report_contents(self, inverted):
         _, inv = inverted
         report = json.loads((inv / "report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
+        assert report["failed_evaluations"] == 0
         assert len(report["recovered_moduli_mpa"]) == 4
         recovered = np.array(report["recovered_moduli_mpa"])
         truth = np.array(report["truth_moduli_mpa"])

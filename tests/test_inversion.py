@@ -287,9 +287,11 @@ class TestRunGa:
 
     def test_solve_count_audited(self):
         calls = [0]
+        designs = set()
 
         def cost(x):
             calls[0] += 1
+            designs.add(x.tobytes())
             return float(np.sum(x * x))
 
         config = fu.GAConfig(population_size=10, generations_max=8, stall_generations=8, rng_seed=3)
@@ -297,7 +299,40 @@ class TestRunGa:
         assert history.total_forward_solves == calls[0]
         assert history.final.forward_solve_count == calls[0]
         generations = len(history.records) - 1
-        assert calls[0] == config.population_size * (generations + 1)
+        assert calls[0] == len(designs)
+        assert calls[0] <= config.population_size * (generations + 1)
+
+    def test_each_distinct_design_scored_once(self):
+        seen = []
+
+        def cost(x):
+            seen.append(x.tobytes())
+            return float(np.sum((x - 0.3) ** 2))
+
+        # no crossover half the time and rare mutation: children repeat parents
+        config = fu.GAConfig(population_size=10, generations_max=12, stall_generations=12,
+                             crossover_rate=0.5, mutation_rate=0.05, rng_seed=6)
+        _, history = fu.run_ga(cost, np.full(3, -1.0), np.full(3, 1.0), config)
+        assert len(seen) == len(set(seen))
+        assert len(seen) < config.population_size * len(history.records)  # elites and copies reused
+        for r in history.records:
+            assert r.best_cost == cost(r.design)
+
+    def test_failed_candidates_scored_inf(self):
+        failing = set()
+
+        def cost(x):
+            if x[0] > 0.5:
+                failing.add(x.tobytes())
+                raise fu.SingularSystemError("stiffness is numerically singular")
+            return float(np.sum(x * x))
+
+        config = fu.GAConfig(population_size=12, generations_max=10, rng_seed=2)
+        best, history = fu.run_ga(cost, np.full(2, -1.0), np.full(2, 1.0), config)
+        assert np.isfinite(history.final.best_cost)
+        assert best[0] <= 0.5
+        assert len(failing) > 0
+        assert history.failed_evaluations == len(failing)
 
     def test_bounds_validation(self):
         config = fu.GAConfig(population_size=6, generations_max=2)

@@ -123,7 +123,7 @@ class TestAssemble:
         gdofs = np.concatenate([(2 * n, 2 * n + 1) for n in mesh.elements[0]])
         k_global = np.zeros((8, 8))
         k_global[np.ix_(gdofs, gdofs)] = ke
-        free = np.setdiff1d(np.arange(8), prescribed)
+        free = model.free_dofs
         e = np.array([E_STEEL])
         atol = 1e-12 * np.abs(ke).max()
         assert_allclose(model.stiffness(e).toarray(), k_global[np.ix_(free, free)], rtol=0, atol=atol)
@@ -338,11 +338,37 @@ class TestSolverInvariants:
         values = rng.uniform(0.3, 2.0, 11) * E_STEEL
         k_dense = dense_stiffness(coupon_mesh, pmap, values, NU)
         dofs, prescribed = uniaxial_bcs.prescribed_dofs(coupon_mesh)
-        free = np.setdiff1d(np.arange(k_dense.shape[0]), dofs)
+        model = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs)
+        free = model.free_dofs
         k_general = k_dense[np.ix_(free, free)]
         rhs_general = -k_dense[np.ix_(free, dofs)] @ prescribed
-        model = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs)
         k_fast = model.stiffness(values).toarray()
         rhs_fast = model.rhs(values)
         assert np.abs(k_fast - k_general).max() < 1e-12 * np.abs(k_general).max()
         assert_allclose(rhs_fast, rhs_general, rtol=0, atol=1e-12 * np.abs(rhs_general).max())
+
+    @pytest.mark.parametrize(
+        "dims, defect",
+        [
+            ((100, 20, 2, 20, 5), fu.DefectSpec((40, 5), (60, 15))),
+            ((100, 20, 8, 10, 4, 2), fu.DefectSpec((40, 5, 0), (60, 15, 4))),
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_banded_no_pivot_solve_matches_dense(self, dims, defect, uniaxial_bcs):
+        """A 300x modulus contrast, solved in the RCM order without pivoting,
+        against a dense solve of the element-by-element stiffness."""
+        mesh = fu.build_coupon_mesh(*dims)
+        pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 2), mesh, [defect])
+        values = np.array([3.0, 1.0, 0.01]) * E_STEEL
+        model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
+        dofs, prescribed = uniaxial_bcs.prescribed_dofs(mesh)
+        free = np.setdiff1d(np.arange(mesh.dimension * mesh.n_nodes), dofs)
+        assert np.array_equal(np.sort(model.free_dofs), free)
+        assert not model.free_dofs.flags.writeable
+        k_dense = dense_stiffness(mesh, pmap, values, NU)
+        u_ref = np.zeros(k_dense.shape[0])
+        u_ref[dofs] = prescribed
+        u_ref[free] = np.linalg.solve(k_dense[np.ix_(free, free)], -k_dense[np.ix_(free, dofs)] @ prescribed)
+        u = model.solve_displacement(values)
+        assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
