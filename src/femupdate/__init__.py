@@ -31,7 +31,6 @@ from .inversion import (
     CostContext,
     GAConfig,
     GradConfig,
-    evaluate_cost,
     fd_gradient,
     relative_residual_cost,
     run_ga,
@@ -44,7 +43,7 @@ from .measurement import (
     MeasurementGrid,
     generate_synthetic,
     grid_for_footprint,
-    interpolate_fe_to_grid,
+    grid_strain_operator,
     load_measurement_csv,
     write_measurement_csv,
 )

@@ -44,7 +44,7 @@ class InversionReport:
     cost_reduction_factor: float | None  # None when the final cost is exactly zero
     forward_solve_count: int
     gradient_stalled: bool
-    failed_evaluations: int  # GA candidates whose solve failed, scored +inf
+    failed_evaluations: int  # solves that failed: GA candidates scored +inf, rejected line-search trials
     stage_iterations: dict
     bounds_lo_mpa: list
     bounds_hi_mpa: list

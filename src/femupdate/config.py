@@ -5,9 +5,10 @@ safety) and every validation error names the offending field path.
 All fields have defaults except the physical geometry dimensions.
 """
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,8 +107,6 @@ class RunConfig:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        ga = self.ga
-        grad = self.grad
         return {
             "geometry": {
                 "dimension": self.dimension,
@@ -137,25 +136,8 @@ class RunConfig:
                 "noise_sigma": self.noise_sigma,
                 "rng_seed": self.measurement_seed,
             },
-            "ga": {
-                "population_size": ga.population_size,
-                "generations_max": ga.generations_max,
-                "crossover_rate": ga.crossover_rate,
-                "mutation_rate": ga.mutation_rate,
-                "mutation_scale": ga.mutation_scale,
-                "elite_count": ga.elite_count,
-                "tournament_size": ga.tournament_size,
-                "stall_generations": ga.stall_generations,
-                "rel_tol": ga.rel_tol,
-                "rng_seed": ga.rng_seed,
-            },
-            "grad": {
-                "max_iterations": grad.max_iterations,
-                "armijo_c": grad.armijo_c,
-                "backtrack_factor": grad.backtrack_factor,
-                "grad_tol": grad.grad_tol,
-                "step_tol": grad.step_tol,
-            },
+            "ga": dataclasses.asdict(self.ga),
+            "grad": dataclasses.asdict(self.grad),
             "bounds": {
                 "lo_factor": self.lo_factor,
                 "hi_factor": self.hi_factor,
@@ -238,6 +220,22 @@ def _at_least_one(v):
 
 def _face(v):
     return v in _FACES, f"must be one of {_FACES}"
+
+
+def _dataclass_section(top: _Section, key: str, cls):
+    """Build ``cls`` from the ``key`` section: one optional key per field,
+    converted to the field's type; missing keys keep the field default."""
+    sec = top.subsection(key)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        value = sec.take(f.name, None, f.type)
+        if value is not None:
+            kwargs[f.name] = value
+    sec.finish()
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
 
 
 def load_config(source) -> RunConfig:
@@ -348,46 +346,8 @@ def load_config(source) -> RunConfig:
     if grid_counts is not None and grid_spacing is not None:
         raise ConfigError("measurement", "give only one of grid_counts and grid_spacing_mm")
 
-    ga_sec = top.subsection("ga")
-    ga_kwargs = {}
-    for name, kind in (
-        ("population_size", int),
-        ("generations_max", int),
-        ("crossover_rate", float),
-        ("mutation_rate", float),
-        ("mutation_scale", float),
-        ("elite_count", int),
-        ("tournament_size", int),
-        ("stall_generations", int),
-        ("rel_tol", float),
-        ("rng_seed", int),
-    ):
-        value = ga_sec.take(name, None, kind)
-        if value is not None:
-            ga_kwargs[name] = value
-    ga_sec.finish()
-    try:
-        ga = GAConfig(**ga_kwargs)
-    except ValueError as exc:
-        raise ConfigError("ga", str(exc)) from None
-
-    grad_sec = top.subsection("grad")
-    grad_kwargs = {}
-    for name, kind in (
-        ("max_iterations", int),
-        ("armijo_c", float),
-        ("backtrack_factor", float),
-        ("grad_tol", float),
-        ("step_tol", float),
-    ):
-        value = grad_sec.take(name, None, kind)
-        if value is not None:
-            grad_kwargs[name] = value
-    grad_sec.finish()
-    try:
-        grad = GradConfig(**grad_kwargs)
-    except ValueError as exc:
-        raise ConfigError("grad", str(exc)) from None
+    ga = _dataclass_section(top, "ga", GAConfig)
+    grad = _dataclass_section(top, "grad", GradConfig)
 
     bounds_sec = top.subsection("bounds")
     lo_factor = bounds_sec.take("lo_factor", 0.01, float, _positive)

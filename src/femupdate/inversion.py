@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .measurement import ExperimentalField, Interpolator
+from .measurement import ExperimentalField, grid_strain_operator
 from .solver import BoundaryConditions, ForwardModel
 from .geometry import Mesh, PatchMap
 
@@ -105,8 +105,9 @@ class ConvergenceHistory:
     Records carry the cumulative forward-solve count at the time they were
     written; ``total_forward_solves`` additionally includes the trial
     points of a final line search that found no acceptable step.
-    ``failed_evaluations`` counts the distinct GA candidates whose solve
-    raised a NumericalError and were scored +inf.
+    ``failed_evaluations`` counts the evaluations whose solve raised a
+    NumericalError: distinct GA candidates, scored +inf, and gradient
+    line-search trials, rejected.
     """
 
     records: list = field(default_factory=list)
@@ -168,10 +169,12 @@ class CostContext:
     """Everything needed to evaluate the misfit of a candidate design.
 
     Holds the forward model (mesh, patches, boundary conditions, Poisson
-    ratio) and the measurements; precomputes the interpolation from FE
-    sample points to the shared measurement grid. All measurements must
-    share one grid; the forward solve is reused across load steps since
-    the loading is a single prescribed-displacement case.
+    ratio) and the measurements, stacked exx | eyy | exy per load step, and
+    composes once the sparse operator M = ``grid_strain_operator`` from
+    displacements to grid strains. The cost applies M to a fresh solve,
+    the adjoint gradient applies M.T to the misfit's derivative. All
+    measurements must share one grid; the forward solve is reused across
+    load steps since the loading is a single prescribed-displacement case.
     """
 
     def __init__(
@@ -199,15 +202,16 @@ class CostContext:
         self.strain_floor = float(strain_floor)
         self.grid = grid
         self.forward = ForwardModel(mesh, patch_map, poisson_ratio, bcs)
-        self._interp = Interpolator(self.forward.surface_points, grid.points())
+        self._operator = grid_strain_operator(self.forward, grid)
+        self._measured = [np.concatenate([m.exx, m.eyy, m.exy]) for m in self.measurements]
 
     def numerical_grid_field(self, design: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Forward solve and interpolate (exx, eyy, exy) onto the grid."""
-        exx, eyy, exy = self.forward.surface_strain_arrays(design)
-        return self._interp(exx), self._interp(eyy), self._interp(exy)
+        """Forward solve and map (exx, eyy, exy) onto the grid."""
+        return tuple(np.split(self._operator @ self.forward.solve_displacement(design), 3))
 
     def cost(self, design: np.ndarray) -> float:
-        return self._misfit(self.numerical_grid_field(design))
+        """Misfit of ``design`` against the measurements; one fresh solve."""
+        return self._misfit(self._operator @ self.forward.solve_displacement(design))
 
     def cost_and_grad(self, design: np.ndarray) -> tuple[float, np.ndarray]:
         """Cost and its exact gradient with respect to the patch moduli.
@@ -215,25 +219,15 @@ class CostContext:
         One factorization and two triangular solves (forward and adjoint);
         the cost is bitwise the value ``cost`` returns.
         """
-        strains, pullback = self.forward.strains_with_pullback(design)
-        num = tuple(self._interp(s) for s in strains)
-        d_num = [0.0, 0.0, 0.0]
-        for m in self.measurements:
-            for c, exp in enumerate((m.exx, m.eyy, m.exy)):
-                denom = np.maximum(np.abs(exp), self.strain_floor)
-                d_num[c] = d_num[c] - 2.0 * (exp - num[c]) / denom**2
-        return self._misfit(num), pullback(*(self._interp.transpose(d) for d in d_num))
-
-    def _misfit(self, num: tuple) -> float:
-        return sum(
-            relative_residual_cost((m.exx, m.eyy, m.exy), num, self.strain_floor)
-            for m in self.measurements
+        u, pullback = self.forward.displacement_with_pullback(design)
+        num = self._operator @ u
+        d_num = sum(
+            -2.0 * (exp - num) / np.maximum(np.abs(exp), self.strain_floor) ** 2 for exp in self._measured
         )
+        return self._misfit(num), pullback(self._operator.T @ d_num)
 
-
-def evaluate_cost(design: np.ndarray, context: CostContext) -> float:
-    """Misfit of ``design`` against the context's measurements (fresh solve)."""
-    return context.cost(np.asarray(design, dtype=float))
+    def _misfit(self, num: np.ndarray) -> float:
+        return sum(relative_residual_cost((exp,), (num,), self.strain_floor) for exp in self._measured)
 
 
 def fd_gradient(
@@ -404,7 +398,10 @@ def run_gradient(
     strictly decreasing and every iterate stays inside the box. Stops on
     the projected-gradient infinity norm, on a relative step below
     ``step_tol``, or at ``max_iterations``; a failed line search sets the
-    stalled flag and returns the current iterate.
+    stalled flag and returns the current iterate. A trial point whose
+    evaluation raises NumericalError is rejected like one that fails the
+    Armijo test, and counted in ``failed_evaluations``; at the start point
+    the error propagates.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -449,10 +446,14 @@ def run_gradient(
             if step_sq == 0.0:
                 t *= config.backtrack_factor
                 continue
-            f_new, grad_new = evaluate(x_new)
-            if f_new <= f - (config.armijo_c / t) * step_sq:
-                accepted = True
-                break
+            try:
+                f_new, grad_new = evaluate(x_new)
+            except NumericalError:
+                history.failed_evaluations += 1
+            else:
+                if f_new <= f - (config.armijo_c / t) * step_sq:
+                    accepted = True
+                    break
             t *= config.backtrack_factor
         if not accepted:
             history.gradient_stalled = True

@@ -4,16 +4,20 @@ The measurement grid mimics a DIC export: a regular (x, y) lattice inset
 from the specimen edge by a margin, with the three in-plane strain
 components at every point. Numerical fields are brought onto the grid by
 inverse-distance interpolation over the nearest strain sample points.
+``grid_strain_operator`` composes that interpolation W with the model's
+surface strain sampling S into one sparse matrix M from displacements to
+grid strains; synthesis, the misfit and its adjoint gradient all apply M.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import OutOfDomainError, ParseError
-from .solver import ForwardModel, StrainField
+from .solver import ForwardModel
 
 IDW_NEIGHBORS = 4
 IDW_POWER = 2
@@ -123,27 +127,28 @@ class Interpolator:
 
     Weights are 1/d^2 over the 4 nearest samples; a target landing on a
     sample point takes that sample's value exactly. Every interpolated
-    value is a convex combination of its source values.
+    value is a convex combination of its source values. The weights are
+    kept as ``matrix``, a CSR matrix of shape (n_targets, n_samples);
+    interpolating is ``matrix @ values`` and its adjoint is ``matrix.T``.
     """
 
     def __init__(self, sample_points: np.ndarray, target_points: np.ndarray):
         sample_points = np.asarray(sample_points, dtype=float)
         target_points = np.asarray(target_points, dtype=float)
         self._check_domain(sample_points, target_points)
-        k = min(IDW_NEIGHBORS, sample_points.shape[0])
+        n_targets, n_samples = target_points.shape[0], sample_points.shape[0]
+        k = min(IDW_NEIGHBORS, n_samples)
         dist, idx = cKDTree(sample_points).query(target_points, k=k)
-        dist = np.atleast_2d(dist.reshape(target_points.shape[0], k))
-        idx = np.atleast_2d(idx.reshape(target_points.shape[0], k))
-        weights = np.empty_like(dist)
+        dist = dist.reshape(n_targets, k)
+        idx = idx.reshape(n_targets, k)
         coincident = dist[:, 0] < _COINCIDENT
         with np.errstate(divide="ignore"):
             weights = 1.0 / dist**IDW_POWER
         weights[coincident] = 0.0
         weights[coincident, 0] = 1.0
         weights /= weights.sum(axis=1, keepdims=True)
-        self._idx = idx
-        self._weights = weights
-        self._n_samples = sample_points.shape[0]
+        indptr = np.arange(0, n_targets * k + 1, k)
+        self.matrix = sp.csr_matrix((weights.ravel(), idx.ravel(), indptr), shape=(n_targets, n_samples))
 
     @staticmethod
     def _check_domain(samples: np.ndarray, targets: np.ndarray) -> None:
@@ -155,25 +160,24 @@ class Interpolator:
             shown = ", ".join(f"({p[0]:.4g}, {p[1]:.4g})" for p in bad[:5])
             more = "" if bad.shape[0] <= 5 else f" and {bad.shape[0] - 5} more"
             raise OutOfDomainError(
-                f"{bad.shape[0]} target points outside the sample hull "
+                f"{bad.shape[0]} target points outside the bounding box of the samples "
                 f"[{lo[0]:.4g}, {hi[0]:.4g}] x [{lo[1]:.4g}, {hi[1]:.4g}]: {shown}{more}"
             )
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        return np.sum(self._weights * np.asarray(values, dtype=float)[self._idx], axis=1)
-
-    def transpose(self, target_values: np.ndarray) -> np.ndarray:
-        """Adjoint of the interpolation: spreads target values back onto the samples."""
-        spread = self._weights * np.asarray(target_values, dtype=float)[:, None]
-        return np.bincount(self._idx.ravel(), weights=spread.ravel(), minlength=self._n_samples)
+        return self.matrix @ np.asarray(values, dtype=float)
 
 
-def interpolate_fe_to_grid(
-    strain_field: StrainField, grid: MeasurementGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bring FE strain samples onto the measurement grid (exx, eyy, exy)."""
-    interp = Interpolator(strain_field.points, grid.points())
-    return interp(strain_field.exx), interp(strain_field.eyy), interp(strain_field.exy)
+def grid_strain_operator(model: ForwardModel, grid: MeasurementGrid) -> sp.csr_matrix:
+    """The sparse map M = blockdiag(W, W, W) @ S from a flat displacement
+    vector to grid strains, stacked exx | eyy | exy (CSR).
+
+    S is ``model.strain_sampling`` and W the inverse-distance interpolation
+    from ``model.surface_points`` to ``grid.points()``. Raises
+    OutOfDomainError when the grid leaves the sample bounding box.
+    """
+    w = Interpolator(model.surface_points, grid.points()).matrix
+    return sp.block_diag((w, w, w), format="csr") @ model.strain_sampling
 
 
 def generate_synthetic(
@@ -185,14 +189,17 @@ def generate_synthetic(
 ) -> ExperimentalField:
     """Forward-solve the ground-truth moduli and sample them like a DIC system.
 
-    Gaussian noise of standard deviation ``noise_sigma`` times the RMS of
-    each clean component is added independently per component (exx, eyy,
-    exy draw order), so the level is relative to the signal. With
-    ``noise_sigma`` 0 the clean interpolated field is returned exactly.
+    The clean field is ``grid_strain_operator(model, grid)`` applied to the
+    displacements, the operator the misfit applies, so a noiseless field
+    gives a misfit of exactly zero at ``truth``. Gaussian noise of standard
+    deviation ``noise_sigma`` times the RMS of each clean component is added
+    independently per component (exx, eyy, exy draw order), so the level is
+    relative to the signal. With ``noise_sigma`` 0 the clean field is
+    returned exactly.
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    exx, eyy, exy = interpolate_fe_to_grid(model.strain_field(truth), grid)
+    exx, eyy, exy = np.split(grid_strain_operator(model, grid) @ model.solve_displacement(truth), 3)
     if noise_sigma > 0:
         rng = np.random.default_rng(rng_seed)
         noisy = []

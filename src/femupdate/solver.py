@@ -7,7 +7,9 @@ is the one forward path: it assembles the free-free stiffness per patch
 once, in a reverse Cuthill-McKee order of the free dofs fixed at
 construction, and then factors K(E) = sum_k E_k A_k for every solve in that
 banded order without pivoting (K(E) is symmetric positive definite for
-positive moduli).
+positive moduli). Surface strain sampling is one sparse matrix S from
+displacements to strains, built once with the model; its transpose carries
+strain sensitivities back to displacements for the adjoint gradient.
 
 Shear convention: the xy strain reported everywhere is the engineering
 shear gamma_xy = du/dy + dv/dx (twice the tensor component), matching the
@@ -223,11 +225,12 @@ class ForwardModel:
     already banded, and every solve fills the pattern and factors it in
     that order (``splu`` with the natural column order and no pivoting; the
     order never changes and K(E) is symmetric positive definite), then
-    checks the result. ``strains_with_pullback`` reuses that factor for the
-    adjoint solve of an exact gradient. The rank is checked once, at
-    construction: for positive moduli the null space of K(E) is the
-    intersection of those of the A_k, so one factorization at unit moduli
-    shows whether any solve can be singular.
+    checks the result. ``displacement_with_pullback`` reuses that factor for
+    the adjoint solve of an exact gradient. The surface strains are the
+    sparse linear map ``strain_sampling`` of the displacements. The rank is
+    checked once, at construction: for positive moduli the null space of
+    K(E) is the intersection of those of the A_k, so one factorization at
+    unit moduli shows whether any solve can be singular.
 
     ``bcs`` may be any object whose ``prescribed_dofs(mesh)`` returns
     (sorted dof indices, values). Instances are immutable after
@@ -298,12 +301,19 @@ class ForwardModel:
 
     def _init_strain_sampling(self, edofs, element_ids, parent_points) -> None:
         coords = self.mesh.nodes[self.mesh.elements[element_ids]]
-        rows = [0, 1, 2] if self.mesh.dimension == 2 else [0, 1, 3]
-        b = [_shape.strain_displacement(coords, gp, element_ids)[0][:, rows] for gp in parent_points]
+        components = [0, 1, 2] if self.mesh.dimension == 2 else [0, 1, 3]
+        b = [_shape.strain_displacement(coords, gp, element_ids)[0][:, components] for gp in parent_points]
         pts = [(_shape.shape_values(gp) @ coords)[:, :2] for gp in parent_points]
-        self._surface_edofs = edofs[element_ids]
-        self._surface_b = np.stack(b, axis=1)  # (elements, points, 3, element dofs)
         self._surface_points = np.stack(pts, axis=1).reshape(-1, 2)
+        b = np.stack(b, axis=1)  # (elements, points, 3, element dofs)
+        n_samples = self._surface_points.shape[0]
+        sample = np.arange(n_samples).reshape(b.shape[:2])
+        rows = sample[:, :, None, None] + n_samples * np.arange(3)[:, None]
+        cols = edofs[element_ids][:, None, None, :]
+        rows, cols = np.broadcast_arrays(rows, cols)
+        s = sp.csr_matrix((b.ravel(), (rows.ravel(), cols.ravel())), shape=(3 * n_samples, self._n_dofs))
+        s.eliminate_zeros()
+        self._strain_sampling = s
 
     @property
     def free_dofs(self) -> np.ndarray:
@@ -315,6 +325,16 @@ class ForwardModel:
     def surface_points(self) -> np.ndarray:
         """Physical (x, y) coordinates of the strain sample points."""
         return self._surface_points
+
+    @property
+    def strain_sampling(self) -> sp.csr_matrix:
+        """Surface strain sampling S, a CSR matrix of shape (3 * n_points, n_dofs).
+
+        ``S @ u`` of a flat displacement vector stacks exx, eyy and gamma_xy
+        at the ``surface_points``, in that order, component by component.
+        Shared by every caller; do not modify it.
+        """
+        return self._strain_sampling
 
     def _check_values(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -367,35 +387,28 @@ class ForwardModel:
 
     def sample_strains(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exx, eyy, gamma_xy) of a flat displacement vector at the surface points."""
-        eps = np.einsum("egij,ej->egi", self._surface_b, u[self._surface_edofs]).reshape(-1, 3)
-        return eps[:, 0], eps[:, 1], eps[:, 2]
+        return tuple(np.split(self._strain_sampling @ u, 3))
 
-    def strains_with_pullback(self, values: np.ndarray):
-        """Surface strains of one fresh solve, and their pullback to the moduli.
+    def displacement_with_pullback(self, values: np.ndarray):
+        """Displacements of one fresh solve, and their pullback to the moduli.
 
-        Returns ((exx, eyy, gamma_xy), pullback). ``pullback(d_exx, d_eyy,
-        d_exy)`` maps the gradient of a scalar with respect to the sampled
-        strains to its gradient with respect to the patch moduli by the
-        adjoint method: with K u_f = -R E, the adjoint solve K^T lam = dF/du_f
-        on the same factor gives dF/dE_k = -lam^T (A_k u_f + R_k).
+        Returns (u, pullback), u the flat displacement vector that
+        ``solve_displacement`` returns. ``pullback(du)`` maps the gradient
+        dF/du of a scalar, a flat vector over all dofs, to its gradient
+        with respect to the patch moduli by the adjoint method: with
+        K u_f = -R E, the adjoint solve K^T lam = dF/du_f on the same
+        factor gives dF/dE_k = -lam^T (A_k u_f + R_k). Entries of ``du`` at
+        prescribed dofs do not contribute.
         """
         values = self._check_values(values)
         uf, lu = self._solve(values)
-        strains = self.sample_strains(self._full(uf))
 
-        def pullback(d_exx, d_eyy, d_exy):
-            lam = lu.solve(self._sample_strains_transpose(d_exx, d_eyy, d_exy)[self._free], trans="T")
+        def pullback(du):
+            lam = lu.solve(np.asarray(du, dtype=float)[self._free], trans="T")
             a_u = self._weights.T @ (lam[self._indices] * uf[self._col_of_slot])
             return -(a_u + lam @ self._rhs_per_patch)
 
-        return strains, pullback
-
-    def _sample_strains_transpose(self, d_exx, d_eyy, d_exy) -> np.ndarray:
-        """Transpose of ``sample_strains``: per-point strain weights to a flat dof vector."""
-        n_elements, n_points = self._surface_b.shape[:2]
-        d = np.column_stack([d_exx, d_eyy, d_exy]).reshape(n_elements, n_points, 3)
-        local = np.einsum("egij,egi->ej", self._surface_b, d)
-        return np.bincount(self._surface_edofs.ravel(), weights=local.ravel(), minlength=self._n_dofs)
+        return self._full(uf), pullback
 
     def surface_strain_arrays(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exx, eyy, gamma_xy) at the surface sample points; one fresh solve."""

@@ -171,7 +171,7 @@ def test_criterion_2_gradient_fidelity(run_2d):
         start = time.perf_counter()
         cfg = json.loads((run_2d["inv1"] / "resolved_config.json").read_text())
         _, context, lower, upper = context_from(cfg, run_2d["measurement"])
-        cost = lambda v: fu.evaluate_cost(v, context)
+        cost = context.cost
         rng = np.random.default_rng(17)
         h = 1e-6
         for _ in range(5):
@@ -190,7 +190,7 @@ def test_adjoint_gradient_matches_fd_oracle(run_2d):
     criterion-2 designs (free coordinates; the pinned patch is fixed)."""
     cfg = json.loads((run_2d["inv1"] / "resolved_config.json").read_text())
     _, context, lower, upper = context_from(cfg, run_2d["measurement"])
-    cost = lambda v: fu.evaluate_cost(v, context)
+    cost = context.cost
     free = upper > lower
     rng = np.random.default_rng(17)
     for _ in range(5):
@@ -265,7 +265,7 @@ def test_criterion_6_determinism(run_2d, runs_noise, run_3d):
 
 
 def test_criterion_7_cost_oracle_equivalence(run_2d, acc):
-    """evaluate_cost matches a straight-line reimplementation over exported
+    """CostContext.cost matches a straight-line reimplementation over exported
     per-point fields to 1e-12 relative on 10 random designs."""
     with criterion(7, "cost oracle equivalence"):
         cfg = json.loads((run_2d["inv1"] / "resolved_config.json").read_text())
@@ -279,7 +279,7 @@ def test_criterion_7_cost_oracle_equivalence(run_2d, acc):
                 fu.ExperimentalField(0, context.grid, nxx, nyy, nxy), num_path
             )
             total = _straight_line_eq1(run_2d["measurement"], num_path, config.strain_floor)
-            fast = fu.evaluate_cost(design, context)
+            fast = context.cost(design)
             assert fast == pytest.approx(total, rel=1e-12)
 
 
@@ -327,11 +327,11 @@ def test_identifiability_floor_on_acceptance_problem(run_2d):
     cfg = json.loads((run_2d["inv1"] / "resolved_config.json").read_text())
     config, context, lower, upper = context_from(cfg, run_2d["measurement"])
     truth = config.truth_values(context.patch_map.patch_count)
-    assert fu.evaluate_cost(truth, context) == 0.0
+    assert context.cost(truth) == 0.0
     for k in range(len(truth)):
         design = truth.copy()
         design[k] *= 1.10
-        assert fu.evaluate_cost(design, context) > 1e-4, f"patch {k} not identifiable"
+        assert context.cost(design) > 1e-4, f"patch {k} not identifiable"
 
 
 def test_criterion_8_hybrid_dominance(run_2d):
@@ -341,7 +341,7 @@ def test_criterion_8_hybrid_dominance(run_2d):
         config, context, lower, upper = context_from(cfg, run_2d["measurement"])
         guess = config.initial_guess(context.patch_map.patch_count)
         _, ga_history = fu.run_ga(
-            lambda v: fu.evaluate_cost(v, context), lower, upper, config.ga, initial_guess=guess
+            context.cost, lower, upper, config.ga, initial_guess=guess
         )
         report = run_2d["report"]
         ga_stage_final = [r for r in report["convergence"] if r["stage"] == "GA"][-1]["best_cost"]

@@ -99,7 +99,7 @@ class TestRelativeResidualCost:
 class TestEvaluateCost:
     def test_zero_at_generating_design(self):
         context, truth, _, _ = small_context()
-        assert fu.evaluate_cost(truth, context) < 1e-20
+        assert context.cost(truth) < 1e-20
 
     def test_matches_straight_line_formula(self):
         context, truth, lower, upper = small_context()
@@ -113,21 +113,21 @@ class TestEvaluateCost:
                 for exp, num in ((m.exx[j], nxx[j]), (m.eyy[j], nyy[j]), (m.exy[j], nxy[j])):
                     d = max(abs(exp), context.strain_floor)
                     total += ((exp - num) / d) ** 2
-            assert fu.evaluate_cost(design, context) == pytest.approx(total, rel=1e-12)
+            assert context.cost(design) == pytest.approx(total, rel=1e-12)
 
     def test_positive_when_any_patch_off_by_ten_percent(self):
         context, truth, _, _ = small_context()
         for k in range(1, 4):
             design = truth.copy()
             design[k] *= 1.10
-            assert fu.evaluate_cost(design, context) > 1e-6
+            assert context.cost(design) > 1e-6
 
     def test_nonpositive_moduli_rejected(self):
         context, truth, _, _ = small_context()
         bad = truth.copy()
         bad[1] = -1.0
         with pytest.raises(ValueError):
-            fu.evaluate_cost(bad, context)
+            context.cost(bad)
 
     def test_measurements_must_share_grid(self):
         context, truth, _, _ = small_context()
@@ -167,7 +167,7 @@ class TestFdGradient:
 
     def test_gradient_smallest_at_truth(self):
         context, truth, lower, upper = small_context()
-        cost = lambda v: fu.evaluate_cost(v, context)
+        cost = context.cost
         g_truth = np.abs(fu.fd_gradient(cost, truth, lower, upper)).max()
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -414,6 +414,26 @@ class TestRunGradient:
         assert history.gradient_stalled
         assert x[0] == 0.3
 
+    def test_failed_trial_solves_are_rejected(self):
+        failing = []
+        c = np.array([0.9, -0.4])
+
+        def cost_and_grad(x):
+            if x[0] > 0.5:  # the unconstrained minimum lies where every solve fails
+                failing.append(x.copy())
+                raise fu.SingularSystemError("stiffness is numerically singular")
+            return bowl(c)(x)
+
+        lower, upper = np.full(2, -1.0), np.full(2, 1.0)
+        start = np.array([-0.5, 0.5])
+        x, history = fu.run_gradient(cost_and_grad, start, lower, upper, fu.GradConfig(max_iterations=30))
+        assert history.final.best_cost < bowl(c)(start)[0]
+        assert x[0] <= 0.5
+        assert len(failing) > 0
+        assert history.failed_evaluations == len(failing)
+        with pytest.raises(fu.SingularSystemError):  # a failure at the start point is not a trial
+            fu.run_gradient(cost_and_grad, np.array([0.8, 0.0]), lower, upper, fu.GradConfig())
+
     def test_solve_count_audited(self):
         calls = [0]
         c = np.array([0.2, -0.4])
@@ -453,7 +473,7 @@ class TestRunHybrid:
 
     def test_hybrid_not_worse_than_ga_alone(self, hybrid_run):
         context, truth, lower, upper, ga, grad, final, history = hybrid_run
-        _, ga_history = fu.run_ga(lambda v: fu.evaluate_cost(v, context), lower, upper, ga,
+        _, ga_history = fu.run_ga(context.cost, lower, upper, ga,
                                   initial_guess=np.full(4, E0))
         assert history.final.best_cost <= ga_history.final.best_cost
         # same seed: the GA stage of the hybrid is the GA-only run

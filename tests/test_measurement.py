@@ -63,17 +63,15 @@ class TestInterpolation:
         model, _ = make_problem(defect=False)
         grid = fu.grid_for_footprint((100, 20), counts=(9, 5), margin=2.5)
         pts = model.surface_points
-        field = fu.StrainField(pts, np.full(len(pts), 1e-3), np.zeros(len(pts)), np.zeros(len(pts)))
-        exx, eyy, exy = fu.interpolate_fe_to_grid(field, grid)
+        exx = Interpolator(pts, grid.points())(np.full(len(pts), 1e-3))
         assert_allclose(exx, 1e-3, rtol=0, atol=1e-18)
 
     def test_linear_field_within_one_percent(self):
         model, _ = make_problem(nx=20, ny=8, defect=False)
         pts = model.surface_points
         a = 2e-5
-        field = fu.StrainField(pts, a * pts[:, 0], np.zeros(len(pts)), np.zeros(len(pts)))
         grid = fu.grid_for_footprint((100, 20), spacing=(5.0, 2.5), margin=5.0)
-        exx, _, _ = fu.interpolate_fe_to_grid(field, grid)
+        exx = Interpolator(pts, grid.points())(a * pts[:, 0])
         expected = a * grid.points()[:, 0]
         assert np.abs(exx - expected).max() < 0.01 * np.abs(expected).max()
 
@@ -92,11 +90,9 @@ class TestInterpolation:
 
     def test_grid_beyond_footprint_rejected(self):
         model, _ = make_problem()
-        pts = model.surface_points
-        field = fu.StrainField(pts, np.zeros(len(pts)), np.zeros(len(pts)), np.zeros(len(pts)))
         grid = fu.MeasurementGrid((90.0, 5.0), (2.0, 2.0), (10, 3))  # runs past x = 100
         with pytest.raises(OutOfDomainError):
-            fu.interpolate_fe_to_grid(field, grid)
+            Interpolator(model.surface_points, grid.points())
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -119,9 +115,31 @@ class TestInterpolation:
         interp = Interpolator(samples, targets)
         a = rng.normal(size=25)
         b = rng.normal(size=12)
-        back = interp.transpose(b)
+        back = interp.matrix.T @ b
         assert back.shape == (25,)
         assert float(interp(a) @ b) == pytest.approx(float(a @ back), rel=1e-13)
+
+
+class TestGridStrainOperator:
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_matches_sampling_then_interpolation(self, dimension):
+        """M @ u against the two-step path: sample strains, interpolate each."""
+        if dimension == 2:
+            model, values = make_problem()
+        else:
+            mesh = fu.build_coupon_mesh(100, 20, 8, 10, 4, 2)
+            pmap = fu.stamp_defect_patches(
+                fu.partition_longitudinal(mesh, 2), mesh, [fu.DefectSpec((40, 5, 0), (60, 15, 4))]
+            )
+            model = fu.ForwardModel(mesh, pmap, 0.3, fu.BoundaryConditions("xmin", "xmax", 0.1))
+            values = np.array([E0, E0, 0.25 * E0])
+        grid = fu.grid_for_footprint((100, 20), counts=(12, 5))
+        u = model.solve_displacement(values)
+        m = fu.grid_strain_operator(model, grid)
+        assert m.shape == (3 * grid.n_points, u.size)
+        interp = Interpolator(model.surface_points, grid.points())
+        two_step = np.concatenate([interp(c) for c in model.sample_strains(u)])
+        assert np.abs(m @ u - two_step).max() <= 1e-13 * np.abs(two_step).max()
 
 
 class TestGenerateSynthetic:
@@ -130,10 +148,8 @@ class TestGenerateSynthetic:
         grid = fu.grid_for_footprint((100, 20), counts=(12, 5))
         field = fu.generate_synthetic(model, truth, grid, noise_sigma=0.0)
         rebuilt = fu.ForwardModel(model.mesh, model.patch_map, 0.3, model.bcs)
-        clean = fu.interpolate_fe_to_grid(rebuilt.strain_field(truth), grid)
-        assert np.array_equal(field.exx, clean[0])
-        assert np.array_equal(field.eyy, clean[1])
-        assert np.array_equal(field.exy, clean[2])
+        clean = fu.grid_strain_operator(rebuilt, grid) @ rebuilt.solve_displacement(truth)
+        assert np.array_equal(np.concatenate([field.exx, field.eyy, field.exy]), clean)
 
     def test_same_seed_bitwise_identical(self):
         model, truth = make_problem()
@@ -246,4 +262,4 @@ class TestInverseCrimeZero:
         grid = fu.grid_for_footprint((100, 20), counts=(12, 5))
         field = fu.generate_synthetic(model, truth, grid, 0.0)
         context = fu.CostContext(model.mesh, model.patch_map, model.bcs, 0.3, [field])
-        assert fu.evaluate_cost(truth, context) < 1e-20
+        assert context.cost(truth) < 1e-20
