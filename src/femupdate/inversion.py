@@ -401,7 +401,8 @@ def run_gradient(
     stalled flag and returns the current iterate. A trial point whose
     evaluation raises NumericalError is rejected like one that fails the
     Armijo test, and counted in ``failed_evaluations``; at the start point
-    the error propagates.
+    the error propagates. After a line search that rejected such a trial,
+    the next one starts no longer than the step just accepted.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -421,6 +422,10 @@ def run_gradient(
     max_span = float(span.max())
     x_prev = grad_prev = None
     t_accepted = None
+    # After a line search that rejected a failed trial, the next one starts
+    # no longer than the step it accepted, so it does not pay again for
+    # solves that fail in the same region.
+    t_cap = np.inf
     use_bb2 = False
     for it in range(1, config.max_iterations + 1):
         projected = x - np.clip(x - grad, lower, upper)
@@ -438,7 +443,8 @@ def run_gradient(
                 t = 2.0 * t_accepted
         if t is None or not np.isfinite(t) or t <= 0:
             t = 0.1 * max_span / float(np.max(np.abs(grad)))
-        accepted = False
+        t = min(t, t_cap)
+        accepted = failed = False
         for _ in range(_MAX_BACKTRACKS):
             x_new = np.clip(x - t * grad, lower, upper)
             step = x - x_new
@@ -450,6 +456,7 @@ def run_gradient(
                 f_new, grad_new = evaluate(x_new)
             except NumericalError:
                 history.failed_evaluations += 1
+                failed = True
             else:
                 if f_new <= f - (config.armijo_c / t) * step_sq:
                     accepted = True
@@ -462,6 +469,7 @@ def run_gradient(
             rel_step = np.where(span > 0, np.abs(x - x_new) / span, 0.0)
         x_prev, grad_prev = x, grad
         x, f, grad, t_accepted = x_new, f_new, grad_new, t
+        t_cap = t if failed else np.inf
         history.append(STAGE_GRADIENT, it, f, x, counter.count)
         if float(rel_step.max()) < config.step_tol:
             break

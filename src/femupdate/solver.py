@@ -4,12 +4,14 @@ Isoparametric QUAD4 (plane stress) and HEX8 elements with full Gauss
 integration, displacement-controlled boundary conditions applied by
 elimination, and strain sampling at surface Gauss points. ``ForwardModel``
 is the one forward path: it assembles the free-free stiffness per patch
-once, in a reverse Cuthill-McKee order of the free dofs fixed at
-construction, and then factors K(E) = sum_k E_k A_k for every solve in that
-banded order without pivoting (K(E) is symmetric positive definite for
-positive moduli). Surface strain sampling is one sparse matrix S from
-displacements to strains, built once with the model; its transpose carries
-strain sensitivities back to displacements for the adjoint gradient.
+once and solves K(E) = sum_k E_k A_k by static condensation onto the patch
+interfaces. The interior of each patch scales with its one modulus, so the
+interior blocks are factored once per model; a solve factors only the
+Schur complement on the interface dofs, S(E) = sum_k E_k S_k, without
+pivoting (K(E) and S(E) are symmetric positive definite for positive
+moduli). Surface strain sampling is one sparse matrix from displacements
+to strains, built once with the model; its transpose carries strain
+sensitivities back to displacements for the adjoint gradient.
 
 Shear convention: the xy strain reported everywhere is the engineering
 shear gamma_xy = du/dy + dv/dx (twice the tensor component), matching the
@@ -20,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dtbtrs
+from scipy.sparse.csgraph import breadth_first_order, reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import _shape
@@ -28,7 +32,7 @@ from .errors import NumericalError, SingularSystemError
 from .geometry import Mesh, PatchMap
 
 _EQUILIBRIUM_RTOL = 1e-8
-# Smallest |U_ii| / max |U_ii| of the unit-moduli factorization accepted as
+# Smallest pivot / largest pivot of K(1) in the condensed order accepted as
 # nonsingular.
 _PIVOT_RTOL = 1e-12
 
@@ -219,18 +223,37 @@ class ForwardModel:
     K(E) = sum_k E_k A_k is linear in the patch moduli, so construction
     builds the free-free sparsity pattern once (CSC, int32 indices) with one
     column of slot weights per patch, and the matching per-patch right-hand
-    sides of the prescribed displacements. The free dofs are numbered once,
-    in ``free_dofs`` order: reverse Cuthill-McKee of the node adjacency
-    graph, the dofs of a node kept together. K(E) is therefore assembled
-    already banded, and every solve fills the pattern and factors it in
-    that order (``splu`` with the natural column order and no pivoting; the
-    order never changes and K(E) is symmetric positive definite), then
-    checks the result. ``displacement_with_pullback`` reuses that factor for
-    the adjoint solve of an exact gradient. The surface strains are the
-    sparse linear map ``strain_sampling`` of the displacements. The rank is
-    checked once, at construction: for positive moduli the null space of
-    K(E) is the intersection of those of the A_k, so one factorization at
-    unit moduli shows whether any solve can be singular.
+    sides of the prescribed displacements.
+
+    Every solve is a static condensation onto the patch interfaces. A node
+    is interior to patch k when all its elements lie in patch k; the free
+    dofs of interior nodes form I_k, those of all other nodes the interface
+    G. Interior dofs of different patches never share an element, so
+    K(E)[I, I] is block diagonal with blocks E_k A_k[I_k, I_k] and
+    K(E)[I_k, G] = E_k A_k[I_k, G]. The free dofs are numbered once, in
+    ``free_dofs`` order: the I_k patch by patch, each farthest-from-G first
+    (a breadth-first order from G, reversed) so that the rows coupled to G
+    come last, then G in reverse Cuthill-McKee order. Construction factors
+    the unit-modulus interior blocks D = K(1)[I, I] once (one banded
+    Cholesky) and condenses each patch onto G:
+    S_k = A_k[G, G] - A_k[G, I_k] A_k[I_k, I_k]^-1 A_k[I_k, G], which needs
+    only the trailing rows of the factor. The Schur complement is then
+    S(E) = sum_k E_k S_k, kept as slot weights like K(E). A solve fills and
+    factors S(E) (``splu`` with the natural order and no pivoting; S(E) is
+    symmetric positive definite), solves S(E) u_G = h_G - B D^-1 h_I with
+    B = K(1)[G, I] and recovers u_I = D^-1 (h_I / E_own - B^T u_G), E_own
+    the modulus of the patch owning each interior dof. A model with an
+    empty interface (one patch) needs no factorization per solve. Each
+    solution is checked for finite values and for its equilibrium residual
+    on the assembled K(E). ``displacement_with_pullback`` reuses the same
+    factors for the adjoint solve of an exact gradient (K(E) is symmetric).
+
+    The surface strains are the sparse linear map ``strain_sampling`` of the
+    displacements. The rank is checked once, at construction: for positive
+    moduli the null space of K(E) is the intersection of those of the A_k,
+    so the pivots of K(1) in the condensed order (the squared diagonal of
+    the interior Cholesky factor, then the pivots of S(1)) show whether any
+    solve can be singular.
 
     ``bcs`` may be any object whose ``prescribed_dofs(mesh)`` returns
     (sorted dof indices, values). Instances are immutable after
@@ -254,14 +277,15 @@ class ForwardModel:
         self._dofs, self._dof_values = bcs.prescribed_dofs(mesh)
         n_dofs = mesh.dimension * mesh.n_nodes
         self._n_dofs = n_dofs
-        self._free = _banded_free_dofs(mesh, self._dofs)
+        self._free, self._interior_patch, touching = _condensed_free_dofs(mesh, patch_map, self._dofs)
         edofs = _element_dofs(mesh)
-        self._build_patch_weights(edofs)
-        self._check_rank()
+        self._condense(self._build_patch_weights(edofs), touching)
         self._init_strain_sampling(edofs, surface_elements, parent_points)
 
-    def _build_patch_weights(self, edofs: np.ndarray) -> None:
-        """Fill the slot map (``_indices``, ``_indptr``), ``_weights`` and ``_rhs_per_patch``."""
+    def _build_patch_weights(self, edofs: np.ndarray) -> np.ndarray:
+        """Fill the slot map (``_indices``, ``_indptr``), ``_weights`` and
+        ``_rhs_per_patch``; return the free index of every element dof (-1
+        where prescribed)."""
         mesh, patch = self.mesh, self.patch_map.patch_of_element
         n_patches = self.patch_map.patch_count
         n_free = self._free.size
@@ -278,11 +302,11 @@ class ForwardModel:
         # One slot per structural free-free (row, col) pair, in CSC order.
         pattern, slot = np.unique(cols[keep].astype(np.int64) * n_free + rows[keep], return_inverse=True)
         entry_patch = np.broadcast_to(patch[:, None, None], ke.shape)[keep]
-        self._weights = _sum_at(slot, entry_patch, ke[keep], (pattern.size, n_patches))
+        # Sparse: a slot is shared by at most a few of the patches.
+        self._weights = sp.csr_matrix(_sum_at(slot, entry_patch, ke[keep], (pattern.size, n_patches)))
         self._indices = (pattern % n_free).astype(np.int32)
         self._col_of_slot = (pattern // n_free).astype(np.int32)
-        self._indptr = np.zeros(n_free + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self._col_of_slot, minlength=n_free), out=self._indptr[1:])
+        self._indptr = _column_pointers(self._col_of_slot, n_free)
 
         # rhs = -(sum_k E_k A_k)[free, prescribed] @ values = -B @ E
         u0 = np.zeros(self._n_dofs)
@@ -291,10 +315,87 @@ class ForwardModel:
         free_row = fe >= 0
         row_patch = np.broadcast_to(patch[:, None], fe.shape)[free_row]
         self._rhs_per_patch = _sum_at(fe[free_row], row_patch, f[free_row], (n_free, n_patches))
+        return fe
 
-    def _check_rank(self) -> None:
-        udiag = np.abs(_factor(self.stiffness(np.ones(self.patch_map.patch_count))).U.diagonal())
-        if not udiag.min() >= _PIVOT_RTOL * udiag.max():
+    def _condense(self, fe: np.ndarray, touching: np.ndarray) -> None:
+        """Factor the unit-modulus interior blocks, condense every patch onto
+        the interface (``_s_weights`` over the slots ``_s_indices``,
+        ``_s_indptr`` of S) and check the rank of K(1). ``fe`` is the free
+        index of every element dof, ``touching`` marks the interior dofs
+        coupled to the interface."""
+        n_patches = self.patch_map.patch_count
+        n_i = self._interior_patch.size
+        n_g = self._free.size - n_i
+        rows, cols = self._indices, self._col_of_slot
+        unit = self._weights @ np.ones(n_patches)  # K(1); one patch per interior row
+        lower = (rows < n_i) & (cols <= rows)
+        offset = rows[lower] - cols[lower]
+        band = np.zeros((int(offset.max(initial=0)) + 1, n_i), order="F")  # factored in place
+        band[offset, cols[lower]] = unit[lower]
+        try:
+            self._interior = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+        except LinAlgError as exc:
+            raise SingularSystemError(f"interior stiffness factorization failed: {exc}") from exc
+        # B = K(1)[G, I]: the slots of the interior columns below row n_i.
+        cross = (rows >= n_i) & (cols < n_i)
+        self._coupling = sp.csc_matrix(
+            (unit[cross], rows[cross] - n_i, _column_pointers(cols[cross], n_i)), shape=(n_g, n_i)
+        )
+
+        # Per patch: its interface dofs g (those of its elements), A_k[g, g],
+        # and its interior rows coupled to g, the trailing rows of its block.
+        element_patch = np.broadcast_to(self.patch_map.patch_of_element[:, None], fe.shape)
+        pairs = np.unique(element_patch[fe >= n_i] * n_g + (fe[fe >= n_i] - n_i))
+        pair_patch, pair_dof = np.divmod(pairs, n_g)
+        pair_start = np.searchsorted(pair_patch, np.arange(n_patches + 1))
+        on_g = np.flatnonzero((rows >= n_i) & (cols >= n_i))
+        by_patch = self._weights[on_g].tocsc()  # the A_k[G, G] entries, column k
+        entry_start, entry_value = by_patch.indptr, by_patch.data
+        entry_slot = on_g[by_patch.indices]
+        entry_row, entry_col = rows[entry_slot] - n_i, cols[entry_slot] - n_i
+        block_end = np.searchsorted(self._interior_patch, np.arange(1, n_patches + 1))
+        block_tail = block_end - np.bincount(self._interior_patch[touching], minlength=n_patches)
+        # S is the union of the dense blocks g x g of the patches; a dense
+        # slot map over G x G, indexed [column, row], costs about what S does.
+        used = np.zeros((n_g, n_g), dtype=bool)
+        for k in range(n_patches):
+            g = pair_dof[pair_start[k]:pair_start[k + 1]]
+            used[g[:, None], g] = True
+        slot_of = np.cumsum(used, dtype=np.int32).reshape(n_g, n_g) - 1
+        col_of_slot, row_of_slot = np.nonzero(used)
+        self._s_indices = row_of_slot.astype(np.int32)
+        self._s_indptr = _column_pointers(col_of_slot, n_g)
+        # Slot weights of S(E) = _s_weights @ E: column k holds the block S_k.
+        s_ptr = np.zeros(n_patches + 1, dtype=np.int32)
+        np.cumsum(np.diff(pair_start) ** 2, out=s_ptr[1:])
+        s_slot = np.empty(s_ptr[-1], dtype=np.int32)
+        s_value = np.empty(s_ptr[-1])
+        for k in range(n_patches):
+            g = pair_dof[pair_start[k]:pair_start[k + 1]]
+            e = slice(entry_start[k], entry_start[k + 1])
+            s_k = np.zeros((g.size, g.size))
+            s_k[np.searchsorted(g, entry_row[e]), np.searchsorted(g, entry_col[e])] = entry_value[e]
+            tail, end = block_tail[k], block_end[k]
+            if tail < end:
+                # Slots are sorted by column: those of columns tail..end-1 are contiguous.
+                sl = slice(self._indptr[tail], self._indptr[end])
+                on_row = rows[sl] >= n_i
+                c = np.zeros((end - tail, g.size))
+                c[cols[sl][on_row] - tail, np.searchsorted(g, rows[sl][on_row] - n_i)] = unit[sl][on_row]
+                # A_k[g, I_k] A_k[I_k, I_k]^-1 A_k[I_k, g] = Y^T Y with Y = L^-1 A_k[I_k, g],
+                # and Y is zero outside the trailing rows.
+                y, _ = dtbtrs(self._interior[:, tail:end], c, uplo="L")
+                s_k -= y.T @ y
+            block = slice(s_ptr[k], s_ptr[k + 1])
+            s_slot[block] = slot_of[np.ix_(g, g)].ravel()
+            s_value[block] = s_k.T.ravel()
+        self._s_weights = sp.csc_matrix((s_value, s_slot, s_ptr), shape=(row_of_slot.size, n_patches))
+
+        pivots = self._interior[0] ** 2
+        if n_g:
+            s_unit = self._interface_stiffness(np.ones(n_patches))
+            pivots = np.concatenate([pivots, np.abs(_factor(s_unit).U.diagonal())])
+        if not pivots.min(initial=np.inf) >= _PIVOT_RTOL * pivots.max(initial=0.0):
             raise SingularSystemError(
                 "stiffness is numerically singular; boundary conditions leave rigid modes"
             )
@@ -360,12 +461,35 @@ class ForwardModel:
         rows follow ``free_dofs``."""
         return -(self._rhs_per_patch @ self._check_values(values))
 
+    def _interface_stiffness(self, values: np.ndarray) -> sp.csc_matrix:
+        """Schur complement S(E) = sum_k E_k S_k on the interface dofs."""
+        n_g = self._s_indptr.size - 1
+        return sp.csc_matrix((self._s_weights @ values, self._s_indices, self._s_indptr), shape=(n_g, n_g))
+
+    def _factor_condensed(self, values: np.ndarray):
+        """``solve(h)`` returning K(E)^-1 h for checked moduli: one factorization
+        of S(E), none when the interface is empty."""
+        n_i = self._interior_patch.size
+        lu = _factor(self._interface_stiffness(values)) if n_i < self._free.size else None
+        own = values[self._interior_patch]
+        interior = (self._interior, True)
+
+        def solve(h: np.ndarray) -> np.ndarray:
+            h_i = h[:n_i]
+            if lu is None:
+                return cho_solve_banded(interior, h_i / own, check_finite=False)
+            u_g = lu.solve(h[n_i:] - self._coupling @ cho_solve_banded(interior, h_i, check_finite=False))
+            u_i = cho_solve_banded(interior, h_i / own - self._coupling.T @ u_g, check_finite=False)
+            return np.concatenate([u_i, u_g])
+
+        return solve
+
     def _solve(self, values: np.ndarray):
-        """Free-dof displacements and the factor of K(E) for checked moduli."""
+        """Free-dof displacements and the solver of K(E) for checked moduli."""
+        solve = self._factor_condensed(values)
         k = self._stiffness(values)
         rhs = -(self._rhs_per_patch @ values)
-        lu = _factor(k)
-        uf = lu.solve(rhs)
+        uf = solve(rhs)
         if not np.all(np.isfinite(uf)):
             raise SingularSystemError("solution is non-finite")
         rhs_norm = np.linalg.norm(rhs)
@@ -373,7 +497,7 @@ class ForwardModel:
             rel = np.linalg.norm(k @ uf - rhs) / rhs_norm
             if rel > _EQUILIBRIUM_RTOL:
                 raise NumericalError(f"equilibrium residual {rel:.3e} exceeds {_EQUILIBRIUM_RTOL:.1e}")
-        return uf, lu
+        return uf, solve
 
     def _full(self, uf: np.ndarray) -> np.ndarray:
         u = np.zeros(self._n_dofs)
@@ -396,15 +520,15 @@ class ForwardModel:
         ``solve_displacement`` returns. ``pullback(du)`` maps the gradient
         dF/du of a scalar, a flat vector over all dofs, to its gradient
         with respect to the patch moduli by the adjoint method: with
-        K u_f = -R E, the adjoint solve K^T lam = dF/du_f on the same
-        factor gives dF/dE_k = -lam^T (A_k u_f + R_k). Entries of ``du`` at
-        prescribed dofs do not contribute.
+        K u_f = -R E, the adjoint solve K lam = dF/du_f (K is symmetric) on
+        the same factors gives dF/dE_k = -lam^T (A_k u_f + R_k). Entries of
+        ``du`` at prescribed dofs do not contribute.
         """
         values = self._check_values(values)
-        uf, lu = self._solve(values)
+        uf, solve = self._solve(values)
 
         def pullback(du):
-            lam = lu.solve(np.asarray(du, dtype=float)[self._free], trans="T")
+            lam = solve(np.asarray(du, dtype=float)[self._free])
             a_u = self._weights.T @ (lam[self._indices] * uf[self._col_of_slot])
             return -(a_u + lam @ self._rhs_per_patch)
 
@@ -424,23 +548,72 @@ def _sum_at(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple
     return np.bincount(flat, weights=values, minlength=shape[0] * shape[1]).reshape(shape)
 
 
-def _banded_free_dofs(mesh: Mesh, prescribed: np.ndarray) -> np.ndarray:
-    """Free dofs in reverse Cuthill-McKee order of the node adjacency graph,
-    the dofs of each node kept together (read-only int64 array)."""
+def _column_pointers(col_of_slot: np.ndarray, n_cols: int) -> np.ndarray:
+    """CSC ``indptr`` (int32) of slots sorted by column."""
+    indptr = np.zeros(n_cols + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col_of_slot, minlength=n_cols), out=indptr[1:])
+    return indptr
+
+
+def _condensed_free_dofs(mesh: Mesh, patch_map: PatchMap, prescribed: np.ndarray):
+    """Free dofs in the condensed order of ``ForwardModel``.
+
+    Returns (free, interior_patch, touching). ``free`` (read-only int64)
+    lists the interior dofs patch by patch, then the interface dofs;
+    ``interior_patch`` is the patch of each interior dof (nondecreasing) and
+    ``touching`` marks the interior dofs whose node shares an element with
+    an interface node. Within a patch the interior nodes follow a
+    breadth-first order from the interface nodes, reversed, so the touching
+    ones come last and each block stays banded. Interface nodes, and the
+    interior nodes of a model without interface, follow reverse
+    Cuthill-McKee order of the node adjacency graph; the dofs of a node stay
+    together.
+    """
     n_nodes, nodes_per_element = mesh.n_nodes, mesh.elements.shape[1]
+    n_patches = patch_map.patch_count
     rows = np.repeat(mesh.elements, nodes_per_element, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, nodes_per_element)).ravel()
     graph = sp.csr_matrix((np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(n_nodes, n_nodes))
-    node_order = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.int64)
-    dofs = (mesh.dimension * node_order[:, None] + np.arange(mesh.dimension)).ravel()
-    free = dofs[~np.isin(dofs, prescribed)]
+    rcm_rank = np.empty(n_nodes, dtype=np.int64)
+    rcm_rank[reverse_cuthill_mckee(graph, symmetric_mode=True)] = np.arange(n_nodes)
+
+    # The distinct (node, patch) pairs: a node in more than one patch is on the interface.
+    node_of_pair, patch_of_pair = np.divmod(
+        np.unique(mesh.elements * n_patches + patch_map.patch_of_element[:, None]), n_patches
+    )
+    interface = np.bincount(node_of_pair, minlength=n_nodes) > 1
+    node_patch = np.full(n_nodes, n_patches)  # interface nodes sort last
+    node_patch[node_of_pair] = patch_of_pair
+    node_patch[interface] = n_patches
+
+    # Breadth-first from an extra node joined to every interface node.
+    source = np.flatnonzero(interface)
+    hub = np.full(source.size, n_nodes)
+    joined = sp.csr_matrix(
+        (np.ones(rows.size + 2 * source.size, dtype=np.int32),
+         (np.concatenate([rows, hub, source]), np.concatenate([cols, source, hub]))),
+        shape=(n_nodes + 1, n_nodes + 1),
+    )
+    reached = breadth_first_order(joined, n_nodes, directed=True, return_predecessors=False)
+    reverse_rank = np.full(n_nodes + 1, -(n_nodes + 1))  # unreached nodes first
+    reverse_rank[reached] = -np.arange(reached.size)
+    order = np.lexsort((rcm_rank, np.where(interface, 0, reverse_rank[:n_nodes]), node_patch))
+    touching_node = ~interface & (graph @ interface.astype(np.int32) > 0)
+
+    dim = mesh.dimension
+    dofs = (dim * order[:, None] + np.arange(dim)).ravel()
+    keep = ~np.isin(dofs, prescribed)
+    free = dofs[keep]
     free.flags.writeable = False
-    return free
+    dof_patch = np.repeat(node_patch[order], dim)[keep]
+    n_interior = int(np.count_nonzero(dof_patch < n_patches))
+    touching = np.repeat(touching_node[order], dim)[keep][:n_interior]
+    return free, dof_patch[:n_interior], touching
 
 
 def _factor(k: sp.csc_matrix):
-    """LU of a free-free stiffness already in banded order: no column
-    reordering and no pivoting, since K(E) is symmetric positive definite."""
+    """LU of a symmetric positive definite matrix in a fixed order: no
+    column reordering and no pivoting."""
     try:
         return splu(k, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:

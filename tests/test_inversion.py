@@ -434,6 +434,23 @@ class TestRunGradient:
         with pytest.raises(fu.SingularSystemError):  # a failure at the start point is not a trial
             fu.run_gradient(cost_and_grad, np.array([0.8, 0.0]), lower, upper, fu.GradConfig())
 
+    def test_failed_trials_not_repaid_each_step(self):
+        # the same problem as above: after a line search that rejected a
+        # failed trial, the next one starts no longer than the accepted step
+        c = np.array([0.9, -0.4])
+
+        def cost_and_grad(x):
+            if x[0] > 0.5:
+                raise fu.SingularSystemError("stiffness is numerically singular")
+            return bowl(c)(x)
+
+        _, history = fu.run_gradient(
+            cost_and_grad, np.array([-0.5, 0.5]), np.full(2, -1.0), np.full(2, 1.0), fu.GradConfig(max_iterations=30)
+        )
+        accepted = len(history.records) - 1
+        assert accepted > 0
+        assert history.failed_evaluations <= 2 * accepted
+
     def test_solve_count_audited(self):
         calls = [0]
         c = np.array([0.2, -0.4])

@@ -372,3 +372,105 @@ class TestSolverInvariants:
         u_ref[free] = np.linalg.solve(k_dense[np.ix_(free, free)], -k_dense[np.ix_(free, dofs)] @ prescribed)
         u = model.solve_displacement(values)
         assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+
+
+def assert_matches_dense(mesh, pmap, values, bcs):
+    """ForwardModel.solve_displacement against a dense solve of the
+    element-by-element stiffness, 1e-10 relative in the max norm."""
+    model = fu.ForwardModel(mesh, pmap, NU, bcs)
+    dofs, prescribed = bcs.prescribed_dofs(mesh)
+    free = np.setdiff1d(np.arange(mesh.dimension * mesh.n_nodes), dofs)
+    k_dense = dense_stiffness(mesh, pmap, values, NU)
+    u_ref = np.zeros(k_dense.shape[0])
+    u_ref[dofs] = prescribed
+    u_ref[free] = np.linalg.solve(k_dense[np.ix_(free, free)], -k_dense[np.ix_(free, dofs)] @ prescribed)
+    u = model.solve_displacement(values)
+    assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+    return model
+
+
+class TestCondensation:
+    """Static condensation onto the patch interfaces: the edge cases of the
+    interior/interface split, each against a dense solve."""
+
+    @pytest.mark.parametrize(
+        "dims, defect",
+        [
+            ((100, 20, 2, 20, 4), fu.DefectSpec((40, 5), (45, 10))),
+            ((100, 20, 8, 10, 4, 2), fu.DefectSpec((40, 5, 0), (50, 10, 4))),
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_one_element_patch_has_no_interior(self, dims, defect, uniaxial_bcs):
+        mesh = fu.build_coupon_mesh(*dims)
+        pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 2), mesh, [defect])
+        assert pmap.elements_of_patch(2).size == 1
+        values = np.array([1.5, 0.7, 0.02]) * E_STEEL
+        model = assert_matches_dense(mesh, pmap, values, uniaxial_bcs)
+        assert not np.any(model._interior_patch == 2)
+
+    @pytest.mark.parametrize("dims", [(100, 20, 2, 12, 4), (100, 20, 8, 6, 3, 2)], ids=["2d", "3d"])
+    def test_single_patch_has_empty_interface(self, dims, uniaxial_bcs):
+        mesh = fu.build_coupon_mesh(*dims)
+        pmap = fu.partition_longitudinal(mesh, 1)
+        model = assert_matches_dense(mesh, pmap, np.array([E_STEEL]), uniaxial_bcs)
+        assert model._interior_patch.size == model.free_dofs.size
+
+    @pytest.mark.parametrize(
+        "dims, dofs",
+        [((100, 20, 2, 8, 2), [0]), ((100, 20, 8, 4, 2, 2), [0, 1, 2])],
+        ids=["2d", "3d"],
+    )
+    def test_multi_patch_insufficient_constraints_fail_at_construction(self, dims, dofs):
+        mesh = fu.build_coupon_mesh(*dims)
+        pmap = fu.partition_longitudinal(mesh, 3)
+        # one node pinned: the rotations about it stay free
+        with pytest.raises(fu.SingularSystemError):
+            fu.ForwardModel(mesh, pmap, NU, Prescribed(dofs, np.zeros(len(dofs))))
+
+
+class TestFactorizationCount:
+    """The factorization hook the benchmark traces: ``solver.splu``, looked
+    up at call time, is called once at model build and once per solve."""
+
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        from femupdate import solver
+
+        calls = []
+        real = solver.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "splu", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "dims, defect",
+        [
+            ((100, 20, 2, 20, 5), fu.DefectSpec((40, 5), (60, 15))),
+            ((100, 20, 8, 10, 4, 2), fu.DefectSpec((40, 5, 0), (60, 15, 4))),
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_one_factorization_per_build_and_solve(self, dims, defect, uniaxial_bcs, splu_calls):
+        mesh = fu.build_coupon_mesh(*dims)
+        pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 2), mesh, [defect])
+        values = np.array([1.0, 1.2, 0.3]) * E_STEEL
+        model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
+        assert len(splu_calls) == 1
+        model.solve_displacement(values)
+        assert len(splu_calls) == 2
+        grid = fu.grid_for_footprint((100, 20), counts=(8, 4))
+        field = fu.generate_synthetic(model, values, grid)
+        context = fu.CostContext(mesh, pmap, uniaxial_bcs, NU, [field])
+        del splu_calls[:]
+        context.cost_and_grad(values)
+        assert len(splu_calls) == 1
+
+    def test_single_patch_solves_without_factorization(self, coupon_mesh, single_patch, uniaxial_bcs, splu_calls):
+        model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
+        model.solve_displacement(np.array([E_STEEL]))
+        assert len(splu_calls) == 0
