@@ -216,8 +216,10 @@ class CostContext:
     def cost_and_grad(self, design: np.ndarray) -> tuple[float, np.ndarray]:
         """Cost and its exact gradient with respect to the patch moduli.
 
-        One factorization and two triangular solves (forward and adjoint);
-        the cost is bitwise the value ``cost`` returns.
+        One factorization of the interface Schur complement, shared by the
+        forward and the adjoint solve (an LU solve each, plus one banded
+        interior solve forward and two adjoint); the cost is bitwise the
+        value ``cost`` returns.
         """
         u, pullback = self.forward.displacement_with_pullback(design)
         num = self._operator @ u

@@ -6,10 +6,13 @@ elimination, and strain sampling at surface Gauss points. ``ForwardModel``
 is the one forward path: it assembles the free-free stiffness per patch
 once and solves K(E) = sum_k E_k A_k by static condensation onto the patch
 interfaces. The interior of each patch scales with its one modulus, so the
-interior blocks are factored once per model; a solve factors only the
-Schur complement on the interface dofs, S(E) = sum_k E_k S_k, without
-pivoting (K(E) and S(E) are symmetric positive definite for positive
-moduli). Surface strain sampling is one sparse matrix from displacements
+interior blocks are factored, and the prescribed-displacement load
+condensed, once per model; a solve factors only the Schur complement on
+the interface dofs, S(E) = sum_k E_k S_k, without pivoting (K(E) and S(E)
+are symmetric positive definite for positive moduli), and recovers the
+interior with one banded solve. K(E) is never assembled per solve: the
+equilibrium check and the adjoint gradient use the per-patch products
+A_k u. Surface strain sampling is one sparse matrix from displacements
 to strains, built once with the model; its transpose carries strain
 sensitivities back to displacements for the adjoint gradient.
 
@@ -221,9 +224,9 @@ class ForwardModel:
     """The forward operator: patch moduli to displacements and surface strains.
 
     K(E) = sum_k E_k A_k is linear in the patch moduli, so construction
-    builds the free-free sparsity pattern once (CSC, int32 indices) with one
-    column of slot weights per patch, and the matching per-patch right-hand
-    sides of the prescribed displacements.
+    assembles the A_k once, stacked into one sparse matrix, with the
+    matching per-patch right-hand sides R of the prescribed displacements
+    (the load is -R E).
 
     Every solve is a static condensation onto the patch interfaces. A node
     is interior to patch k when all its elements lie in patch k; the free
@@ -238,15 +241,23 @@ class ForwardModel:
     Cholesky) and condenses each patch onto G:
     S_k = A_k[G, G] - A_k[G, I_k] A_k[I_k, I_k]^-1 A_k[I_k, G], which needs
     only the trailing rows of the factor. The Schur complement is then
-    S(E) = sum_k E_k S_k, kept as slot weights like K(E). A solve fills and
-    factors S(E) (``splu`` with the natural order and no pivoting; S(E) is
-    symmetric positive definite), solves S(E) u_G = h_G - B D^-1 h_I with
-    B = K(1)[G, I] and recovers u_I = D^-1 (h_I / E_own - B^T u_G), E_own
-    the modulus of the patch owning each interior dof. A model with an
-    empty interface (one patch) needs no factorization per solve. Each
-    solution is checked for finite values and for its equilibrium residual
-    on the assembled K(E). ``displacement_with_pullback`` reuses the same
-    factors for the adjoint solve of an exact gradient (K(E) is symmetric).
+    S(E) = sum_k E_k S_k, kept as slot weights. An interior row of R is
+    nonzero only in the column of its own patch, so the condensed load is
+    linear in E too: with B = K(1)[G, I] and Z = D^-1 R_I, factored once,
+    the interface load is (B Z - R_G) E and the interior load alone gives
+    z0 = -Z 1, whatever the moduli. A solve fills and factors S(E)
+    (``splu`` with the natural order and no pivoting; S(E) is symmetric
+    positive definite), solves S(E) u_G = (B Z - R_G) E and recovers
+    u_I = z0 - D^-1 B^T u_G with one banded solve. A model with an empty
+    interface (one patch) needs neither a factorization nor a banded solve:
+    u = z0. Each solution is checked for finite values and for its
+    equilibrium residual on the physics, sum_k E_k A_k u_f = -R E, from the
+    per-patch products A_k u_f (K(E) is not assembled).
+    ``displacement_with_pullback`` reuses the same factors for the adjoint
+    solve of an exact gradient (K(E) is symmetric): a general right-hand
+    side h takes u_G = S(E)^-1 (h_G - B D^-1 h_I) and
+    u_I = D^-1 (h_I / E_own - B^T u_G), E_own the modulus of the patch
+    owning each interior dof, so two banded solves.
 
     The surface strains are the sparse linear map ``strain_sampling`` of the
     displacements. The rank is checked once, at construction: for positive
@@ -279,13 +290,20 @@ class ForwardModel:
         self._n_dofs = n_dofs
         self._free, self._interior_patch, touching = _condensed_free_dofs(mesh, patch_map, self._dofs)
         edofs = _element_dofs(mesh)
-        self._condense(self._build_patch_weights(edofs), touching)
+        fe, weights, rows, cols = self._build_patch_weights(edofs)
+        self._condense(fe, touching, weights, rows, cols)
+        # Only the stacked blocks outlive construction, not the slot map.
+        self._patch_stiffness = _stack_patches(weights, rows, cols, self._free.size)
+        del weights, rows, cols
         self._init_strain_sampling(edofs, surface_elements, parent_points)
 
-    def _build_patch_weights(self, edofs: np.ndarray) -> np.ndarray:
-        """Fill the slot map (``_indices``, ``_indptr``), ``_weights`` and
-        ``_rhs_per_patch``; return the free index of every element dof (-1
-        where prescribed)."""
+    def _build_patch_weights(self, edofs: np.ndarray):
+        """Fill ``_rhs_per_patch`` and return the slot map of K(E).
+
+        Returns (fe, weights, rows, cols): ``fe`` the free index of every
+        element dof (-1 where prescribed); one slot per structural free-free
+        entry, in CSC order, at (``rows``, ``cols``), and ``weights`` (CSR,
+        slots x patches) the contribution of each patch to each slot."""
         mesh, patch = self.mesh, self.patch_map.patch_of_element
         n_patches = self.patch_map.patch_count
         n_free = self._free.size
@@ -303,10 +321,9 @@ class ForwardModel:
         pattern, slot = np.unique(cols[keep].astype(np.int64) * n_free + rows[keep], return_inverse=True)
         entry_patch = np.broadcast_to(patch[:, None, None], ke.shape)[keep]
         # Sparse: a slot is shared by at most a few of the patches.
-        self._weights = sp.csr_matrix(_sum_at(slot, entry_patch, ke[keep], (pattern.size, n_patches)))
-        self._indices = (pattern % n_free).astype(np.int32)
-        self._col_of_slot = (pattern // n_free).astype(np.int32)
-        self._indptr = _column_pointers(self._col_of_slot, n_free)
+        weights = sp.csr_matrix(_sum_at(slot, entry_patch, ke[keep], (pattern.size, n_patches)))
+        rows = (pattern % n_free).astype(np.int32)
+        cols = (pattern // n_free).astype(np.int32)
 
         # rhs = -(sum_k E_k A_k)[free, prescribed] @ values = -B @ E
         u0 = np.zeros(self._n_dofs)
@@ -315,19 +332,19 @@ class ForwardModel:
         free_row = fe >= 0
         row_patch = np.broadcast_to(patch[:, None], fe.shape)[free_row]
         self._rhs_per_patch = _sum_at(fe[free_row], row_patch, f[free_row], (n_free, n_patches))
-        return fe
+        return fe, weights, rows, cols
 
-    def _condense(self, fe: np.ndarray, touching: np.ndarray) -> None:
-        """Factor the unit-modulus interior blocks, condense every patch onto
-        the interface (``_s_weights`` over the slots ``_s_indices``,
-        ``_s_indptr`` of S) and check the rank of K(1). ``fe`` is the free
-        index of every element dof, ``touching`` marks the interior dofs
-        coupled to the interface."""
+    def _condense(self, fe, touching, weights, rows, cols) -> None:
+        """Factor the unit-modulus interior blocks, condense the load
+        (``_g_rhs``, ``_z0``) and every patch onto the interface
+        (``_s_weights`` over the slots ``_s_indices``, ``_s_indptr`` of S)
+        and check the rank of K(1). ``fe`` is the free index of every
+        element dof, ``touching`` marks the interior dofs coupled to the
+        interface; the slot map is that of ``_build_patch_weights``."""
         n_patches = self.patch_map.patch_count
         n_i = self._interior_patch.size
         n_g = self._free.size - n_i
-        rows, cols = self._indices, self._col_of_slot
-        unit = self._weights @ np.ones(n_patches)  # K(1); one patch per interior row
+        unit = weights @ np.ones(n_patches)  # K(1); one patch per interior row
         lower = (rows < n_i) & (cols <= rows)
         offset = rows[lower] - cols[lower]
         band = np.zeros((int(offset.max(initial=0)) + 1, n_i), order="F")  # factored in place
@@ -341,6 +358,17 @@ class ForwardModel:
         self._coupling = sp.csc_matrix(
             (unit[cross], rows[cross] - n_i, _column_pointers(cols[cross], n_i)), shape=(n_g, n_i)
         )
+        self._coupling_t = self._coupling.T  # CSR over the same arrays
+        # An interior row of R has one nonzero, in the column of its own
+        # patch, and D is block diagonal, so row i of Z = D^-1 R_I has one
+        # nonzero too, -z0[i] with z0 = -D^-1 R_I 1, in the column of its patch.
+        self._z0 = -cho_solve_banded(
+            (self._interior, True), self._rhs_per_patch[:n_i].sum(axis=1), check_finite=False
+        )
+        self._z0.flags.writeable = False  # the solution of every single-patch solve
+        z = np.zeros((n_i, n_patches))
+        z[np.arange(n_i), self._interior_patch] = -self._z0
+        self._g_rhs = self._coupling @ z - self._rhs_per_patch[n_i:]
 
         # Per patch: its interface dofs g (those of its elements), A_k[g, g],
         # and its interior rows coupled to g, the trailing rows of its block.
@@ -349,7 +377,7 @@ class ForwardModel:
         pair_patch, pair_dof = np.divmod(pairs, n_g)
         pair_start = np.searchsorted(pair_patch, np.arange(n_patches + 1))
         on_g = np.flatnonzero((rows >= n_i) & (cols >= n_i))
-        by_patch = self._weights[on_g].tocsc()  # the A_k[G, G] entries, column k
+        by_patch = weights[on_g].tocsc()  # the A_k[G, G] entries, column k
         entry_start, entry_value = by_patch.indptr, by_patch.data
         entry_slot = on_g[by_patch.indices]
         entry_row, entry_col = rows[entry_slot] - n_i, cols[entry_slot] - n_i
@@ -378,7 +406,7 @@ class ForwardModel:
             tail, end = block_tail[k], block_end[k]
             if tail < end:
                 # Slots are sorted by column: those of columns tail..end-1 are contiguous.
-                sl = slice(self._indptr[tail], self._indptr[end])
+                sl = slice(*np.searchsorted(cols, [tail, end]))
                 on_row = rows[sl] >= n_i
                 c = np.zeros((end - tail, g.size))
                 c[cols[sl][on_row] - tail, np.searchsorted(g, rows[sl][on_row] - n_i)] = unit[sl][on_row]
@@ -443,18 +471,20 @@ class ForwardModel:
             raise ValueError(
                 f"expected patch_count = {self.patch_map.patch_count} moduli, got shape {values.shape}"
             )
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(
+                f"patch moduli must be finite; patches {bad.tolist()} have {values[bad].tolist()}"
+            )
         if not np.all(values > 0):
             raise ValueError("all patch moduli must be positive")
         return values
 
     def stiffness(self, values: np.ndarray) -> sp.csc_matrix:
         """Free-free stiffness K(E) = sum_k E_k A_k; rows and columns follow ``free_dofs``."""
-        return self._stiffness(self._check_values(values))
-
-    def _stiffness(self, values: np.ndarray) -> sp.csc_matrix:
-        n_free = self._free.size
-        data = self._weights @ values
-        return sp.csc_matrix((data, self._indices, self._indptr), shape=(n_free, n_free))
+        values = self._check_values(values)
+        weights = sp.kron(values[None, :], sp.identity(self._free.size, format="csr"))
+        return (weights @ self._patch_stiffness).tocsc()
 
     def rhs(self, values: np.ndarray) -> np.ndarray:
         """Free-dof right-hand side -K(E)[free, prescribed] @ prescribed values;
@@ -466,38 +496,43 @@ class ForwardModel:
         n_g = self._s_indptr.size - 1
         return sp.csc_matrix((self._s_weights @ values, self._s_indices, self._s_indptr), shape=(n_g, n_g))
 
-    def _factor_condensed(self, values: np.ndarray):
-        """``solve(h)`` returning K(E)^-1 h for checked moduli: one factorization
-        of S(E), none when the interface is empty."""
+    def _solve(self, values: np.ndarray):
+        """Solve K(E) u_f = -R E for checked moduli.
+
+        Returns (u_f, au, solve): the free-dof displacements, the per-patch
+        products (row k of ``au`` is A_k u_f) and ``solve(h)`` returning
+        K(E)^-1 h on the same factors. One factorization of S(E) and one
+        banded solve; neither when the interface is empty.
+        """
         n_i = self._interior_patch.size
-        lu = _factor(self._interface_stiffness(values)) if n_i < self._free.size else None
-        own = values[self._interior_patch]
         interior = (self._interior, True)
+        if n_i == self._free.size:
+            lu, uf = None, self._z0
+        else:
+            lu = _factor(self._interface_stiffness(values))
+            u_g = lu.solve(self._g_rhs @ values)
+            u_i = self._z0 - cho_solve_banded(interior, self._coupling_t @ u_g, check_finite=False)
+            uf = np.concatenate([u_i, u_g])
+        if not np.all(np.isfinite(uf)):
+            raise SingularSystemError("solution is non-finite")
+        au = (self._patch_stiffness @ uf).reshape(values.size, uf.size)
+        rhs = -(self._rhs_per_patch @ values)
+        residual, rhs_norm = np.linalg.norm(values @ au - rhs), np.linalg.norm(rhs)
+        # Fails closed: a NaN residual or load norm does not pass.
+        if not residual <= _EQUILIBRIUM_RTOL * rhs_norm:
+            raise NumericalError(
+                f"equilibrium residual {residual:.3e} exceeds {_EQUILIBRIUM_RTOL:.1e} x load norm {rhs_norm:.3e}"
+            )
 
         def solve(h: np.ndarray) -> np.ndarray:
-            h_i = h[:n_i]
+            h_i, own = h[:n_i], values[self._interior_patch]
             if lu is None:
                 return cho_solve_banded(interior, h_i / own, check_finite=False)
             u_g = lu.solve(h[n_i:] - self._coupling @ cho_solve_banded(interior, h_i, check_finite=False))
-            u_i = cho_solve_banded(interior, h_i / own - self._coupling.T @ u_g, check_finite=False)
+            u_i = cho_solve_banded(interior, h_i / own - self._coupling_t @ u_g, check_finite=False)
             return np.concatenate([u_i, u_g])
 
-        return solve
-
-    def _solve(self, values: np.ndarray):
-        """Free-dof displacements and the solver of K(E) for checked moduli."""
-        solve = self._factor_condensed(values)
-        k = self._stiffness(values)
-        rhs = -(self._rhs_per_patch @ values)
-        uf = solve(rhs)
-        if not np.all(np.isfinite(uf)):
-            raise SingularSystemError("solution is non-finite")
-        rhs_norm = np.linalg.norm(rhs)
-        if rhs_norm > 0:
-            rel = np.linalg.norm(k @ uf - rhs) / rhs_norm
-            if rel > _EQUILIBRIUM_RTOL:
-                raise NumericalError(f"equilibrium residual {rel:.3e} exceeds {_EQUILIBRIUM_RTOL:.1e}")
-        return uf, solve
+        return uf, au, solve
 
     def _full(self, uf: np.ndarray) -> np.ndarray:
         u = np.zeros(self._n_dofs)
@@ -521,16 +556,16 @@ class ForwardModel:
         dF/du of a scalar, a flat vector over all dofs, to its gradient
         with respect to the patch moduli by the adjoint method: with
         K u_f = -R E, the adjoint solve K lam = dF/du_f (K is symmetric) on
-        the same factors gives dF/dE_k = -lam^T (A_k u_f + R_k). Entries of
-        ``du`` at prescribed dofs do not contribute.
+        the same factors gives dF/dE_k = -lam^T (A_k u_f + R_k), from the
+        per-patch products A_k u_f of the forward solve. Entries of ``du``
+        at prescribed dofs do not contribute.
         """
         values = self._check_values(values)
-        uf, solve = self._solve(values)
+        uf, au, solve = self._solve(values)
 
         def pullback(du):
             lam = solve(np.asarray(du, dtype=float)[self._free])
-            a_u = self._weights.T @ (lam[self._indices] * uf[self._col_of_slot])
-            return -(a_u + lam @ self._rhs_per_patch)
+            return -(au @ lam + lam @ self._rhs_per_patch)
 
         return self._full(uf), pullback
 
@@ -546,6 +581,13 @@ def _sum_at(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple
     """Dense array of ``shape`` holding the sum of ``values`` landing on each (row, col)."""
     flat = rows.astype(np.int64) * shape[1] + cols
     return np.bincount(flat, weights=values, minlength=shape[0] * shape[1]).reshape(shape)
+
+
+def _stack_patches(weights: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray, n: int) -> sp.csr_matrix:
+    """The A_k of a slot map stacked by rows, [A_1; ...; A_P]: CSR, (P n, n)."""
+    w = weights.tocoo()
+    stacked_rows = w.col.astype(np.int64) * n + rows[w.row]
+    return sp.csr_matrix((w.data, (stacked_rows, cols[w.row])), shape=(w.shape[1] * n, n))
 
 
 def _column_pointers(col_of_slot: np.ndarray, n_cols: int) -> np.ndarray:
@@ -613,8 +655,11 @@ def _condensed_free_dofs(mesh: Mesh, patch_map: PatchMap, prescribed: np.ndarray
 
 def _factor(k: sp.csc_matrix):
     """LU of a symmetric positive definite matrix in a fixed order: no
-    column reordering and no pivoting."""
+    column reordering, no pivoting and no equilibration, so the diagonal of
+    U holds the pivots of ``k`` itself."""
     try:
-        return splu(k, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        return splu(
+            k, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True, Equil=False)
+        )
     except RuntimeError as exc:
         raise SingularSystemError(f"stiffness factorization failed: {exc}") from exc

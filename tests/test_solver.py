@@ -474,3 +474,110 @@ class TestFactorizationCount:
         model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
         model.solve_displacement(np.array([E_STEEL]))
         assert len(splu_calls) == 0
+
+
+# Three-patch models (two sections and a defect) on which every solve
+# factors S(E); the ids follow the dimension.
+THREE_PATCH = pytest.mark.parametrize(
+    "dims, defect",
+    [
+        ((100, 20, 2, 20, 5), fu.DefectSpec((40, 5), (60, 15))),
+        ((100, 20, 8, 10, 4, 2), fu.DefectSpec((40, 5, 0), (60, 15, 4))),
+    ],
+    ids=["2d", "3d"],
+)
+
+
+def three_patch_model(dims, defect, bcs):
+    mesh = fu.build_coupon_mesh(*dims)
+    pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 2), mesh, [defect])
+    return fu.ForwardModel(mesh, pmap, NU, bcs)
+
+
+def cost_context(model):
+    """A CostContext on the model's mesh and patches, measured at E0."""
+    values = np.full(model.patch_map.patch_count, E_STEEL)
+    field = fu.generate_synthetic(model, values, fu.grid_for_footprint((100, 20), counts=(8, 4)))
+    return fu.CostContext(model.mesh, model.patch_map, model.bcs, NU, [field])
+
+
+class TestBandedSolveCount:
+    """The interior solves of the condensation: the forward solve takes one
+    banded solve (none with one patch), the adjoint two more."""
+
+    @pytest.fixture
+    def banded_calls(self, monkeypatch):
+        from femupdate import solver
+
+        calls = []
+        real = solver.cho_solve_banded
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "cho_solve_banded", counting)
+        return calls
+
+    @THREE_PATCH
+    def test_three_patch_solves(self, dims, defect, uniaxial_bcs, banded_calls):
+        model = three_patch_model(dims, defect, uniaxial_bcs)
+        context = cost_context(model)
+        values = np.array([1.0, 1.2, 0.3]) * E_STEEL
+        del banded_calls[:]
+        model.solve_displacement(values)
+        assert len(banded_calls) == 1
+        del banded_calls[:]
+        context.cost_and_grad(values)
+        assert len(banded_calls) == 3
+
+    def test_single_patch_solve_has_no_banded_solve(self, coupon_mesh, single_patch, uniaxial_bcs, banded_calls):
+        model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
+        del banded_calls[:]
+        model.solve_displacement(np.array([E_STEEL]))
+        assert len(banded_calls) == 0
+
+
+class TestSolveChecks:
+    @THREE_PATCH
+    def test_interface_pivots_are_unscaled(self, dims, defect, uniaxial_bcs):
+        """The rank check reads the U diagonal of S(1) as its pivots: with
+        no equilibration they are the squared diagonal of its Cholesky factor."""
+        from femupdate import solver
+
+        model = three_patch_model(dims, defect, uniaxial_bcs)
+        s_unit = model._interface_stiffness(np.ones(3))
+        chol = np.linalg.cholesky(s_unit.toarray())
+        assert_allclose(solver._factor(s_unit).U.diagonal(), np.diag(chol) ** 2, rtol=1e-10)
+
+    @THREE_PATCH
+    def test_equilibrium_check_reads_the_assembled_physics(self, dims, defect, uniaxial_bcs, monkeypatch):
+        """A factorization of a perturbed S(E) solves the condensed system it
+        was given, but the solution is out of equilibrium on K(E)."""
+        from femupdate import solver
+
+        model = three_patch_model(dims, defect, uniaxial_bcs)
+        real = solver.splu
+
+        def perturbed(k, *args, **kwargs):
+            k = k.copy()
+            k.data *= 1.0 + 1e-3
+            return real(k, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "splu", perturbed)
+        with pytest.raises(NumericalError, match="equilibrium residual"):
+            model.solve_displacement(np.array([1.0, 1.2, 0.3]) * E_STEEL)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_moduli_rejected(self, coupon_mesh, single_patch, uniaxial_bcs, bad):
+        three = fu.stamp_defect_patches(
+            fu.partition_longitudinal(coupon_mesh, 2), coupon_mesh, [fu.DefectSpec((40, 5), (60, 15))]
+        )
+        for pmap in (single_patch, three):
+            model = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs)
+            context = cost_context(model)
+            values = np.full(pmap.patch_count, E_STEEL)
+            values[-1] = bad
+            for call in (model.solve_displacement, context.cost_and_grad):
+                with pytest.raises(ValueError, match=rf"finite; patches \[{pmap.patch_count - 1}\]"):
+                    call(values)
