@@ -88,7 +88,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if getattr(args, "out", None):
         config.output_dir = args.out
     if getattr(args, "seed", None) is not None:
-        config.measurement_seed = args.seed
+        config.measurement.rng_seed = args.seed
         config.ga = dataclasses.replace(config.ga, rng_seed=args.seed)
     return config
 
@@ -136,7 +136,7 @@ def cmd_forward(config: RunConfig) -> int:
     truth = config.truth_values(pmap.patch_count)
     with _locked_output(outdir):
         _write_resolved_config(config, outdir)
-        model = ForwardModel(mesh, pmap, config.poisson_ratio, bcs)
+        model = ForwardModel(mesh, pmap, config.material.poisson_ratio, bcs)
         u_flat = model.solve_displacement(truth)
         exx, eyy, exy = model.sample_strains(u_flat)
         u = u_flat.reshape(mesh.n_nodes, mesh.dimension)
@@ -180,10 +180,9 @@ def cmd_synth(config: RunConfig) -> int:
         raise ConfigError("measurement", str(exc)) from None
     with _locked_output(outdir):
         _write_resolved_config(config, outdir)
-        model = ForwardModel(mesh, pmap, config.poisson_ratio, bcs)
-        field = generate_synthetic(
-            model, truth, grid, noise_sigma=config.noise_sigma, rng_seed=config.measurement_seed
-        )
+        model = ForwardModel(mesh, pmap, config.material.poisson_ratio, bcs)
+        meas = config.measurement
+        field = generate_synthetic(model, truth, grid, noise_sigma=meas.noise_sigma, rng_seed=meas.rng_seed)
         atomic_write_text(os.path.join(outdir, "measurement.csv"), measurement_csv_text(field))
     return 0
 
@@ -197,7 +196,7 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
         _write_resolved_config(config, outdir)
         try:
             context = CostContext(
-                mesh, pmap, bcs, config.poisson_ratio, [field], strain_floor=config.strain_floor
+                mesh, pmap, bcs, config.material.poisson_ratio, [field], strain_floor=config.strain_floor
             )
         except OutOfDomainError as exc:
             length, width = mesh.extent[:2]
@@ -205,7 +204,7 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
                 f"measurement grid does not fit the configured geometry: measurement is a "
                 f"{field.grid.describe()}; the model surface covers {length:g} x {width:g} mm; {exc}"
             ) from exc
-        lower, upper = config.bounds(pmap.patch_count)
+        lower, upper = config.moduli_bounds(pmap.patch_count)
         guess = config.initial_guess(pmap.patch_count)
 
         start = time.perf_counter()
@@ -232,7 +231,7 @@ def _build_report(config, context, pmap, guess, final, history, lower, upper, wa
     # (the synthetic pipeline); a plain e_ref is a nominal value, not truth.
     truth = None
     rel_err = None
-    if config.truth_moduli_mpa:
+    if config.material.truth_moduli_mpa:
         truth_values = config.truth_values(pmap.patch_count)
         truth = [float(v) for v in truth_values]
         rel_err = [float(abs(f - t) / abs(t)) for f, t in zip(final, truth_values)]
@@ -276,7 +275,7 @@ def _build_report(config, context, pmap, guess, final, history, lower, upper, wa
         stage_iterations=stage_iters,
         bounds_lo_mpa=[float(v) for v in lower],
         bounds_hi_mpa=[float(v) for v in upper],
-        pinned_patch=config.pin_reference_patch,
+        pinned_patch=config.bounds.pin_reference_patch,
         convergence=convergence,
         files=files,
         wall_time_s=wall,

@@ -1,14 +1,30 @@
 """Run configuration: JSON schema, validation and default resolution.
 
-A run config is one JSON document. Unknown keys are rejected (typo
-safety) and every validation error names the offending field path.
-All fields have defaults except the physical geometry dimensions.
+A run config is one JSON object. Each section is a dataclass below and
+each of its fields is one JSON key; ``load_config`` loads every section
+by the same rule, field by field:
+
+- a missing key takes the field default; a field without one is required;
+- the value is converted to the field type: an ``int`` takes only an
+  integral number, a ``bool`` only true/false, a ``str`` only a string,
+  and no number may be inf or NaN;
+- null is accepted only where the type is ``X | None``, and there it
+  means "not set" (no pinned patch, a grid or margin derived from the
+  geometry);
+- the field's ``check`` (a predicate) or ``parse`` (a converter for a
+  list or an object), kept in the field metadata, runs last;
+- a key that is not a field is rejected (typo safety).
+
+The rules that relate fields to each other run after loading. Every
+error names the offending field path. ``RunConfig.to_dict`` gives back
+the resolved config with all defaults filled in.
 """
 
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -21,189 +37,13 @@ from .solver import BoundaryConditions
 _FACES = ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax")
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run configuration (see ``load_config``)."""
-
-    dimension: int
-    length_mm: float
-    width_mm: float
-    thickness_mm: float
-    nx: int
-    ny: int
-    nz: int
-    n_sections: int
-    defects: list
-    e_ref_mpa: float
-    poisson_ratio: float
-    truth_moduli_mpa: dict
-    u_applied_mm: float
-    fixed_face: str
-    loaded_face: str
-    clamp_fixed_face: bool
-    grid_counts: list | None
-    grid_spacing_mm: list | None
-    grid_margin_mm: float | None
-    noise_sigma: float
-    measurement_seed: int
-    ga: GAConfig
-    grad: GradConfig
-    lo_factor: float
-    hi_factor: float
-    pin_reference_patch: int | None
-    strain_floor: float
-    output_dir: str
-
-    # -- problem assembly -------------------------------------------------
-
-    def build_mesh(self) -> Mesh:
-        nz = self.nz if self.dimension == 3 else None
-        return build_coupon_mesh(self.length_mm, self.width_mm, self.thickness_mm, self.nx, self.ny, nz)
-
-    def build_patch_map(self, mesh: Mesh) -> PatchMap:
-        pmap = partition_longitudinal(mesh, self.n_sections)
-        specs = [DefectSpec(tuple(d["box_min"]), tuple(d["box_max"])) for d in self.defects]
-        return stamp_defect_patches(pmap, mesh, specs)
-
-    def build_bcs(self) -> BoundaryConditions:
-        return BoundaryConditions(
-            self.fixed_face, self.loaded_face, self.u_applied_mm, clamp_fixed=self.clamp_fixed_face
-        )
-
-    def build_grid(self) -> MeasurementGrid:
-        return grid_for_footprint(
-            (self.length_mm, self.width_mm),
-            spacing=self.grid_spacing_mm,
-            counts=self.grid_counts,
-            margin=self.grid_margin_mm,
-        )
-
-    def truth_values(self, patch_count: int) -> np.ndarray:
-        values = np.full(patch_count, self.e_ref_mpa)
-        for idx, modulus in self.truth_moduli_mpa.items():
-            if not (0 <= idx < patch_count):
-                raise ConfigError(
-                    "material.truth_moduli_mpa", f"patch index {idx} out of range [0, {patch_count})"
-                )
-            values[idx] = modulus
-        return values
-
-    def bounds(self, patch_count: int) -> tuple[np.ndarray, np.ndarray]:
-        lower = np.full(patch_count, self.lo_factor * self.e_ref_mpa)
-        upper = np.full(patch_count, self.hi_factor * self.e_ref_mpa)
-        if self.pin_reference_patch is not None:
-            p = self.pin_reference_patch
-            if not (0 <= p < patch_count):
-                raise ConfigError(
-                    "bounds.pin_reference_patch", f"patch index {p} out of range [0, {patch_count})"
-                )
-            lower[p] = upper[p] = self.e_ref_mpa
-        return lower, upper
-
-    def initial_guess(self, patch_count: int) -> np.ndarray:
-        lower, upper = self.bounds(patch_count)
-        return np.clip(np.full(patch_count, self.e_ref_mpa), lower, upper)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "geometry": {
-                "dimension": self.dimension,
-                "length_mm": self.length_mm,
-                "width_mm": self.width_mm,
-                "thickness_mm": self.thickness_mm,
-                "nx": self.nx,
-                "ny": self.ny,
-                "nz": self.nz,
-            },
-            "patches": {"n_sections": self.n_sections, "defects": self.defects},
-            "material": {
-                "e_ref_mpa": self.e_ref_mpa,
-                "poisson_ratio": self.poisson_ratio,
-                "truth_moduli_mpa": {str(k): v for k, v in self.truth_moduli_mpa.items()},
-            },
-            "bcs": {
-                "u_applied_mm": self.u_applied_mm,
-                "fixed_face": self.fixed_face,
-                "loaded_face": self.loaded_face,
-                "clamp_fixed_face": self.clamp_fixed_face,
-            },
-            "measurement": {
-                "grid_counts": self.grid_counts,
-                "grid_spacing_mm": self.grid_spacing_mm,
-                "grid_margin_mm": self.grid_margin_mm,
-                "noise_sigma": self.noise_sigma,
-                "rng_seed": self.measurement_seed,
-            },
-            "ga": dataclasses.asdict(self.ga),
-            "grad": dataclasses.asdict(self.grad),
-            "bounds": {
-                "lo_factor": self.lo_factor,
-                "hi_factor": self.hi_factor,
-                "pin_reference_patch": self.pin_reference_patch,
-            },
-            "strain_floor": self.strain_floor,
-            "output_dir": self.output_dir,
-        }
-
-
-class _Section:
-    """One config subsection: pops known keys, rejects unknown ones."""
-
-    def __init__(self, path: str, data: dict):
-        if not isinstance(data, dict):
-            raise ConfigError(path, f"expected an object, got {type(data).__name__}")
-        self.path = path
-        self.data = dict(data)
-
-    def take(self, key, default=..., kind=None, check=None, required_msg=None):
-        path = f"{self.path}.{key}" if self.path else key
-        if key not in self.data:
-            if default is ...:
-                raise ConfigError(path, required_msg or "required field is missing")
-            return default
-        value = self.data.pop(key)
-        # Non-finite values skip conversion (int(inf) would overflow) and are rejected below.
-        if kind is not None and value is not None and _all_finite(value):
-            try:
-                if kind is bool:
-                    if not isinstance(value, bool):
-                        raise TypeError
-                elif isinstance(value, bool):
-                    raise TypeError
-                else:
-                    value = kind(value)
-            except (TypeError, ValueError):
-                raise ConfigError(path, f"expected {kind.__name__}, got {value!r}") from None
-        if not _all_finite(value):
-            raise ConfigError(path, f"must be finite, got {value!r}")
-        if check is not None and value is not None:
-            ok, msg = check(value)
-            if not ok:
-                raise ConfigError(path, f"{msg}, got {value!r}")
-        return value
-
-    def subsection(self, key) -> "_Section":
-        path = f"{self.path}.{key}" if self.path else key
-        return _Section(path, self.data.pop(key, {}))
-
-    def finish(self):
-        if self.data:
-            key = sorted(self.data)[0]
-            path = f"{self.path}.{key}" if self.path else key
-            raise ConfigError(path, "unknown key")
-
-
-def _all_finite(value) -> bool:
-    """False if a float anywhere in ``value`` (lists and objects included) is inf or NaN."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, list):
-        return all(_all_finite(v) for v in value)
-    if isinstance(value, dict):
-        return all(_all_finite(v) for v in value.values())
-    return True
+def _field(default=MISSING, *, factory=MISSING, check=None, parse=None):
+    """A config field. ``check(value) -> (ok, message)`` validates a
+    converted value; ``parse(value, path)`` converts a list or an object
+    and raises ConfigError itself."""
+    return dataclasses.field(
+        default=default, default_factory=factory, metadata={"check": check, "parse": parse}
+    )
 
 
 def _positive(v):
@@ -222,20 +62,246 @@ def _face(v):
     return v in _FACES, f"must be one of {_FACES}"
 
 
-def _dataclass_section(top: _Section, key: str, cls):
-    """Build ``cls`` from the ``key`` section: one optional key per field,
-    converted to the field's type; missing keys keep the field default."""
-    sec = top.subsection(key)
+def _pair(kind):
+    def parse(pair, path):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(path, "expected a pair [x, y]")
+        try:
+            pair = [kind(v) for v in pair]
+        except (TypeError, ValueError):
+            raise ConfigError(path, f"expected {kind.__name__} values") from None
+        if not all(0 < v < math.inf for v in pair):
+            raise ConfigError(path, "values must be positive and finite")
+        return pair
+
+    return parse
+
+
+def _truth_map(raw, path):
+    if not isinstance(raw, dict):
+        raise ConfigError(path, "expected an object mapping patch index to MPa")
+    truth = {}
+    for k, v in raw.items():
+        try:
+            idx, modulus = int(k), float(v)
+        except (TypeError, ValueError):
+            raise ConfigError(path, f"bad entry {k!r}: {v!r} (want integer key, number value)") from None
+        if not 0 < modulus < math.inf:
+            raise ConfigError(path, f"modulus for patch {idx} must be positive and finite")
+        truth[idx] = modulus
+    return truth
+
+
+def _defect_boxes(raw, path):
+    if not isinstance(raw, list):
+        raise ConfigError(path, "expected a list of boxes")
+    return [_load(DefectBox, f"{path}[{i}]", d) for i, d in enumerate(raw)]
+
+
+@dataclass(kw_only=True)
+class GeometryConfig:
+    dimension: int = _field(2, check=lambda v: (v in (2, 3), "must be 2 or 3"))
+    length_mm: float = _field(check=_positive)
+    width_mm: float = _field(check=_positive)
+    thickness_mm: float = _field(check=_positive)
+    nx: int = _field(40, check=_at_least_one)
+    ny: int = _field(10, check=_at_least_one)
+    nz: int = _field(4, check=_at_least_one)
+
+
+@dataclass(kw_only=True)
+class DefectBox:
+    """Corners of one defect box; ``load_config`` checks them against the dimension."""
+
+    box_min: list
+    box_max: list
+
+
+@dataclass(kw_only=True)
+class PatchesConfig:
+    n_sections: int = _field(9, check=_at_least_one)
+    defects: list = _field(factory=list, parse=_defect_boxes)
+
+
+@dataclass(kw_only=True)
+class MaterialConfig:
+    e_ref_mpa: float = _field(200000.0, check=_positive)
+    poisson_ratio: float = _field(0.3, check=lambda v: (0 <= v < 0.5, "must satisfy 0 <= nu < 0.5"))
+    truth_moduli_mpa: dict = _field(factory=dict, parse=_truth_map)
+
+
+@dataclass(kw_only=True)
+class BcsConfig:
+    u_applied_mm: float = 0.1
+    fixed_face: str = _field("xmin", check=_face)
+    loaded_face: str = _field("xmax", check=_face)
+    clamp_fixed_face: bool = False
+
+
+@dataclass(kw_only=True)
+class MeasurementConfig:
+    grid_counts: list | None = _field(None, parse=_pair(int))
+    grid_spacing_mm: list | None = _field(None, parse=_pair(float))
+    grid_margin_mm: float | None = _field(None, check=_positive)
+    noise_sigma: float = _field(0.0, check=_non_negative)
+    rng_seed: int = 12345
+
+
+@dataclass(kw_only=True)
+class BoundsConfig:
+    lo_factor: float = _field(0.01, check=_positive)
+    hi_factor: float = _field(3.0, check=_positive)
+    pin_reference_patch: int | None = 0
+
+
+@dataclass(kw_only=True)
+class RunConfig:
+    """Fully resolved run configuration (see ``load_config``)."""
+
+    geometry: GeometryConfig
+    patches: PatchesConfig
+    material: MaterialConfig
+    bcs: BcsConfig
+    measurement: MeasurementConfig
+    ga: GAConfig
+    grad: GradConfig
+    bounds: BoundsConfig
+    strain_floor: float = _field(1e-6, check=_positive)
+    output_dir: str = "out"
+
+    # -- problem assembly -------------------------------------------------
+
+    def build_mesh(self) -> Mesh:
+        g = self.geometry
+        nz = g.nz if g.dimension == 3 else None
+        return build_coupon_mesh(g.length_mm, g.width_mm, g.thickness_mm, g.nx, g.ny, nz)
+
+    def build_patch_map(self, mesh: Mesh) -> PatchMap:
+        pmap = partition_longitudinal(mesh, self.patches.n_sections)
+        specs = [DefectSpec(tuple(d.box_min), tuple(d.box_max)) for d in self.patches.defects]
+        return stamp_defect_patches(pmap, mesh, specs)
+
+    def build_bcs(self) -> BoundaryConditions:
+        b = self.bcs
+        return BoundaryConditions(b.fixed_face, b.loaded_face, b.u_applied_mm, clamp_fixed=b.clamp_fixed_face)
+
+    def build_grid(self) -> MeasurementGrid:
+        m = self.measurement
+        return grid_for_footprint(
+            (self.geometry.length_mm, self.geometry.width_mm),
+            spacing=m.grid_spacing_mm,
+            counts=m.grid_counts,
+            margin=m.grid_margin_mm,
+        )
+
+    def truth_values(self, patch_count: int) -> np.ndarray:
+        values = np.full(patch_count, self.material.e_ref_mpa)
+        for idx, modulus in self.material.truth_moduli_mpa.items():
+            if not (0 <= idx < patch_count):
+                raise ConfigError(
+                    "material.truth_moduli_mpa", f"patch index {idx} out of range [0, {patch_count})"
+                )
+            values[idx] = modulus
+        return values
+
+    def moduli_bounds(self, patch_count: int) -> tuple[np.ndarray, np.ndarray]:
+        e_ref = self.material.e_ref_mpa
+        lower = np.full(patch_count, self.bounds.lo_factor * e_ref)
+        upper = np.full(patch_count, self.bounds.hi_factor * e_ref)
+        p = self.bounds.pin_reference_patch
+        if p is not None:
+            if not (0 <= p < patch_count):
+                raise ConfigError(
+                    "bounds.pin_reference_patch", f"patch index {p} out of range [0, {patch_count})"
+                )
+            lower[p] = upper[p] = e_ref
+        return lower, upper
+
+    def initial_guess(self, patch_count: int) -> np.ndarray:
+        lower, upper = self.moduli_bounds(patch_count)
+        return np.clip(np.full(patch_count, self.material.e_ref_mpa), lower, upper)
+
+    # -- serialization -----------------------------------------------------
+
+    def to_dict(self) -> dict:
+        d = dataclasses.asdict(self)
+        # JSON object keys are strings. Converting here also fixes the order
+        # of the written file: sort_keys puts ints 9, 10 but strings "10", "9".
+        material = d["material"]
+        material["truth_moduli_mpa"] = {str(k): v for k, v in material["truth_moduli_mpa"].items()}
+        return d
+
+
+def _all_finite(value) -> bool:
+    """False if a float anywhere in ``value`` (lists and objects included) is inf or NaN."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    return True
+
+
+def _convert(path: str, kind: type, value):
+    """``kind(value)`` for a JSON scalar: a bool only from true/false, a str
+    only from a string, an int only from an integral number."""
+    if kind is bool or kind is str:
+        ok = isinstance(value, kind)
+    else:
+        ok = not isinstance(value, bool) and not (
+            kind is int and isinstance(value, float) and not value.is_integer()
+        )
+    if ok:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(path, f"expected {kind.__name__}, got {value!r}")
+
+
+def _value(path: str, field: dataclasses.Field, value):
+    kinds = typing.get_args(field.type) or (field.type,)
+    if value is None:
+        if type(None) in kinds:
+            return None
+        raise ConfigError(path, f"expected {kinds[0].__name__}, got None")
+    # Non-finite values skip conversion (int(inf) would overflow) and are rejected below.
+    if kinds[0] in (int, float, bool, str) and _all_finite(value):
+        value = _convert(path, kinds[0], value)
+    if not _all_finite(value):
+        raise ConfigError(path, f"must be finite, got {value!r}")
+    check, parse = field.metadata.get("check"), field.metadata.get("parse")
+    if check is not None:
+        ok, msg = check(value)
+        if not ok:
+            raise ConfigError(path, f"{msg}, got {value!r}")
+    return parse(value, path) if parse is not None else value
+
+
+def _load(cls, path: str, data):
+    """Build the dataclass ``cls`` from the JSON object ``data`` found at
+    ``path``, by the rule in the module docstring; a dataclass-typed field
+    is loaded from its own section, which may be left out."""
+    if not isinstance(data, dict):
+        raise ConfigError(path, f"expected an object, got {type(data).__name__}")
+    data = dict(data)
     kwargs = {}
     for f in dataclasses.fields(cls):
-        value = sec.take(f.name, None, f.type)
-        if value is not None:
-            kwargs[f.name] = value
-    sec.finish()
+        where = f"{path}.{f.name}" if path else f.name
+        if dataclasses.is_dataclass(f.type):
+            kwargs[f.name] = _load(f.type, where, data.pop(f.name, {}))
+        elif f.name in data:
+            kwargs[f.name] = _value(where, f, data.pop(f.name))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(where, "required field is missing")
+    if data:
+        key = min(data)
+        raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(key, str(exc)) from None
+        raise ConfigError(path, str(exc)) from None
 
 
 def load_config(source) -> RunConfig:
@@ -257,142 +323,27 @@ def load_config(source) -> RunConfig:
             raise ConfigError(str(source), f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("", "top-level config must be a JSON object")
+    config = _load(RunConfig, "", raw)
 
-    top = _Section("", raw)
-    geo = top.subsection("geometry")
-    dimension = geo.take("dimension", 2, int, lambda v: (v in (2, 3), "must be 2 or 3"))
-    length = geo.take("length_mm", ..., float, _positive)
-    width = geo.take("width_mm", ..., float, _positive)
-    thickness = geo.take("thickness_mm", ..., float, _positive)
-    nx = geo.take("nx", 40, int, _at_least_one)
-    ny = geo.take("ny", 10, int, _at_least_one)
-    nz = geo.take("nz", 4, int, _at_least_one)
-    geo.finish()
-
-    patches = top.subsection("patches")
-    n_sections = patches.take("n_sections", 9, int, _at_least_one)
-    defects_raw = patches.take("defects", [])
-    patches.finish()
-    if not isinstance(defects_raw, list):
-        raise ConfigError("patches.defects", "expected a list of boxes")
-    defects = []
-    for i, d in enumerate(defects_raw):
-        sec = _Section(f"patches.defects[{i}]", d)
-        box_min = sec.take("box_min", ...)
-        box_max = sec.take("box_max", ...)
-        sec.finish()
-        for name, box in (("box_min", box_min), ("box_max", box_max)):
-            if not isinstance(box, list) or len(box) != dimension:
-                raise ConfigError(
-                    f"patches.defects[{i}].{name}", f"expected {dimension} coordinates"
-                )
+    geo, meas, bounds = config.geometry, config.measurement, config.bounds
+    for i, box in enumerate(config.patches.defects):
+        for name in ("box_min", "box_max"):
+            corner = getattr(box, name)
+            if not isinstance(corner, list) or len(corner) != geo.dimension:
+                raise ConfigError(f"patches.defects[{i}].{name}", f"expected {geo.dimension} coordinates")
         try:
-            DefectSpec(tuple(box_min), tuple(box_max))
-        except ValueError as exc:
+            spec = DefectSpec(tuple(box.box_min), tuple(box.box_max))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"patches.defects[{i}]", str(exc)) from None
-        defects.append({"box_min": [float(v) for v in box_min], "box_max": [float(v) for v in box_max]})
-
-    mat = top.subsection("material")
-    e_ref = mat.take("e_ref_mpa", 200000.0, float, _positive)
-    nu = mat.take("poisson_ratio", 0.3, float, lambda v: (0 <= v < 0.5, "must satisfy 0 <= nu < 0.5"))
-    truth_raw = mat.take("truth_moduli_mpa", {})
-    mat.finish()
-    if truth_raw is None:
-        truth_raw = {}
-    if not isinstance(truth_raw, dict):
-        raise ConfigError("material.truth_moduli_mpa", "expected an object mapping patch index to MPa")
-    truth = {}
-    for k, v in truth_raw.items():
-        try:
-            idx = int(k)
-            modulus = float(v)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "material.truth_moduli_mpa", f"bad entry {k!r}: {v!r} (want integer key, number value)"
-            ) from None
-        if not 0 < modulus < math.inf:
-            raise ConfigError(
-                "material.truth_moduli_mpa", f"modulus for patch {idx} must be positive and finite"
-            )
-        truth[idx] = modulus
-
-    bcs = top.subsection("bcs")
-    u_applied = bcs.take("u_applied_mm", 0.1, float)
-    fixed_face = bcs.take("fixed_face", "xmin", str, _face)
-    loaded_face = bcs.take("loaded_face", "xmax", str, _face)
-    clamp = bcs.take("clamp_fixed_face", False, bool)
-    bcs.finish()
-
-    meas = top.subsection("measurement")
-    grid_counts = meas.take("grid_counts", None)
-    grid_spacing = meas.take("grid_spacing_mm", None)
-    grid_margin = meas.take("grid_margin_mm", None, float, _positive)
-    noise_sigma = meas.take("noise_sigma", 0.0, float, _non_negative)
-    meas_seed = meas.take("rng_seed", 12345, int)
-    meas.finish()
-    for name, pair, kind in (("grid_counts", grid_counts, int), ("grid_spacing_mm", grid_spacing, float)):
-        if pair is None:
-            continue
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"measurement.{name}", "expected a pair [x, y]")
-        try:
-            pair[:] = [kind(v) for v in pair]
-        except (TypeError, ValueError):
-            raise ConfigError(f"measurement.{name}", f"expected {kind.__name__} values") from None
-        if not all(0 < v < math.inf for v in pair):
-            raise ConfigError(f"measurement.{name}", "values must be positive and finite")
-    if grid_counts is None and grid_spacing is None:
-        grid_spacing = [length / nx, width / ny]  # default: one element per grid step
-    if grid_counts is not None and grid_spacing is not None:
+        box.box_min, box.box_max = list(spec.box_min), list(spec.box_max)
+    if meas.grid_counts is None and meas.grid_spacing_mm is None:
+        meas.grid_spacing_mm = [geo.length_mm / geo.nx, geo.width_mm / geo.ny]  # one element per grid step
+    if meas.grid_counts is not None and meas.grid_spacing_mm is not None:
         raise ConfigError("measurement", "give only one of grid_counts and grid_spacing_mm")
-
-    ga = _dataclass_section(top, "ga", GAConfig)
-    grad = _dataclass_section(top, "grad", GradConfig)
-
-    bounds_sec = top.subsection("bounds")
-    lo_factor = bounds_sec.take("lo_factor", 0.01, float, _positive)
-    hi_factor = bounds_sec.take("hi_factor", 3.0, float, _positive)
-    pin = bounds_sec.take("pin_reference_patch", 0, int)
-    bounds_sec.finish()
-    if lo_factor > hi_factor:
-        raise ConfigError("bounds", f"lo_factor {lo_factor} exceeds hi_factor {hi_factor}")
-    if not (lo_factor <= 1.0 <= hi_factor):
+    if bounds.lo_factor > bounds.hi_factor:
+        raise ConfigError("bounds", f"lo_factor {bounds.lo_factor} exceeds hi_factor {bounds.hi_factor}")
+    if not (bounds.lo_factor <= 1.0 <= bounds.hi_factor):
         raise ConfigError("bounds", "bounds must bracket e_ref (lo_factor <= 1 <= hi_factor)")
-
-    strain_floor = top.take("strain_floor", 1e-6, float, _positive)
-    output_dir = top.take("output_dir", "out", str)
-    top.finish()
-
-    if dimension == 2 and n_sections > nx:
-        raise ConfigError("patches.n_sections", f"must be <= nx ({nx}) so every section owns elements")
-
-    return RunConfig(
-        dimension=dimension,
-        length_mm=length,
-        width_mm=width,
-        thickness_mm=thickness,
-        nx=nx,
-        ny=ny,
-        nz=nz,
-        n_sections=n_sections,
-        defects=defects,
-        e_ref_mpa=e_ref,
-        poisson_ratio=nu,
-        truth_moduli_mpa=truth,
-        u_applied_mm=u_applied,
-        fixed_face=fixed_face,
-        loaded_face=loaded_face,
-        clamp_fixed_face=clamp,
-        grid_counts=grid_counts,
-        grid_spacing_mm=grid_spacing,
-        grid_margin_mm=grid_margin,
-        noise_sigma=noise_sigma,
-        measurement_seed=meas_seed,
-        ga=ga,
-        grad=grad,
-        lo_factor=lo_factor,
-        hi_factor=hi_factor,
-        pin_reference_patch=pin,
-        strain_floor=strain_floor,
-        output_dir=output_dir,
-    )
+    if geo.dimension == 2 and config.patches.n_sections > geo.nx:
+        raise ConfigError("patches.n_sections", f"must be <= nx ({geo.nx}) so every section owns elements")
+    return config

@@ -233,8 +233,8 @@ def load_measurement_csv(path) -> ExperimentalField:
     """Parse a measurement CSV, validating the regular-grid structure.
 
     Points must form the declared row-major regular grid to 1e-9 mm;
-    malformed rows, non-finite strains and grid irregularities raise
-    ParseError with the offending line number.
+    malformed rows, non-finite strains, invalid metadata and grid
+    irregularities raise ParseError with the offending line number.
     """
     meta = {"load_step": 0, "noise_sigma": 0.0, "rng_seed": None}
     rows = []
@@ -296,6 +296,8 @@ def _parse_meta(line: str, lineno: int, meta: dict) -> None:
             meta["rng_seed"] = None if value.lower() == "none" else int(value)
     except ValueError:
         raise ParseError(lineno, f"bad metadata value for {key}: {value!r}") from None
+    if key == "noise_sigma" and not 0 <= meta["noise_sigma"] < math.inf:
+        raise ParseError(lineno, f"noise_sigma must be finite and >= 0, got {value!r}")
 
 
 def _check_header(line: str, lineno: int) -> None:

@@ -107,9 +107,9 @@ def context_from(cfg_dict, measurement_path):
     pmap = config.build_patch_map(mesh)
     bcs = config.build_bcs()
     field = fu.load_measurement_csv(measurement_path)
-    context = fu.CostContext(mesh, pmap, bcs, config.poisson_ratio, [field],
+    context = fu.CostContext(mesh, pmap, bcs, config.material.poisson_ratio, [field],
                              strain_floor=config.strain_floor)
-    lower, upper = config.bounds(pmap.patch_count)
+    lower, upper = config.moduli_bounds(pmap.patch_count)
     return config, context, lower, upper
 
 

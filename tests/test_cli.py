@@ -1,17 +1,23 @@
 """Config loading, subcommands, file formats and the exit-code contract."""
 
+import copy
 import fcntl
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import femupdate.cli as cli
 from femupdate.config import load_config
 from femupdate.errors import ConfigError
+from test_acceptance import coupon_config_2d, coupon_config_3d
 
 
 def base_config(out, **overrides):
@@ -37,8 +43,8 @@ def write_config(tmp_path, cfg, name="config.json"):
 class TestLoadConfig:
     def test_defaults_materialized(self, tmp_path):
         cfg = load_config({"geometry": {"length_mm": 10, "width_mm": 5, "thickness_mm": 1}})
-        assert cfg.n_sections == 9
-        assert cfg.e_ref_mpa == 200000.0
+        assert cfg.patches.n_sections == 9
+        assert cfg.material.e_ref_mpa == 200000.0
         assert cfg.ga.population_size == 40
         resolved = cfg.to_dict()
         assert resolved["bounds"]["pin_reference_patch"] == 0
@@ -106,19 +112,19 @@ class TestLoadConfig:
         )
         values = cfg.truth_values(5)
         assert values[2] == 1000.0
-        assert values[0] == cfg.e_ref_mpa
+        assert values[0] == cfg.material.e_ref_mpa
 
     def test_pinned_bounds(self):
         cfg = load_config({"geometry": {"length_mm": 1, "width_mm": 1, "thickness_mm": 1}})
-        lower, upper = cfg.bounds(4)
-        assert lower[0] == upper[0] == cfg.e_ref_mpa
-        assert lower[1] == 0.01 * cfg.e_ref_mpa
+        lower, upper = cfg.moduli_bounds(4)
+        assert lower[0] == upper[0] == cfg.material.e_ref_mpa
+        assert lower[1] == 0.01 * cfg.material.e_ref_mpa
 
     def test_default_grid_spacing_follows_mesh(self):
         cfg = load_config({"geometry": {"length_mm": 50, "width_mm": 10, "thickness_mm": 1, "nx": 5, "ny": 2},
                            "patches": {"n_sections": 2}})
-        assert cfg.grid_counts is None
-        assert cfg.grid_spacing_mm == [10.0, 5.0]  # one element per grid step
+        assert cfg.measurement.grid_counts is None
+        assert cfg.measurement.grid_spacing_mm == [10.0, 5.0]  # one element per grid step
         grid = cfg.build_grid()
         assert grid.spacing == (10.0, 5.0)
 
@@ -129,8 +135,99 @@ class TestLoadConfig:
                 "bounds": {"pin_reference_patch": None},
             }
         )
-        lower, upper = cfg.bounds(4)
-        assert lower[0] == 0.01 * cfg.e_ref_mpa and upper[0] == 3.0 * cfg.e_ref_mpa
+        lower, upper = cfg.moduli_bounds(4)
+        assert lower[0] == 0.01 * cfg.material.e_ref_mpa and upper[0] == 3.0 * cfg.material.e_ref_mpa
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("geometry", "nx", None),
+            ("geometry", "nx", 3.7),
+            ("bcs", "fixed_face", None),
+            ("bcs", "clamp_fixed_face", None),
+            ("material", "truth_moduli_mpa", None),
+            ("measurement", "rng_seed", 3.7),
+            ("ga", "population_size", None),
+            (None, "strain_floor", None),
+            (None, "output_dir", [1]),
+        ],
+    )
+    def test_wrong_type_exit_2_names_field(self, tmp_path, monkeypatch, capsys, section, key, value):
+        monkeypatch.chdir(tmp_path)  # a mis-resolved output_dir lands here
+        cfg = base_config(tmp_path / "x")
+        if section is None:
+            cfg[key] = value
+        else:
+            cfg[section] = dict(cfg.get(section, {}), **{key: value})
+        assert cli.main(["synth", "--config", write_config(tmp_path, cfg)]) == 2
+        field = key if section is None else f"{section}.{key}"
+        assert f"config error: {field}: expected" in capsys.readouterr().err
+
+
+# One value of each JSON kind, plus the non-finite and boundary numbers.
+FUZZ_VALUES = [None, "x", math.inf, math.nan, -1, 0, 3.7, [], {}, True]
+FUZZ_BASES = [base_config("out"), coupon_config_3d("out")]
+
+
+def _json_paths(node, prefix=()):
+    """Key paths of every value under ``node``, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _json_paths(value, prefix + (key,))
+        yield prefix + (key,)
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_loads_or_raises_config_error(data):
+    """One leaf replaced, or one key added: the config either loads and its
+    resolved form loads back to itself, or it raises ConfigError."""
+    cfg = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
+    if data.draw(st.booleans()):
+        cfg = load_config(cfg).to_dict()  # every key present
+    value = data.draw(st.sampled_from(FUZZ_VALUES))
+    paths = list(_json_paths(cfg))
+    if data.draw(st.booleans()):
+        path = data.draw(st.sampled_from(paths))
+        _at(cfg, path[:-1])[path[-1]] = value
+    else:
+        objects = [()] + [p for p in paths if isinstance(_at(cfg, p), dict)]
+        _at(cfg, data.draw(st.sampled_from(objects)))["fuzz_key"] = value
+    try:
+        resolved = load_config(cfg).to_dict()
+    except ConfigError:
+        return
+    assert load_config(copy.deepcopy(resolved)).to_dict() == resolved
+
+
+# sha256 of resolved_config.json as `femupdate synth` writes it with the
+# output_dir "out": the resolved-config format is part of the
+# reproducibility contract, so any change to it must be deliberate.
+RESOLVED_CONFIG_SHA256 = {
+    "coupon2d": "8efd4ac564e31767b57b176a6bd382fb4eb64429b44777a2f5e3d295a4ebd777",
+    "coupon3d": "381ad84d935ee41704a0b7dd16a04334636c2315f05157efebe923befaa0217a",
+    "minimal": "441e7c81e9d9948ceb73e84af76f69dac051bbc427463adb55ed870e4aa98de2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVED_CONFIG_SHA256))
+def test_resolved_config_bytes_pinned(tmp_path, monkeypatch, name):
+    cfg = {
+        "coupon2d": coupon_config_2d("out"),
+        "coupon3d": coupon_config_3d("out"),
+        "minimal": {"geometry": {"length_mm": 10, "width_mm": 5, "thickness_mm": 1}},
+    }[name]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--config", write_config(tmp_path, cfg)]) == 0
+    data = (tmp_path / "out" / "resolved_config.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == RESOLVED_CONFIG_SHA256[name]
 
 
 class TestCmdSynthAndForward:
@@ -356,6 +453,21 @@ class TestCmdInvert:
             ["invert", "--config", cfg_path, "--measurement", str(truncated), "--out", str(tmp_path / "i")]
         ) == 3
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["-1", "nan"])
+    def test_invalid_noise_metadata_exit_3(self, tmp_path, capsys, sigma):
+        out = tmp_path / "t"
+        cfg_path = write_config(tmp_path, base_config(out))
+        assert cli.main(["synth", "--config", cfg_path]) == 0
+        text = (out / "measurement.csv").read_text().splitlines()
+        lineno = next(i for i, line in enumerate(text, 1) if line.startswith("# noise_sigma="))
+        text[lineno - 1] = f"# noise_sigma={sigma}"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(text) + "\n")
+        assert cli.main(
+            ["invert", "--config", cfg_path, "--measurement", str(bad), "--out", str(tmp_path / "i")]
+        ) == 3
+        assert f"line {lineno}: noise_sigma" in capsys.readouterr().err
 
     def test_grid_geometry_mismatch_exit_3(self, tmp_path, capsys):
         big = base_config(tmp_path / "big", geometry={"length_mm": 200.0, "width_mm": 40.0, "thickness_mm": 2.0, "nx": 10, "ny": 4})

@@ -255,6 +255,14 @@ class TestMeasurementCsv:
         with pytest.raises(ParseError, match="no data rows"):
             fu.load_measurement_csv(path)
 
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "-inf"])
+    def test_invalid_noise_sigma_line_number(self, tmp_path, sigma):
+        path = tmp_path / "m.csv"
+        path.write_text(f"# load_step=0\n# noise_sigma={sigma}\nx_mm,y_mm,exx,eyy,exy\n1,1,0,0,0\n")
+        with pytest.raises(ParseError, match="line 2: noise_sigma must be finite and >= 0") as exc:
+            fu.load_measurement_csv(path)
+        assert exc.value.line_number == 2
+
 
 class TestInverseCrimeZero:
     def test_noiseless_cost_against_same_truth_is_zero(self):
