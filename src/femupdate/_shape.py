@@ -107,7 +107,8 @@ def strain_displacement(coords: np.ndarray, point: np.ndarray, element_ids=None)
     """
     dnp = shape_gradients(point)
     jac = np.einsum("enx,na->exa", coords, dnp)  # J[e, x, a] = dx/dxi_a
-    detj = np.linalg.det(jac)
+    with np.errstate(invalid="ignore"):  # NaN coordinates fail the check below
+        detj = np.linalg.det(jac)
     bad = np.flatnonzero(~(detj > 0.0))
     if bad.size:
         i = bad[0]

@@ -192,6 +192,10 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
     outdir = config.output_dir
     field = load_measurement_csv(measurement_path)
     mesh, pmap, bcs = _build_problem(config)
+    # The patch indices of the config are range-checked before the output directory is touched.
+    config.truth_values(pmap.patch_count)
+    lower, upper = config.moduli_bounds(pmap.patch_count)
+    guess = config.initial_guess(pmap.patch_count)
     with _locked_output(outdir):
         _write_resolved_config(config, outdir)
         try:
@@ -204,8 +208,6 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
                 f"measurement grid does not fit the configured geometry: measurement is a "
                 f"{field.grid.describe()}; the model surface covers {length:g} x {width:g} mm; {exc}"
             ) from exc
-        lower, upper = config.moduli_bounds(pmap.patch_count)
-        guess = config.initial_guess(pmap.patch_count)
 
         start = time.perf_counter()
         final, history = run_hybrid(context, lower, upper, config.ga, config.grad, guess)

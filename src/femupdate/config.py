@@ -5,9 +5,10 @@ each of its fields is one JSON key; ``load_config`` loads every section
 by the same rule, field by field:
 
 - a missing key takes the field default; a field without one is required;
-- the value is converted to the field type: an ``int`` takes only an
-  integral number, a ``bool`` only true/false, a ``str`` only a string,
-  and no number may be inf or NaN;
+- the value is converted to the field type: a number field takes only a
+  number, an ``int`` only an integral one, a ``bool`` only true/false, a
+  ``str`` only a string, and no number may be inf or NaN; the elements
+  of a pair and the moduli of the truth map follow the same rule;
 - null is accepted only where the type is ``X | None``, and there it
   means "not set" (no pinned patch, a grid or margin derived from the
   geometry);
@@ -66,10 +67,7 @@ def _pair(kind):
     def parse(pair, path):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(path, "expected a pair [x, y]")
-        try:
-            pair = [kind(v) for v in pair]
-        except (TypeError, ValueError):
-            raise ConfigError(path, f"expected {kind.__name__} values") from None
+        pair = [_convert(path, kind, v) for v in pair]
         if not all(0 < v < math.inf for v in pair):
             raise ConfigError(path, "values must be positive and finite")
         return pair
@@ -83,9 +81,10 @@ def _truth_map(raw, path):
     truth = {}
     for k, v in raw.items():
         try:
-            idx, modulus = int(k), float(v)
+            idx = int(k)
         except (TypeError, ValueError):
-            raise ConfigError(path, f"bad entry {k!r}: {v!r} (want integer key, number value)") from None
+            raise ConfigError(path, f"bad key {k!r} (want an integer patch index)") from None
+        modulus = _convert(path, float, v)
         if not 0 < modulus < math.inf:
             raise ConfigError(path, f"modulus for patch {idx} must be positive and finite")
         truth[idx] = modulus
@@ -245,17 +244,18 @@ def _all_finite(value) -> bool:
 
 def _convert(path: str, kind: type, value):
     """``kind(value)`` for a JSON scalar: a bool only from true/false, a str
-    only from a string, an int only from an integral number."""
+    only from a string, a number only from a number (not a bool or a string
+    that spells one) and an int only from an integral number."""
     if kind is bool or kind is str:
         ok = isinstance(value, kind)
     else:
-        ok = not isinstance(value, bool) and not (
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and not (
             kind is int and isinstance(value, float) and not value.is_integer()
         )
     if ok:
         try:
             return kind(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise ConfigError(path, f"expected {kind.__name__}, got {value!r}")
 

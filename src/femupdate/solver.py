@@ -3,13 +3,14 @@
 Isoparametric QUAD4 (plane stress) and HEX8 elements with full Gauss
 integration, displacement-controlled boundary conditions applied by
 elimination, and strain sampling at surface Gauss points. ``ForwardModel``
-is the one forward path: it assembles the free-free stiffness per patch
-once and solves K(E) = sum_k E_k A_k by static condensation onto the patch
-interfaces. The interior of each patch scales with its one modulus, so the
-interior blocks are factored, and the prescribed-displacement load
-condensed, once per model; a solve factors only the Schur complement on
-the interface dofs, S(E) = sum_k E_k S_k, without pivoting (K(E) and S(E)
-are symmetric positive definite for positive moduli), and recovers the
+is the one forward path: it assembles the unit-modulus stiffness of each
+patch once, all patches in one sparse matrix, and solves
+K(E) = sum_k E_k A_k by static condensation onto the patch interfaces.
+The interior of each patch scales with its one modulus, so the interior
+blocks are factored, and the prescribed-displacement load condensed, once
+per model; a solve factors only the Schur complement on the interface
+dofs, S(E) = sum_k E_k S_k, without pivoting (K(E) and S(E) are
+symmetric positive definite for positive moduli), and recovers the
 interior with one banded solve. K(E) is never assembled per solve: the
 equilibrium check and the adjoint gradient use the per-patch products
 A_k u. Surface strain sampling is one sparse matrix from displacements
@@ -224,9 +225,13 @@ class ForwardModel:
     """The forward operator: patch moduli to displacements and surface strains.
 
     K(E) = sum_k E_k A_k is linear in the patch moduli, so construction
-    assembles the A_k once, stacked into one sparse matrix, with the
-    matching per-patch right-hand sides R of the prescribed displacements
-    (the load is -R E).
+    assembles the A_k once, from the unit-modulus element stiffnesses, into
+    one sparse matrix: its rows are (patch k, free dof), its columns the
+    free dofs in ``free_dofs`` order, then the prescribed dofs. Its free
+    columns are the stacked [A_1; ...; A_P], the one form of the A_k that
+    the condensation and every solve read. Its prescribed columns times the
+    prescribed values give the per-patch right-hand sides R (the load is
+    -R E).
 
     Every solve is a static condensation onto the patch interfaces. A node
     is interior to patch k when all its elements lie in patch k; the free
@@ -238,12 +243,14 @@ class ForwardModel:
     (a breadth-first order from G, reversed) so that the rows coupled to G
     come last, then G in reverse Cuthill-McKee order. Construction factors
     the unit-modulus interior blocks D = K(1)[I, I] once (one banded
-    Cholesky) and condenses each patch onto G:
-    S_k = A_k[G, G] - A_k[G, I_k] A_k[I_k, I_k]^-1 A_k[I_k, G], which needs
+    Cholesky) and condenses each patch onto the interface dofs g its
+    elements touch, those with a nonzero diagonal in A_k:
+    S_k = A_k[g, g] - A_k[g, I_k] A_k[I_k, I_k]^-1 A_k[I_k, g], which needs
     only the trailing rows of the factor. The Schur complement is then
-    S(E) = sum_k E_k S_k, kept as slot weights. An interior row of R is
-    nonzero only in the column of its own patch, so the condensed load is
-    linear in E too: with B = K(1)[G, I] and Z = D^-1 R_I, factored once,
+    S(E) = sum_k E_k S_k, kept as weights over the slots of its pattern,
+    the union of the blocks g x g. An interior row of R is nonzero only in
+    the column of its own patch, so the condensed load is linear in E too:
+    with B = K(1)[G, I] and Z = D^-1 R_I, factored once,
     the interface load is (B Z - R_G) E and the interior load alone gives
     z0 = -Z 1, whatever the moduli. A solve fills and factors S(E)
     (``splu`` with the natural order and no pivoting; S(E) is symmetric
@@ -290,74 +297,54 @@ class ForwardModel:
         self._n_dofs = n_dofs
         self._free, self._interior_patch, touching = _condensed_free_dofs(mesh, patch_map, self._dofs)
         edofs = _element_dofs(mesh)
-        fe, weights, rows, cols = self._build_patch_weights(edofs)
-        self._condense(fe, touching, weights, rows, cols)
-        # Only the stacked blocks outlive construction, not the slot map.
-        self._patch_stiffness = _stack_patches(weights, rows, cols, self._free.size)
-        del weights, rows, cols
+        self._assemble(edofs)
+        self._condense(touching)
         self._init_strain_sampling(edofs, surface_elements, parent_points)
 
-    def _build_patch_weights(self, edofs: np.ndarray):
-        """Fill ``_rhs_per_patch`` and return the slot map of K(E).
-
-        Returns (fe, weights, rows, cols): ``fe`` the free index of every
-        element dof (-1 where prescribed); one slot per structural free-free
-        entry, in CSC order, at (``rows``, ``cols``), and ``weights`` (CSR,
-        slots x patches) the contribution of each patch to each slot."""
+    def _assemble(self, edofs: np.ndarray) -> None:
+        """Fill ``_patch_stiffness`` and ``_rhs_per_patch`` from the
+        unit-modulus element stiffnesses, in one sparse matrix whose rows
+        are (patch k, free dof) and whose columns are the free dofs in
+        ``free_dofs`` order, then the prescribed dofs."""
         mesh, patch = self.mesh, self.patch_map.patch_of_element
-        n_patches = self.patch_map.patch_count
-        n_free = self._free.size
+        n_patches, n_free = self.patch_map.patch_count, self._free.size
         d = elastic_matrix(1.0, self.poisson_ratio, mesh.dimension)
         scale = mesh.thickness if mesh.dimension == 2 else 1.0
         ke = _element_stiffnesses(mesh.nodes[mesh.elements], d, scale)
 
-        free_of = np.full(self._n_dofs, -1, dtype=np.int32)  # free index, -1 if prescribed
-        free_of[self._free] = np.arange(n_free, dtype=np.int32)
-        fe = free_of[edofs]
-        rows = np.broadcast_to(fe[:, :, None], ke.shape)
-        cols = np.broadcast_to(fe[:, None, :], ke.shape)
-        keep = (rows >= 0) & (cols >= 0)
-        # One slot per structural free-free (row, col) pair, in CSC order.
-        pattern, slot = np.unique(cols[keep].astype(np.int64) * n_free + rows[keep], return_inverse=True)
-        entry_patch = np.broadcast_to(patch[:, None, None], ke.shape)[keep]
-        # Sparse: a slot is shared by at most a few of the patches.
-        weights = sp.csr_matrix(_sum_at(slot, entry_patch, ke[keep], (pattern.size, n_patches)))
-        rows = (pattern % n_free).astype(np.int32)
-        cols = (pattern // n_free).astype(np.int32)
+        column = np.empty(self._n_dofs, dtype=np.int32)
+        column[self._free] = np.arange(n_free)
+        column[self._dofs] = np.arange(n_free, self._n_dofs)
+        ce = column[edofs]
+        rows = np.broadcast_to((patch[:, None] * n_free + ce)[:, :, None], ke.shape)
+        cols = np.broadcast_to(ce[:, None, :], ke.shape)
+        keep = np.broadcast_to((ce < n_free)[:, :, None], ke.shape)
+        a = sp.csr_matrix((ke[keep], (rows[keep], cols[keep])), shape=(n_patches * n_free, self._n_dofs))
+        a.eliminate_zeros()  # sums that cancel exactly leave no stored entry
+        self._patch_stiffness = a[:, :n_free]
+        # rhs = -(sum_k E_k A_k)[free, prescribed] @ values = -R @ E
+        r = (a[:, n_free:] @ self._dof_values).reshape(n_patches, n_free)
+        self._rhs_per_patch = np.ascontiguousarray(r.T)
 
-        # rhs = -(sum_k E_k A_k)[free, prescribed] @ values = -B @ E
-        u0 = np.zeros(self._n_dofs)
-        u0[self._dofs] = self._dof_values
-        f = (ke @ u0[edofs][:, :, None])[:, :, 0]
-        free_row = fe >= 0
-        row_patch = np.broadcast_to(patch[:, None], fe.shape)[free_row]
-        self._rhs_per_patch = _sum_at(fe[free_row], row_patch, f[free_row], (n_free, n_patches))
-        return fe, weights, rows, cols
-
-    def _condense(self, fe, touching, weights, rows, cols) -> None:
+    def _condense(self, touching) -> None:
         """Factor the unit-modulus interior blocks, condense the load
         (``_g_rhs``, ``_z0``) and every patch onto the interface
         (``_s_weights`` over the slots ``_s_indices``, ``_s_indptr`` of S)
-        and check the rank of K(1). ``fe`` is the free index of every
-        element dof, ``touching`` marks the interior dofs coupled to the
-        interface; the slot map is that of ``_build_patch_weights``."""
+        and check the rank of K(1). ``touching`` marks the interior dofs
+        coupled to the interface."""
         n_patches = self.patch_map.patch_count
-        n_i = self._interior_patch.size
-        n_g = self._free.size - n_i
-        unit = weights @ np.ones(n_patches)  # K(1); one patch per interior row
-        lower = (rows < n_i) & (cols <= rows)
-        offset = rows[lower] - cols[lower]
+        n_free, n_i = self._free.size, self._interior_patch.size
+        n_g = n_free - n_i
+        unit = self.stiffness(np.ones(n_patches))  # K(1); one patch per interior row
+        lower = sp.tril(unit[:n_i, :n_i], format="coo")
+        offset = lower.row - lower.col
         band = np.zeros((int(offset.max(initial=0)) + 1, n_i), order="F")  # factored in place
-        band[offset, cols[lower]] = unit[lower]
+        band[offset, lower.col] = lower.data
         try:
             self._interior = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
         except LinAlgError as exc:
             raise SingularSystemError(f"interior stiffness factorization failed: {exc}") from exc
-        # B = K(1)[G, I]: the slots of the interior columns below row n_i.
-        cross = (rows >= n_i) & (cols < n_i)
-        self._coupling = sp.csc_matrix(
-            (unit[cross], rows[cross] - n_i, _column_pointers(cols[cross], n_i)), shape=(n_g, n_i)
-        )
+        self._coupling = unit[n_i:, :n_i]  # B = K(1)[G, I]
         self._coupling_t = self._coupling.T  # CSR over the same arrays
         # An interior row of R has one nonzero, in the column of its own
         # patch, and D is block diagonal, so row i of Z = D^-1 R_I has one
@@ -370,54 +357,40 @@ class ForwardModel:
         z[np.arange(n_i), self._interior_patch] = -self._z0
         self._g_rhs = self._coupling @ z - self._rhs_per_patch[n_i:]
 
-        # Per patch: its interface dofs g (those of its elements), A_k[g, g],
-        # and its interior rows coupled to g, the trailing rows of its block.
-        element_patch = np.broadcast_to(self.patch_map.patch_of_element[:, None], fe.shape)
-        pairs = np.unique(element_patch[fe >= n_i] * n_g + (fe[fe >= n_i] - n_i))
-        pair_patch, pair_dof = np.divmod(pairs, n_g)
-        pair_start = np.searchsorted(pair_patch, np.arange(n_patches + 1))
-        on_g = np.flatnonzero((rows >= n_i) & (cols >= n_i))
-        by_patch = weights[on_g].tocsc()  # the A_k[G, G] entries, column k
-        entry_start, entry_value = by_patch.indptr, by_patch.data
-        entry_slot = on_g[by_patch.indices]
-        entry_row, entry_col = rows[entry_slot] - n_i, cols[entry_slot] - n_i
+        # Per patch: A_k, its interface dofs g (those its elements touch,
+        # so a nonzero diagonal in A_k) and its interior rows coupled to g,
+        # the trailing rows of its block.
+        blocks = [self._patch_stiffness[k * n_free:(k + 1) * n_free] for k in range(n_patches)]
+        gs = [np.flatnonzero(a.diagonal()[n_i:]) for a in blocks]
         block_end = np.searchsorted(self._interior_patch, np.arange(1, n_patches + 1))
         block_tail = block_end - np.bincount(self._interior_patch[touching], minlength=n_patches)
         # S is the union of the dense blocks g x g of the patches; a dense
         # slot map over G x G, indexed [column, row], costs about what S does.
         used = np.zeros((n_g, n_g), dtype=bool)
-        for k in range(n_patches):
-            g = pair_dof[pair_start[k]:pair_start[k + 1]]
+        for g in gs:
             used[g[:, None], g] = True
         slot_of = np.cumsum(used, dtype=np.int32).reshape(n_g, n_g) - 1
-        col_of_slot, row_of_slot = np.nonzero(used)
-        self._s_indices = row_of_slot.astype(np.int32)
-        self._s_indptr = _column_pointers(col_of_slot, n_g)
+        pattern = sp.csc_matrix(used)
+        self._s_indices, self._s_indptr = pattern.indices, pattern.indptr
         # Slot weights of S(E) = _s_weights @ E: column k holds the block S_k.
-        s_ptr = np.zeros(n_patches + 1, dtype=np.int32)
-        np.cumsum(np.diff(pair_start) ** 2, out=s_ptr[1:])
-        s_slot = np.empty(s_ptr[-1], dtype=np.int32)
-        s_value = np.empty(s_ptr[-1])
-        for k in range(n_patches):
-            g = pair_dof[pair_start[k]:pair_start[k + 1]]
-            e = slice(entry_start[k], entry_start[k + 1])
-            s_k = np.zeros((g.size, g.size))
-            s_k[np.searchsorted(g, entry_row[e]), np.searchsorted(g, entry_col[e])] = entry_value[e]
+        s_slot, s_value = [], []
+        for k, (a, g) in enumerate(zip(blocks, gs)):
             tail, end = block_tail[k], block_end[k]
+            # The columns g of the trailing interior rows tail..end-1, then of the rows g.
+            c = a[np.concatenate([np.arange(tail, end), n_i + g])][:, n_i + g].toarray()
+            s_k = c[end - tail:]
             if tail < end:
-                # Slots are sorted by column: those of columns tail..end-1 are contiguous.
-                sl = slice(*np.searchsorted(cols, [tail, end]))
-                on_row = rows[sl] >= n_i
-                c = np.zeros((end - tail, g.size))
-                c[cols[sl][on_row] - tail, np.searchsorted(g, rows[sl][on_row] - n_i)] = unit[sl][on_row]
                 # A_k[g, I_k] A_k[I_k, I_k]^-1 A_k[I_k, g] = Y^T Y with Y = L^-1 A_k[I_k, g],
                 # and Y is zero outside the trailing rows.
-                y, _ = dtbtrs(self._interior[:, tail:end], c, uplo="L")
+                y, _ = dtbtrs(self._interior[:, tail:end], c[:end - tail], uplo="L")
                 s_k -= y.T @ y
-            block = slice(s_ptr[k], s_ptr[k + 1])
-            s_slot[block] = slot_of[np.ix_(g, g)].ravel()
-            s_value[block] = s_k.T.ravel()
-        self._s_weights = sp.csc_matrix((s_value, s_slot, s_ptr), shape=(row_of_slot.size, n_patches))
+            s_slot.append(slot_of[np.ix_(g, g)].ravel())
+            s_value.append(s_k.T.ravel())
+        s_ptr = np.zeros(n_patches + 1, dtype=np.int32)
+        np.cumsum([g.size ** 2 for g in gs], out=s_ptr[1:])
+        self._s_weights = sp.csc_matrix(
+            (np.concatenate(s_value), np.concatenate(s_slot), s_ptr), shape=(pattern.nnz, n_patches)
+        )
 
         pivots = self._interior[0] ** 2
         if n_g:
@@ -575,26 +548,6 @@ class ForwardModel:
 
     def strain_field(self, values: np.ndarray) -> StrainField:
         return StrainField(self._surface_points, *self.surface_strain_arrays(values))
-
-
-def _sum_at(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
-    """Dense array of ``shape`` holding the sum of ``values`` landing on each (row, col)."""
-    flat = rows.astype(np.int64) * shape[1] + cols
-    return np.bincount(flat, weights=values, minlength=shape[0] * shape[1]).reshape(shape)
-
-
-def _stack_patches(weights: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray, n: int) -> sp.csr_matrix:
-    """The A_k of a slot map stacked by rows, [A_1; ...; A_P]: CSR, (P n, n)."""
-    w = weights.tocoo()
-    stacked_rows = w.col.astype(np.int64) * n + rows[w.row]
-    return sp.csr_matrix((w.data, (stacked_rows, cols[w.row])), shape=(w.shape[1] * n, n))
-
-
-def _column_pointers(col_of_slot: np.ndarray, n_cols: int) -> np.ndarray:
-    """CSC ``indptr`` (int32) of slots sorted by column."""
-    indptr = np.zeros(n_cols + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col_of_slot, minlength=n_cols), out=indptr[1:])
-    return indptr
 
 
 def _condensed_free_dofs(mesh: Mesh, patch_map: PatchMap, prescribed: np.ndarray):

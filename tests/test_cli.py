@@ -150,6 +150,12 @@ class TestLoadConfig:
             ("ga", "population_size", None),
             (None, "strain_floor", None),
             (None, "output_dir", [1]),
+            ("geometry", "nx", "40"),
+            ("geometry", "length_mm", "10"),
+            pytest.param("geometry", "length_mm", 10**400, id="geometry-length_mm-10**400"),
+            ("measurement", "grid_counts", [12.5, 5]),
+            ("measurement", "grid_spacing_mm", ["2.5", True]),
+            ("material", "truth_moduli_mpa", {"1": True}),
         ],
     )
     def test_wrong_type_exit_2_names_field(self, tmp_path, monkeypatch, capsys, section, key, value):
@@ -468,6 +474,26 @@ class TestCmdInvert:
             ["invert", "--config", cfg_path, "--measurement", str(bad), "--out", str(tmp_path / "i")]
         ) == 3
         assert f"line {lineno}: noise_sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, override, field",
+        [
+            ("material", {"truth_moduli_mpa": {"9": 60000.0}}, "material.truth_moduli_mpa"),
+            ("bounds", {"pin_reference_patch": 7}, "bounds.pin_reference_patch"),
+        ],
+        ids=["truth-index", "pinned-patch"],
+    )
+    def test_patch_index_out_of_range_exit_2_before_writing(self, tmp_path, capsys, section, override, field):
+        out = tmp_path / "t"
+        assert cli.main(["synth", "--config", write_config(tmp_path, base_config(out))]) == 0
+        bad_path = write_config(tmp_path, base_config(out, **{section: override}), "bad.json")
+        inv = tmp_path / "i"
+        assert cli.main(
+            ["invert", "--config", bad_path, "--measurement", str(out / "measurement.csv"), "--out", str(inv)]
+        ) == 2
+        assert f"config error: {field}: patch index" in capsys.readouterr().err
+        assert not (inv / "resolved_config.json").exists()
+        assert not (inv / "report.json").exists()
 
     def test_grid_geometry_mismatch_exit_3(self, tmp_path, capsys):
         big = base_config(tmp_path / "big", geometry={"length_mm": 200.0, "width_mm": 40.0, "thickness_mm": 2.0, "nx": 10, "ny": 4})

@@ -328,17 +328,24 @@ class TestSolverInvariants:
         u2 = model.solve_displacement(2.0 * values)
         assert np.abs(u1 - u2).max() <= 1e-10 * np.abs(u1).max()
 
-    def test_forward_model_matches_general_path(self, coupon_mesh, uniaxial_bcs):
+    @pytest.mark.parametrize(
+        "dims, n_sections, defects, clamp_fixed",
+        [
+            ((100.0, 20.0, 2.0, 40, 10), 9, [fu.DefectSpec((20, 6), (32, 14)), fu.DefectSpec((60, 4), (72, 12))], False),
+            ((100, 20, 8, 10, 4, 2), 2, [fu.DefectSpec((40, 5, 0), (60, 15, 4))], True),
+        ],
+        ids=["2d", "3d_clamped"],
+    )
+    def test_forward_model_matches_general_path(self, dims, n_sections, defects, clamp_fixed):
         """K(E) and rhs of the cached model against a dense element-by-element assembly."""
-        pmap = fu.partition_longitudinal(coupon_mesh, 9)
-        pmap = fu.stamp_defect_patches(
-            pmap, coupon_mesh, [fu.DefectSpec((20, 6), (32, 14)), fu.DefectSpec((60, 4), (72, 12))]
-        )
+        mesh = fu.build_coupon_mesh(*dims)
+        pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, n_sections), mesh, defects)
+        bcs = fu.BoundaryConditions("xmin", "xmax", 0.1, clamp_fixed=clamp_fixed)
         rng = np.random.default_rng(21)
-        values = rng.uniform(0.3, 2.0, 11) * E_STEEL
-        k_dense = dense_stiffness(coupon_mesh, pmap, values, NU)
-        dofs, prescribed = uniaxial_bcs.prescribed_dofs(coupon_mesh)
-        model = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs)
+        values = rng.uniform(0.3, 2.0, pmap.patch_count) * E_STEEL
+        k_dense = dense_stiffness(mesh, pmap, values, NU)
+        dofs, prescribed = bcs.prescribed_dofs(mesh)
+        model = fu.ForwardModel(mesh, pmap, NU, bcs)
         free = model.free_dofs
         k_general = k_dense[np.ix_(free, free)]
         rhs_general = -k_dense[np.ix_(free, dofs)] @ prescribed
