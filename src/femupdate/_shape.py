@@ -119,3 +119,25 @@ def strain_displacement(coords: np.ndarray, point: np.ndarray, element_ids=None)
     for row, component, axis in _B_ENTRIES[dim]:
         b[:, row, component::dim] = dnx[:, :, axis]
     return b, detj
+
+
+def distinct_shapes(coords: np.ndarray):
+    """The distinct shapes of many elements, to compute per-shape data once.
+
+    ``coords`` is (n_elements, n_nodes, dim). An element's shape is its node
+    coordinates relative to its first node, compared bit for bit; B and
+    det J depend only on it. Returns (shapes, first, inverse): the distinct
+    shapes in order of first occurrence, (n_shapes, n_nodes, dim), the
+    first element of each (increasing) and the shape of every element, so
+    ``per_shape[inverse]`` scatters per-shape data back to the elements.
+    In this order the first shape that fails a check is that of the first
+    element that fails it.
+    """
+    relative = coords - coords[:, :1]
+    _, first, inverse = np.unique(
+        relative.reshape(relative.shape[0], -1), axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return relative[first[order]], first[order], rank[inverse.ravel()]

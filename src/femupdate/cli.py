@@ -123,8 +123,7 @@ def _modulus_outputs(outdir, mesh, pmap, values):
     )
     header = ["element_id"] + [f"centroid_{a}_mm" for a in "xyz"[: mesh.dimension]] + ["patch_index", "modulus_mpa"]
     rows = [
-        [e] + [c for c in centroids[e]] + [int(patch[e]), moduli[e]]
-        for e in range(mesh.n_elements)
+        [e, *c, k, m] for e, (c, k, m) in enumerate(zip(centroids.tolist(), patch.tolist(), moduli.tolist()))
     ]
     write_table_csv(os.path.join(outdir, "modulus_map.csv"), header, rows)
 
@@ -134,6 +133,7 @@ def cmd_forward(config: RunConfig) -> int:
     outdir = config.output_dir
     mesh, pmap, bcs = _build_problem(config)
     truth = config.truth_values(pmap.patch_count)
+    config.moduli_bounds(pmap.patch_count)  # range-checks the pinned patch
     with _locked_output(outdir):
         _write_resolved_config(config, outdir)
         model = ForwardModel(mesh, pmap, config.material.poisson_ratio, bcs)
@@ -151,8 +151,7 @@ def cmd_forward(config: RunConfig) -> int:
             title="displacement field",
         )
         header = [f"{a}_mm" for a in axes] + [f"u{a}_mm" for a in axes]
-        rows = [list(mesh.nodes[n]) + list(u[n]) for n in range(mesh.n_nodes)]
-        write_table_csv(os.path.join(outdir, "displacement.csv"), header, rows)
+        write_table_csv(os.path.join(outdir, "displacement.csv"), header, np.hstack([mesh.nodes, u]).tolist())
 
         write_points_vtk(
             os.path.join(outdir, "strains.vtk"),
@@ -163,7 +162,7 @@ def cmd_forward(config: RunConfig) -> int:
         write_table_csv(
             os.path.join(outdir, "strains.csv"),
             ["x_mm", "y_mm", "exx", "eyy", "exy"],
-            zip(points[:, 0], points[:, 1], exx, eyy, exy),
+            np.column_stack([points, exx, eyy, exy]).tolist(),
         )
         _modulus_outputs(outdir, mesh, pmap, truth)
     return 0
@@ -174,6 +173,7 @@ def cmd_synth(config: RunConfig) -> int:
     outdir = config.output_dir
     mesh, pmap, bcs = _build_problem(config)
     truth = config.truth_values(pmap.patch_count)
+    config.moduli_bounds(pmap.patch_count)  # range-checks the pinned patch
     try:
         grid = config.build_grid()
     except ValueError as exc:
@@ -298,15 +298,13 @@ def _write_inversion_outputs(outdir, config, context, mesh, pmap, guess, final, 
         write_table_csv(
             os.path.join(outdir, f"residual_{tag}.csv"),
             ["x_mm", "y_mm", "abs_err_exx", "abs_err_eyy", "abs_err_exy", "abs_err_rss"],
-            zip(grid_pts[:, 0], grid_pts[:, 1], *maps.values()),
+            np.column_stack([grid_pts, *maps.values()]).tolist(),
         )
     _modulus_outputs(outdir, mesh, pmap, np.asarray(final))
 
     p = pmap.patch_count
     header = ["stage", "iteration", "best_cost"] + [f"E_{k + 1}" for k in range(p)]
-    rows = [
-        [r.stage, r.iteration, r.best_cost] + [v for v in r.design] for r in history.records
-    ]
+    rows = [[r.stage, r.iteration, r.best_cost, *r.design.tolist()] for r in history.records]
     write_table_csv(os.path.join(outdir, "convergence.csv"), header, rows)
 
     atomic_write_text(os.path.join(outdir, "report.json"), _json_text(report.to_dict()))

@@ -83,7 +83,10 @@ def _truth_map(raw, path):
         try:
             idx = int(k)
         except (TypeError, ValueError):
-            raise ConfigError(path, f"bad key {k!r} (want an integer patch index)") from None
+            idx = None
+        # One spelling per patch: "01" or " 2" would silently merge with "1" or "2".
+        if idx is None or k != str(idx):
+            raise ConfigError(path, f"bad key {k!r} (want an integer patch index such as '3')")
         modulus = _convert(path, float, v)
         if not 0 < modulus < math.inf:
             raise ConfigError(path, f"modulus for patch {idx} must be positive and finite")

@@ -217,6 +217,6 @@ def element_volumes(mesh: Mesh) -> np.ndarray:
 
 
 def _check_jacobians(mesh: Mesh) -> None:
-    coords = mesh.nodes[mesh.elements]
+    shapes, first, _ = _shape.distinct_shapes(mesh.nodes[mesh.elements])
     for gp in _shape.gauss_points(mesh.dimension):
-        _shape.strain_displacement(coords, gp)
+        _shape.strain_displacement(shapes, gp, first)

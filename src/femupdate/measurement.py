@@ -3,7 +3,10 @@
 The measurement grid mimics a DIC export: a regular (x, y) lattice inset
 from the specimen edge by a margin, with the three in-plane strain
 components at every point. Numerical fields are brought onto the grid by
-inverse-distance interpolation over the nearest strain sample points.
+inverse-distance interpolation over the nearest strain sample points. The
+nearest samples are found exactly, by a ring-by-ring search of a uniform
+cell grid over the samples (``nearest_samples``); ties are broken by
+(distance, sample index), so of equidistant samples the lower index wins.
 ``grid_strain_operator`` composes that interpolation W with the model's
 surface strain sampling S into one sparse matrix M from displacements to
 grid strains; synthesis, the misfit and its adjoint gradient all apply M.
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .errors import OutOfDomainError, ParseError
 from .solver import ForwardModel
@@ -22,6 +24,9 @@ from .solver import ForwardModel
 IDW_NEIGHBORS = 4
 IDW_POWER = 2
 _COINCIDENT = 1e-12
+# Cell size and memory bound of the neighbour search (``nearest_samples``).
+_SAMPLES_PER_CELL = 2
+_PAIR_BUDGET = 1 << 13
 _CSV_HEADER = "x_mm,y_mm,exx,eyy,exy"
 
 
@@ -125,11 +130,17 @@ def grid_for_footprint(
 class Interpolator:
     """Inverse-distance interpolation from scattered samples to fixed targets.
 
-    Weights are 1/d^2 over the 4 nearest samples; a target landing on a
-    sample point takes that sample's value exactly. Every interpolated
-    value is a convex combination of its source values. The weights are
-    kept as ``matrix``, a CSR matrix of shape (n_targets, n_samples);
-    interpolating is ``matrix @ values`` and its adjoint is ``matrix.T``.
+    Weights are 1/d^2 over the 4 nearest samples (all of them when there
+    are fewer); a target landing on a sample point takes that sample's
+    value exactly. Every interpolated value is a convex combination of its
+    source values. The weights are kept as ``matrix``, a CSR matrix of
+    shape (n_targets, n_samples); interpolating is ``matrix @ values`` and
+    its adjoint is ``matrix.T``.
+
+    The neighbours are found by ``nearest_samples``, an exact search over a
+    uniform cell grid. Ties are broken by (distance, sample index): of
+    samples at the same distance the lower index is nearer, so a target on
+    coincident samples takes the one with the lowest index.
     """
 
     def __init__(self, sample_points: np.ndarray, target_points: np.ndarray):
@@ -138,9 +149,7 @@ class Interpolator:
         self._check_domain(sample_points, target_points)
         n_targets, n_samples = target_points.shape[0], sample_points.shape[0]
         k = min(IDW_NEIGHBORS, n_samples)
-        dist, idx = cKDTree(sample_points).query(target_points, k=k)
-        dist = dist.reshape(n_targets, k)
-        idx = idx.reshape(n_targets, k)
+        dist, idx = nearest_samples(sample_points, target_points, k)
         coincident = dist[:, 0] < _COINCIDENT
         with np.errstate(divide="ignore"):
             weights = 1.0 / dist**IDW_POWER
@@ -166,6 +175,83 @@ class Interpolator:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(values, dtype=float)
+
+
+def nearest_samples(samples: np.ndarray, targets: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` nearest samples of every target, exactly: (dist, idx), each
+    of shape (n_targets, k), ordered by (distance, sample index).
+
+    Points are (x, y) rows and every target lies in the bounding box of the
+    samples; 1 <= k <= n_samples. Distances are sqrt(dx^2 + dy^2). The
+    samples are bucketed into square cells of side h, about
+    ``_SAMPLES_PER_CELL`` samples per cell, and each target searches the
+    rings of cells around its own, ring r being the cells r cells away. A
+    sample outside rings 0..r lies more than r h from the target, so the
+    search of a target is complete once its k-th distance is at most r h
+    (less a relative margin for rounding in the cell index), or once its
+    rings cover the grid. All targets still searching take ring r together,
+    in groups of at most about ``_PAIR_BUDGET`` (target, sample) pairs, so
+    a group's transient memory stays under about 1 MB.
+    """
+    n_samples, n_targets = samples.shape[0], targets.shape[0]
+    lo = samples.min(axis=0)
+    extent = samples.max(axis=0) - lo
+    # About n_samples / _SAMPLES_PER_CELL cells, and never more than about
+    # 1.5 n_samples even for a cloud (nearly) flat along one axis.
+    area_h = math.sqrt(_SAMPLES_PER_CELL * extent[0] * extent[1] / n_samples)
+    h = max(area_h, _SAMPLES_PER_CELL * extent.max() / n_samples)
+    h = h if h > 0 else 1.0  # coincident samples: one cell
+    shape = (extent / h).astype(np.int64) + 1
+    # The cell index of a point may be off by a few ulps of the grid size;
+    # stopping a little inside r h keeps the search exact.
+    margin = 1.0 - 8.0 * np.finfo(float).eps * shape.max()
+
+    def cell_of(points):
+        return np.minimum(((points - lo) / h).astype(np.int64), shape - 1)
+
+    sample_cell = cell_of(samples) @ np.array([shape[1], 1])
+    by_cell = np.argsort(sample_cell, kind="stable")  # index order within a cell
+    cell_start = np.searchsorted(sample_cell[by_cell], np.arange(shape[0] * shape[1] + 1))
+    per_cell = int(np.diff(cell_start).max())
+    target_cell = cell_of(targets)
+
+    dist = np.full((n_targets, k), np.inf)
+    idx = np.full((n_targets, k), n_samples)  # past every sample index
+    searching = np.arange(n_targets)
+    ring = 0
+    while searching.size:
+        side = np.arange(-ring, ring + 1)
+        dx, dy = np.meshgrid(side, side, indexing="ij")
+        on_ring = np.maximum(np.abs(dx), np.abs(dy)) == ring
+        offsets = np.column_stack([dx[on_ring], dy[on_ring]])  # (8 ring or 1, 2)
+        step = max(1, _PAIR_BUDGET // (offsets.shape[0] * per_cell))
+        for group in np.array_split(searching, -(-searching.size // step)):
+            cells = target_cell[group, None, :] + offsets  # (targets, ring cells, 2)
+            inside = np.all((cells >= 0) & (cells < shape), axis=2)
+            flat = np.where(inside, cells[:, :, 0] * shape[1] + cells[:, :, 1], 0)
+            first = cell_start[flat].ravel()
+            count = np.where(inside, cell_start[flat + 1] - cell_start[flat], 0).ravel()
+            # Expand every (target, cell) into its samples: pair p takes the
+            # sample at position first + (p - pairs before it) of ``by_cell``.
+            before = np.cumsum(count) - count
+            pair_target = np.repeat(np.repeat(np.arange(group.size), offsets.shape[0]), count)
+            pair_sample = by_cell[np.repeat(first - before, count) + np.arange(count.sum())]
+            delta = samples[pair_sample] - targets[group[pair_target]]
+            pair_dist = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1])
+            # Merge with the k best so far: sort by (target, distance, index).
+            all_target = np.concatenate([np.repeat(np.arange(group.size), k), pair_target])
+            all_dist = np.concatenate([dist[group].ravel(), pair_dist])
+            all_idx = np.concatenate([idx[group].ravel(), pair_sample])
+            order = np.lexsort((all_idx, all_dist, all_target))
+            per_target = k + count.reshape(group.size, -1).sum(axis=1)
+            keep = order[(np.cumsum(per_target) - per_target)[:, None] + np.arange(k)]
+            dist[group], idx[group] = all_dist[keep], all_idx[keep]
+        done = dist[searching, k - 1] <= ring * h * margin
+        if ring >= shape.max() - 1:
+            break  # every ring searched: every sample seen
+        searching = searching[~done]
+        ring += 1
+    return dist, idx
 
 
 def grid_strain_operator(model: ForwardModel, grid: MeasurementGrid) -> sp.csr_matrix:

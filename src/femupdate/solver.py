@@ -155,13 +155,16 @@ def _element_stiffnesses(coords: np.ndarray, d: np.ndarray, scale: float, elemen
     """Stiffness matrices of many elements, shape (n_elements, n_dofs, n_dofs).
 
     ``coords`` is (n_elements, n_nodes, dim); ``d`` the constitutive matrix
-    and ``scale`` the plate thickness (1 for HEX8).
+    and ``scale`` the plate thickness (1 for HEX8). Computed once per
+    distinct element shape.
     """
+    shapes, first, inverse = _shape.distinct_shapes(coords)
+    ids = first if element_ids is None else np.asarray(element_ids)[first]
     k = 0.0
     for gp in _shape.gauss_points(coords.shape[2]):
-        b, detj = _shape.strain_displacement(coords, gp, element_ids)
+        b, detj = _shape.strain_displacement(shapes, gp, ids)
         k = k + (scale * detj)[:, None, None] * (b.transpose(0, 2, 1) @ d @ b)
-    return k
+    return k[inverse]
 
 
 def element_stiffness(

@@ -36,7 +36,7 @@ def _points_block(points: np.ndarray) -> list:
     pts3 = np.zeros((points.shape[0], 3))
     pts3[:, : points.shape[1]] = points
     lines = [f"POINTS {points.shape[0]} double"]
-    lines.extend(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in pts3)
+    lines.extend(f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in pts3.tolist())
     return lines
 
 
@@ -51,14 +51,14 @@ def _data_arrays(kind: str, n: int, arrays: dict) -> list:
             lines.append(f"SCALARS {name} {dtype} 1")
             lines.append("LOOKUP_TABLE default")
             if dtype == "int":
-                lines.extend(str(int(v)) for v in values)
+                lines.extend(map(str, values.tolist()))
             else:
-                lines.extend(f"{v:.17g}" for v in values)
+                lines.extend(f"{v:.17g}" for v in values.tolist())
         else:
             vec3 = np.zeros((values.shape[0], 3))
             vec3[:, : values.shape[1]] = values
             lines.append(f"VECTORS {name} double")
-            lines.extend(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in vec3)
+            lines.extend(f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in vec3.tolist())
     return lines
 
 
@@ -69,7 +69,7 @@ def write_mesh_vtk(path, mesh: Mesh, cell_data: dict | None = None, point_data: 
     n_el = mesh.n_elements
     per = mesh.elements.shape[1]
     lines.append(f"CELLS {n_el} {n_el * (per + 1)}")
-    lines.extend(f"{per} " + " ".join(str(n) for n in conn) for conn in mesh.elements)
+    lines.extend(f"{per} " + " ".join(map(str, conn)) for conn in mesh.elements.tolist())
     lines.append(f"CELL_TYPES {n_el}")
     cell_type = _VTK_QUAD if per == 4 else _VTK_HEX
     lines.extend([str(cell_type)] * n_el)
@@ -92,14 +92,13 @@ def write_points_vtk(path, points: np.ndarray, point_data: dict, title="femupdat
 
 
 def write_table_csv(path, header: list, rows) -> None:
-    """Write a flat CSV with 17-significant-digit floats."""
+    """Write a flat CSV with 17-significant-digit floats.
+
+    Rows of Python ints and floats (``ndarray.tolist()``) format fastest;
+    numpy scalars give the same text.
+    """
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (int, np.integer)) or isinstance(v, str):
-                cells.append(str(v))
-            else:
-                cells.append(f"{float(v):.17g}")
+        cells = (str(v) if isinstance(v, (int, str, np.integer)) else f"{float(v):.17g}" for v in row)
         lines.append(",".join(cells))
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import femupdate as fu
+
+# CI selects "ci" (HYPOTHESIS_PROFILE=ci): the same examples on every run, so
+# a property test cannot pass on one run of a change and fail on the next.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

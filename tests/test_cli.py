@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -113,6 +114,15 @@ class TestLoadConfig:
         values = cfg.truth_values(5)
         assert values[2] == 1000.0
         assert values[0] == cfg.material.e_ref_mpa
+
+    @pytest.mark.parametrize("key", ["01", " 2", "2 ", "+3", "1_0", "", "x"])
+    def test_truth_key_spelling_rejected(self, key):
+        """One spelling per patch: keys that int() reads but that are not its
+        canonical decimal form would silently merge with another key."""
+        truth = {"1": 1000.0, key: 2000.0}
+        with pytest.raises(ConfigError, match=re.escape(f"material.truth_moduli_mpa: bad key {key!r}")):
+            load_config({"geometry": {"length_mm": 1, "width_mm": 1, "thickness_mm": 1},
+                         "material": {"truth_moduli_mpa": truth}})
 
     def test_pinned_bounds(self):
         cfg = load_config({"geometry": {"length_mm": 1, "width_mm": 1, "thickness_mm": 1}})
@@ -237,6 +247,14 @@ def test_resolved_config_bytes_pinned(tmp_path, monkeypatch, name):
 
 
 class TestCmdSynthAndForward:
+    @pytest.mark.parametrize("command", ["synth", "forward"])
+    def test_pinned_patch_out_of_range_exit_2_before_writing(self, tmp_path, capsys, command):
+        out = tmp_path / "t"
+        cfg_path = write_config(tmp_path, base_config(out, bounds={"pin_reference_patch": 7}))
+        assert cli.main([command, "--config", cfg_path]) == 2
+        assert "config error: bounds.pin_reference_patch: patch index" in capsys.readouterr().err
+        assert not (out / "resolved_config.json").exists()
+
     def test_synth_deterministic_bytes(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config(tmp_path / "a"))
         assert cli.main(["synth", "--config", cfg_path, "--seed", "42"]) == 0
@@ -516,6 +534,19 @@ class TestCmdInvert:
         path.write_text("{broken")
         assert cli.main(["report", str(path)]) == 2
         assert "corrupt" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_spatial_and_special():
+    """The package's one neighbour search needs neither; importing them
+    costs every command start-up time."""
+    code = (
+        "import sys, femupdate.cli; "
+        "print(sorted(m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))  # the femupdate under test
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 class TestArgparseContract:

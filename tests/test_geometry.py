@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import femupdate as fu
-from femupdate.geometry import element_volumes
+from femupdate.errors import DegenerateElementError
+from femupdate.geometry import _check_jacobians, element_volumes
 
 
 class TestBuildCouponMesh:
@@ -214,3 +215,16 @@ class TestFaceSelection:
             mesh.face_nodes("top")
         with pytest.raises(ValueError, match="2D mesh"):
             mesh.face_nodes("zmin")
+
+
+class TestJacobianCheck:
+    def test_first_degenerate_element_named(self):
+        """The check runs once per distinct element shape and still names
+        the first element that fails it."""
+        mesh = fu.build_coupon_mesh(100, 20, 8, 6, 3, 2)
+        elements = mesh.elements.copy()
+        for e in (20, 7, 33):
+            elements[e] = elements[e][[4, 5, 6, 7, 0, 1, 2, 3]]  # top and bottom swapped
+        bad = fu.Mesh(3, mesh.nodes, elements, None, mesh.divisions, mesh.extent)
+        with pytest.raises(DegenerateElementError, match=r"element 7$"):
+            _check_jacobians(bad)

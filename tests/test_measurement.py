@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import femupdate as fu
+from femupdate.config import load_config
 from femupdate.errors import OutOfDomainError, ParseError
-from femupdate.measurement import Interpolator
+from femupdate.measurement import IDW_NEIGHBORS, Interpolator, nearest_samples
+from test_acceptance import coupon_config_2d, coupon_config_3d
 
 E0 = 200000.0
 
@@ -118,6 +120,60 @@ class TestInterpolation:
         back = interp.matrix.T @ b
         assert back.shape == (25,)
         assert float(interp(a) @ b) == pytest.approx(float(a @ back), rel=1e-13)
+
+
+def brute_force_nearest(samples, targets, k):
+    """All target-sample distances, sorted by (distance, sample index)."""
+    dist = np.sqrt(((targets[:, None, :] - samples[None, :, :]) ** 2).sum(axis=2))
+    index = np.broadcast_to(np.arange(samples.shape[0]), dist.shape)
+    order = np.lexsort((index, dist), axis=1)[:, :k]
+    return np.take_along_axis(dist, order, axis=1), order
+
+
+class TestNearestSamples:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        cloud=st.sampled_from(["uniform", "lattice", "duplicates", "line"]),
+    )
+    def test_matches_brute_force(self, seed, n, cloud):
+        """Random clouds, repeated points, exact ties on a lattice and fewer
+        samples than IDW_NEIGHBORS: the same neighbours, in the same order."""
+        rng = np.random.default_rng(seed)
+        if cloud == "uniform":
+            samples = rng.uniform(-3.0, 7.0, size=(n, 2))
+        elif cloud == "lattice":  # integer coordinates: many exactly equal distances
+            samples = rng.integers(0, 4, size=(n, 2)).astype(float)
+        elif cloud == "duplicates":
+            samples = rng.uniform(0.0, 2.0, size=(3, 2))[rng.integers(0, 3, n)]
+        else:
+            samples = np.column_stack([rng.uniform(0.0, 5.0, n), np.full(n, 1.5)])
+        lo, hi = samples.min(axis=0), samples.max(axis=0)
+        targets = lo + rng.uniform(0.0, 1.0, size=(25, 2)) * (hi - lo)
+        if cloud == "lattice":
+            targets = np.round(2.0 * targets) / 2.0  # lattice points and midpoints
+        targets = np.vstack([targets, samples[:5]])  # some targets on samples
+        k = min(IDW_NEIGHBORS, n)
+        dist, idx = nearest_samples(samples, targets, k)
+        want_dist, want_idx = brute_force_nearest(samples, targets, k)
+        assert np.array_equal(idx, want_idx)
+        assert_allclose(dist, want_dist, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("make_config", [coupon_config_2d, coupon_config_3d], ids=["2d", "3d"])
+    def test_matches_kdtree_on_coupon_models(self, make_config):
+        """The benchmark and acceptance coupons (the same geometries and
+        grids): the neighbour sets of scipy's k-d tree."""
+        from scipy.spatial import cKDTree
+
+        config = load_config(make_config("out"))
+        mesh = config.build_mesh()
+        model = fu.ForwardModel(mesh, config.build_patch_map(mesh), 0.3, config.build_bcs())
+        targets = config.build_grid().points()
+        dist, idx = nearest_samples(model.surface_points, targets, IDW_NEIGHBORS)
+        tree_dist, tree_idx = cKDTree(model.surface_points).query(targets, k=IDW_NEIGHBORS)
+        assert np.array_equal(np.sort(idx, axis=1), np.sort(tree_idx, axis=1))
+        assert_allclose(dist, tree_dist, rtol=1e-15, atol=0)
 
 
 class TestGridStrainOperator:

@@ -129,6 +129,33 @@ class TestAssemble:
         assert_allclose(model.stiffness(e).toarray(), k_global[np.ix_(free, free)], rtol=0, atol=atol)
         assert_allclose(model.rhs(e), -k_global[np.ix_(free, prescribed)] @ v, rtol=0, atol=atol)
 
+    def test_distorted_mesh_matches_element_by_element(self, uniaxial_bcs):
+        """Element stiffnesses are computed once per distinct shape: a mesh
+        with some shapes repeated and others distorted assembles the same
+        K(E) as an element-by-element assembly."""
+        mesh = fu.build_coupon_mesh(100, 20, 2, 8, 4)
+        nodes = mesh.nodes.copy()
+        inner = (nodes[:, 0] > 0) & (nodes[:, 0] < 50) & (nodes[:, 1] > 0) & (nodes[:, 1] < 20)
+        nodes[inner] += np.random.default_rng(5).uniform(-2.0, 2.0, (int(inner.sum()), 2))
+        mesh = fu.Mesh(2, nodes, mesh.elements, mesh.thickness, mesh.divisions, mesh.extent)
+        pmap = fu.partition_longitudinal(mesh, 4)
+        values = np.array([1.0, 0.5, 2.0, 1.5]) * E_STEEL
+        k_dense = dense_stiffness(mesh, pmap, values, NU)
+        model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
+        free = model.free_dofs
+        k_general = k_dense[np.ix_(free, free)]
+        assert np.abs(model.stiffness(values).toarray() - k_general).max() < 1e-12 * np.abs(k_general).max()
+
+    def test_first_degenerate_element_named(self, coupon_mesh, uniaxial_bcs):
+        """Inverted elements sharing one shape: the error names the first."""
+        elements = coupon_mesh.elements.copy()
+        for e in (95, 12, 30):
+            elements[e] = elements[e][::-1]
+        mesh = fu.Mesh(2, coupon_mesh.nodes, elements, coupon_mesh.thickness, coupon_mesh.divisions,
+                       coupon_mesh.extent)
+        with pytest.raises(DegenerateElementError, match=r"element 12$"):
+            fu.ForwardModel(mesh, fu.partition_longitudinal(mesh, 1), NU, uniaxial_bcs)
+
     def test_assembled_symmetry_random_moduli(self, coupon_mesh, uniaxial_bcs):
         pmap = fu.partition_longitudinal(coupon_mesh, 9)
         rng = np.random.default_rng(3)
