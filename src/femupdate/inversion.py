@@ -9,9 +9,10 @@ Minimization runs in two stages: a real-coded genetic algorithm explores
 the bounded design space, then projected gradient descent with Armijo
 backtracking refines the best individual. The GA solves each distinct
 design once: elites and children identical to an earlier candidate reuse
-its cost. The gradient stage runs on exact adjoint sensitivities: one
-factorization of K(E) serves the forward solve and the adjoint solve, so
-a cost and its gradient cost one forward solve. Both stages are
+its cost, and the new designs of a generation are scored as one stack.
+The gradient stage runs on exact adjoint sensitivities: one factorization
+of K(E) serves the forward solve and the adjoint solve, so a cost and its
+gradient cost one forward solve. Both stages are
 deterministic given their seeds and log every iterate into a
 ConvergenceHistory. ``fd_gradient`` remains as a finite-difference oracle
 for checking gradients.
@@ -135,33 +136,37 @@ class ConvergenceHistory:
 
 
 class _CountingCost:
-    """Wraps a cost (or cost-and-gradient) function, counting every call:
-    each one is one forward solve."""
+    """Wraps a cost (or cost-and-gradient) function, counting its forward
+    solves: one per design, so one per call of a single design (P,) and m
+    per call of a stack (m, P)."""
 
     def __init__(self, fn, count: int = 0):
         self.fn = fn
         self.count = count
 
     def __call__(self, x: np.ndarray):
-        self.count += 1
+        self.count += len(x) if np.ndim(x) == 2 else 1
         return self.fn(x)
 
 
 def relative_residual_cost(
     exp_components: tuple, num_components: tuple, strain_floor: float
-) -> float:
+) -> float | np.ndarray:
     """Sum of squared relative residuals over points and components.
 
-    Each residual is divided by max(|measured value|, strain_floor).
+    Each residual is divided by max(|measured value|, strain_floor). A
+    computed component may be a stack (m, n) against one measured (n,):
+    the result is then one sum per row, each bitwise the sum of that row
+    alone.
     """
     if strain_floor <= 0:
         raise ValueError("strain_floor must be positive")
     total = 0.0
     for exp, num in zip(exp_components, num_components):
         exp = np.asarray(exp, dtype=float)
-        num = np.asarray(num, dtype=float)
+        num = np.ascontiguousarray(num, dtype=float)  # C order: each row is summed pairwise, as a 1-D array is
         denom = np.maximum(np.abs(exp), strain_floor)
-        total += float(np.sum(((exp - num) / denom) ** 2))
+        total = total + np.sum(((exp - num) / denom) ** 2, axis=-1)
     return total
 
 
@@ -209,9 +214,23 @@ class CostContext:
         """Forward solve and map (exx, eyy, exy) onto the grid."""
         return tuple(np.split(self._operator @ self.forward.solve_displacement(design), 3))
 
-    def cost(self, design: np.ndarray) -> float:
-        """Misfit of ``design`` against the measurements; one fresh solve."""
-        return self._misfit(self._operator @ self.forward.solve_displacement(design))
+    def cost(self, design: np.ndarray):
+        """Misfit of ``design`` against the measurements; one fresh solve.
+
+        ``design`` is one design (P,), whose cost is a float, or a stack
+        (m, P), whose costs are an array (m,), each bitwise the cost of its
+        design alone. A stack costs one factorization per design, and every
+        other step of the solve, the strain operator and the misfit runs
+        once for the whole stack (``ForwardModel.solve_displacement``). A
+        single design whose solve fails raises its NumericalError; in a
+        stack, that design scores +inf and the others are unaffected.
+        """
+        u = self.forward.solve_displacement(design)
+        costs = self._misfit((self._operator @ u.T).T)
+        if u.ndim == 1:
+            return float(costs)
+        costs[np.isnan(u).any(axis=1)] = np.inf
+        return costs
 
     def cost_and_grad(self, design: np.ndarray) -> tuple[float, np.ndarray]:
         """Cost and its exact gradient with respect to the patch moduli.
@@ -226,9 +245,9 @@ class CostContext:
         d_num = sum(
             -2.0 * (exp - num) / np.maximum(np.abs(exp), self.strain_floor) ** 2 for exp in self._measured
         )
-        return self._misfit(num), pullback(self._operator.T @ d_num)
+        return float(self._misfit(num)), pullback(self._operator.T @ d_num)
 
-    def _misfit(self, num: np.ndarray) -> float:
+    def _misfit(self, num: np.ndarray):
         return sum(relative_residual_cost((exp,), (num,), self.strain_floor) for exp in self._measured)
 
 
@@ -311,11 +330,16 @@ def run_ga(
     ``generations_max`` or when the best cost improves by less than
     ``rel_tol`` (relative) over ``stall_generations`` generations.
 
+    ``cost_fn`` scores a stack of designs (m, dim) and returns their m
+    costs; ``CostContext.cost`` does. Each generation makes at most one
+    call: its distinct designs not scored before, in population order.
     Costs are cached per run by the design's bytes, so ``cost_fn`` sees
     each distinct design once: elites and repeated children reuse their
     bitwise-identical cost, and the forward-solve count is the number of
-    distinct designs. A candidate whose cost raises NumericalError scores
-    +inf and is counted in ``failed_evaluations``; the run goes on.
+    distinct designs. The cache, the forward-solve count and the history
+    therefore do not depend on how the designs are grouped. A design that
+    scores +inf (in a ``CostContext.cost`` stack, one whose solve raised
+    NumericalError) is counted in ``failed_evaluations``; the run goes on.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -329,21 +353,25 @@ def run_ga(
     history = ConvergenceHistory()
     cache: dict = {}
 
-    def score(ind):
-        key = ind.tobytes()
-        if key not in cache:
-            try:
-                cache[key] = counter(ind)
-            except NumericalError:
-                cache[key] = np.inf
-                history.failed_evaluations += 1
-        return cache[key]
+    def score(pop):
+        keys = [ind.tobytes() for ind in pop]
+        new = {}  # key -> population index of its first occurrence, in population order
+        for i, key in enumerate(keys):
+            if key not in cache:
+                new.setdefault(key, i)
+        if new:
+            costs = np.asarray(counter(pop[list(new.values())]), dtype=float)
+            if costs.shape != (len(new),):
+                raise ValueError(f"cost_fn returned shape {costs.shape} for {len(new)} designs")
+            cache.update(zip(new, costs))
+            history.failed_evaluations += int(np.count_nonzero(costs == np.inf))
+        return np.array([cache[key] for key in keys])
 
     pop = np.empty((config.population_size, dim))
     guess = 0.5 * (lower + upper) if initial_guess is None else np.asarray(initial_guess, dtype=float)
     pop[0] = np.clip(guess, lower, upper)
     pop[1:] = rng.uniform(lower, upper, size=(config.population_size - 1, dim))
-    costs = np.array([score(ind) for ind in pop])
+    costs = score(pop)
 
     best_per_gen = [float(costs.min())]
     best_idx = int(np.argmin(costs))
@@ -364,7 +392,7 @@ def run_ga(
             if len(children) < config.population_size - config.elite_count:
                 children.append(_mutate(c2, lower, upper, config, rng))
         pop = np.vstack([elites, np.array(children)])
-        costs = np.array([score(ind) for ind in pop])
+        costs = score(pop)
         best_idx = int(np.argmin(costs))
         best_per_gen.append(float(costs[best_idx]))
         history.append(STAGE_GA, gen, costs[best_idx], pop[best_idx], counter.count)
@@ -490,10 +518,10 @@ def run_hybrid(
     """GA exploration followed by gradient refinement from the GA's best.
 
     The GA scores designs with ``context.cost`` (each distinct design
-    once), the gradient stage with ``context.cost_and_grad``. The returned
-    history concatenates both stages with a shared forward solve counter
-    (one count per factorization); the final cost never exceeds the GA
-    stage's best.
+    once, one stack per generation), the gradient stage with
+    ``context.cost_and_grad``. The returned history concatenates both
+    stages with a shared forward solve counter (one count per
+    factorization); the final cost never exceeds the GA stage's best.
     """
     cost = _CountingCost(context.cost)
     ga_best, history = run_ga(cost, lower, upper, ga_config, initial_guess)

@@ -319,14 +319,20 @@ def load_measurement_csv(path) -> ExperimentalField:
     """Parse a measurement CSV, validating the regular-grid structure.
 
     Points must form the declared row-major regular grid to 1e-9 mm;
-    malformed rows, non-finite strains, invalid metadata and grid
-    irregularities raise ParseError with the offending line number.
+    malformed rows (including bytes that are not UTF-8), non-finite
+    strains, invalid metadata and grid irregularities raise ParseError
+    with the offending line number.
     """
     meta = {"load_step": 0, "noise_sigma": 0.0, "rng_seed": None}
     rows = []
     header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, so the line that holds them is known.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(lineno, "line is not UTF-8 text") from None
             line = raw.strip()
             if not line:
                 continue

@@ -262,7 +262,10 @@ class ForwardModel:
     interface (one patch) needs neither a factorization nor a banded solve:
     u = z0. Each solution is checked for finite values and for its
     equilibrium residual on the physics, sum_k E_k A_k u_f = -R E, from the
-    per-patch products A_k u_f (K(E) is not assembled).
+    per-patch products A_k u_f (K(E) is not assembled). A stack of designs
+    takes one fill, factorization and LU solve of S(E) per design; the
+    interface loads, the banded solve, the A_k products and the checks run
+    once for the stack, each result bitwise that of its design alone.
     ``displacement_with_pullback`` reuses the same factors for the adjoint
     solve of an exact gradient (K(E) is symmetric): a general right-hand
     side h takes u_G = S(E)^-1 (h_G - B D^-1 h_I) and
@@ -319,10 +322,16 @@ class ForwardModel:
         column[self._free] = np.arange(n_free)
         column[self._dofs] = np.arange(n_free, self._n_dofs)
         ce = column[edofs]
-        rows = np.broadcast_to((patch[:, None] * n_free + ce)[:, :, None], ke.shape)
-        cols = np.broadcast_to(ce[:, None, :], ke.shape)
-        keep = np.broadcast_to((ce < n_free)[:, :, None], ke.shape)
-        a = sp.csr_matrix((ke[keep], (rows[keep], cols[keep])), shape=(n_patches * n_free, self._n_dofs))
+        # Row keys: (patch k, free dof) first, then the prescribed dofs, shared
+        # by all patches and dropped once summed; int32 unless they overflow it.
+        n_rows = n_patches * n_free
+        ce = ce.astype(np.int32 if n_rows + self._dofs.size < 2**31 else np.int64)
+        key = np.where(ce < n_free, patch[:, None].astype(ce.dtype) * n_free + ce, n_rows + ce - n_free)
+        rows = np.broadcast_to(key[:, :, None], ke.shape).ravel()
+        cols = np.broadcast_to(ce[:, None, :], ke.shape).ravel()
+        a = sp.csr_matrix((ke.ravel(), (rows, cols)), shape=(n_rows + self._dofs.size, self._n_dofs))
+        del ke, rows, cols
+        a = a[:n_rows]
         a.eliminate_zeros()  # sums that cancel exactly leave no stored entry
         self._patch_stiffness = a[:, :n_free]
         # rhs = -(sum_k E_k A_k)[free, prescribed] @ values = -R @ E
@@ -343,12 +352,14 @@ class ForwardModel:
         offset = lower.row - lower.col
         band = np.zeros((int(offset.max(initial=0)) + 1, n_i), order="F")  # factored in place
         band[offset, lower.col] = lower.data
+        del lower, offset
         try:
             self._interior = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
         except LinAlgError as exc:
             raise SingularSystemError(f"interior stiffness factorization failed: {exc}") from exc
         self._coupling = unit[n_i:, :n_i]  # B = K(1)[G, I]
         self._coupling_t = self._coupling.T  # CSR over the same arrays
+        del unit, band  # freed before the per-patch condensation: K(1) is needed only through D and B
         # An interior row of R has one nonzero, in the column of its own
         # patch, and D is block diagonal, so row i of Z = D^-1 R_I has one
         # nonzero too, -z0[i] with z0 = -D^-1 R_I 1, in the column of its patch.
@@ -441,16 +452,16 @@ class ForwardModel:
         """
         return self._strain_sampling
 
-    def _check_values(self, values: np.ndarray) -> np.ndarray:
+    def _check_values(self, values: np.ndarray, stack: bool = False) -> np.ndarray:
+        """Moduli as floats, shape (P,), or (m, P) when ``stack``; all finite and positive."""
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.patch_map.patch_count,):
-            raise ValueError(
-                f"expected patch_count = {self.patch_map.patch_count} moduli, got shape {values.shape}"
-            )
-        bad = np.flatnonzero(~np.isfinite(values))
+        p = self.patch_map.patch_count
+        if values.shape[-1:] != (p,) or values.ndim > (2 if stack else 1):
+            raise ValueError(f"expected patch_count = {p} moduli, got shape {values.shape}")
+        bad = np.flatnonzero(~np.isfinite(values).reshape(-1, p).all(axis=0))
         if bad.size:
             raise ValueError(
-                f"patch moduli must be finite; patches {bad.tolist()} have {values[bad].tolist()}"
+                f"patch moduli must be finite; patches {bad.tolist()} have {values[..., bad].tolist()}"
             )
         if not np.all(values > 0):
             raise ValueError("all patch moduli must be positive")
@@ -473,52 +484,94 @@ class ForwardModel:
         return sp.csc_matrix((self._s_weights @ values, self._s_indices, self._s_indptr), shape=(n_g, n_g))
 
     def _solve(self, values: np.ndarray):
-        """Solve K(E) u_f = -R E for checked moduli.
+        """Solve K(E_j) u_j = -R E_j for each row E_j of checked moduli (m, P).
 
-        Returns (u_f, au, solve): the free-dof displacements, the per-patch
-        products (row k of ``au`` is A_k u_f) and ``solve(h)`` returning
-        K(E)^-1 h on the same factors. One factorization of S(E) and one
-        banded solve; neither when the interface is empty.
+        Returns (uf, au, errors, lu): the free-dof displacements, one column
+        per design (n_free, m); the per-patch products, ``au[k, :, j]`` =
+        A_k u_j; ``errors[j]``, the NumericalError of design j or None; and
+        the factor of S(E) of a one-design stack (otherwise None). Each design
+        takes the fill of its S(E) (its own product with the slot weights,
+        written into one matrix for the stack: ``splu`` reads contiguous
+        values, and gathering them from one stacked product costs more than
+        the product), one factorization and one LU solve. The rest runs once for the stack: the interface loads are one
+        product, the interior is one banded solve with m right-hand sides,
+        and the A_k products and the checks of every design are one product
+        each. A design whose solve fails does not stop the others: its
+        column is NaN and its error is recorded. Each column is bitwise the
+        solution of its design alone.
         """
+        m = values.shape[0]
         n_i = self._interior_patch.size
-        interior = (self._interior, True)
+        errors = [None] * m
+        lu = None
         if n_i == self._free.size:
-            lu, uf = None, self._z0
+            uf = np.repeat(self._z0[:, None], m, axis=1)
         else:
-            lu = _factor(self._interface_stiffness(values))
-            u_g = lu.solve(self._g_rhs @ values)
-            u_i = self._z0 - cho_solve_banded(interior, self._coupling_t @ u_g, check_finite=False)
-            uf = np.concatenate([u_i, u_g])
-        if not np.all(np.isfinite(uf)):
-            raise SingularSystemError("solution is non-finite")
-        au = (self._patch_stiffness @ uf).reshape(values.size, uf.size)
-        rhs = -(self._rhs_per_patch @ values)
-        residual, rhs_norm = np.linalg.norm(values @ au - rhs), np.linalg.norm(rhs)
-        # Fails closed: a NaN residual or load norm does not pass.
-        if not residual <= _EQUILIBRIUM_RTOL * rhs_norm:
-            raise NumericalError(
-                f"equilibrium residual {residual:.3e} exceeds {_EQUILIBRIUM_RTOL:.1e} x load norm {rhs_norm:.3e}"
+            g_rhs = self._g_rhs @ values.T
+            u_g = np.empty_like(g_rhs)
+            # One S(E) matrix for the stack: each later design writes its slot
+            # values into it (a factor keeps no reference to the matrix it was
+            # made from), which spares a matrix construction and format check.
+            s_e = None
+            for j in range(m):
+                if s_e is None:
+                    s_e = self._interface_stiffness(values[j])
+                else:
+                    s_e.data = self._s_weights @ values[j]
+                try:
+                    lu = _factor(s_e)
+                except SingularSystemError as exc:
+                    errors[j] = exc
+                    u_g[:, j] = np.nan
+                else:
+                    u_g[:, j] = lu.solve(g_rhs[:, j])
+            u_i = self._z0[:, None] - cho_solve_banded(
+                (self._interior, True), self._coupling_t @ u_g, check_finite=False
             )
-
-        def solve(h: np.ndarray) -> np.ndarray:
-            h_i, own = h[:n_i], values[self._interior_patch]
-            if lu is None:
-                return cho_solve_banded(interior, h_i / own, check_finite=False)
-            u_g = lu.solve(h[n_i:] - self._coupling @ cho_solve_banded(interior, h_i, check_finite=False))
-            u_i = cho_solve_banded(interior, h_i / own - self._coupling_t @ u_g, check_finite=False)
-            return np.concatenate([u_i, u_g])
-
-        return uf, au, solve
+            uf = np.concatenate([u_i, u_g])
+        au = (self._patch_stiffness @ uf).reshape(values.shape[1], uf.shape[0], m)
+        rhs = -(self._rhs_per_patch @ values.T)
+        residual = np.linalg.norm(np.einsum("kfj,jk->fj", au, values) - rhs, axis=0)
+        rhs_norm = np.linalg.norm(rhs, axis=0)
+        # Fails closed: a NaN residual or load norm does not pass. A
+        # non-finite solution has a non-finite residual (every free dof has
+        # a nonzero column in K(1)), so it fails here too.
+        for j in np.flatnonzero(~(residual <= _EQUILIBRIUM_RTOL * rhs_norm)):
+            if errors[j] is None and not np.all(np.isfinite(uf[:, j])):
+                errors[j] = SingularSystemError("solution is non-finite")
+            elif errors[j] is None:
+                errors[j] = NumericalError(
+                    f"equilibrium residual {residual[j]:.3e} exceeds {_EQUILIBRIUM_RTOL:.1e} x load norm "
+                    f"{rhs_norm[j]:.3e}"
+                )
+            uf[:, j] = np.nan
+        return uf, au, errors, lu if m == 1 else None
 
     def _full(self, uf: np.ndarray) -> np.ndarray:
-        u = np.zeros(self._n_dofs)
-        u[self._dofs] = self._dof_values
-        u[self._free] = uf
+        """Flat displacement vectors, one row per column of ``uf``."""
+        u = np.empty((uf.shape[1], self._n_dofs))
+        u[:, self._dofs] = self._dof_values
+        u[:, self._free] = uf.T
         return u
 
     def solve_displacement(self, values: np.ndarray) -> np.ndarray:
-        """Flat displacement vector for the given patch moduli."""
-        return self._full(self._solve(self._check_values(values))[0])
+        """Flat displacement vector for the given patch moduli.
+
+        ``values`` is one design (P,) or a stack of designs (m, P); a stack
+        gives one row per design, each bitwise the solution of that design
+        alone, at one factorization per design (see ``_solve``). A single
+        design whose solve fails raises its NumericalError; in a stack, the
+        row of a design whose solve fails is NaN and the others are returned.
+        """
+        values = self._check_values(values, stack=True)
+        uf, _, errors, _ = self._solve(np.atleast_2d(values))
+        if values.ndim == 1:
+            if errors[0] is not None:
+                raise errors[0]
+            return self._full(uf)[0]
+        u = self._full(uf)
+        u[[e is not None for e in errors]] = np.nan
+        return u
 
     def sample_strains(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exx, eyy, gamma_xy) of a flat displacement vector at the surface points."""
@@ -537,13 +590,27 @@ class ForwardModel:
         at prescribed dofs do not contribute.
         """
         values = self._check_values(values)
-        uf, au, solve = self._solve(values)
+        uf, au, errors, lu = self._solve(values[None])
+        if errors[0] is not None:
+            raise errors[0]
+        au = au[:, :, 0]
+        n_i = self._interior_patch.size
+        interior = (self._interior, True)
+
+        def solve(h: np.ndarray) -> np.ndarray:
+            """K(E)^-1 h on the factors of the forward solve."""
+            h_i, own = h[:n_i], values[self._interior_patch]
+            if lu is None:
+                return cho_solve_banded(interior, h_i / own, check_finite=False)
+            u_g = lu.solve(h[n_i:] - self._coupling @ cho_solve_banded(interior, h_i, check_finite=False))
+            u_i = cho_solve_banded(interior, h_i / own - self._coupling_t @ u_g, check_finite=False)
+            return np.concatenate([u_i, u_g])
 
         def pullback(du):
             lam = solve(np.asarray(du, dtype=float)[self._free])
             return -(au @ lam + lam @ self._rhs_per_patch)
 
-        return self._full(uf), pullback
+        return self._full(uf)[0], pullback
 
     def surface_strain_arrays(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exx, eyy, gamma_xy) at the surface sample points; one fresh solve."""

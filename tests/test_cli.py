@@ -536,6 +536,55 @@ class TestCmdInvert:
         assert "corrupt" in capsys.readouterr().err
 
 
+def test_benchmark_hooks_see_the_solves(tmp_path, monkeypatch):
+    """The contract of the benchmark's hooks (perfbench/child.py and
+    perfbench/tracing.py): ``femupdate invert`` makes its first forward
+    solve through ``ForwardModel.solve_displacement(self, values)`` before
+    ``cli.run_hybrid`` returns, and every forward solve it counts inside
+    ``run_hybrid`` is one call of ``solver.splu``."""
+    from femupdate import solver
+    from femupdate.solver import ForwardModel
+
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path, base_config(out))
+    assert cli.main(["synth", "--config", cfg_path]) == 0
+    events = []
+    original = ForwardModel.solve_displacement
+
+    def first_solve(self, values):  # the signature child.py wraps it with
+        events.append("first_solve")
+        ForwardModel.solve_displacement = original
+        return original(self, values)
+
+    monkeypatch.setattr(ForwardModel, "solve_displacement", first_solve)
+    in_hybrid = [False]
+    splu_in_hybrid = [0]
+    real_splu = solver.splu
+
+    def splu(*args, **kwargs):
+        splu_in_hybrid[0] += in_hybrid[0]
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", splu)
+    run_hybrid = cli.run_hybrid
+
+    def stamped(*args, **kwargs):
+        in_hybrid[0] = True
+        try:
+            return run_hybrid(*args, **kwargs)
+        finally:
+            in_hybrid[0] = False
+            events.append("solve_end")
+
+    monkeypatch.setattr(cli, "run_hybrid", stamped)
+    inv = tmp_path / "inv"
+    assert cli.main(["invert", "--config", cfg_path, "--measurement", str(out / "measurement.csv"),
+                     "--out", str(inv)]) == 0
+    assert events == ["first_solve", "solve_end"]
+    report = json.loads((inv / "report.json").read_text())
+    assert splu_in_hybrid[0] == report["forward_solve_count"] > 0
+
+
 def test_cli_import_leaves_out_scipy_spatial_and_special():
     """The package's one neighbour search needs neither; importing them
     costs every command start-up time."""

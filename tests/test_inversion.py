@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import femupdate as fu
 from femupdate.inversion import STAGE_GA, STAGE_GRADIENT, relative_residual_cost
+from femupdate.solver import _factor as REAL_FACTOR
 
 E0 = 200000.0
 
@@ -248,7 +249,7 @@ class TestAdjointGradient:
 
 class TestRunGa:
     def test_sphere_regression_pin(self):
-        cost = lambda x: float(np.sum(x * x))
+        cost = lambda x: np.sum(x * x, axis=-1)
         lower = np.full(5, -5.0)
         upper = np.full(5, 5.0)
         config = fu.GAConfig(population_size=40, generations_max=100, rng_seed=7)
@@ -259,7 +260,7 @@ class TestRunGa:
     def test_degenerate_population_constant(self):
         # zero-width bounds force every individual onto the same point
         lower = upper = np.array([2.0, 3.0])
-        cost = lambda x: float(np.sum(x))
+        cost = lambda x: np.sum(x, axis=-1)
         config = fu.GAConfig(population_size=8, generations_max=5, mutation_rate=0.0, rng_seed=1)
         best, history = fu.run_ga(cost, lower, upper, config)
         costs = [r.best_cost for r in history.records]
@@ -267,7 +268,7 @@ class TestRunGa:
         assert_allclose(best, [2.0, 3.0])
 
     def test_same_seed_identical_history(self):
-        cost = lambda x: float(np.sum((x - 1.0) ** 2))
+        cost = lambda x: np.sum((x - 1.0) ** 2, axis=-1)
         lower = np.full(3, -4.0)
         upper = np.full(3, 4.0)
         config = fu.GAConfig(population_size=12, generations_max=20, rng_seed=5)
@@ -279,7 +280,7 @@ class TestRunGa:
             assert np.array_equal(r1.design, r2.design)
 
     def test_best_cost_non_increasing(self):
-        cost = lambda x: float(np.sum(x * x))
+        cost = lambda x: np.sum(x * x, axis=-1)
         config = fu.GAConfig(population_size=20, generations_max=30, rng_seed=2)
         _, history = fu.run_ga(cost, np.full(4, -3.0), np.full(4, 3.0), config)
         costs = [r.best_cost for r in history.records]
@@ -290,9 +291,9 @@ class TestRunGa:
         designs = set()
 
         def cost(x):
-            calls[0] += 1
-            designs.add(x.tobytes())
-            return float(np.sum(x * x))
+            calls[0] += len(x)
+            designs.update(row.tobytes() for row in x)
+            return np.sum(x * x, axis=-1)
 
         config = fu.GAConfig(population_size=10, generations_max=8, stall_generations=8, rng_seed=3)
         _, history = fu.run_ga(cost, np.full(3, -1.0), np.full(3, 1.0), config)
@@ -306,8 +307,9 @@ class TestRunGa:
         seen = []
 
         def cost(x):
-            seen.append(x.tobytes())
-            return float(np.sum((x - 0.3) ** 2))
+            x = np.atleast_2d(x)
+            seen.extend(row.tobytes() for row in x)
+            return np.sum((x - 0.3) ** 2, axis=-1)
 
         # no crossover half the time and rare mutation: children repeat parents
         config = fu.GAConfig(population_size=10, generations_max=12, stall_generations=12,
@@ -318,14 +320,32 @@ class TestRunGa:
         for r in history.records:
             assert r.best_cost == cost(r.design)
 
+    def test_one_stack_per_generation_same_history(self):
+        stacks = []
+
+        def cost(x):
+            stacks.append(x.copy())
+            return np.sum((x - 0.3) ** 2, axis=-1)
+
+        config = fu.GAConfig(population_size=10, generations_max=12, stall_generations=12,
+                             crossover_rate=0.5, mutation_rate=0.05, rng_seed=6)
+        _, history = fu.run_ga(cost, np.full(3, -1.0), np.full(3, 1.0), config)
+        assert len(stacks) <= len(history.records)  # at most one call per generation
+        rows = [row.tobytes() for stack in stacks for row in stack]
+        assert len(rows) == len(set(rows)) == history.total_forward_solves
+        # the same costs as one design at a time, so the same history
+        _, single = fu.run_ga(lambda x: np.array([cost(row[None])[0] for row in x]),
+                              np.full(3, -1.0), np.full(3, 1.0), config)
+        assert [r.best_cost for r in single.records] == [r.best_cost for r in history.records]
+
     def test_failed_candidates_scored_inf(self):
         failing = set()
 
         def cost(x):
-            if x[0] > 0.5:
-                failing.add(x.tobytes())
-                raise fu.SingularSystemError("stiffness is numerically singular")
-            return float(np.sum(x * x))
+            # the stack contract: a design whose solve fails scores +inf
+            fails = x[:, 0] > 0.5
+            failing.update(row.tobytes() for row in x[fails])
+            return np.where(fails, np.inf, np.sum(x * x, axis=-1))
 
         config = fu.GAConfig(population_size=12, generations_max=10, rng_seed=2)
         best, history = fu.run_ga(cost, np.full(2, -1.0), np.full(2, 1.0), config)
@@ -337,7 +357,7 @@ class TestRunGa:
     def test_bounds_validation(self):
         config = fu.GAConfig(population_size=6, generations_max=2)
         with pytest.raises(ValueError):
-            fu.run_ga(lambda x: 0.0, np.array([0.0, np.inf]), np.array([1.0, np.inf]), config)
+            fu.run_ga(lambda x: np.zeros(len(x)), np.array([0.0, np.inf]), np.array([1.0, np.inf]), config)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -346,6 +366,115 @@ class TestRunGa:
             fu.GAConfig(crossover_rate=1.5)
         with pytest.raises(ValueError):
             fu.GAConfig(tournament_size=1)
+
+
+def eleven_patch_context():
+    """The 2D acceptance problem: 40 x 10 coupon, 9 sections and 2 defects
+    (11 patches), measured on a 40 x 10 grid with 1% noise."""
+    mesh = fu.build_coupon_mesh(100, 20, 2, 40, 10)
+    defects = [fu.DefectSpec((20, 6), (32, 14)), fu.DefectSpec((60, 4), (72, 12))]
+    pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 9), mesh, defects)
+    bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+    truth = np.full(11, E0)
+    truth[9:] = 0.3 * E0
+    grid = fu.grid_for_footprint((100, 20), counts=(40, 10))
+    field = fu.generate_synthetic(fu.ForwardModel(mesh, pmap, 0.3, bcs), truth, grid,
+                                  noise_sigma=0.01, rng_seed=3)
+    return fu.CostContext(mesh, pmap, bcs, 0.3, [field], strain_floor=3e-5)
+
+
+@pytest.fixture(scope="module", params=["2d_11_patches", "3d_3_patches"])
+def stacked(request):
+    """A cost context and a stack of designs on it, one design repeated."""
+    context = eleven_patch_context() if request.param.startswith("2d") else front_face_context()[0]
+    p = context.patch_map.patch_count
+    designs = np.random.default_rng(8).uniform(0.05, 3.0, (6, p)) * E0
+    designs[4] = designs[1]
+    return context, designs
+
+
+def failing_on_call(monkeypatch, fail_at=None):
+    """Count the calls of ``solver._factor`` and make call number ``fail_at``
+    (from 0) raise SingularSystemError; returns the list of calls made."""
+    from femupdate import solver
+
+    calls = []
+
+    def factor(k):
+        calls.append(1)
+        if len(calls) - 1 == fail_at:
+            raise fu.SingularSystemError("stiffness factorization failed")
+        return REAL_FACTOR(k)
+
+    monkeypatch.setattr(solver, "_factor", factor)
+    return calls
+
+
+class TestCostStack:
+    """``CostContext.cost`` and ``ForwardModel.solve_displacement`` on a
+    stack of designs (m, P): one factorization per design, and every result
+    bitwise the one of its design alone."""
+
+    def test_stack_equals_single_designs(self, stacked):
+        context, designs = stacked
+        costs = context.cost(designs)
+        assert isinstance(costs, np.ndarray) and costs.shape == (len(designs),)
+        assert np.array_equal(costs, [context.cost(x) for x in designs])
+        u = context.forward.solve_displacement(designs)
+        assert u.shape == (len(designs), context.forward.strain_sampling.shape[1])
+        for x, row in zip(designs, u):
+            assert np.array_equal(row, context.forward.solve_displacement(x))
+
+    def test_one_factorization_per_design(self, stacked, monkeypatch):
+        context, designs = stacked
+        calls = failing_on_call(monkeypatch)
+        context.cost(designs)
+        assert len(calls) == len(designs)
+
+    def test_failed_factorization_scores_inf_others_unchanged(self, stacked, monkeypatch):
+        context, designs = stacked
+        alone = [context.cost(x) for x in designs]
+        failing_on_call(monkeypatch, fail_at=2)
+        costs = context.cost(designs)
+        assert costs[2] == np.inf
+        assert np.array_equal(np.delete(costs, 2), np.delete(alone, 2))
+        failing_on_call(monkeypatch, fail_at=2)
+        u = context.forward.solve_displacement(designs)
+        assert np.all(np.isnan(u[2]))
+        assert np.all(np.isfinite(np.delete(u, 2, axis=0)))
+        failing_on_call(monkeypatch, fail_at=0)
+        with pytest.raises(fu.SingularSystemError):  # a single design raises
+            context.cost(designs[2])
+
+    def test_equilibrium_failure_scores_inf_others_unchanged(self, stacked, monkeypatch):
+        """A factor of a perturbed S(E) for one design: that design fails
+        the equilibrium check, the others pass unchanged."""
+        from femupdate import solver
+
+        context, designs = stacked
+        alone = [context.cost(x) for x in designs]
+        real, calls = solver.splu, []
+
+        def perturbed(k, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                k = k.copy()
+                k.data *= 1.0 + 1e-3
+            return real(k, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "splu", perturbed)
+        costs = context.cost(designs)
+        assert costs[3] == np.inf
+        assert np.array_equal(np.delete(costs, 3), np.delete(alone, 3))
+
+    def test_run_ga_counts_the_failed_design_once(self, monkeypatch):
+        context, truth, lower, upper = small_context()
+        config = fu.GAConfig(population_size=10, generations_max=4, rng_seed=1)
+        calls = failing_on_call(monkeypatch, fail_at=5)
+        _, history = fu.run_ga(context.cost, lower, upper, config)
+        assert history.failed_evaluations == 1
+        assert history.total_forward_solves == len(calls)
+        assert np.isfinite(history.final.best_cost)
 
 
 def bowl(c):

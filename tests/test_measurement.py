@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import femupdate as fu
 from femupdate.config import load_config
-from femupdate.errors import OutOfDomainError, ParseError
+from femupdate.errors import DataError, OutOfDomainError, ParseError
 from femupdate.measurement import IDW_NEIGHBORS, Interpolator, nearest_samples
 from test_acceptance import coupon_config_2d, coupon_config_3d
 
@@ -270,6 +270,12 @@ class TestMeasurementCsv:
         with pytest.raises(ParseError, match="non-finite"):
             fu.load_measurement_csv(path)
 
+    def test_non_utf8_line_number(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"x_mm,y_mm,exx,eyy,exy\r\n1,1,0,0,0\r\n# caf\xe9\r\n2,1,0,0,0\r\n")
+        with pytest.raises(ParseError, match="line 3: line is not UTF-8 text"):
+            fu.load_measurement_csv(path)
+
     def test_irregular_grid_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(
@@ -318,6 +324,89 @@ class TestMeasurementCsv:
         with pytest.raises(ParseError, match="line 2: noise_sigma must be finite and >= 0") as exc:
             fu.load_measurement_csv(path)
         assert exc.value.line_number == 2
+
+
+# Tokens that break one value of a data row: non-numeric, non-finite or
+# overflowing to infinity.
+BAD_TOKENS = ["", "x", "1e", "--1", "0x10", "nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e400"]
+
+
+@st.composite
+def measurement_csv(draw):
+    """The text of a measurement CSV: a regular grid written as the writer
+    writes it, then at most a few edits (malformed or non-finite values,
+    moved, dropped or repeated points, extra or broken lines)."""
+    gx, gy = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    x0, y0 = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+    dx, dy = draw(st.floats(1e-3, 1e2)), draw(st.floats(1e-3, 1e2))
+    strain = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [[x0 + i * dx, y0 + j * dy, draw(strain), draw(strain), draw(strain)]
+            for j in range(gy) for i in range(gx)]
+    lines = [f"{a:.17g},{b:.17g},{c:.17g},{d:.17g},{e:.17g}" for a, b, c, d, e in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["token", "fields", "move", "drop", "repeat", "swap", "junk"]))
+        n = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        if not lines and edit != "junk":
+            continue
+        if edit == "token":  # one value replaced
+            parts = lines[n].split(",")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+            lines[n] = ",".join(parts)
+        elif edit == "fields":  # a value too few or too many
+            parts = lines[n].split(",")
+            lines[n] = ",".join(parts[:-1] if draw(st.booleans()) else parts + ["0"])
+        elif edit == "move":  # a point off the grid, by as little as a rounding error
+            parts = lines[n].split(",")
+            axis = draw(st.integers(0, 1))
+            delta = draw(st.sampled_from([1e-12, 1e-9, 2e-9, 1e-3, -0.5, 10.0]))
+            try:
+                parts[axis] = repr(float(parts[axis]) + delta)
+            except (ValueError, IndexError):  # a token or field edit got there first
+                continue
+            lines[n] = ",".join(parts)
+        elif edit == "drop":
+            del lines[n]
+        elif edit == "repeat":
+            lines.insert(n, lines[n])
+        elif edit == "swap":
+            m = draw(st.integers(0, len(lines) - 1))
+            lines[n], lines[m] = lines[m], lines[n]
+        else:  # a line no row or comment parses as
+            lines.insert(n, draw(st.sampled_from(["1;2;3;4;5", "1,2,3,4,5,6", ",,,,", "x_mm,y_mm,exx,eyy,exy",
+                                                  "# noise_sigma=0.01", "1 2 3 4 5"])))
+    meta = draw(st.sampled_from([[], ["# load_step=2", "# noise_sigma=0.01", "# rng_seed=5"],
+                                 ["# noise_sigma=-1"], ["# load_step=two"], ["# rng_seed=none"]]))
+    return "\n".join(meta + ["x_mm,y_mm,exx,eyy,exy"] + lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=measurement_csv(), garble=st.one_of(st.none(), st.integers(0, 10**6)))
+def test_fuzzed_csv_round_trips_or_raises_data_error(tmp_path_factory, text, garble):
+    """A measurement file either loads, to a grid within 1e-9 mm of its
+    points and its strains, and then writes back to a file that loads to
+    the same field, or raises DataError (ParseError is one). ``garble``
+    places a byte that is not UTF-8 in the file."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+    data = text.encode("utf-8")
+    if garble is not None:
+        at = garble % (len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
+    path.write_bytes(data)
+    try:
+        field = fu.load_measurement_csv(path)
+    except DataError:
+        return
+    rows = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()
+                     if line.strip() and not line.startswith(("#", "x_mm"))])
+    assert np.abs(field.grid.points() - rows[:, :2]).max() <= 1e-9  # the format's grid tolerance
+    assert np.array_equal(np.column_stack([field.exx, field.eyy, field.exy]), rows[:, 2:])
+    fu.write_measurement_csv(field, path)
+    again = fu.load_measurement_csv(path)
+    for name in ("exx", "eyy", "exy"):
+        assert np.array_equal(getattr(again, name), getattr(field, name))
+    assert (again.load_step, again.noise_sigma, again.rng_seed) == (field.load_step, field.noise_sigma, field.rng_seed)
+    assert again.grid.counts == field.grid.counts
+    assert np.abs(again.grid.points() - field.grid.points()).max() <= 1e-9
 
 
 class TestInverseCrimeZero:
