@@ -1,8 +1,8 @@
 """End-to-end modulus identification on a desk-scale coupon.
 
 Synthetic strain measurements come from a coupon with one soft patch;
-the hybrid optimizer (GA exploration, then projected-gradient descent
-with spectral steps) recovers every patch modulus from the surface field
+the hybrid optimizer (GA exploration, then projected Gauss-Newton on
+exact sensitivities) recovers every patch modulus from the surface field
 alone. Takes roughly ten seconds.
 
 Note the scale pin: under displacement control, scaling every modulus

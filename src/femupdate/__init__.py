@@ -3,7 +3,7 @@
 Recovers a piecewise elastic-modulus distribution inside a coupon from
 surface-only full-field strain measurements: a linear elastic forward
 solver, synthetic DIC-style measurement generation, and a hybrid
-genetic + projected-gradient inversion of the relative strain-residual
+genetic + projected Gauss-Newton inversion of the relative strain-residual
 misfit.
 """
 

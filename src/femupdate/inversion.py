@@ -6,14 +6,18 @@ keep near-zero measurements from dominating), and sums the squared ratios
 over all grid points, components and load steps.
 
 Minimization runs in two stages: a real-coded genetic algorithm explores
-the bounded design space, then projected gradient descent with Armijo
+the bounded design space, then projected Gauss-Newton with Armijo
 backtracking refines the best individual. The GA solves each distinct
 design once: elites and children identical to an earlier candidate reuse
 its cost, and the new designs of a generation are scored as one stack.
-The gradient stage runs on exact adjoint sensitivities: one factorization
-of K(E) serves the forward solve and the adjoint solve, so a cost and its
-gradient cost one forward solve. Both stages are
-deterministic given their seeds and log every iterate into a
+The misfit is a sum of squared weighted residuals r(E), so the second
+stage works on r and its exact Jacobian J = dr/dE: one factorization
+serves the forward solve and the P sensitivity solves (the structure of
+Oberai, Gokhale & Feijoo, Inverse Problems 19, 2003), so a cost and its
+Jacobian cost one forward solve. Each step fixes the active bounds, as in
+Bertsekas' projected Newton method (SIAM J. Control Optim. 20, 1982), and
+solves a linear least-squares problem over the free moduli. Both stages
+are deterministic given their seeds and log every iterate into a
 ConvergenceHistory. ``fd_gradient`` remains as a finite-difference oracle
 for checking gradients.
 """
@@ -71,8 +75,10 @@ class GAConfig:
 
 @dataclass(frozen=True)
 class GradConfig:
-    """Projected-gradient settings: Armijo line search and gradient / step
-    stopping tolerances."""
+    """Settings of the projected Gauss-Newton stage (``run_gradient``): the
+    Armijo sufficient-decrease constant and backtracking factor of its line
+    search, and its stopping rules, an iteration cap, a projected-gradient
+    tolerance and a relative-step tolerance."""
 
     max_iterations: int = 300
     armijo_c: float = 1e-4
@@ -107,7 +113,7 @@ class ConvergenceHistory:
     written; ``total_forward_solves`` additionally includes the trial
     points of a final line search that found no acceptable step.
     ``failed_evaluations`` counts the evaluations whose solve raised a
-    NumericalError: distinct GA candidates, scored +inf, and gradient
+    NumericalError: distinct GA candidates, scored +inf, and Gauss-Newton
     line-search trials, rejected.
     """
 
@@ -136,7 +142,7 @@ class ConvergenceHistory:
 
 
 class _CountingCost:
-    """Wraps a cost (or cost-and-gradient) function, counting its forward
+    """Wraps a cost (or cost-and-Jacobian) function, counting its forward
     solves: one per design, so one per call of a single design (P,) and m
     per call of a stack (m, P)."""
 
@@ -177,7 +183,7 @@ class CostContext:
     ratio) and the measurements, stacked exx | eyy | exy per load step, and
     composes once the sparse operator M = ``grid_strain_operator`` from
     displacements to grid strains. The cost applies M to a fresh solve,
-    the adjoint gradient applies M.T to the misfit's derivative. All
+    the Jacobian applies it to the displacement sensitivities. All
     measurements must share one grid; the forward solve is reused across
     load steps since the loading is a single prescribed-displacement case.
     """
@@ -232,20 +238,26 @@ class CostContext:
         costs[np.isnan(u).any(axis=1)] = np.inf
         return costs
 
-    def cost_and_grad(self, design: np.ndarray) -> tuple[float, np.ndarray]:
-        """Cost and its exact gradient with respect to the patch moduli.
+    def cost_and_jacobian(self, design: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Cost, weighted residuals and their exact Jacobian for one design.
 
-        One factorization of the interface Schur complement, shared by the
-        forward and the adjoint solve (an LU solve each, plus one banded
-        interior solve forward and two adjoint); the cost is bitwise the
-        value ``cost`` returns.
+        Returns (f, r, J): f bitwise the value ``cost`` returns; r the
+        residuals (measured - computed) / max(|measured|, strain_floor) of
+        every load step, stacked, so f = |r|^2 up to rounding; and
+        J = dr/dE, one column per patch, from the displacement
+        sensitivities of ``ForwardModel.displacement_with_sensitivities``:
+        one factorization, shared by the forward solve and the P
+        sensitivity solves. The gradient of the cost is 2 J^T r.
         """
-        u, pullback = self.forward.displacement_with_pullback(design)
+        u, du = self.forward.displacement_with_sensitivities(design)
         num = self._operator @ u
-        d_num = sum(
-            -2.0 * (exp - num) / np.maximum(np.abs(exp), self.strain_floor) ** 2 for exp in self._measured
-        )
-        return float(self._misfit(num)), pullback(self._operator.T @ d_num)
+        d_num = self._operator @ du
+        residuals, jacobians = [], []
+        for exp in self._measured:
+            denom = np.maximum(np.abs(exp), self.strain_floor)
+            residuals.append((exp - num) / denom)
+            jacobians.append(-d_num / denom[:, None])
+        return float(self._misfit(num)), np.concatenate(residuals), np.vstack(jacobians)
 
     def _misfit(self, num: np.ndarray):
         return sum(relative_residual_cost((exp,), (num,), self.strain_floor) for exp in self._measured)
@@ -263,8 +275,8 @@ def fd_gradient(
     Central differences where the stencil fits inside the bounds; second
     order one-sided stencils at the box faces. Coordinates with zero range
     (pinned entries) get a zero gradient component. The optimizer uses the
-    adjoint gradient of ``CostContext.cost_and_grad``; this is the oracle
-    that checks it.
+    exact gradient 2 J^T r from ``CostContext.cost_and_jacobian``; this is
+    the oracle that checks it.
     """
     x = np.asarray(design, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -406,27 +418,55 @@ def run_ga(
     return best.design.copy(), history
 
 
+def _gauss_newton_step(x, r, jac, grad, lower, upper) -> np.ndarray:
+    """Projected Gauss-Newton direction: min |J_F d + r| over the free set F.
+
+    F leaves out the coordinates whose column of J is zero (pinned ones
+    included) and those at a bound where the descent direction -g points
+    out of the box.
+    The least-squares problem is solved with unit-norm columns. A free
+    coordinate at a bound whose step would leave the box is then fixed
+    too, and the problem solved again, so a short enough step moves no
+    coordinate out of the box.
+    """
+    norms = np.linalg.norm(jac, axis=0)
+    at_lower, at_upper = x <= lower, x >= upper
+    free = (norms > 0) & ~(at_lower & (grad > 0)) & ~(at_upper & (grad < 0))
+    step = np.zeros_like(x)
+    while free.any():
+        step[:] = 0.0
+        step[free] = np.linalg.lstsq(jac[:, free] / norms[free], -r, rcond=None)[0] / norms[free]
+        outward = (at_lower & (step < 0)) | (at_upper & (step > 0))
+        if not outward.any():
+            break
+        free &= ~outward
+    return np.where(free, step, 0.0)
+
+
 def run_gradient(
-    cost_and_grad,
+    cost_and_jacobian,
     start_design: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     config: GradConfig,
 ) -> tuple[np.ndarray, ConvergenceHistory]:
-    """Projected gradient descent with Armijo backtracking inside the box.
+    """Projected Gauss-Newton refinement of a least-squares cost inside the box.
 
-    ``cost_and_grad(x)`` returns the cost and its exact gradient (for a
-    CostContext, the adjoint sensitivities of ``CostContext.cost_and_grad``),
-    so every evaluation costs one forward solve and the gradient of an
-    accepted trial point serves the next iteration. Gradient components of
-    pinned coordinates (``lower == upper``) are set to zero.
+    ``cost_and_jacobian(x)`` returns (f, r, J): the cost f = |r|^2, the
+    residual vector r and its Jacobian J = dr/dx (for a CostContext,
+    ``CostContext.cost_and_jacobian``, exact sensitivities at one forward
+    solve per call), so the Jacobian of an accepted trial point serves the
+    next iteration. The gradient is g = 2 J^T r; the columns of pinned
+    coordinates (``lower == upper``) are set to zero, so they get a zero
+    gradient and a zero step.
 
-    The trial step length is initialized with alternating Barzilai-Borwein
-    spectral estimates (plain gradient differences, no stored matrix),
-    then backtracked until the projected Armijo condition
-    f(x(t)) <= f(x) - (c/t) |x - x(t)|^2 holds, so accepted costs are
-    strictly decreasing and every iterate stays inside the box. Stops on
-    the projected-gradient infinity norm, on a relative step below
+    Each iteration takes the Gauss-Newton direction d over the free
+    coordinates (``_gauss_newton_step``: the active set is fixed, as in
+    Bertsekas' projected Newton method) and backtracks from t = 1 by
+    ``backtrack_factor`` until the projected Armijo condition
+    f(x(t)) <= f(x) + c g^T (x(t) - x), x(t) = clip(x + t d), holds, so
+    accepted costs decrease and every iterate stays inside the box. Stops
+    on the projected-gradient infinity norm, on a relative step below
     ``step_tol``, or at ``max_iterations``; a failed line search sets the
     stalled flag and returns the current iterate. A trial point whose
     evaluation raises NumericalError is rejected like one that fails the
@@ -437,58 +477,45 @@ def run_gradient(
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     x = np.clip(np.asarray(start_design, dtype=float), lower, upper)
-    counter = cost_and_grad if isinstance(cost_and_grad, _CountingCost) else _CountingCost(cost_and_grad)
+    counter = (
+        cost_and_jacobian if isinstance(cost_and_jacobian, _CountingCost) else _CountingCost(cost_and_jacobian)
+    )
     span = upper - lower
     pinned = span == 0
 
     def evaluate(z):
-        f_z, g_z = counter(z)
-        return f_z, np.where(pinned, 0.0, g_z)
+        f_z, r_z, jac_z = counter(z)
+        jac_z = np.where(pinned, 0.0, jac_z)
+        return f_z, r_z, jac_z, 2.0 * (jac_z.T @ r_z)
 
-    f, grad = evaluate(x)
+    f, r, jac, grad = evaluate(x)
     history = ConvergenceHistory()
     history.append(STAGE_GRADIENT, 0, f, x, counter.count)
 
-    max_span = float(span.max())
-    x_prev = grad_prev = None
-    t_accepted = None
     # After a line search that rejected a failed trial, the next one starts
     # no longer than the step it accepted, so it does not pay again for
     # solves that fail in the same region.
     t_cap = np.inf
-    use_bb2 = False
     for it in range(1, config.max_iterations + 1):
         projected = x - np.clip(x - grad, lower, upper)
         if np.max(np.abs(projected)) < config.grad_tol:
             break
-        t = None
-        if x_prev is not None:
-            s = x - x_prev
-            y = grad - grad_prev
-            sy = float(s @ y)
-            if sy > 0:
-                t = float(s @ s) / sy if not use_bb2 else sy / float(y @ y)
-                use_bb2 = not use_bb2
-            else:
-                t = 2.0 * t_accepted
-        if t is None or not np.isfinite(t) or t <= 0:
-            t = 0.1 * max_span / float(np.max(np.abs(grad)))
-        t = min(t, t_cap)
+        direction = _gauss_newton_step(x, r, jac, grad, lower, upper)
+        t = min(1.0, t_cap)
         accepted = failed = False
         for _ in range(_MAX_BACKTRACKS):
-            x_new = np.clip(x - t * grad, lower, upper)
-            step = x - x_new
-            step_sq = float(np.dot(step, step))
-            if step_sq == 0.0:
+            x_new = np.clip(x + t * direction, lower, upper)
+            step = x_new - x
+            if not step.any():
                 t *= config.backtrack_factor
                 continue
             try:
-                f_new, grad_new = evaluate(x_new)
+                f_new, r_new, jac_new, grad_new = evaluate(x_new)
             except NumericalError:
                 history.failed_evaluations += 1
                 failed = True
             else:
-                if f_new <= f - (config.armijo_c / t) * step_sq:
+                if f_new <= f + config.armijo_c * float(grad @ step):
                     accepted = True
                     break
             t *= config.backtrack_factor
@@ -496,9 +523,8 @@ def run_gradient(
             history.gradient_stalled = True
             break
         with np.errstate(invalid="ignore", divide="ignore"):
-            rel_step = np.where(span > 0, np.abs(x - x_new) / span, 0.0)
-        x_prev, grad_prev = x, grad
-        x, f, grad, t_accepted = x_new, f_new, grad_new, t
+            rel_step = np.where(span > 0, np.abs(step) / span, 0.0)
+        x, f, r, jac, grad = x_new, f_new, r_new, jac_new, grad_new
         t_cap = t if failed else np.inf
         history.append(STAGE_GRADIENT, it, f, x, counter.count)
         if float(rel_step.max()) < config.step_tol:
@@ -515,20 +541,21 @@ def run_hybrid(
     grad_config: GradConfig,
     initial_guess: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ConvergenceHistory]:
-    """GA exploration followed by gradient refinement from the GA's best.
+    """GA exploration followed by Gauss-Newton refinement from the GA's best.
 
     The GA scores designs with ``context.cost`` (each distinct design
-    once, one stack per generation), the gradient stage with
-    ``context.cost_and_grad``. The returned history concatenates both
-    stages with a shared forward solve counter (one count per
-    factorization); the final cost never exceeds the GA stage's best.
+    once, one stack per generation), the refinement stage
+    (``run_gradient``) with ``context.cost_and_jacobian``. The returned
+    history concatenates both stages with a shared forward solve counter
+    (one count per factorization); the final cost never exceeds the GA
+    stage's best.
     """
     cost = _CountingCost(context.cost)
     ga_best, history = run_ga(cost, lower, upper, ga_config, initial_guess)
-    cost_and_grad = _CountingCost(context.cost_and_grad, cost.count)
-    refined, grad_history = run_gradient(cost_and_grad, ga_best, lower, upper, grad_config)
+    cost_and_jacobian = _CountingCost(context.cost_and_jacobian, cost.count)
+    refined, grad_history = run_gradient(cost_and_jacobian, ga_best, lower, upper, grad_config)
     history.extend(grad_history)
-    history.total_forward_solves = cost_and_grad.count
+    history.total_forward_solves = cost_and_jacobian.count
     ga_final = history.stage_records(STAGE_GA)[-1].best_cost
     grad_final = history.stage_records(STAGE_GRADIENT)[-1].best_cost
     final = refined if grad_final <= ga_final else ga_best

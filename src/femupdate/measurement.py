@@ -9,7 +9,7 @@ cell grid over the samples (``nearest_samples``); ties are broken by
 (distance, sample index), so of equidistant samples the lower index wins.
 ``grid_strain_operator`` composes that interpolation W with the model's
 surface strain sampling S into one sparse matrix M from displacements to
-grid strains; synthesis, the misfit and its adjoint gradient all apply M.
+grid strains; synthesis, the misfit and its Jacobian all apply M.
 """
 
 import math
@@ -319,15 +319,17 @@ def load_measurement_csv(path) -> ExperimentalField:
     """Parse a measurement CSV, validating the regular-grid structure.
 
     Points must form the declared row-major regular grid to 1e-9 mm;
-    malformed rows (including bytes that are not UTF-8), non-finite
+    malformed rows (including bytes that are not UTF-8; a UTF-8
+    byte-order mark at the start is accepted), non-finite
     strains, invalid metadata and grid irregularities raise ParseError
     with the offending line number.
     """
     meta = {"load_step": 0, "noise_sigma": 0.0, "rng_seed": None}
     rows = []
     header_seen = False
-    # Undecodable bytes become lone surrogates, so the line that holds them is known.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    # Undecodable bytes become lone surrogates, so the line that holds them is
+    # known; a leading byte-order mark, as spreadsheet exports write, is dropped.
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 raw.encode("utf-8")

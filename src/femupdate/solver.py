@@ -12,10 +12,12 @@ per model; a solve factors only the Schur complement on the interface
 dofs, S(E) = sum_k E_k S_k, without pivoting (K(E) and S(E) are
 symmetric positive definite for positive moduli), and recovers the
 interior with one banded solve. K(E) is never assembled per solve: the
-equilibrium check and the adjoint gradient use the per-patch products
-A_k u. Surface strain sampling is one sparse matrix from displacements
-to strains, built once with the model; its transpose carries strain
-sensitivities back to displacements for the adjoint gradient.
+equilibrium check and the displacement sensitivities du/dE use the
+per-patch products A_k u, and the sensitivities of all P moduli are one
+multi-right-hand-side solve on the factors of the forward solve. Surface
+strain sampling is one sparse matrix from displacements to strains,
+built once with the model; it maps displacement sensitivities to strain
+sensitivities too.
 
 Shear convention: the xy strain reported everywhere is the engineering
 shear gamma_xy = du/dy + dv/dx (twice the tensor component), matching the
@@ -266,11 +268,10 @@ class ForwardModel:
     takes one fill, factorization and LU solve of S(E) per design; the
     interface loads, the banded solve, the A_k products and the checks run
     once for the stack, each result bitwise that of its design alone.
-    ``displacement_with_pullback`` reuses the same factors for the adjoint
-    solve of an exact gradient (K(E) is symmetric): a general right-hand
-    side h takes u_G = S(E)^-1 (h_G - B D^-1 h_I) and
-    u_I = D^-1 (h_I / E_own - B^T u_G), E_own the modulus of the patch
-    owning each interior dof, so two banded solves.
+    ``displacement_with_sensitivities`` reuses the same factors for the P
+    sensitivity solves (K(E) is symmetric): their right-hand sides vanish
+    on the interior, so they take one LU solve of S(E) and one banded
+    solve, each with P columns.
 
     The surface strains are the sparse linear map ``strain_sampling`` of the
     displacements. The rank is checked once, at construction: for positive
@@ -577,40 +578,35 @@ class ForwardModel:
         """(exx, eyy, gamma_xy) of a flat displacement vector at the surface points."""
         return tuple(np.split(self._strain_sampling @ u, 3))
 
-    def displacement_with_pullback(self, values: np.ndarray):
-        """Displacements of one fresh solve, and their pullback to the moduli.
+    def displacement_with_sensitivities(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Displacements of one fresh solve, and their sensitivities to the moduli.
 
-        Returns (u, pullback), u the flat displacement vector that
-        ``solve_displacement`` returns. ``pullback(du)`` maps the gradient
-        dF/du of a scalar, a flat vector over all dofs, to its gradient
-        with respect to the patch moduli by the adjoint method: with
-        K u_f = -R E, the adjoint solve K lam = dF/du_f (K is symmetric) on
-        the same factors gives dF/dE_k = -lam^T (A_k u_f + R_k), from the
-        per-patch products A_k u_f of the forward solve. Entries of ``du``
-        at prescribed dofs do not contribute.
+        Returns (u, du): u the flat displacement vector that
+        ``solve_displacement`` returns, du = du/dE of shape (n_dofs, P),
+        zero at the prescribed dofs. Differentiating K(E) u_f = -R E gives
+        K(E) du_f/dE_k = -(A_k u_f + R_k) (K(E) is symmetric), all P columns
+        from the per-patch products A_k u_f of the forward solve. The
+        interior rows of these right-hand sides vanish: on I_k only patch k
+        contributes, and there E_k (A_k u_f + R_k) is the residual of the
+        interior equations, zero. So K(E)^-1 (A_k u_f + R_k) is
+        u_G = S(E)^-1 (A_k u_f + R_k)_G, one LU solve on the forward
+        solve's factor, and u_I = -D^-1 B^T u_G, one banded solve, each
+        with P columns; du is its negative. One factorization per call;
+        the forward solve is checked as in ``solve_displacement``.
         """
         values = self._check_values(values)
         uf, au, errors, lu = self._solve(values[None])
         if errors[0] is not None:
             raise errors[0]
-        au = au[:, :, 0]
         n_i = self._interior_patch.size
-        interior = (self._interior, True)
-
-        def solve(h: np.ndarray) -> np.ndarray:
-            """K(E)^-1 h on the factors of the forward solve."""
-            h_i, own = h[:n_i], values[self._interior_patch]
-            if lu is None:
-                return cho_solve_banded(interior, h_i / own, check_finite=False)
-            u_g = lu.solve(h[n_i:] - self._coupling @ cho_solve_banded(interior, h_i, check_finite=False))
-            u_i = cho_solve_banded(interior, h_i / own - self._coupling_t @ u_g, check_finite=False)
-            return np.concatenate([u_i, u_g])
-
-        def pullback(du):
-            lam = solve(np.asarray(du, dtype=float)[self._free])
-            return -(au @ lam + lam @ self._rhs_per_patch)
-
-        return self._full(uf)[0], pullback
+        du = np.zeros((self._n_dofs, values.size))  # a single patch: u = z0 whatever the modulus
+        if lu is not None:
+            u_g = lu.solve(au[:, n_i:, 0].T + self._rhs_per_patch[n_i:])
+            du[self._free[n_i:]] = -u_g
+            du[self._free[:n_i]] = cho_solve_banded(
+                (self._interior, True), self._coupling_t @ u_g, check_finite=False
+            )
+        return self._full(uf)[0], du
 
     def surface_strain_arrays(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exx, eyy, gamma_xy) at the surface sample points; one fresh solve."""

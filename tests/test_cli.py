@@ -598,6 +598,26 @@ def test_cli_import_leaves_out_scipy_spatial_and_special():
     assert out.stdout.strip() == "[]"
 
 
+def test_invert_leaves_out_scipy_optimize(tmp_path):
+    """A whole ``femupdate invert`` runs without ``scipy.optimize``, whose
+    import alone costs start-up time and memory."""
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path, base_config(out))
+    assert cli.main(["synth", "--config", cfg_path]) == 0
+    args = ["invert", "--config", cfg_path, "--measurement", str(out / "measurement.csv"),
+            "--out", str(tmp_path / "inv")]
+    code = (
+        "import sys, femupdate.cli; "
+        f"assert femupdate.cli.main({args!r}) == 0; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))  # the femupdate under test
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert run.stdout.strip().splitlines()[-1] == "False"
+    assert (tmp_path / "inv" / "report.json").exists()
+
+
 class TestArgparseContract:
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

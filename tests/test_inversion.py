@@ -1,4 +1,5 @@
-"""Cost function, adjoint and finite-difference gradients, GA and gradient stages."""
+"""Cost function, exact and finite-difference gradients and Jacobians, GA and
+Gauss-Newton stages."""
 
 import numpy as np
 import pytest
@@ -47,10 +48,16 @@ def front_face_context():
     return fu.CostContext(mesh, pmap, bcs, 0.3, [field], strain_floor=3e-5), truth
 
 
+def gradient(context, design):
+    """Cost and gradient 2 J^T r from ``cost_and_jacobian``."""
+    f, r, jac = context.cost_and_jacobian(design)
+    return f, 2.0 * (jac.T @ r)
+
+
 def assert_adjoint_matches_fd(context, designs, lower, upper):
-    """cost_and_grad against the central-difference oracle, 1e-6 relative in the max norm."""
+    """The gradient 2 J^T r against the central-difference oracle, 1e-6 relative in the max norm."""
     for design in designs:
-        f, g = context.cost_and_grad(design)
+        f, g = gradient(context, design)
         assert f == context.cost(design)  # bitwise: the same operations
         g_fd = fu.fd_gradient(context.cost, design, lower, upper)
         rel = np.abs(g - g_fd).max() / np.abs(g_fd).max()
@@ -225,17 +232,17 @@ class TestAdjointGradient:
 
     def test_cost_is_bitwise_cost(self):
         context, truth, _, _ = small_context()
-        f, g = context.cost_and_grad(truth)
+        f, g = gradient(context, truth)
         assert f == context.cost(truth) == 0.0
-        assert np.abs(g).max() < 1e-12 * np.abs(context.cost_and_grad(1.2 * truth)[1]).max()
+        assert np.abs(g).max() < 1e-12 * np.abs(gradient(context, 1.2 * truth)[1]).max()
 
     def test_several_load_steps_sum(self):
         context, truth, _, _ = small_context(noise=0.01, seed=2)
         twice = fu.CostContext(context.mesh, context.patch_map, context.bcs, 0.3,
                                [context.measurements[0]] * 2)
         design = truth * np.array([1.0, 1.2, 0.9, 1.5])
-        f1, g1 = context.cost_and_grad(design)
-        f2, g2 = twice.cost_and_grad(design)
+        f1, g1 = gradient(context, design)
+        f2, g2 = gradient(twice, design)
         assert f2 == pytest.approx(2 * f1, rel=1e-14)
         assert_allclose(g2, 2 * g1, rtol=1e-12)
 
@@ -244,7 +251,39 @@ class TestAdjointGradient:
         bad = truth.copy()
         bad[2] = 0.0
         with pytest.raises(ValueError):
-            context.cost_and_grad(bad)
+            context.cost_and_jacobian(bad)
+
+
+class TestJacobian:
+    """Every column of J = dr/dE from ``cost_and_jacobian`` against central
+    differences of r, 1e-6 relative in the max norm."""
+
+    @pytest.mark.parametrize("fixture", ["2d_11_patches", "3d_3_patches"])
+    def test_columns_match_central_differences(self, fixture):
+        context = eleven_patch_context() if fixture.startswith("2d") else front_face_context()[0]
+        p = context.patch_map.patch_count
+        design = np.random.default_rng(12).uniform(0.3, 2.0, p) * E0
+        f, r, jac = context.cost_and_jacobian(design)
+        assert jac.shape == (r.size, p)
+        assert f == pytest.approx(r @ r, rel=1e-12)
+        h = 1e-6 * 3.0 * E0  # fd_gradient's step on the box [0.01, 3] E0
+        for k in range(p):
+            plus, minus = design.copy(), design.copy()
+            plus[k] += h
+            minus[k] -= h
+            fd = (context.cost_and_jacobian(plus)[1] - context.cost_and_jacobian(minus)[1]) / (2.0 * h)
+            rel = np.abs(jac[:, k] - fd).max() / np.abs(fd).max()
+            assert rel < 1e-6, f"column {k}: J vs central differences relative error {rel:.2e}"
+
+    def test_sensitivities_zero_at_prescribed_dofs(self):
+        context = front_face_context()[0]
+        forward = context.forward
+        values = np.array([1.0, 1.2, 0.3]) * E0
+        u, du = forward.displacement_with_sensitivities(values)
+        assert np.array_equal(u, forward.solve_displacement(values))
+        assert du.shape == (u.size, 3)
+        prescribed = np.setdiff1d(np.arange(u.size), forward.free_dofs)
+        assert np.all(du[prescribed] == 0.0)
 
 
 class TestRunGa:
@@ -478,8 +517,14 @@ class TestCostStack:
 
 
 def bowl(c):
-    """Cost and analytic gradient of |x - c|^2."""
-    return lambda x: (float(np.sum((x - c) ** 2)), 2.0 * (x - c))
+    """|x - c|^2 as a least-squares problem: r = x - c, J = I."""
+    return lambda x: (float(np.sum((x - c) ** 2)), x - c, np.eye(x.size))
+
+
+# Final cost of the Barzilai-Borwein gradient stage that projected
+# Gauss-Newton replaced, on small_context from 1.4 x truth with the default
+# GradConfig (33 forward solves). Frozen.
+BB_FINAL_COST = 1.4364680772645086e-12
 
 
 class TestRunGradient:
@@ -505,11 +550,11 @@ class TestRunGradient:
         upper = np.array([1.0, 1.0, 1.0])
 
         def tilted(pinned_component):
-            def cost_and_grad(x):
-                f, g = bowl(c)(x)
-                g[0] = pinned_component
-                return f, g
-            return cost_and_grad
+            def cost_and_jacobian(x):
+                f, r, jac = bowl(c)(x)
+                jac[0, 0] = pinned_component  # the pinned column, so its gradient 2 J^T r
+                return f, r, jac
+            return cost_and_jacobian
 
         x0, h0 = fu.run_gradient(tilted(0.0), np.zeros(3), lower, upper, fu.GradConfig())
         x1, h1 = fu.run_gradient(tilted(1e3), np.zeros(3), lower, upper, fu.GradConfig())
@@ -523,22 +568,64 @@ class TestRunGradient:
     def test_costs_non_increasing_and_in_bounds(self):
         context, truth, lower, upper = small_context()
         start = np.clip(truth * 1.4, lower, upper)
-        x, history = fu.run_gradient(context.cost_and_grad, start, lower, upper, fu.GradConfig(max_iterations=20))
+        x, history = fu.run_gradient(context.cost_and_jacobian, start, lower, upper, fu.GradConfig(max_iterations=20))
         costs = [r.best_cost for r in history.records]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         for r in history.records:
             assert np.all(r.design >= lower - 1e-12)
             assert np.all(r.design <= upper + 1e-12)
 
+    def test_reaches_the_replaced_stage_cost_in_few_solves(self):
+        context, truth, lower, upper = small_context()
+        start = np.clip(truth * 1.4, lower, upper)
+        _, history = fu.run_gradient(context.cost_and_jacobian, start, lower, upper, fu.GradConfig())
+        assert history.final.best_cost <= BB_FINAL_COST
+        assert history.total_forward_solves <= 12
+
+    def test_zero_jacobian_column_leaves_coordinate_unmoved(self):
+        c = np.array([0.7, -0.4, 0.2])
+
+        def cost_and_jacobian(x):
+            f, r, jac = bowl(c)(x)
+            r[1] = 0.0
+            jac[:, 1] = 0.0  # the cost does not depend on x[1]
+            return f - (x[1] - c[1]) ** 2, r, jac
+
+        start = np.array([0.1, 0.3, -0.5])
+        x, history = fu.run_gradient(cost_and_jacobian, start, np.full(3, -1.0), np.full(3, 1.0), fu.GradConfig())
+        assert len(history.records) > 1
+        for r in history.records:
+            assert np.all(np.isfinite(r.design))
+            assert r.design[1] == start[1]
+        assert_allclose(x[[0, 2]], c[[0, 2]], atol=1e-6)
+
+    def test_bound_whose_step_leaves_the_box_is_fixed(self):
+        # a linear least-squares problem whose minimum (-2, 2) lies outside
+        # the box: at the start (-1, 0) the descent direction keeps x[0] in
+        # the box, but the Gauss-Newton step would take it out, so x[0] is
+        # fixed and one step reaches the minimum on the face x[0] = -1
+        a = np.array([[1.0, 0.9], [0.0, np.sqrt(0.19)]])
+        b = a @ np.array([-2.0, 2.0])
+
+        def cost_and_jacobian(x):
+            r = a @ x - b
+            return float(r @ r), r, a
+
+        x, history = fu.run_gradient(cost_and_jacobian, np.array([-1.0, 0.0]), np.full(2, -1.0),
+                                     np.full(2, 3.0), fu.GradConfig())
+        assert len(history.records) == 2
+        assert_allclose(x, [-1.0, 1.1], rtol=1e-12)
+
     def test_line_search_failure_sets_stalled_flag(self):
         # kink at the start point: every move increases the cost, but the
         # gradient there (sign(0) = 0, as a symmetric difference sees it)
         # is only the tiny linear tilt
-        def cost_and_grad(x):
-            return float(abs(x[0] - 0.3) - 1e-9 * x[0]), np.sign(x - 0.3) - 1e-9
+        def cost_and_jacobian(x):
+            g = np.sign(x - 0.3) - 1e-9
+            return float(abs(x[0] - 0.3) - 1e-9 * x[0]), 0.5 * g, np.eye(1)
 
         x, history = fu.run_gradient(
-            cost_and_grad, np.array([0.3]), np.array([0.0]), np.array([1.0]), fu.GradConfig()
+            cost_and_jacobian, np.array([0.3]), np.array([0.0]), np.array([1.0]), fu.GradConfig()
         )
         assert history.gradient_stalled
         assert x[0] == 0.3
@@ -547,7 +634,7 @@ class TestRunGradient:
         failing = []
         c = np.array([0.9, -0.4])
 
-        def cost_and_grad(x):
+        def cost_and_jacobian(x):
             if x[0] > 0.5:  # the unconstrained minimum lies where every solve fails
                 failing.append(x.copy())
                 raise fu.SingularSystemError("stiffness is numerically singular")
@@ -555,26 +642,27 @@ class TestRunGradient:
 
         lower, upper = np.full(2, -1.0), np.full(2, 1.0)
         start = np.array([-0.5, 0.5])
-        x, history = fu.run_gradient(cost_and_grad, start, lower, upper, fu.GradConfig(max_iterations=30))
+        x, history = fu.run_gradient(cost_and_jacobian, start, lower, upper, fu.GradConfig(max_iterations=30))
         assert history.final.best_cost < bowl(c)(start)[0]
         assert x[0] <= 0.5
         assert len(failing) > 0
         assert history.failed_evaluations == len(failing)
         with pytest.raises(fu.SingularSystemError):  # a failure at the start point is not a trial
-            fu.run_gradient(cost_and_grad, np.array([0.8, 0.0]), lower, upper, fu.GradConfig())
+            fu.run_gradient(cost_and_jacobian, np.array([0.8, 0.0]), lower, upper, fu.GradConfig())
 
     def test_failed_trials_not_repaid_each_step(self):
         # the same problem as above: after a line search that rejected a
         # failed trial, the next one starts no longer than the accepted step
         c = np.array([0.9, -0.4])
 
-        def cost_and_grad(x):
+        def cost_and_jacobian(x):
             if x[0] > 0.5:
                 raise fu.SingularSystemError("stiffness is numerically singular")
             return bowl(c)(x)
 
         _, history = fu.run_gradient(
-            cost_and_grad, np.array([-0.5, 0.5]), np.full(2, -1.0), np.full(2, 1.0), fu.GradConfig(max_iterations=30)
+            cost_and_jacobian, np.array([-0.5, 0.5]), np.full(2, -1.0), np.full(2, 1.0),
+            fu.GradConfig(max_iterations=30),
         )
         accepted = len(history.records) - 1
         assert accepted > 0
@@ -584,11 +672,11 @@ class TestRunGradient:
         calls = [0]
         c = np.array([0.2, -0.4])
 
-        def cost_and_grad(x):
+        def cost_and_jacobian(x):
             calls[0] += 1
             return bowl(c)(x)
 
-        _, history = fu.run_gradient(cost_and_grad, np.zeros(2), np.full(2, -1.0), np.full(2, 1.0), fu.GradConfig())
+        _, history = fu.run_gradient(cost_and_jacobian, np.zeros(2), np.full(2, -1.0), np.full(2, 1.0), fu.GradConfig())
         assert history.total_forward_solves == calls[0]
         # trailing evaluations only come from a final line search that failed
         assert history.final.forward_solve_count <= calls[0]

@@ -276,6 +276,23 @@ class TestMeasurementCsv:
         with pytest.raises(ParseError, match="line 3: line is not UTF-8 text"):
             fu.load_measurement_csv(path)
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        model, truth = make_problem()
+        field = fu.generate_synthetic(model, truth, fu.grid_for_footprint((100, 20), counts=(12, 5)), 0.01,
+                                      rng_seed=13)
+        plain = tmp_path / "plain.csv"
+        fu.write_measurement_csv(field, plain)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = fu.load_measurement_csv(plain), fu.load_measurement_csv(bom)
+        for name in ("exx", "eyy", "exy"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert (a.load_step, a.noise_sigma, a.rng_seed) == (b.load_step, b.noise_sigma, b.rng_seed)
+        assert a.grid == b.grid
+        with pytest.raises(ParseError, match="line 3: line is not UTF-8 text"):  # still checked after a mark
+            bom.write_bytes(b"\xef\xbb\xbfx_mm,y_mm,exx,eyy,exy\n1,1,0,0,0\n# caf\xe9\n")
+            fu.load_measurement_csv(bom)
+
     def test_irregular_grid_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(

@@ -501,7 +501,7 @@ class TestFactorizationCount:
         field = fu.generate_synthetic(model, values, grid)
         context = fu.CostContext(mesh, pmap, uniaxial_bcs, NU, [field])
         del splu_calls[:]
-        context.cost_and_grad(values)
+        context.cost_and_jacobian(values)
         assert len(splu_calls) == 1
 
     def test_single_patch_solves_without_factorization(self, coupon_mesh, single_patch, uniaxial_bcs, splu_calls):
@@ -537,7 +537,7 @@ def cost_context(model):
 
 class TestBandedSolveCount:
     """The interior solves of the condensation: the forward solve takes one
-    banded solve (none with one patch), the adjoint two more."""
+    banded solve (none with one patch), the sensitivities one more."""
 
     @pytest.fixture
     def banded_calls(self, monkeypatch):
@@ -562,8 +562,8 @@ class TestBandedSolveCount:
         model.solve_displacement(values)
         assert len(banded_calls) == 1
         del banded_calls[:]
-        context.cost_and_grad(values)
-        assert len(banded_calls) == 3
+        context.cost_and_jacobian(values)
+        assert len(banded_calls) == 2
 
     def test_single_patch_solve_has_no_banded_solve(self, coupon_mesh, single_patch, uniaxial_bcs, banded_calls):
         model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
@@ -612,6 +612,6 @@ class TestSolveChecks:
             context = cost_context(model)
             values = np.full(pmap.patch_count, E_STEEL)
             values[-1] = bad
-            for call in (model.solve_displacement, context.cost_and_grad):
+            for call in (model.solve_displacement, context.cost_and_jacobian):
                 with pytest.raises(ValueError, match=rf"finite; patches \[{pmap.patch_count - 1}\]"):
                     call(values)
