@@ -28,9 +28,10 @@ def main():
     truth[5] = 0.3 * E0
     bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
     grid = fu.grid_for_footprint((100, 20), counts=(20, 6))
-    measurement = fu.generate_synthetic(fu.ForwardModel(mesh, patches, 0.3, bcs), truth, grid)
+    model = fu.ForwardModel(mesh, patches, 0.3, bcs)
+    measurement = fu.generate_synthetic(model, truth, grid)
 
-    context = fu.CostContext(mesh, patches, bcs, 0.3, [measurement])
+    context = fu.CostContext(model, [measurement])
     lower = np.full(patches.patch_count, 0.01 * E0)
     upper = np.full(patches.patch_count, 3.0 * E0)
     lower[0] = upper[0] = E0  # fix the unobservable overall scale

@@ -50,7 +50,6 @@ from .measurement import (
 from .solver import (
     BoundaryConditions,
     ForwardModel,
-    StrainField,
     elastic_matrix,
     element_stiffness,
 )

@@ -198,10 +198,9 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
     guess = config.initial_guess(pmap.patch_count)
     with _locked_output(outdir):
         _write_resolved_config(config, outdir)
+        model = ForwardModel(mesh, pmap, config.material.poisson_ratio, bcs)
         try:
-            context = CostContext(
-                mesh, pmap, bcs, config.material.poisson_ratio, [field], strain_floor=config.strain_floor
-            )
+            context = CostContext(model, [field], strain_floor=config.strain_floor)
         except OutOfDomainError as exc:
             length, width = mesh.extent[:2]
             raise DataError(
@@ -213,8 +212,8 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
         final, history = run_hybrid(context, lower, upper, config.ga, config.grad, guess)
         wall = time.perf_counter() - start
 
-        report = _build_report(config, context, pmap, guess, final, history, lower, upper, wall)
-        _write_inversion_outputs(outdir, config, context, mesh, pmap, guess, final, history, report)
+        report = _build_report(config, pmap, guess, final, history, lower, upper, wall)
+        _write_inversion_outputs(outdir, context, mesh, pmap, guess, final, history, report)
     return 0
 
 
@@ -228,7 +227,7 @@ def _residual_maps(context: CostContext, design) -> dict:
     return {"abs_err_exx": axx, "abs_err_eyy": ayy, "abs_err_exy": axy, "abs_err_rss": rss}
 
 
-def _build_report(config, context, pmap, guess, final, history, lower, upper, wall) -> InversionReport:
+def _build_report(config, pmap, guess, final, history, lower, upper, wall) -> InversionReport:
     # Truth is only known when the config carries explicit per-patch overrides
     # (the synthetic pipeline); a plain e_ref is a nominal value, not truth.
     truth = None
@@ -285,7 +284,7 @@ def _build_report(config, context, pmap, guess, final, history, lower, upper, wa
     )
 
 
-def _write_inversion_outputs(outdir, config, context, mesh, pmap, guess, final, history, report):
+def _write_inversion_outputs(outdir, context, mesh, pmap, guess, final, history, report):
     grid_pts = context.grid.points()
     for tag, design in (("before", guess), ("after", final)):
         maps = _residual_maps(context, design)

@@ -28,11 +28,18 @@ import numpy as np
 
 from .errors import NumericalError
 from .measurement import ExperimentalField, grid_strain_operator
-from .solver import BoundaryConditions, ForwardModel
-from .geometry import Mesh, PatchMap
+from .solver import ForwardModel
 
 STAGE_GA = "GA"
 STAGE_GRADIENT = "GRADIENT"
+# Projected Gauss-Newton (``run_gradient``): the Armijo sufficient-decrease
+# constant and backtracking factor of its line search, and its stopping
+# tolerances on the projected-gradient infinity norm (cost per modulus
+# unit) and on the step relative to the bound range.
+_ARMIJO_C = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_GRAD_TOL = 1e-10
+_STEP_TOL = 1e-12
 _MAX_BACKTRACKS = 40
 
 
@@ -75,25 +82,14 @@ class GAConfig:
 
 @dataclass(frozen=True)
 class GradConfig:
-    """Settings of the projected Gauss-Newton stage (``run_gradient``): the
-    Armijo sufficient-decrease constant and backtracking factor of its line
-    search, and its stopping rules, an iteration cap, a projected-gradient
-    tolerance and a relative-step tolerance."""
+    """Settings of the projected Gauss-Newton stage (``run_gradient``): its
+    iteration cap. The line search and the tolerances are fixed in code."""
 
     max_iterations: int = 300
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    grad_tol: float = 1e-10
-    step_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("max_iterations", "grad_tol", "step_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not (0.0 < self.armijo_c < 1.0):
-            raise ValueError("armijo_c must be in (0, 1)")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("backtrack_factor must be in (0, 1)")
+        if self.max_iterations <= 0:
+            raise ValueError("max_iterations must be positive")
 
 
 @dataclass(frozen=True)
@@ -179,23 +175,19 @@ def relative_residual_cost(
 class CostContext:
     """Everything needed to evaluate the misfit of a candidate design.
 
-    Holds the forward model (mesh, patches, boundary conditions, Poisson
-    ratio) and the measurements, stacked exx | eyy | exy per load step, and
-    composes once the sparse operator M = ``grid_strain_operator`` from
+    Holds the ``ForwardModel`` it is given, ``forward`` (its mesh, patches,
+    boundary conditions and Poisson ratio are the model's attributes), and
+    the measurements, stacked exx | eyy | exy per load step, and composes
+    once the sparse operator M = ``grid_strain_operator`` from
     displacements to grid strains. The cost applies M to a fresh solve,
     the Jacobian applies it to the displacement sensitivities. All
     measurements must share one grid; the forward solve is reused across
     load steps since the loading is a single prescribed-displacement case.
+    Raises OutOfDomainError when the grid does not fit the model's surface.
     """
 
     def __init__(
-        self,
-        mesh: Mesh,
-        patch_map: PatchMap,
-        bcs: BoundaryConditions,
-        poisson_ratio: float,
-        measurements: list[ExperimentalField],
-        strain_floor: float = 1e-6,
+        self, forward: ForwardModel, measurements: list[ExperimentalField], strain_floor: float = 1e-6
     ):
         if len(measurements) < 1:
             raise ValueError("at least one measurement (load step) is required")
@@ -205,14 +197,10 @@ class CostContext:
         for m in measurements[1:]:
             if m.grid != grid:
                 raise ValueError("all measurements must share one grid")
-        self.mesh = mesh
-        self.patch_map = patch_map
-        self.bcs = bcs
-        self.poisson_ratio = poisson_ratio
+        self.forward = forward
         self.measurements = list(measurements)
         self.strain_floor = float(strain_floor)
         self.grid = grid
-        self.forward = ForwardModel(mesh, patch_map, poisson_ratio, bcs)
         self._operator = grid_strain_operator(self.forward, grid)
         self._measured = [np.concatenate([m.exx, m.eyy, m.exy]) for m in self.measurements]
 
@@ -463,12 +451,13 @@ def run_gradient(
     Each iteration takes the Gauss-Newton direction d over the free
     coordinates (``_gauss_newton_step``: the active set is fixed, as in
     Bertsekas' projected Newton method) and backtracks from t = 1 by
-    ``backtrack_factor`` until the projected Armijo condition
-    f(x(t)) <= f(x) + c g^T (x(t) - x), x(t) = clip(x + t d), holds, so
-    accepted costs decrease and every iterate stays inside the box. Stops
-    on the projected-gradient infinity norm, on a relative step below
-    ``step_tol``, or at ``max_iterations``; a failed line search sets the
-    stalled flag and returns the current iterate. A trial point whose
+    ``_BACKTRACK_FACTOR`` until the projected Armijo condition
+    f(x(t)) <= f(x) + c g^T (x(t) - x), x(t) = clip(x + t d), with
+    c = ``_ARMIJO_C``, holds, so accepted costs decrease and every iterate
+    stays inside the box. Stops on a projected-gradient infinity norm below
+    ``_GRAD_TOL``, on a step relative to the bound range below
+    ``_STEP_TOL``, or at ``config.max_iterations``; a failed line search
+    sets the stalled flag and returns the current iterate. A trial point whose
     evaluation raises NumericalError is rejected like one that fails the
     Armijo test, and counted in ``failed_evaluations``; at the start point
     the error propagates. After a line search that rejected such a trial,
@@ -498,7 +487,7 @@ def run_gradient(
     t_cap = np.inf
     for it in range(1, config.max_iterations + 1):
         projected = x - np.clip(x - grad, lower, upper)
-        if np.max(np.abs(projected)) < config.grad_tol:
+        if np.max(np.abs(projected)) < _GRAD_TOL:
             break
         direction = _gauss_newton_step(x, r, jac, grad, lower, upper)
         t = min(1.0, t_cap)
@@ -507,7 +496,7 @@ def run_gradient(
             x_new = np.clip(x + t * direction, lower, upper)
             step = x_new - x
             if not step.any():
-                t *= config.backtrack_factor
+                t *= _BACKTRACK_FACTOR
                 continue
             try:
                 f_new, r_new, jac_new, grad_new = evaluate(x_new)
@@ -515,10 +504,10 @@ def run_gradient(
                 history.failed_evaluations += 1
                 failed = True
             else:
-                if f_new <= f + config.armijo_c * float(grad @ step):
+                if f_new <= f + _ARMIJO_C * float(grad @ step):
                     accepted = True
                     break
-            t *= config.backtrack_factor
+            t *= _BACKTRACK_FACTOR
         if not accepted:
             history.gradient_stalled = True
             break
@@ -527,7 +516,7 @@ def run_gradient(
         x, f, r, jac, grad = x_new, f_new, r_new, jac_new, grad_new
         t_cap = t if failed else np.inf
         history.append(STAGE_GRADIENT, it, f, x, counter.count)
-        if float(rel_step.max()) < config.step_tol:
+        if float(rel_step.max()) < _STEP_TOL:
             break
     history.total_forward_solves = counter.count
     return x.copy(), history

@@ -114,28 +114,6 @@ class BoundaryConditions:
         return [(corner_a, (t1, t2)), (corner_b, (t2,))]
 
 
-@dataclass(frozen=True)
-class StrainField:
-    """In-plane strain samples: exx, eyy and engineering shear in the exy slot."""
-
-    points: np.ndarray
-    exx: np.ndarray
-    eyy: np.ndarray
-    exy: np.ndarray
-
-    def __post_init__(self):
-        n = self.points.shape[0]
-        if not (self.exx.size == self.eyy.size == self.exy.size == n):
-            raise ValueError("strain component arrays must match the point count")
-        for a in (self.points, self.exx, self.eyy, self.exy):
-            if not np.all(np.isfinite(a)):
-                raise ValueError("strain field contains non-finite entries")
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
-
 def elastic_matrix(modulus: float, nu: float, dimension: int) -> np.ndarray:
     """Constitutive matrix for engineering-shear Voigt strain vectors."""
     _check_poisson(nu)
@@ -202,28 +180,18 @@ def _element_dofs(mesh: Mesh) -> np.ndarray:
     return (dim * conn[:, :, None] + np.arange(dim)[None, None, :]).reshape(conn.shape[0], -1)
 
 
-def _surface_sampling(mesh: Mesh, surface: str | None):
+def _surface_sampling(mesh: Mesh):
     """Surface element ids and their parent-space sample points.
 
-    2D meshes sample every element at its 2x2 in-plane Gauss points
-    ("midplane"); 3D meshes sample the z = T face ("front") at the 2x2
-    face Gauss points of the top element layer.
+    2D meshes sample every element at its 2x2 in-plane Gauss points (the
+    midplane); 3D meshes sample the z = T face at the 2x2 face Gauss points
+    of the top element layer.
     """
+    face = _shape.gauss_points_2d()
     if mesh.dimension == 2:
-        if surface not in (None, "midplane"):
-            raise ValueError(f"2D meshes expose only the 'midplane' surface, got {surface!r}")
-        element_ids = np.arange(mesh.n_elements)
-        parent_points = _shape.gauss_points_2d()
-    else:
-        if surface not in (None, "front"):
-            raise ValueError(f"3D meshes expose only the 'front' (z = T) surface, got {surface!r}")
-        nx, ny, nz = mesh.divisions
-        element_ids = np.arange((nz - 1) * nx * ny, nz * nx * ny)
-        face = _shape.gauss_points_2d()
-        parent_points = np.column_stack([face, np.ones(face.shape[0])])
-    if element_ids.size == 0:
-        raise ValueError("surface selection is empty")
-    return element_ids, parent_points
+        return np.arange(mesh.n_elements), face
+    nx, ny, nz = mesh.divisions
+    return np.arange((nz - 1) * nx * ny, nz * nx * ny), np.column_stack([face, np.ones(face.shape[0])])
 
 
 class ForwardModel:
@@ -274,11 +242,13 @@ class ForwardModel:
     solve, each with P columns.
 
     The surface strains are the sparse linear map ``strain_sampling`` of the
-    displacements. The rank is checked once, at construction: for positive
-    moduli the null space of K(E) is the intersection of those of the A_k,
-    so the pivots of K(1) in the condensed order (the squared diagonal of
-    the interior Cholesky factor, then the pivots of S(1)) show whether any
-    solve can be singular.
+    displacements, sampled on the one measured surface: the midplane of a
+    2D mesh, the z = T face of a 3D one (``_surface_sampling``). The rank
+    is checked once, at construction: for positive moduli the null space of
+    K(E) is the intersection of those of the A_k, so the pivots of K(1) in
+    the condensed order (the squared diagonal of the interior Cholesky
+    factor, then the pivots of S(1)) show whether any solve can be
+    singular.
 
     ``bcs`` may be any object whose ``prescribed_dofs(mesh)`` returns
     (sorted dof indices, values). Instances are immutable after
@@ -291,10 +261,9 @@ class ForwardModel:
         patch_map: PatchMap,
         poisson_ratio: float,
         bcs: BoundaryConditions,
-        surface: str | None = None,
     ):
         _check_poisson(poisson_ratio)
-        surface_elements, parent_points = _surface_sampling(mesh, surface)
+        surface_elements, parent_points = _surface_sampling(mesh)
         self.mesh = mesh
         self.patch_map = patch_map
         self.poisson_ratio = poisson_ratio
@@ -611,9 +580,6 @@ class ForwardModel:
     def surface_strain_arrays(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exx, eyy, gamma_xy) at the surface sample points; one fresh solve."""
         return self.sample_strains(self.solve_displacement(values))
-
-    def strain_field(self, values: np.ndarray) -> StrainField:
-        return StrainField(self._surface_points, *self.surface_strain_arrays(values))
 
 
 def _condensed_free_dofs(mesh: Mesh, patch_map: PatchMap, prescribed: np.ndarray):

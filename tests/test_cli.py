@@ -227,9 +227,9 @@ def test_fuzzed_config_loads_or_raises_config_error(data):
 # output_dir "out": the resolved-config format is part of the
 # reproducibility contract, so any change to it must be deliberate.
 RESOLVED_CONFIG_SHA256 = {
-    "coupon2d": "8efd4ac564e31767b57b176a6bd382fb4eb64429b44777a2f5e3d295a4ebd777",
-    "coupon3d": "381ad84d935ee41704a0b7dd16a04334636c2315f05157efebe923befaa0217a",
-    "minimal": "441e7c81e9d9948ceb73e84af76f69dac051bbc427463adb55ed870e4aa98de2",
+    "coupon2d": "ce4951cbb09bd4f1da0c1d9c529d7c70eee3f842dc404e5c69e061f10d2efddd",
+    "coupon3d": "9fc86ae1a430d63342655ca6ba864cb62694ee895a636baa3ea8c36479b9678c",
+    "minimal": "c310744a0c035ba10ce9802767bed096de88bfbd34b3c616c186d3342ba07577",
 }
 
 
@@ -355,12 +355,14 @@ class TestCmdSynthAndForward:
         assert cli.main(["forward", "--config", cfg_path]) == 0
         assert cli.main(["forward", "--config", cfg_path]) == 0  # and the lock is released again
 
-    def test_removed_fd_step_knob_exit_2(self, tmp_path, capsys):
-        cfg = base_config(tmp_path / "x", grad={"max_iterations": 60, "fd_step_rel": 1e-6})
+    @pytest.mark.parametrize("key", ["fd_step_rel", "armijo_c", "backtrack_factor", "grad_tol", "step_tol"])
+    def test_removed_fd_step_knob_exit_2(self, tmp_path, capsys, key):
+        # 1e-6 was a legal value of every one of these removed keys.
+        cfg = base_config(tmp_path / "x", grad={"max_iterations": 60, key: 1e-6})
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["forward", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
-        assert "grad.fd_step_rel" in err
+        assert f"grad.{key}" in err
         assert "unknown key" in err
 
     def test_no_temp_files_left(self, tmp_path):

@@ -26,9 +26,9 @@ def small_context(noise=0.0, seed=None, nx=10, ny=4):
     truth = np.full(4, E0)
     truth[3] = 0.3 * E0
     grid = fu.grid_for_footprint((100, 20), counts=(12, 5))
-    field = fu.generate_synthetic(fu.ForwardModel(mesh, pmap, 0.3, bcs), truth, grid,
-                                  noise_sigma=noise, rng_seed=seed)
-    context = fu.CostContext(mesh, pmap, bcs, 0.3, [field])
+    model = fu.ForwardModel(mesh, pmap, 0.3, bcs)
+    field = fu.generate_synthetic(model, truth, grid, noise_sigma=noise, rng_seed=seed)
+    context = fu.CostContext(model, [field])
     lower = np.full(4, 0.01 * E0)
     upper = np.full(4, 3.0 * E0)
     lower[0] = upper[0] = E0  # fix the modulus scale at the reference section
@@ -43,9 +43,9 @@ def front_face_context():
     bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
     truth = np.array([E0, E0, 0.25 * E0])
     grid = fu.grid_for_footprint((100, 20), counts=(9, 4))
-    field = fu.generate_synthetic(fu.ForwardModel(mesh, pmap, 0.3, bcs), truth, grid,
-                                  noise_sigma=0.01, rng_seed=5)
-    return fu.CostContext(mesh, pmap, bcs, 0.3, [field], strain_floor=3e-5), truth
+    model = fu.ForwardModel(mesh, pmap, 0.3, bcs)
+    field = fu.generate_synthetic(model, truth, grid, noise_sigma=0.01, rng_seed=5)
+    return fu.CostContext(model, [field], strain_floor=3e-5), truth
 
 
 def gradient(context, design):
@@ -143,7 +143,7 @@ class TestEvaluateCost:
         m = context.measurements[0]
         m2 = fu.ExperimentalField(0, other, np.zeros(24), np.zeros(24), np.zeros(24))
         with pytest.raises(ValueError, match="share"):
-            fu.CostContext(context.mesh, context.patch_map, context.bcs, 0.3, [m, m2])
+            fu.CostContext(context.forward, [m, m2])
 
 
 class TestFdGradient:
@@ -238,8 +238,7 @@ class TestAdjointGradient:
 
     def test_several_load_steps_sum(self):
         context, truth, _, _ = small_context(noise=0.01, seed=2)
-        twice = fu.CostContext(context.mesh, context.patch_map, context.bcs, 0.3,
-                               [context.measurements[0]] * 2)
+        twice = fu.CostContext(context.forward, [context.measurements[0]] * 2)
         design = truth * np.array([1.0, 1.2, 0.9, 1.5])
         f1, g1 = gradient(context, design)
         f2, g2 = gradient(twice, design)
@@ -261,7 +260,7 @@ class TestJacobian:
     @pytest.mark.parametrize("fixture", ["2d_11_patches", "3d_3_patches"])
     def test_columns_match_central_differences(self, fixture):
         context = eleven_patch_context() if fixture.startswith("2d") else front_face_context()[0]
-        p = context.patch_map.patch_count
+        p = context.forward.patch_map.patch_count
         design = np.random.default_rng(12).uniform(0.3, 2.0, p) * E0
         f, r, jac = context.cost_and_jacobian(design)
         assert jac.shape == (r.size, p)
@@ -417,16 +416,16 @@ def eleven_patch_context():
     truth = np.full(11, E0)
     truth[9:] = 0.3 * E0
     grid = fu.grid_for_footprint((100, 20), counts=(40, 10))
-    field = fu.generate_synthetic(fu.ForwardModel(mesh, pmap, 0.3, bcs), truth, grid,
-                                  noise_sigma=0.01, rng_seed=3)
-    return fu.CostContext(mesh, pmap, bcs, 0.3, [field], strain_floor=3e-5)
+    model = fu.ForwardModel(mesh, pmap, 0.3, bcs)
+    field = fu.generate_synthetic(model, truth, grid, noise_sigma=0.01, rng_seed=3)
+    return fu.CostContext(model, [field], strain_floor=3e-5)
 
 
 @pytest.fixture(scope="module", params=["2d_11_patches", "3d_3_patches"])
 def stacked(request):
     """A cost context and a stack of designs on it, one design repeated."""
     context = eleven_patch_context() if request.param.startswith("2d") else front_face_context()[0]
-    p = context.patch_map.patch_count
+    p = context.forward.patch_map.patch_count
     designs = np.random.default_rng(8).uniform(0.05, 3.0, (6, p)) * E0
     designs[4] = designs[1]
     return context, designs

@@ -255,10 +255,10 @@ class TestSolveStatic:
 class TestSurfaceStrains:
     def test_uniform_bar_strains(self, coupon_mesh, single_patch, material_factory, uniaxial_bcs):
         model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
-        field = model.strain_field(material_factory(1))
-        assert_allclose(field.exx, 1e-3, rtol=1e-8)
-        assert_allclose(field.eyy, -NU * 1e-3, rtol=1e-8)
-        assert np.abs(field.exy).max() < 1e-8 * 1e-3
+        exx, eyy, exy = model.surface_strain_arrays(material_factory(1))
+        assert_allclose(exx, 1e-3, rtol=1e-8)
+        assert_allclose(eyy, -NU * 1e-3, rtol=1e-8)
+        assert np.abs(exy).max() < 1e-8 * 1e-3
 
     def test_rigid_rotation_produces_no_strain(self, coupon_mesh, single_patch, uniaxial_bcs):
         angle = 1e-6
@@ -269,19 +269,15 @@ class TestSurfaceStrains:
         for comp in strains:
             assert np.abs(comp).max() < bound
 
-    def test_invalid_selector(self, coupon_mesh, single_patch, uniaxial_bcs):
-        with pytest.raises(ValueError, match="midplane"):
-            fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs, surface="front")
-
     def test_3d_buried_patch_perturbs_front_face(self):
         mesh = fu.build_coupon_mesh(100, 20, 8, 15, 4, 4)
         pmap = fu.partition_longitudinal(mesh, 2)
         pmap = fu.stamp_defect_patches(pmap, mesh, [fu.DefectSpec((40, 5, 0), (60, 15, 4))])
         bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
         model = fu.ForwardModel(mesh, pmap, NU, bcs)
-        homog = model.strain_field(np.array([E_STEEL, E_STEEL, E_STEEL]))
-        soft = model.strain_field(np.array([E_STEEL, E_STEEL, 0.25 * E_STEEL]))
-        rel = np.abs(soft.exx - homog.exx) / np.abs(homog.exx)
+        homog = model.surface_strain_arrays(np.array([E_STEEL, E_STEEL, E_STEEL]))[0]
+        soft = model.surface_strain_arrays(np.array([E_STEEL, E_STEEL, 0.25 * E_STEEL]))[0]
+        rel = np.abs(soft - homog) / np.abs(homog)
         assert rel.max() > 0.05
 
     def test_3d_front_face_points_on_top_layer(self):
@@ -289,10 +285,10 @@ class TestSurfaceStrains:
         pmap = fu.partition_longitudinal(mesh, 1)
         values = np.array([E_STEEL])
         bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
-        model = fu.ForwardModel(mesh, pmap, NU, bcs, surface="front")
-        field = model.strain_field(values)
-        assert field.n_points == 6 * 3 * 4  # top-layer elements, 2x2 face points each
-        assert_allclose(field.exx, 1e-3, rtol=1e-8)
+        model = fu.ForwardModel(mesh, pmap, NU, bcs)
+        exx, _, _ = model.surface_strain_arrays(values)
+        assert model.surface_points.shape[0] == 6 * 3 * 4  # top-layer elements, 2x2 face points each
+        assert_allclose(exx, 1e-3, rtol=1e-8)
 
 
 class TestSolverInvariants:
@@ -308,10 +304,11 @@ class TestSolverInvariants:
         dofs = np.concatenate([[2 * n, 2 * n + 1] for n in boundary])
         u_affine = mesh.nodes @ a.T
         prescribed = u_affine[boundary].ravel()
-        field = fu.ForwardModel(mesh, pmap, NU, Prescribed(dofs, prescribed)).strain_field(values)
-        assert_allclose(field.exx, a[0, 0], rtol=1e-10)
-        assert_allclose(field.eyy, a[1, 1], rtol=1e-10)
-        assert_allclose(field.exy, a[0, 1] + a[1, 0], rtol=1e-10)
+        model = fu.ForwardModel(mesh, pmap, NU, Prescribed(dofs, prescribed))
+        exx, eyy, exy = model.surface_strain_arrays(values)
+        assert_allclose(exx, a[0, 0], rtol=1e-10)
+        assert_allclose(eyy, a[1, 1], rtol=1e-10)
+        assert_allclose(exy, a[0, 1] + a[1, 0], rtol=1e-10)
 
     def test_work_positivity(self):
         mesh = fu.build_coupon_mesh(10, 5, 1, 4, 2)
@@ -499,7 +496,7 @@ class TestFactorizationCount:
         assert len(splu_calls) == 2
         grid = fu.grid_for_footprint((100, 20), counts=(8, 4))
         field = fu.generate_synthetic(model, values, grid)
-        context = fu.CostContext(mesh, pmap, uniaxial_bcs, NU, [field])
+        context = fu.CostContext(model, [field])
         del splu_calls[:]
         context.cost_and_jacobian(values)
         assert len(splu_calls) == 1
@@ -529,10 +526,10 @@ def three_patch_model(dims, defect, bcs):
 
 
 def cost_context(model):
-    """A CostContext on the model's mesh and patches, measured at E0."""
+    """A CostContext on the model, measured at E0."""
     values = np.full(model.patch_map.patch_count, E_STEEL)
     field = fu.generate_synthetic(model, values, fu.grid_for_footprint((100, 20), counts=(8, 4)))
-    return fu.CostContext(model.mesh, model.patch_map, model.bcs, NU, [field])
+    return fu.CostContext(model, [field])
 
 
 class TestBandedSolveCount:
