@@ -31,7 +31,7 @@ def main():
     model = fu.ForwardModel(mesh, patches, 0.3, bcs)
     measurement = fu.generate_synthetic(model, truth, grid)
 
-    context = fu.CostContext(model, [measurement])
+    context = fu.CostContext(model, measurement)
     lower = np.full(patches.patch_count, 0.01 * E0)
     upper = np.full(patches.patch_count, 3.0 * E0)
     lower[0] = upper[0] = E0  # fix the unobservable overall scale

@@ -32,7 +32,7 @@ def main():
     grid = fu.grid_for_footprint((100, 20), counts=(14, 4))
     measurement = fu.generate_synthetic(model, truth, grid)
 
-    context = fu.CostContext(model, [measurement])
+    context = fu.CostContext(model, measurement)
     lower = np.full(3, 0.01 * E0)
     upper = np.full(3, 3.0 * E0)
     lower[0] = upper[0] = E0

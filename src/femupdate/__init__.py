@@ -32,7 +32,6 @@ from .inversion import (
     GAConfig,
     GradConfig,
     fd_gradient,
-    relative_residual_cost,
     run_ga,
     run_gradient,
     run_hybrid,

@@ -88,6 +88,8 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if getattr(args, "out", None):
         config.output_dir = args.out
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
         config.measurement.rng_seed = args.seed
         config.ga = dataclasses.replace(config.ga, rng_seed=args.seed)
     return config
@@ -200,7 +202,7 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
         _write_resolved_config(config, outdir)
         model = ForwardModel(mesh, pmap, config.material.poisson_ratio, bcs)
         try:
-            context = CostContext(model, [field], strain_floor=config.strain_floor)
+            context = CostContext(model, field, strain_floor=config.strain_floor)
         except OutOfDomainError as exc:
             length, width = mesh.extent[:2]
             raise DataError(
@@ -218,7 +220,7 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
 
 
 def _residual_maps(context: CostContext, design) -> dict:
-    field = context.measurements[0]
+    field = context.measurement
     nxx, nyy, nxy = context.numerical_grid_field(design)
     axx = np.abs(field.exx - nxx)
     ayy = np.abs(field.eyy - nyy)
@@ -354,6 +356,34 @@ def _patch_table(initial, recovered, truth, rel, pinned) -> list:
     return lines
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_report(data, where: str) -> None:
+    """Raise ConfigError unless ``data`` holds the fields ``cmd_report``
+    prints, each of the type it is printed as; the truth columns and the
+    reduction factor may be null or left out."""
+    if not isinstance(data, dict):
+        raise ConfigError(where, f"report must be a JSON object, got {type(data).__name__}")
+    for key in ("recovered_moduli_mpa", "initial_moduli_mpa", "initial_cost", "final_cost"):
+        if key not in data:
+            raise ConfigError(where, f"report is missing field {key!r}")
+    per_patch = ("recovered_moduli_mpa", "initial_moduli_mpa", "truth_moduli_mpa", "relative_errors")
+    for key in per_patch + ("initial_cost", "final_cost", "cost_reduction_factor"):
+        value = data.get(key)
+        if value is None and key in ("truth_moduli_mpa", "relative_errors", "cost_reduction_factor"):
+            continue
+        if key not in per_patch and not _is_number(value):
+            raise ConfigError(where, f"field {key!r} must be a number")
+        # recovered_moduli_mpa comes first, so it is a list when the others are compared with it
+        if key in per_patch and not (isinstance(value, list) and all(map(_is_number, value))
+                                     and len(value) == len(data["recovered_moduli_mpa"])):
+            raise ConfigError(where, f"field {key!r} must be a list of one number per patch")
+    if not isinstance(data.get("stage_iterations", {}), dict):
+        raise ConfigError(where, "field 'stage_iterations' must be an object")
+
+
 def cmd_report(report_path: str) -> int:
     """Print the per-patch table and convergence summary of a report."""
     try:
@@ -363,9 +393,7 @@ def cmd_report(report_path: str) -> int:
         raise ConfigError(str(report_path), f"cannot read report: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(str(report_path), f"corrupt report JSON: {exc}") from exc
-    for key in ("recovered_moduli_mpa", "initial_moduli_mpa", "initial_cost", "final_cost"):
-        if key not in data:
-            raise ConfigError(str(report_path), f"report is missing field {key!r}")
+    _check_report(data, str(report_path))
 
     print(f"patches: {len(data['recovered_moduli_mpa'])}")
     table = _patch_table(

@@ -8,7 +8,8 @@ by the same rule, field by field:
 - the value is converted to the field type: a number field takes only a
   number, an ``int`` only an integral one, a ``bool`` only true/false, a
   ``str`` only a string, and no number may be inf or NaN; the elements
-  of a pair and the moduli of the truth map follow the same rule;
+  of a pair, the defect-box corners and the moduli of the truth map
+  follow the same rule;
 - null is accepted only where the type is ``X | None``, and there it
   means "not set" (no pinned patch, a grid or margin derived from the
   geometry);
@@ -94,6 +95,12 @@ def _truth_map(raw, path):
     return truth
 
 
+def _coordinates(raw, path):
+    if not isinstance(raw, list):
+        raise ConfigError(path, "expected a list of coordinates")
+    return [_convert(path, float, v) for v in raw]
+
+
 def _defect_boxes(raw, path):
     if not isinstance(raw, list):
         raise ConfigError(path, "expected a list of boxes")
@@ -115,8 +122,8 @@ class GeometryConfig:
 class DefectBox:
     """Corners of one defect box; ``load_config`` checks them against the dimension."""
 
-    box_min: list
-    box_max: list
+    box_min: list = _field(parse=_coordinates)
+    box_max: list = _field(parse=_coordinates)
 
 
 @dataclass(kw_only=True)
@@ -146,7 +153,7 @@ class MeasurementConfig:
     grid_spacing_mm: list | None = _field(None, parse=_pair(float))
     grid_margin_mm: float | None = _field(None, check=_positive)
     noise_sigma: float = _field(0.0, check=_non_negative)
-    rng_seed: int = 12345
+    rng_seed: int = _field(12345, check=_non_negative)
 
 
 @dataclass(kw_only=True)
@@ -331,14 +338,14 @@ def load_config(source) -> RunConfig:
     geo, meas, bounds = config.geometry, config.measurement, config.bounds
     for i, box in enumerate(config.patches.defects):
         for name in ("box_min", "box_max"):
-            corner = getattr(box, name)
-            if not isinstance(corner, list) or len(corner) != geo.dimension:
+            if len(getattr(box, name)) != geo.dimension:
                 raise ConfigError(f"patches.defects[{i}].{name}", f"expected {geo.dimension} coordinates")
         try:
-            spec = DefectSpec(tuple(box.box_min), tuple(box.box_max))
-        except (TypeError, ValueError) as exc:
+            DefectSpec(tuple(box.box_min), tuple(box.box_max))
+        except ValueError as exc:
             raise ConfigError(f"patches.defects[{i}]", str(exc)) from None
-        box.box_min, box.box_max = list(spec.box_min), list(spec.box_max)
+    if config.ga.rng_seed < 0:
+        raise ConfigError("ga.rng_seed", f"must be >= 0, got {config.ga.rng_seed}")
     if meas.grid_counts is None and meas.grid_spacing_mm is None:
         meas.grid_spacing_mm = [geo.length_mm / geo.nx, geo.width_mm / geo.ny]  # one element per grid step
     if meas.grid_counts is not None and meas.grid_spacing_mm is not None:

@@ -1,9 +1,9 @@
 """Modulus identification: relative-residual cost and hybrid optimization.
 
-The cost compares measured and computed strain fields point by point,
-normalizing each residual by the measured strain magnitude (floored to
-keep near-zero measurements from dominating), and sums the squared ratios
-over all grid points, components and load steps.
+The cost compares one measured strain field with the computed one point
+by point, normalizing each residual by the measured strain magnitude
+(floored to keep near-zero measurements from dominating), and sums the
+squared ratios over all grid points and components.
 
 Minimization runs in two stages: a real-coded genetic algorithm explores
 the bounded design space, then projected Gauss-Newton with Armijo
@@ -41,43 +41,32 @@ _BACKTRACK_FACTOR = 0.5
 _GRAD_TOL = 1e-10
 _STEP_TOL = 1e-12
 _MAX_BACKTRACKS = 40
+# Real-coded GA (``run_ga``, whose docstring says how each one is used).
+_CROSSOVER_RATE = 0.9
+_MUTATION_RATE = 0.15
+_MUTATION_SCALE = 0.1
+_ELITE_COUNT = 2
+_TOURNAMENT_SIZE = 3
+_STALL_GENERATIONS = 15
+_STALL_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
 class GAConfig:
-    """Real-coded GA settings: tournament selection, blend crossover,
-    Gaussian mutation, elitism, and a stall-window stop."""
+    """Settings of the real-coded GA (``run_ga``): its population size,
+    generation cap and seed. Selection, crossover, mutation, elitism and
+    the stall stop are fixed in code."""
 
     population_size: int = 40
     generations_max: int = 60
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.15
-    mutation_scale: float = 0.1
-    elite_count: int = 2
-    tournament_size: int = 3
-    stall_generations: int = 15
-    rel_tol: float = 1e-3
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.elite_count < 1 or self.elite_count >= self.population_size:
-            raise ValueError("elite_count must satisfy 1 <= elite_count < population_size")
-        if self.population_size < 2 * self.elite_count:
-            raise ValueError("population_size must be >= 2 * elite_count")
-        for name in ("crossover_rate", "mutation_rate"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.mutation_scale < 0:
-            raise ValueError("mutation_scale must be >= 0")
-        if not (2 <= self.tournament_size <= self.population_size):
-            raise ValueError("tournament_size must satisfy 2 <= size <= population_size")
-        if self.generations_max < 1 or self.stall_generations < 1:
-            raise ValueError("generations_max and stall_generations must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        smallest = max(2 * _ELITE_COUNT, _TOURNAMENT_SIZE)
+        if self.population_size < smallest:
+            raise ValueError(f"population_size must be >= {smallest}")
+        if self.generations_max < 1:
+            raise ValueError("generations_max must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -151,65 +140,44 @@ class _CountingCost:
         return self.fn(x)
 
 
-def relative_residual_cost(
-    exp_components: tuple, num_components: tuple, strain_floor: float
-) -> float | np.ndarray:
-    """Sum of squared relative residuals over points and components.
-
-    Each residual is divided by max(|measured value|, strain_floor). A
-    computed component may be a stack (m, n) against one measured (n,):
-    the result is then one sum per row, each bitwise the sum of that row
-    alone.
-    """
-    if strain_floor <= 0:
-        raise ValueError("strain_floor must be positive")
-    total = 0.0
-    for exp, num in zip(exp_components, num_components):
-        exp = np.asarray(exp, dtype=float)
-        num = np.ascontiguousarray(num, dtype=float)  # C order: each row is summed pairwise, as a 1-D array is
-        denom = np.maximum(np.abs(exp), strain_floor)
-        total = total + np.sum(((exp - num) / denom) ** 2, axis=-1)
-    return total
-
-
 class CostContext:
     """Everything needed to evaluate the misfit of a candidate design.
 
     Holds the ``ForwardModel`` it is given, ``forward`` (its mesh, patches,
     boundary conditions and Poisson ratio are the model's attributes), and
-    the measurements, stacked exx | eyy | exy per load step, and composes
-    once the sparse operator M = ``grid_strain_operator`` from
-    displacements to grid strains. The cost applies M to a fresh solve,
-    the Jacobian applies it to the displacement sensitivities. All
-    measurements must share one grid; the forward solve is reused across
-    load steps since the loading is a single prescribed-displacement case.
-    Raises OutOfDomainError when the grid does not fit the model's surface.
+    one ``measurement``, stacked exx | eyy | exy with the residual weights
+    1 / max(|measured|, strain_floor), and composes once the sparse
+    operator M = ``grid_strain_operator`` from displacements to grid
+    strains. The cost applies M to a fresh solve, the Jacobian applies it
+    to the displacement sensitivities. Raises OutOfDomainError when the
+    grid does not fit the model's surface.
     """
 
-    def __init__(
-        self, forward: ForwardModel, measurements: list[ExperimentalField], strain_floor: float = 1e-6
-    ):
-        if len(measurements) < 1:
-            raise ValueError("at least one measurement (load step) is required")
+    def __init__(self, forward: ForwardModel, measurement: ExperimentalField, strain_floor: float = 1e-6):
         if strain_floor <= 0:
             raise ValueError("strain_floor must be positive")
-        grid = measurements[0].grid
-        for m in measurements[1:]:
-            if m.grid != grid:
-                raise ValueError("all measurements must share one grid")
         self.forward = forward
-        self.measurements = list(measurements)
+        self.measurement = measurement
         self.strain_floor = float(strain_floor)
-        self.grid = grid
-        self._operator = grid_strain_operator(self.forward, grid)
-        self._measured = [np.concatenate([m.exx, m.eyy, m.exy]) for m in self.measurements]
+        self.grid = measurement.grid
+        self._operator = grid_strain_operator(self.forward, self.grid)
+        self._measured = np.concatenate([measurement.exx, measurement.eyy, measurement.exy])
+        self._denominator = np.maximum(np.abs(self._measured), self.strain_floor)
 
     def numerical_grid_field(self, design: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Forward solve and map (exx, eyy, exy) onto the grid."""
         return tuple(np.split(self._operator @ self.forward.solve_displacement(design), 3))
 
+    def residuals(self, computed: np.ndarray) -> np.ndarray:
+        """r = (measured - computed) / max(|measured|, strain_floor) for grid
+        strains stacked exx | eyy | exy, one field (n,) or a stack (m, n).
+        C order makes ``np.sum(r**2, axis=-1)`` sum each row pairwise, as
+        a 1-D array, so a design in a stack costs bitwise what it costs alone.
+        """
+        return (self._measured - np.ascontiguousarray(computed)) / self._denominator
+
     def cost(self, design: np.ndarray):
-        """Misfit of ``design`` against the measurements; one fresh solve.
+        """Misfit of ``design`` against the measurement; one fresh solve.
 
         ``design`` is one design (P,), whose cost is a float, or a stack
         (m, P), whose costs are an array (m,), each bitwise the cost of its
@@ -220,35 +188,26 @@ class CostContext:
         stack, that design scores +inf and the others are unaffected.
         """
         u = self.forward.solve_displacement(design)
-        costs = self._misfit((self._operator @ u.T).T)
+        costs = np.sum(self.residuals((self._operator @ u.T).T) ** 2, axis=-1)
         if u.ndim == 1:
             return float(costs)
         costs[np.isnan(u).any(axis=1)] = np.inf
         return costs
 
     def cost_and_jacobian(self, design: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Cost, weighted residuals and their exact Jacobian for one design.
+        """Cost, relative residuals and their exact Jacobian for one design.
 
-        Returns (f, r, J): f bitwise the value ``cost`` returns; r the
-        residuals (measured - computed) / max(|measured|, strain_floor) of
-        every load step, stacked, so f = |r|^2 up to rounding; and
-        J = dr/dE, one column per patch, from the displacement
-        sensitivities of ``ForwardModel.displacement_with_sensitivities``:
-        one factorization, shared by the forward solve and the P
-        sensitivity solves. The gradient of the cost is 2 J^T r.
+        Returns (f, r, J): r from ``residuals``; f = sum(r**2), bitwise the
+        value ``cost`` returns, which computes it the same way; and
+        J = dr/dE = -(M du/dE) / max(|measured|, strain_floor), one column
+        per patch, from the displacement sensitivities of
+        ``ForwardModel.displacement_with_sensitivities``: one
+        factorization, shared by the forward solve and the P sensitivity
+        solves. The gradient of the cost is 2 J^T r.
         """
         u, du = self.forward.displacement_with_sensitivities(design)
-        num = self._operator @ u
-        d_num = self._operator @ du
-        residuals, jacobians = [], []
-        for exp in self._measured:
-            denom = np.maximum(np.abs(exp), self.strain_floor)
-            residuals.append((exp - num) / denom)
-            jacobians.append(-d_num / denom[:, None])
-        return float(self._misfit(num)), np.concatenate(residuals), np.vstack(jacobians)
-
-    def _misfit(self, num: np.ndarray):
-        return sum(relative_residual_cost((exp,), (num,), self.strain_floor) for exp in self._measured)
+        r = self.residuals(self._operator @ u)
+        return float(np.sum(r**2, axis=-1)), r, -(self._operator @ du) / self._denominator[:, None]
 
 
 def fd_gradient(
@@ -305,14 +264,14 @@ def _blend_crossover(p1, p2, lower, upper, rng):
     return np.clip(c1, lower, upper), np.clip(c2, lower, upper)
 
 
-def _mutate(child, lower, upper, config, rng):
-    mask = rng.random(child.size) < config.mutation_rate
-    noise = rng.normal(0.0, 1.0, child.size) * (config.mutation_scale * (upper - lower))
+def _mutate(child, lower, upper, rng):
+    mask = rng.random(child.size) < _MUTATION_RATE
+    noise = rng.normal(0.0, 1.0, child.size) * (_MUTATION_SCALE * (upper - lower))
     return np.clip(np.where(mask, child + noise, child), lower, upper)
 
 
-def _tournament(costs, config, rng):
-    idx = rng.choice(costs.size, size=config.tournament_size, replace=False)
+def _tournament(costs, rng):
+    idx = rng.choice(costs.size, size=_TOURNAMENT_SIZE, replace=False)
     return idx[np.argmin(costs[idx])]
 
 
@@ -327,8 +286,14 @@ def run_ga(
 
     The initial population is the feasible ``initial_guess`` (bounds
     midpoint when omitted) plus uniform random individuals. Stops at
-    ``generations_max`` or when the best cost improves by less than
-    ``rel_tol`` (relative) over ``stall_generations`` generations.
+    ``config.generations_max`` or when the best cost improves by less
+    than ``_STALL_REL_TOL`` (relative) over ``_STALL_GENERATIONS``
+    generations. Each generation keeps the ``_ELITE_COUNT`` best designs
+    and fills the rest with children of parents picked by tournaments of
+    ``_TOURNAMENT_SIZE``: blend crossover with probability
+    ``_CROSSOVER_RATE``, then Gaussian mutation of each coordinate with
+    probability ``_MUTATION_RATE`` and standard deviation
+    ``_MUTATION_SCALE`` times its bound range.
 
     ``cost_fn`` scores a stack of designs (m, dim) and returns their m
     costs; ``CostContext.cost`` does. Each generation makes at most one
@@ -379,26 +344,26 @@ def run_ga(
 
     for gen in range(1, config.generations_max + 1):
         order = np.argsort(costs, kind="stable")
-        elites = pop[order[: config.elite_count]].copy()
+        elites = pop[order[:_ELITE_COUNT]].copy()
         children = []
-        while len(children) < config.population_size - config.elite_count:
-            p1 = pop[_tournament(costs, config, rng)]
-            p2 = pop[_tournament(costs, config, rng)]
-            if rng.random() < config.crossover_rate:
+        while len(children) < config.population_size - _ELITE_COUNT:
+            p1 = pop[_tournament(costs, rng)]
+            p2 = pop[_tournament(costs, rng)]
+            if rng.random() < _CROSSOVER_RATE:
                 c1, c2 = _blend_crossover(p1, p2, lower, upper, rng)
             else:
                 c1, c2 = p1.copy(), p2.copy()
-            children.append(_mutate(c1, lower, upper, config, rng))
-            if len(children) < config.population_size - config.elite_count:
-                children.append(_mutate(c2, lower, upper, config, rng))
+            children.append(_mutate(c1, lower, upper, rng))
+            if len(children) < config.population_size - _ELITE_COUNT:
+                children.append(_mutate(c2, lower, upper, rng))
         pop = np.vstack([elites, np.array(children)])
         costs = score(pop)
         best_idx = int(np.argmin(costs))
         best_per_gen.append(float(costs[best_idx]))
         history.append(STAGE_GA, gen, costs[best_idx], pop[best_idx], counter.count)
-        if gen >= config.stall_generations:
-            ref = best_per_gen[gen - config.stall_generations]
-            if ref - best_per_gen[gen] < config.rel_tol * max(abs(ref), 1e-300):
+        if gen >= _STALL_GENERATIONS:
+            ref = best_per_gen[gen - _STALL_GENERATIONS]
+            if ref - best_per_gen[gen] < _STALL_REL_TOL * max(abs(ref), 1e-300):
                 break
 
     history.total_forward_solves = counter.count

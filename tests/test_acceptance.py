@@ -108,7 +108,7 @@ def context_from(cfg_dict, measurement_path):
     bcs = config.build_bcs()
     field = fu.load_measurement_csv(measurement_path)
     model = fu.ForwardModel(mesh, pmap, config.material.poisson_ratio, bcs)
-    context = fu.CostContext(model, [field], strain_floor=config.strain_floor)
+    context = fu.CostContext(model, field, strain_floor=config.strain_floor)
     lower, upper = config.moduli_bounds(pmap.patch_count)
     return config, context, lower, upper
 

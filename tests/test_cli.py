@@ -166,6 +166,8 @@ class TestLoadConfig:
             ("measurement", "grid_counts", [12.5, 5]),
             ("measurement", "grid_spacing_mm", ["2.5", True]),
             ("material", "truth_moduli_mpa", {"1": True}),
+            ("patches", "defects", [{"box_min": ["20", 6], "box_max": [32.0, 14.0]}]),
+            ("patches", "defects", [{"box_min": [True, 6], "box_max": [32.0, 14.0]}]),
         ],
     )
     def test_wrong_type_exit_2_names_field(self, tmp_path, monkeypatch, capsys, section, key, value):
@@ -177,7 +179,8 @@ class TestLoadConfig:
             cfg[section] = dict(cfg.get(section, {}), **{key: value})
         assert cli.main(["synth", "--config", write_config(tmp_path, cfg)]) == 2
         field = key if section is None else f"{section}.{key}"
-        assert f"config error: {field}: expected" in capsys.readouterr().err
+        # a field inside a list item is named by its index and key: patches.defects[0].box_min
+        assert re.search(rf"config error: {re.escape(field)}(\[\d+\]\.\w+)?: expected", capsys.readouterr().err)
 
 
 # One value of each JSON kind, plus the non-finite and boundary numbers.
@@ -227,9 +230,9 @@ def test_fuzzed_config_loads_or_raises_config_error(data):
 # output_dir "out": the resolved-config format is part of the
 # reproducibility contract, so any change to it must be deliberate.
 RESOLVED_CONFIG_SHA256 = {
-    "coupon2d": "ce4951cbb09bd4f1da0c1d9c529d7c70eee3f842dc404e5c69e061f10d2efddd",
-    "coupon3d": "9fc86ae1a430d63342655ca6ba864cb62694ee895a636baa3ea8c36479b9678c",
-    "minimal": "c310744a0c035ba10ce9802767bed096de88bfbd34b3c616c186d3342ba07577",
+    "coupon2d": "e7f190fd72c95ac03f6c3e734ee288d48a98c536e0cee95dd7d9ac5e1af8b929",
+    "coupon3d": "0bb5bd4227845b5e1094f87b79257ca0020801c9863251574a98a4bcbde216c7",
+    "minimal": "06e08b56dd193757a087e0e0d974a3e928d21f5855682773677f86cb77baaf36",
 }
 
 
@@ -244,6 +247,13 @@ def test_resolved_config_bytes_pinned(tmp_path, monkeypatch, name):
     assert cli.main(["synth", "--config", write_config(tmp_path, cfg)]) == 0
     data = (tmp_path / "out" / "resolved_config.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == RESOLVED_CONFIG_SHA256[name]
+
+
+# The GA settings that are constants in inversion.py, with the values they had as config keys.
+REMOVED_GA_KEYS = {
+    "crossover_rate": 0.9, "mutation_rate": 0.15, "mutation_scale": 0.1, "elite_count": 2,
+    "tournament_size": 3, "stall_generations": 15, "rel_tol": 1e-3,
+}
 
 
 class TestCmdSynthAndForward:
@@ -355,14 +365,21 @@ class TestCmdSynthAndForward:
         assert cli.main(["forward", "--config", cfg_path]) == 0
         assert cli.main(["forward", "--config", cfg_path]) == 0  # and the lock is released again
 
-    @pytest.mark.parametrize("key", ["fd_step_rel", "armijo_c", "backtrack_factor", "grad_tol", "step_tol"])
+    @pytest.mark.parametrize(
+        "key",
+        ["fd_step_rel", "armijo_c", "backtrack_factor", "grad_tol", "step_tol", *(f"ga.{k}" for k in REMOVED_GA_KEYS)],
+    )
     def test_removed_fd_step_knob_exit_2(self, tmp_path, capsys, key):
-        # 1e-6 was a legal value of every one of these removed keys.
-        cfg = base_config(tmp_path / "x", grad={"max_iterations": 60, key: 1e-6})
+        # 1e-6 was a legal value of every one of the removed grad keys; a
+        # removed ga key gets its old default.
+        section, _, name = key.rpartition(".")
+        section = section or "grad"
+        cfg = base_config(tmp_path / "x")
+        cfg[section][name] = REMOVED_GA_KEYS.get(name, 1e-6)
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["forward", "--config", cfg_path]) == 2
         err = capsys.readouterr().err
-        assert f"grad.{key}" in err
+        assert f"{section}.{name}" in err
         assert "unknown key" in err
 
     def test_no_temp_files_left(self, tmp_path):
@@ -515,6 +532,26 @@ class TestCmdInvert:
         assert not (inv / "resolved_config.json").exists()
         assert not (inv / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "override, args, field",
+        [
+            ({"measurement": {"grid_counts": [12, 5], "rng_seed": -5}}, [], "measurement.rng_seed"),
+            ({"ga": {"population_size": 14, "generations_max": 10, "rng_seed": -1}}, [], "ga.rng_seed"),
+            ({}, ["--seed", "-3"], "--seed"),
+        ],
+        ids=["measurement-seed", "ga-seed", "seed-flag"],
+    )
+    def test_negative_seed_exit_2_before_writing(self, tmp_path, capsys, override, args, field):
+        out = tmp_path / "t"
+        assert cli.main(["synth", "--config", write_config(tmp_path, base_config(out))]) == 0
+        bad_path = write_config(tmp_path, base_config(out, **override), "bad.json")
+        inv = tmp_path / "i"
+        assert cli.main(
+            ["invert", "--config", bad_path, "--measurement", str(out / "measurement.csv"), "--out", str(inv), *args]
+        ) == 2
+        assert f"config error: {field}: must be >= 0" in capsys.readouterr().err
+        assert not inv.exists()
+
     def test_grid_geometry_mismatch_exit_3(self, tmp_path, capsys):
         big = base_config(tmp_path / "big", geometry={"length_mm": 200.0, "width_mm": 40.0, "thickness_mm": 2.0, "nx": 10, "ny": 4})
         big_path = write_config(tmp_path, big, "big.json")
@@ -536,6 +573,23 @@ class TestCmdInvert:
         path.write_text("{broken")
         assert cli.main(["report", str(path)]) == 2
         assert "corrupt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "report, field",
+        [
+            (5, "JSON object"),
+            ("recovered_moduli_mpa initial_moduli_mpa initial_cost final_cost", "JSON object"),
+            ({"recovered_moduli_mpa": "1, 2", "initial_moduli_mpa": [1.0, 1.0], "initial_cost": 4.0,
+              "final_cost": 1.0}, "'recovered_moduli_mpa'"),
+        ],
+        ids=["number", "string", "string-moduli"],
+    )
+    def test_malformed_report_exit_2(self, tmp_path, capsys, report, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        assert cli.main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: " in err and field in err
 
 
 def test_benchmark_hooks_see_the_solves(tmp_path, monkeypatch):

@@ -431,5 +431,5 @@ class TestInverseCrimeZero:
         model, truth = make_problem()
         grid = fu.grid_for_footprint((100, 20), counts=(12, 5))
         field = fu.generate_synthetic(model, truth, grid, 0.0)
-        context = fu.CostContext(model, [field])
+        context = fu.CostContext(model, field)
         assert context.cost(truth) < 1e-20

@@ -496,7 +496,7 @@ class TestFactorizationCount:
         assert len(splu_calls) == 2
         grid = fu.grid_for_footprint((100, 20), counts=(8, 4))
         field = fu.generate_synthetic(model, values, grid)
-        context = fu.CostContext(model, [field])
+        context = fu.CostContext(model, field)
         del splu_calls[:]
         context.cost_and_jacobian(values)
         assert len(splu_calls) == 1
@@ -529,7 +529,7 @@ def cost_context(model):
     """A CostContext on the model, measured at E0."""
     values = np.full(model.patch_map.patch_count, E_STEEL)
     field = fu.generate_synthetic(model, values, fu.grid_for_footprint((100, 20), counts=(8, 4)))
-    return fu.CostContext(model, [field])
+    return fu.CostContext(model, field)
 
 
 class TestBandedSolveCount:
