@@ -56,6 +56,10 @@ def _non_negative(v):
     return v >= 0, "must be >= 0"
 
 
+def _nonzero(v):
+    return v != 0, "must be nonzero (a zero load gives an all-zero strain field)"
+
+
 def _at_least_one(v):
     return v >= 1, "must be >= 1"
 
@@ -141,7 +145,7 @@ class MaterialConfig:
 
 @dataclass(kw_only=True)
 class BcsConfig:
-    u_applied_mm: float = 0.1
+    u_applied_mm: float = _field(0.1, check=_nonzero)
     fixed_face: str = _field("xmin", check=_face)
     loaded_face: str = _field("xmax", check=_face)
     clamp_fixed_face: bool = False

@@ -6,10 +6,12 @@ by point, normalizing each residual by the measured strain magnitude
 squared ratios over all grid points and components.
 
 Minimization runs in two stages: a real-coded genetic algorithm explores
-the bounded design space, then projected Gauss-Newton with Armijo
-backtracking refines the best individual. The GA solves each distinct
-design once: elites and children identical to an earlier candidate reuse
-its cost, and the new designs of a generation are scored as one stack.
+the bounded design space, and every few generations projected
+Gauss-Newton with Armijo backtracking refines its best individual (a
+handoff); the GA stops once two consecutive handoffs reach the same
+minimizer. The GA solves each distinct design once: elites and children
+identical to an earlier candidate reuse its cost, and the new designs of
+a generation are scored as one stack.
 The misfit is a sum of squared weighted residuals r(E), so the second
 stage works on r and its exact Jacobian J = dr/dE: one factorization
 serves the forward solve and the P sensitivity solves (the structure of
@@ -49,6 +51,11 @@ _ELITE_COUNT = 2
 _TOURNAMENT_SIZE = 3
 _STALL_GENERATIONS = 15
 _STALL_REL_TOL = 1e-3
+# Hybrid (``run_hybrid``): GA generations between two Gauss-Newton
+# handoffs, and the largest coordinate gap, relative to the bound range, at
+# which two consecutive handoffs count as one minimizer.
+_HANDOFF_GENERATIONS = 4
+_SAME_MINIMIZER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,8 @@ class ConvergenceRecord:
 
 @dataclass
 class ConvergenceHistory:
-    """Per-iteration log of the optimization, both stages concatenated.
+    """Per-iteration log of the optimization: the GA generations, each
+    Gauss-Newton run after the generation it started from.
 
     Records carry the cumulative forward-solve count at the time they were
     written; ``total_forward_solves`` additionally includes the trial
@@ -281,6 +289,7 @@ def run_ga(
     upper: np.ndarray,
     config: GAConfig,
     initial_guess: np.ndarray | None = None,
+    after_generation=None,
 ) -> tuple[np.ndarray, ConvergenceHistory]:
     """Explore the bounded design space with a real-coded GA.
 
@@ -305,6 +314,11 @@ def run_ga(
     therefore do not depend on how the designs are grouped. A design that
     scores +inf (in a ``CostContext.cost`` stack, one whose solve raised
     NumericalError) is counted in ``failed_evaluations``; the run goes on.
+
+    ``after_generation``, when given, is called with the record of each
+    generation from 1 on, once it is logged; a true return stops the run
+    there. It sees no population and no random stream, so the records up
+    to the stop are those of a run without it.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -361,6 +375,8 @@ def run_ga(
         best_idx = int(np.argmin(costs))
         best_per_gen.append(float(costs[best_idx]))
         history.append(STAGE_GA, gen, costs[best_idx], pop[best_idx], counter.count)
+        if after_generation is not None and after_generation(history.final):
+            break
         if gen >= _STALL_GENERATIONS:
             ref = best_per_gen[gen - _STALL_GENERATIONS]
             if ref - best_per_gen[gen] < _STALL_REL_TOL * max(abs(ref), 1e-300):
@@ -487,6 +503,13 @@ def run_gradient(
     return x.copy(), history
 
 
+def _relative_gap(a: np.ndarray, b: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+    """Largest |a - b| relative to the bound range over the unpinned coordinates."""
+    span = upper - lower
+    free = span > 0
+    return float(np.max(np.abs(a - b)[free] / span[free], initial=0.0))
+
+
 def run_hybrid(
     context: CostContext,
     lower: np.ndarray,
@@ -495,22 +518,53 @@ def run_hybrid(
     grad_config: GradConfig,
     initial_guess: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ConvergenceHistory]:
-    """GA exploration followed by Gauss-Newton refinement from the GA's best.
+    """GA exploration with Gauss-Newton handoffs from the GA's best.
 
     The GA scores designs with ``context.cost`` (each distinct design
-    once, one stack per generation), the refinement stage
-    (``run_gradient``) with ``context.cost_and_jacobian``. The returned
-    history concatenates both stages with a shared forward solve counter
-    (one count per factorization); the final cost never exceeds the GA
-    stage's best.
+    once, one stack per generation). After every ``_HANDOFF_GENERATIONS``
+    generations, Gauss-Newton (``run_gradient`` on
+    ``context.cost_and_jacobian``) refines the GA's current best, and the
+    GA stops once this handoff and the previous one end within
+    ``_SAME_MINIMIZER_TOL`` of each other (``_relative_gap``). A GA that
+    ends at its cap or by its stall rule gets a handoff at its last
+    generation if none ran there. Handoffs never feed the population, so
+    the GA records are those of ``run_ga`` alone with the same seed, up to
+    the generation the hybrid stopped at. The history holds each
+    handoff's records after those of the generation it started from, and
+    every record carries one forward-solve count shared by both stages
+    (one count per factorization). Returns the last handoff's design, or
+    the GA best it started from when that cost less.
     """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
     cost = _CountingCost(context.cost)
-    ga_best, history = run_ga(cost, lower, upper, ga_config, initial_guess)
-    cost_and_jacobian = _CountingCost(context.cost_and_jacobian, cost.count)
-    refined, grad_history = run_gradient(cost_and_jacobian, ga_best, lower, upper, grad_config)
-    history.extend(grad_history)
-    history.total_forward_solves = cost_and_jacobian.count
-    ga_final = history.stage_records(STAGE_GA)[-1].best_cost
-    grad_final = history.stage_records(STAGE_GRADIENT)[-1].best_cost
-    final = refined if grad_final <= ga_final else ga_best
+    handoffs = {}  # GA generation -> (refined design, its history)
+
+    def handoff(record):
+        counter = _CountingCost(context.cost_and_jacobian, cost.count)
+        handoffs[record.iteration] = run_gradient(counter, record.design, lower, upper, grad_config)
+        cost.count = counter.count  # later GA records count the handoff's solves
+
+    def after_generation(record):
+        generation = record.iteration
+        if generation % _HANDOFF_GENERATIONS:
+            return False
+        handoff(record)
+        previous = handoffs.get(generation - _HANDOFF_GENERATIONS)
+        return previous is not None and (
+            _relative_gap(handoffs[generation][0], previous[0], lower, upper) <= _SAME_MINIMIZER_TOL
+        )
+
+    ga_best, ga_history = run_ga(cost, lower, upper, ga_config, initial_guess, after_generation)
+    ga_final = ga_history.final
+    if ga_final.iteration not in handoffs:
+        handoff(ga_final)
+    history = ConvergenceHistory(failed_evaluations=ga_history.failed_evaluations)
+    for record in ga_history.records:
+        history.records.append(record)
+        if record.iteration in handoffs:
+            history.extend(handoffs[record.iteration][1])
+    history.total_forward_solves = cost.count
+    refined = handoffs[ga_final.iteration][0]
+    final = refined if history.final.best_cost <= ga_final.best_cost else ga_best
     return final, history

@@ -346,6 +346,18 @@ class TestCmdSynthAndForward:
         assert cli.main(["forward", "--config", cfg_path]) == 2
         assert "geometry.length_mm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "invert"])
+    def test_zero_load_exit_2(self, tmp_path, capsys, command):
+        """A zero applied displacement strains nothing, so an inversion would
+        only return its initial guess."""
+        out = tmp_path / "t"
+        assert cli.main(["synth", "--config", write_config(tmp_path, base_config(out))]) == 0
+        bad_path = write_config(tmp_path, base_config(tmp_path / "z", bcs={"u_applied_mm": 0}), "zero.json")
+        args = ["--measurement", str(out / "measurement.csv")] if command == "invert" else []
+        assert cli.main([command, "--config", bad_path, *args]) == 2
+        assert "config error: bcs.u_applied_mm: must be nonzero" in capsys.readouterr().err
+        assert not (tmp_path / "z").exists()
+
     def test_locked_output_dir_exit_2(self, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()

@@ -706,8 +706,43 @@ class TestRunHybrid:
         _, ga_history = fu.run_ga(context.cost, lower, upper, ga,
                                   initial_guess=np.full(4, E0))
         assert history.final.best_cost <= ga_history.final.best_cost
-        # same seed: the GA stage of the hybrid is the GA-only run
-        assert ga_history.final.best_cost == history.stage_records(STAGE_GA)[-1].best_cost
+        # same seed: each GA generation of the hybrid is that of the GA-only run
+        hybrid_ga = history.stage_records(STAGE_GA)
+        assert len(hybrid_ga) <= len(ga_history.records)
+        for mine, alone in zip(hybrid_ga, ga_history.records):
+            assert mine.iteration == alone.iteration
+            assert mine.best_cost == alone.best_cost
+            assert np.array_equal(mine.design, alone.design)
+
+    def test_stops_when_two_handoffs_agree(self, hybrid_run):
+        context, truth, lower, upper, ga, grad, final, history = hybrid_run
+        assert history.stage_records(STAGE_GA)[-1].iteration == 8
+        starts = [r for r in history.stage_records(STAGE_GRADIENT) if r.iteration == 0]
+        assert len(starts) == 2
+        # fewer solves than the GA run to its cap and one Gauss-Newton run after it
+        ga_best, ga_history = fu.run_ga(context.cost, lower, upper, ga, initial_guess=np.full(4, E0))
+        _, gn_history = fu.run_gradient(context.cost_and_jacobian, ga_best, lower, upper, grad)
+        assert history.total_forward_solves < ga_history.total_forward_solves + gn_history.total_forward_solves
+
+    @pytest.mark.parametrize("generations_max", [3, 4])
+    def test_short_ga_gets_one_final_handoff(self, generations_max):
+        """With no handoff before the cap, the hybrid is run_ga followed by
+        one run_gradient from its best."""
+        context, truth, lower, upper = small_context()
+        ga = fu.GAConfig(population_size=16, generations_max=generations_max, rng_seed=4)
+        grad = fu.GradConfig(max_iterations=120)
+        final, history = fu.run_hybrid(context, lower, upper, ga, grad, initial_guess=np.full(4, E0))
+        ga_best, ga_history = fu.run_ga(context.cost, lower, upper, ga, initial_guess=np.full(4, E0))
+        refined, gn_history = fu.run_gradient(context.cost_and_jacobian, ga_best, lower, upper, grad)
+        offset = ga_history.total_forward_solves
+
+        def rows(records, solves_before=0):
+            return [(r.stage, r.iteration, r.best_cost, r.design.tobytes(), solves_before + r.forward_solve_count)
+                    for r in records]
+
+        assert rows(history.records) == rows(ga_history.records) + rows(gn_history.records, offset)
+        assert history.total_forward_solves == offset + gn_history.total_forward_solves
+        assert np.array_equal(final, refined)
 
     def test_same_seeds_identical_run(self, hybrid_run):
         context, truth, lower, upper, ga, grad, final, history = hybrid_run
