@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dtbtrs
-from scipy.sparse.csgraph import breadth_first_order, reverse_cuthill_mckee
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import _shape
@@ -212,14 +212,18 @@ class ForwardModel:
     G. Interior dofs of different patches never share an element, so
     K(E)[I, I] is block diagonal with blocks E_k A_k[I_k, I_k] and
     K(E)[I_k, G] = E_k A_k[I_k, G]. The free dofs are numbered once, in
-    ``free_dofs`` order: the I_k patch by patch, each farthest-from-G first
-    (a breadth-first order from G, reversed) so that the rows coupled to G
-    come last, then G in reverse Cuthill-McKee order. Construction factors
-    the unit-modulus interior blocks D = K(1)[I, I] once (one banded
-    Cholesky) and condenses each patch onto the interface dofs g its
-    elements touch, those with a nonzero diagonal in A_k:
-    S_k = A_k[g, g] - A_k[g, I_k] A_k[I_k, I_k]^-1 A_k[I_k, g], which needs
-    only the trailing rows of the factor. The Schur complement is then
+    ``free_dofs`` order: the I_k patch by patch, each in coordinate order
+    with the mesh axis of most divisions slowest, so that the band of a
+    block is about one cross-section of nodes wide, run in the direction
+    that puts the side of its rows coupled to G last; then G in reverse
+    Cuthill-McKee order. Construction factors the unit-modulus interior
+    blocks D = K(1)[I, I] = L L^T once (one banded Cholesky) and condenses
+    each patch onto the interface dofs g its elements touch, those with a
+    nonzero diagonal in A_k:
+    S_k = A_k[g, g] - A_k[g, I_k] A_k[I_k, I_k]^-1 A_k[I_k, g]
+    = A_k[g, g] - Y^T Y with Y = L^-1 A_k[I_k, g], which is zero above the
+    first row of I_k coupled to G; so Y needs only the rows of the factor
+    from there to the end of the block. The Schur complement is then
     S(E) = sum_k E_k S_k, kept as weights over the slots of its pattern,
     the union of the blocks g x g. An interior row of R is nonzero only in
     the column of its own patch, so the condensed load is linear in E too:
@@ -342,12 +346,15 @@ class ForwardModel:
         self._g_rhs = self._coupling @ z - self._rhs_per_patch[n_i:]
 
         # Per patch: A_k, its interface dofs g (those its elements touch,
-        # so a nonzero diagonal in A_k) and its interior rows coupled to g,
-        # the trailing rows of its block.
+        # so a nonzero diagonal in A_k) and the rows tail..end-1 of its block
+        # from its first interior row coupled to g.
         blocks = [self._patch_stiffness[k * n_free:(k + 1) * n_free] for k in range(n_patches)]
         gs = [np.flatnonzero(a.diagonal()[n_i:]) for a in blocks]
         block_end = np.searchsorted(self._interior_patch, np.arange(1, n_patches + 1))
-        block_tail = block_end - np.bincount(self._interior_patch[touching], minlength=n_patches)
+        block_tail = block_end.copy()  # a block without touching rows needs no Y
+        touching_rows = np.flatnonzero(touching)
+        touched, first = np.unique(self._interior_patch[touching_rows], return_index=True)
+        block_tail[touched] = touching_rows[first]
         # S is the union of the dense blocks g x g of the patches; a dense
         # slot map over G x G, indexed [column, row], costs about what S does.
         used = np.zeros((n_g, n_g), dtype=bool)
@@ -360,12 +367,12 @@ class ForwardModel:
         s_slot, s_value = [], []
         for k, (a, g) in enumerate(zip(blocks, gs)):
             tail, end = block_tail[k], block_end[k]
-            # The columns g of the trailing interior rows tail..end-1, then of the rows g.
+            # The columns g of the interior rows tail..end-1, then of the rows g.
             c = a[np.concatenate([np.arange(tail, end), n_i + g])][:, n_i + g].toarray()
             s_k = c[end - tail:]
             if tail < end:
                 # A_k[g, I_k] A_k[I_k, I_k]^-1 A_k[I_k, g] = Y^T Y with Y = L^-1 A_k[I_k, g],
-                # and Y is zero outside the trailing rows.
+                # and Y is zero above row tail, as A_k[I_k, g] is (L is lower triangular).
                 y, _ = dtbtrs(self._interior[:, tail:end], c[:end - tail], uplo="L")
                 s_k -= y.T @ y
             s_slot.append(slot_of[np.ix_(g, g)].ravel())
@@ -589,12 +596,13 @@ def _condensed_free_dofs(mesh: Mesh, patch_map: PatchMap, prescribed: np.ndarray
     lists the interior dofs patch by patch, then the interface dofs;
     ``interior_patch`` is the patch of each interior dof (nondecreasing) and
     ``touching`` marks the interior dofs whose node shares an element with
-    an interface node. Within a patch the interior nodes follow a
-    breadth-first order from the interface nodes, reversed, so the touching
-    ones come last and each block stays banded. Interface nodes, and the
-    interior nodes of a model without interface, follow reverse
-    Cuthill-McKee order of the node adjacency graph; the dofs of a node stay
-    together.
+    an interface node. Within a patch the interior nodes are sorted by their
+    coordinates, the axis of most divisions slowest and that of fewest
+    fastest, so each block's band is about one cross-section of nodes wide.
+    Each patch runs that order in the direction that leaves more of its
+    nodes ahead of its first touching node; touching nodes may still come
+    before non-touching ones. Interface nodes follow reverse Cuthill-McKee
+    order of the node adjacency graph. The dofs of a node stay together.
     """
     n_nodes, nodes_per_element = mesh.n_nodes, mesh.elements.shape[1]
     n_patches = patch_map.patch_count
@@ -612,20 +620,21 @@ def _condensed_free_dofs(mesh: Mesh, patch_map: PatchMap, prescribed: np.ndarray
     node_patch = np.full(n_nodes, n_patches)  # interface nodes sort last
     node_patch[node_of_pair] = patch_of_pair
     node_patch[interface] = n_patches
-
-    # Breadth-first from an extra node joined to every interface node.
-    source = np.flatnonzero(interface)
-    hub = np.full(source.size, n_nodes)
-    joined = sp.csr_matrix(
-        (np.ones(rows.size + 2 * source.size, dtype=np.int32),
-         (np.concatenate([rows, hub, source]), np.concatenate([cols, source, hub]))),
-        shape=(n_nodes + 1, n_nodes + 1),
-    )
-    reached = breadth_first_order(joined, n_nodes, directed=True, return_predecessors=False)
-    reverse_rank = np.full(n_nodes + 1, -(n_nodes + 1))  # unreached nodes first
-    reverse_rank[reached] = -np.arange(reached.size)
-    order = np.lexsort((rcm_rank, np.where(interface, 0, reverse_rank[:n_nodes]), node_patch))
     touching_node = ~interface & (graph @ interface.astype(np.int32) > 0)
+
+    # Coordinate order, then per patch the direction whose first touching
+    # node has more of the patch's nodes ahead of it (ties ascending).
+    axes = np.argsort(mesh.divisions, kind="stable")
+    line_rank = np.empty(n_nodes, dtype=np.int64)
+    line_rank[np.lexsort(mesh.nodes[:, axes].T)] = np.arange(n_nodes)
+    first = np.full(n_patches + 1, n_nodes)
+    last = np.full(n_patches + 1, -1)
+    np.minimum.at(first, node_patch[touching_node], line_rank[touching_node])
+    np.maximum.at(last, node_patch[touching_node], line_rank[touching_node])
+    ahead = np.bincount(node_patch[~interface & (line_rank < first[node_patch])], minlength=n_patches + 1)
+    behind = np.bincount(node_patch[~interface & (line_rank > last[node_patch])], minlength=n_patches + 1)
+    interior_rank = np.where((behind > ahead)[node_patch], -line_rank, line_rank)
+    order = np.lexsort((rcm_rank, np.where(interface, 0, interior_rank), node_patch))
 
     dim = mesh.dimension
     dofs = (dim * order[:, None] + np.arange(dim)).ravel()

@@ -447,6 +447,57 @@ class TestCondensation:
         model = assert_matches_dense(mesh, pmap, np.array([E_STEEL]), uniaxial_bcs)
         assert model._interior_patch.size == model.free_dofs.size
 
+    def test_touching_rows_not_trailing(self, uniaxial_bcs):
+        """Three sections, the middle one coupled to the interface at both
+        ends, and a defect straddling the first cut: the middle block's
+        touching rows are not all at its end. The solve against a dense one,
+        S(1) against the dense Schur complement of K(1) and the
+        sensitivities against central differences."""
+        from femupdate import solver
+
+        mesh = fu.build_coupon_mesh(100, 20, 8, 18, 4, 2)
+        defect = fu.DefectSpec((26, 5, 0), (42, 15, 4))
+        pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 3), mesh, [defect])
+        defect_x = mesh.element_centroids()[pmap.elements_of_patch(3), 0]
+        assert defect_x.min() < 100 / 3 < defect_x.max()
+        values = np.array([1.3, 0.8, 1.1, 0.05]) * E_STEEL
+        model = assert_matches_dense(mesh, pmap, values, uniaxial_bcs)
+        _, interior_patch, touching = solver._condensed_free_dofs(mesh, pmap, model._dofs)
+        middle = touching[interior_patch == 1]
+        assert middle.any() and not middle[np.argmax(middle):].all()
+
+        n_i, free = interior_patch.size, model.free_dofs
+        k1 = dense_stiffness(mesh, pmap, np.ones(4), NU)[np.ix_(free, free)]
+        schur = k1[n_i:, n_i:] - k1[n_i:, :n_i] @ np.linalg.solve(k1[:n_i, :n_i], k1[:n_i, n_i:])
+        s1 = model._interface_stiffness(np.ones(4)).toarray()
+        assert np.abs(s1 - schur).max() <= 1e-10 * np.abs(schur).max()
+
+        _, du = model.displacement_with_sensitivities(values)
+        h = 1e-6 * 3.0 * E_STEEL
+        for k in range(4):
+            plus, minus = values.copy(), values.copy()
+            plus[k] += h
+            minus[k] -= h
+            fd = (model.solve_displacement(plus) - model.solve_displacement(minus)) / (2.0 * h)
+            assert np.abs(du[:, k] - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    @pytest.mark.parametrize(
+        "dims, n_sections, defects, max_band",
+        [
+            ((100.0, 20.0, 2.0, 40, 10), 9, [fu.DefectSpec((20, 6), (32, 14)), fu.DefectSpec((60, 4), (72, 12))], 30),
+            ((100, 20, 8, 30, 8, 4), 2, [fu.DefectSpec((40, 5, 0), (60, 15, 4))], 160),
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_interior_band_is_one_cross_section(self, dims, n_sections, defects, max_band, uniaxial_bcs):
+        """On the acceptance geometries the bandwidth of the interior factor
+        is about one cross-section of nodes times the dofs per node (2D:
+        11 nodes, 3D: 9 x 5)."""
+        mesh = fu.build_coupon_mesh(*dims)
+        pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, n_sections), mesh, defects)
+        model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
+        assert model._interior.shape[0] - 1 <= max_band
+
     @pytest.mark.parametrize(
         "dims, dofs",
         [((100, 20, 2, 8, 2), [0]), ((100, 20, 8, 4, 2, 2), [0, 1, 2])],
