@@ -3,8 +3,8 @@
 Synthetic strain measurements come from a coupon with one soft patch;
 the hybrid optimizer (GA exploration, handing off to projected
 Gauss-Newton on exact sensitivities every 4 generations until two
-handoffs agree) recovers every patch modulus from the surface field
-alone. The inversion takes a fraction of a second.
+Gauss-Newton runs agree) recovers every patch modulus from the surface
+field alone. The inversion takes a fraction of a second.
 
 Note the scale pin: under displacement control, scaling every modulus
 by the same factor leaves strains unchanged, so section 0 is fixed at
@@ -52,9 +52,9 @@ def main():
     elapsed = time.perf_counter() - start
 
     ga_final = history.stage_records("GA")[-1]
-    handoffs = sum(r.iteration == 0 for r in history.stage_records("GRADIENT"))
+    gn_runs = sum(r.iteration == 0 for r in history.stage_records("GRADIENT"))
     print(f"GA stage:       cost {ga_final.best_cost:.3e} after {ga_final.iteration} generations")
-    print(f"gradient stage: cost {history.final.best_cost:.3e} after {handoffs} handoffs")
+    print(f"gradient stage: cost {history.final.best_cost:.3e} after {gn_runs} Gauss-Newton runs")
     print(f"{history.total_forward_solves} forward solves in {elapsed:.1f} s\n")
 
     print(f"{'patch':>5} {'truth':>10} {'recovered':>12} {'error':>9}")

@@ -46,10 +46,10 @@ def main():
         fu.GradConfig(max_iterations=80),
         initial_guess=np.full(3, E0),
     )
-    handoffs = sum(r.iteration == 0 for r in history.stage_records("GRADIENT"))
+    gn_runs = sum(r.iteration == 0 for r in history.stage_records("GRADIENT"))
     print(f"inversion finished in {time.perf_counter() - start:.1f} s, "
           f"{history.total_forward_solves} forward solves, "
-          f"GA stopped at generation {history.stage_records('GA')[-1].iteration} after {handoffs} handoffs")
+          f"GA stopped at generation {history.stage_records('GA')[-1].iteration} after {gn_runs} Gauss-Newton runs")
 
     labels = ["front section", "rear section", "buried region"]
     print(f"\n{'region':>14} {'truth/E0':>9} {'recovered/E0':>13}")

@@ -9,9 +9,12 @@ Minimization runs in two stages: a real-coded genetic algorithm explores
 the bounded design space, and every few generations projected
 Gauss-Newton with Armijo backtracking refines its best individual (a
 handoff); the GA stops once two consecutive handoffs reach the same
-minimizer. The GA solves each distinct design once: elites and children
-identical to an earlier candidate reuse its cost, and the new designs of
-a generation are scored as one stack.
+minimizer. The first handoff is compared with a partner run from the
+GA's generation-0 best, the handoff generation 0 would have made, so the
+GA stops at its first handoff when both runs reach one minimizer. The GA
+solves each distinct design once: elites and children identical to an
+earlier candidate reuse its cost, and the new designs of a generation
+are scored as one stack.
 The misfit is a sum of squared weighted residuals r(E), so the second
 stage works on r and its exact Jacobian J = dr/dE: one factorization
 serves the forward solve and the P sensitivity solves (the structure of
@@ -53,7 +56,7 @@ _STALL_GENERATIONS = 15
 _STALL_REL_TOL = 1e-3
 # Hybrid (``run_hybrid``): GA generations between two Gauss-Newton
 # handoffs, and the largest coordinate gap, relative to the bound range, at
-# which two consecutive handoffs count as one minimizer.
+# which two Gauss-Newton runs count as one minimizer.
 _HANDOFF_GENERATIONS = 4
 _SAME_MINIMIZER_TOL = 1e-6
 
@@ -100,7 +103,9 @@ class ConvergenceRecord:
 @dataclass
 class ConvergenceHistory:
     """Per-iteration log of the optimization: the GA generations, each
-    Gauss-Newton run after the generation it started from.
+    Gauss-Newton run after the generation it ran at, in run order (in
+    ``run_hybrid``, the partner from the generation-0 best comes after the
+    first handoff's generation, before that handoff).
 
     Records carry the cumulative forward-solve count at the time they were
     written; ``total_forward_solves`` additionally includes the trial
@@ -316,9 +321,10 @@ def run_ga(
     NumericalError) is counted in ``failed_evaluations``; the run goes on.
 
     ``after_generation``, when given, is called with the record of each
-    generation from 1 on, once it is logged; a true return stops the run
-    there. It sees no population and no random stream, so the records up
-    to the stop are those of a run without it.
+    generation, once it is logged; a true return from generation 1 on
+    stops the run there (generation 0 always goes on). It sees no
+    population and no random stream, so the records up to the stop are
+    those of a run without it.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -355,6 +361,8 @@ def run_ga(
     best_per_gen = [float(costs.min())]
     best_idx = int(np.argmin(costs))
     history.append(STAGE_GA, 0, costs[best_idx], pop[best_idx], counter.count)
+    if after_generation is not None:
+        after_generation(history.final)
 
     for gen in range(1, config.generations_max + 1):
         order = np.argsort(costs, kind="stable")
@@ -525,12 +533,17 @@ def run_hybrid(
     generations, Gauss-Newton (``run_gradient`` on
     ``context.cost_and_jacobian``) refines the GA's current best, and the
     GA stops once this handoff and the previous one end within
-    ``_SAME_MINIMIZER_TOL`` of each other (``_relative_gap``). A GA that
-    ends at its cap or by its stall rule gets a handoff at its last
-    generation if none ran there. Handoffs never feed the population, so
-    the GA records are those of ``run_ga`` alone with the same seed, up to
-    the generation the hybrid stopped at. The history holds each
-    handoff's records after those of the generation it started from, and
+    ``_SAME_MINIMIZER_TOL`` of each other (``_relative_gap``). The first
+    handoff has no previous one, so unless it starts from the GA's
+    generation-0 best or runs at the GA's last generation, Gauss-Newton
+    first runs from that generation-0 best (its partner: the handoff a
+    generation-0 handoff would have made) and the first handoff is
+    compared with it. A GA that ends at its cap or by its stall rule gets
+    a handoff at its last generation if none ran there. Handoffs never
+    feed the population, so the GA records are those of ``run_ga`` alone
+    with the same seed, up to the generation the hybrid stopped at. The
+    history holds the records of each Gauss-Newton run after those of the
+    generation it ran at, in run order (a partner before its handoff), and
     every record carries one forward-solve count shared by both stages
     (one count per factorization). Returns the last handoff's design, or
     the GA best it started from when that cost less.
@@ -538,33 +551,42 @@ def run_hybrid(
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     cost = _CountingCost(context.cost)
-    handoffs = {}  # GA generation -> (refined design, its history)
+    runs = {}  # GA generation -> its Gauss-Newton runs (design, history), in run order, the handoff last
+    generation0 = []  # the GA's generation-0 best design
 
-    def handoff(record):
+    def gauss_newton(generation, design):
         counter = _CountingCost(context.cost_and_jacobian, cost.count)
-        handoffs[record.iteration] = run_gradient(counter, record.design, lower, upper, grad_config)
-        cost.count = counter.count  # later GA records count the handoff's solves
+        runs.setdefault(generation, []).append(run_gradient(counter, design, lower, upper, grad_config))
+        cost.count = counter.count  # later GA records count the run's solves
+        return runs[generation][-1][0]
 
     def after_generation(record):
         generation = record.iteration
+        if generation == 0:
+            generation0.append(record.design)
+            return False
         if generation % _HANDOFF_GENERATIONS:
             return False
-        handoff(record)
-        previous = handoffs.get(generation - _HANDOFF_GENERATIONS)
-        return previous is not None and (
-            _relative_gap(handoffs[generation][0], previous[0], lower, upper) <= _SAME_MINIMIZER_TOL
-        )
+        earlier = runs.get(generation - _HANDOFF_GENERATIONS)
+        if earlier:
+            previous = earlier[-1][0]
+        elif generation < ga_config.generations_max and not np.array_equal(record.design, generation0[0]):
+            previous = gauss_newton(generation, generation0[0])  # the partner
+        else:
+            previous = None
+        refined = gauss_newton(generation, record.design)
+        return previous is not None and _relative_gap(refined, previous, lower, upper) <= _SAME_MINIMIZER_TOL
 
     ga_best, ga_history = run_ga(cost, lower, upper, ga_config, initial_guess, after_generation)
     ga_final = ga_history.final
-    if ga_final.iteration not in handoffs:
-        handoff(ga_final)
+    if ga_final.iteration not in runs:
+        gauss_newton(ga_final.iteration, ga_final.design)
     history = ConvergenceHistory(failed_evaluations=ga_history.failed_evaluations)
     for record in ga_history.records:
         history.records.append(record)
-        if record.iteration in handoffs:
-            history.extend(handoffs[record.iteration][1])
+        for _, gn_history in runs.get(record.iteration, ()):
+            history.extend(gn_history)
     history.total_forward_solves = cost.count
-    refined = handoffs[ga_final.iteration][0]
+    refined = runs[ga_final.iteration][-1][0]
     final = refined if history.final.best_cost <= ga_final.best_cost else ga_best
     return final, history

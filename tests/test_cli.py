@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import femupdate.cli as cli
 from femupdate.config import load_config
 from femupdate.errors import ConfigError
-from test_acceptance import coupon_config_2d, coupon_config_3d
+from test_acceptance import context_from, coupon_config_2d, coupon_config_3d
 
 
 def base_config(out, **overrides):
@@ -442,6 +442,13 @@ class TestCmdInvert:
         assert report["cost_reduction_factor"] == pytest.approx(
             report["initial_cost"] / report["final_cost"]
         )
+
+    def test_final_cost_is_the_cost_of_the_recovered_moduli(self, inverted):
+        _, inv = inverted
+        report = json.loads((inv / "report.json").read_text())
+        cfg = json.loads((inv / "resolved_config.json").read_text())
+        _, context, _, _ = context_from(cfg, str(inv.parent / "run" / "measurement.csv"))
+        assert context.cost(np.array(report["recovered_moduli_mpa"])) == report["final_cost"]
 
     def test_convergence_csv_schema(self, inverted):
         _, inv = inverted

@@ -317,6 +317,18 @@ class TestRunGa:
             assert r1.best_cost == r2.best_cost
             assert np.array_equal(r1.design, r2.design)
 
+    def test_hook_sees_generation_0_and_stops_from_generation_1(self):
+        cost = lambda x: np.sum((x - 1.0) ** 2, axis=-1)
+        lower, upper = np.full(3, -4.0), np.full(3, 4.0)
+        config = fu.GAConfig(population_size=12, generations_max=20, rng_seed=5)
+        seen = []
+        _, history = fu.run_ga(cost, lower, upper, config, after_generation=lambda r: seen.append(r) or True)
+        _, alone = fu.run_ga(cost, lower, upper, config)
+        assert [r.iteration for r in seen] == [0, 1]
+        assert seen == history.records  # the very records, once each
+        for mine, ref in zip(history.records, alone.records[:2], strict=True):
+            assert (mine.best_cost, mine.design.tobytes()) == (ref.best_cost, ref.design.tobytes())
+
     def test_best_cost_non_increasing(self):
         cost = lambda x: np.sum(x * x, axis=-1)
         config = fu.GAConfig(population_size=20, generations_max=30, rng_seed=2)
@@ -678,6 +690,21 @@ class TestRunGradient:
         assert history.final.forward_solve_count <= calls[0]
 
 
+class TiltedDoubleWell:
+    """Least squares in one coordinate, r(x) = (x^2 - 1, 0.3 (x - 1)): the
+    global minimum is 0 at x = 1, a local one lies near x = -0.95. Stands in
+    for a CostContext: ``cost`` scores a stack (m, 1)."""
+
+    def cost(self, designs):
+        x = designs[:, 0]
+        return (x * x - 1) ** 2 + (0.3 * (x - 1)) ** 2
+
+    def cost_and_jacobian(self, design):
+        x = float(design[0])
+        r = np.array([x * x - 1, 0.3 * (x - 1)])
+        return float(np.sum(r**2)), r, np.array([[2 * x], [0.3]])
+
+
 @pytest.fixture(scope="module")
 def hybrid_run():
     context, truth, lower, upper = small_context()
@@ -715,14 +742,61 @@ class TestRunHybrid:
             assert np.array_equal(mine.design, alone.design)
 
     def test_stops_when_two_handoffs_agree(self, hybrid_run):
+        """The first handoff (generation 4) meets its partner, Gauss-Newton
+        from the generation-0 best, at one minimizer, so the GA stops there."""
         context, truth, lower, upper, ga, grad, final, history = hybrid_run
-        assert history.stage_records(STAGE_GA)[-1].iteration == 8
+        ga_records = history.stage_records(STAGE_GA)
+        assert ga_records[-1].iteration == 4
         starts = [r for r in history.stage_records(STAGE_GRADIENT) if r.iteration == 0]
         assert len(starts) == 2
+        # the partner, then the handoff, both after the GA record of generation 4
+        assert np.array_equal(starts[0].design, ga_records[0].design)
+        assert np.array_equal(starts[1].design, ga_records[-1].design)
+        assert [r.stage for r in history.records[: len(ga_records) + 1]] == [STAGE_GA] * 5 + [STAGE_GRADIENT]
         # fewer solves than the GA run to its cap and one Gauss-Newton run after it
         ga_best, ga_history = fu.run_ga(context.cost, lower, upper, ga, initial_guess=np.full(4, E0))
         _, gn_history = fu.run_gradient(context.cost_and_jacobian, ga_best, lower, upper, grad)
         assert history.total_forward_solves < ga_history.total_forward_solves + gn_history.total_forward_solves
+
+    def test_no_partner_when_the_handoff_starts_at_the_generation0_best(self):
+        """From the noiseless truth the GA best never moves, so the first
+        handoff starts from the generation-0 best and gets no partner: the
+        GA stops when the handoffs of generations 4 and 8 agree."""
+        context, truth, lower, upper = small_context()
+        ga = fu.GAConfig(population_size=16, generations_max=15, rng_seed=4)
+        final, history = fu.run_hybrid(context, lower, upper, ga, fu.GradConfig(max_iterations=120),
+                                       initial_guess=truth)
+        assert history.stage_records(STAGE_GA)[-1].iteration == 8
+        stages = [STAGE_GA] * 5 + [STAGE_GRADIENT] + [STAGE_GA] * 4 + [STAGE_GRADIENT]
+        assert [r.stage for r in history.records] == stages
+        assert all(np.array_equal(r.design, truth) for r in history.records)
+        assert np.array_equal(final, truth)
+
+    def test_partner_in_another_basin_leaves_the_two_handoff_rule(self):
+        """On a tilted double well the generation-0 best lies in the basin of
+        the local minimum and the generation-4 best in that of the global one:
+        partner and handoff disagree, so the GA goes on until the handoffs of
+        generations 4 and 8 agree."""
+        final, history = fu.run_hybrid(TiltedDoubleWell(), np.array([-2.0]), np.array([2.0]),
+                                       fu.GAConfig(population_size=6, generations_max=20, rng_seed=1),
+                                       fu.GradConfig(), initial_guess=np.array([-1.5]))
+        ga_records = history.stage_records(STAGE_GA)
+        assert ga_records[-1].iteration == 8
+        runs = [i for i, r in enumerate(history.records) if r.stage == STAGE_GRADIENT and r.iteration == 0]
+        assert [history.records[i].design[0] for i in runs] == [ga_records[g].design[0] for g in (0, 4, 8)]
+        partner_end = history.records[runs[1] - 1].design[0]
+        assert partner_end < 0 < ga_records[4].design[0]
+        assert final[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("noise, generations_max", [(0.0, 3), (0.0, 15), (0.01, 15)])
+    def test_returned_design_costs_the_final_record(self, noise, generations_max):
+        """The design run_hybrid returns costs bitwise what its history's last
+        record says, which is the final cost the CLI reports."""
+        context, truth, lower, upper = small_context(noise=noise, seed=3)
+        ga = fu.GAConfig(population_size=16, generations_max=generations_max, rng_seed=4)
+        final, history = fu.run_hybrid(context, lower, upper, ga, fu.GradConfig(max_iterations=120),
+                                       initial_guess=np.full(4, E0))
+        assert context.cost(final) == history.final.best_cost
 
     @pytest.mark.parametrize("generations_max", [3, 4])
     def test_short_ga_gets_one_final_handoff(self, generations_max):
