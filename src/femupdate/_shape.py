@@ -45,42 +45,42 @@ def gauss_points(dimension: int) -> np.ndarray:
     return gauss_points_2d() if dimension == 2 else gauss_points_3d()
 
 
+_CORNER_SIGNS = {(2,): QUAD4_SIGNS, (3,): HEX8_SIGNS}
+
+
+def _signs_and_factors(point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corner signs s (n_nodes, dim) of a parent point's element and the
+    factors 1 + s_b xi_b of every node and axis."""
+    signs = _CORNER_SIGNS.get(point.shape)
+    if signs is None:
+        raise ValueError(f"parent point must be 2D or 3D, got shape {point.shape}")
+    return signs, 1 + signs * point
+
+
 def shape_values(point: np.ndarray) -> np.ndarray:
-    """Shape function values N_i at a parent point (length 4 or 8)."""
+    """Shape function values N_i = 0.5^d prod_b (1 + s_ib xi_b) at a parent
+    point (length 4 or 8), the product taken in axis order."""
     point = np.asarray(point, dtype=float)
-    if point.shape == (2,):
-        signs = QUAD4_SIGNS
-        return 0.25 * (1 + signs[:, 0] * point[0]) * (1 + signs[:, 1] * point[1])
-    if point.shape == (3,):
-        signs = HEX8_SIGNS
-        return (
-            0.125
-            * (1 + signs[:, 0] * point[0])
-            * (1 + signs[:, 1] * point[1])
-            * (1 + signs[:, 2] * point[2])
-        )
-    raise ValueError(f"parent point must be 2D or 3D, got shape {point.shape}")
+    _, factors = _signs_and_factors(point)
+    values = 0.5**point.size
+    for b in range(point.size):
+        values = values * factors[:, b]
+    return values
 
 
 def shape_gradients(point: np.ndarray) -> np.ndarray:
-    """Parent-space gradients dN_i/dxi_a, shape (n_nodes, dim)."""
+    """Parent-space gradients dN_i/dxi_a = 0.5^d s_ia prod_{b != a} (1 + s_ib xi_b),
+    the product taken in axis order; shape (n_nodes, dim)."""
     point = np.asarray(point, dtype=float)
-    if point.shape == (2,):
-        s = QUAD4_SIGNS
-        xi, eta = point
-        out = np.empty((4, 2))
-        out[:, 0] = 0.25 * s[:, 0] * (1 + s[:, 1] * eta)
-        out[:, 1] = 0.25 * s[:, 1] * (1 + s[:, 0] * xi)
-        return out
-    if point.shape == (3,):
-        s = HEX8_SIGNS
-        xi, eta, zeta = point
-        out = np.empty((8, 3))
-        out[:, 0] = 0.125 * s[:, 0] * (1 + s[:, 1] * eta) * (1 + s[:, 2] * zeta)
-        out[:, 1] = 0.125 * s[:, 1] * (1 + s[:, 0] * xi) * (1 + s[:, 2] * zeta)
-        out[:, 2] = 0.125 * s[:, 2] * (1 + s[:, 0] * xi) * (1 + s[:, 1] * eta)
-        return out
-    raise ValueError(f"parent point must be 2D or 3D, got shape {point.shape}")
+    signs, factors = _signs_and_factors(point)
+    out = np.empty(signs.shape)
+    for a in range(point.size):
+        column = 0.5**point.size * signs[:, a]
+        for b in range(point.size):
+            if b != a:
+                column = column * factors[:, b]
+        out[:, a] = column
+    return out
 
 
 # Nonzero entries of the strain-displacement matrix B, as (strain row,

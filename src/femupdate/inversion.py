@@ -22,9 +22,9 @@ Oberai, Gokhale & Feijoo, Inverse Problems 19, 2003), so a cost and its
 Jacobian cost one forward solve. Each step fixes the active bounds, as in
 Bertsekas' projected Newton method (SIAM J. Control Optim. 20, 1982), and
 solves a linear least-squares problem over the free moduli. Both stages
-are deterministic given their seeds and log every iterate into a
-ConvergenceHistory. ``fd_gradient`` remains as a finite-difference oracle
-for checking gradients.
+are deterministic given their seeds and append every iterate to one
+ConvergenceHistory, in run order, with their forward-solve count.
+``fd_gradient`` remains as a finite-difference oracle for checking gradients.
 """
 
 from dataclasses import dataclass, field
@@ -102,14 +102,14 @@ class ConvergenceRecord:
 
 @dataclass
 class ConvergenceHistory:
-    """Per-iteration log of the optimization: the GA generations, each
-    Gauss-Newton run after the generation it ran at, in run order (in
-    ``run_hybrid``, the partner from the generation-0 best comes after the
-    first handoff's generation, before that handoff).
+    """Per-iteration log of the optimization, in run order (``run_hybrid``
+    passes one history to the GA and to every Gauss-Newton run; the
+    partner from the generation-0 best comes after the first handoff's
+    generation, before that handoff).
 
-    Records carry the cumulative forward-solve count at the time they were
-    written; ``total_forward_solves`` additionally includes the trial
-    points of a final line search that found no acceptable step.
+    ``total_forward_solves`` is the running forward-solve count, which
+    ``append`` stamps on each record; it also counts the trial points of a
+    final line search that found no acceptable step.
     ``failed_evaluations`` counts the evaluations whose solve raised a
     NumericalError: distinct GA candidates, scored +inf, and Gauss-Newton
     line-search trials, rejected.
@@ -120,16 +120,10 @@ class ConvergenceHistory:
     total_forward_solves: int = 0
     failed_evaluations: int = 0
 
-    def append(self, stage, iteration, best_cost, design, forward_solve_count):
+    def append(self, stage, iteration, best_cost, design):
         self.records.append(
-            ConvergenceRecord(stage, iteration, float(best_cost), np.array(design), forward_solve_count)
+            ConvergenceRecord(stage, iteration, float(best_cost), np.array(design), self.total_forward_solves)
         )
-
-    def extend(self, other: "ConvergenceHistory") -> None:
-        self.records.extend(other.records)
-        self.gradient_stalled = self.gradient_stalled or other.gradient_stalled
-        self.total_forward_solves = max(self.total_forward_solves, other.total_forward_solves)
-        self.failed_evaluations += other.failed_evaluations
 
     @property
     def final(self) -> ConvergenceRecord:
@@ -137,20 +131,6 @@ class ConvergenceHistory:
 
     def stage_records(self, stage: str) -> list:
         return [r for r in self.records if r.stage == stage]
-
-
-class _CountingCost:
-    """Wraps a cost (or cost-and-Jacobian) function, counting its forward
-    solves: one per design, so one per call of a single design (P,) and m
-    per call of a stack (m, P)."""
-
-    def __init__(self, fn, count: int = 0):
-        self.fn = fn
-        self.count = count
-
-    def __call__(self, x: np.ndarray):
-        self.count += len(x) if np.ndim(x) == 2 else 1
-        return self.fn(x)
 
 
 class CostContext:
@@ -167,8 +147,8 @@ class CostContext:
     """
 
     def __init__(self, forward: ForwardModel, measurement: ExperimentalField, strain_floor: float = 1e-6):
-        if strain_floor <= 0:
-            raise ValueError("strain_floor must be positive")
+        if not 0 < strain_floor < np.inf:
+            raise ValueError(f"strain_floor must be positive and finite, got {strain_floor}")
         self.forward = forward
         self.measurement = measurement
         self.strain_floor = float(strain_floor)
@@ -288,6 +268,19 @@ def _tournament(costs, rng):
     return idx[np.argmin(costs[idx])]
 
 
+def _checked_bounds(lower, upper, name: str, design) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds as float arrays; ValueError on non-finite or crossed ones or a non-finite ``design``."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if not np.all(np.isfinite(lower)) or not np.all(np.isfinite(upper)):
+        raise ValueError("bounds must be finite")
+    if np.any(lower > upper):
+        raise ValueError("lower bounds exceed upper bounds")
+    if design is not None and not np.all(np.isfinite(np.asarray(design, dtype=float))):
+        raise ValueError(f"{name} must be finite")
+    return lower, upper
+
+
 def run_ga(
     cost_fn,
     lower: np.ndarray,
@@ -295,6 +288,7 @@ def run_ga(
     config: GAConfig,
     initial_guess: np.ndarray | None = None,
     after_generation=None,
+    history: ConvergenceHistory | None = None,
 ) -> tuple[np.ndarray, ConvergenceHistory]:
     """Explore the bounded design space with a real-coded GA.
 
@@ -319,6 +313,10 @@ def run_ga(
     therefore do not depend on how the designs are grouped. A design that
     scores +inf (in a ``CostContext.cost`` stack, one whose solve raised
     NumericalError) is counted in ``failed_evaluations``; the run goes on.
+    Non-finite or crossed bounds and a non-finite ``initial_guess`` raise
+    ValueError. Records go to ``history`` (a new one when None), and each
+    stack's size is added to its ``total_forward_solves`` before
+    ``cost_fn`` sees it. Returns the last GA record's design and the history.
 
     ``after_generation``, when given, is called with the record of each
     generation, once it is logged; a true return from generation 1 on
@@ -326,16 +324,10 @@ def run_ga(
     population and no random stream, so the records up to the stop are
     those of a run without it.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if not np.all(np.isfinite(lower)) or not np.all(np.isfinite(upper)):
-        raise ValueError("GA bounds must be finite")
-    if np.any(lower > upper):
-        raise ValueError("lower bounds exceed upper bounds")
+    lower, upper = _checked_bounds(lower, upper, "initial_guess", initial_guess)
     rng = np.random.default_rng(config.rng_seed)
     dim = lower.size
-    counter = cost_fn if isinstance(cost_fn, _CountingCost) else _CountingCost(cost_fn)
-    history = ConvergenceHistory()
+    history = ConvergenceHistory() if history is None else history
     cache: dict = {}
 
     def score(pop):
@@ -345,7 +337,8 @@ def run_ga(
             if key not in cache:
                 new.setdefault(key, i)
         if new:
-            costs = np.asarray(counter(pop[list(new.values())]), dtype=float)
+            history.total_forward_solves += len(new)
+            costs = np.asarray(cost_fn(pop[list(new.values())]), dtype=float)
             if costs.shape != (len(new),):
                 raise ValueError(f"cost_fn returned shape {costs.shape} for {len(new)} designs")
             cache.update(zip(new, costs))
@@ -360,7 +353,7 @@ def run_ga(
 
     best_per_gen = [float(costs.min())]
     best_idx = int(np.argmin(costs))
-    history.append(STAGE_GA, 0, costs[best_idx], pop[best_idx], counter.count)
+    history.append(STAGE_GA, 0, costs[best_idx], pop[best_idx])
     if after_generation is not None:
         after_generation(history.final)
 
@@ -382,7 +375,7 @@ def run_ga(
         costs = score(pop)
         best_idx = int(np.argmin(costs))
         best_per_gen.append(float(costs[best_idx]))
-        history.append(STAGE_GA, gen, costs[best_idx], pop[best_idx], counter.count)
+        history.append(STAGE_GA, gen, costs[best_idx], pop[best_idx])
         if after_generation is not None and after_generation(history.final):
             break
         if gen >= _STALL_GENERATIONS:
@@ -390,9 +383,7 @@ def run_ga(
             if ref - best_per_gen[gen] < _STALL_REL_TOL * max(abs(ref), 1e-300):
                 break
 
-    history.total_forward_solves = counter.count
-    best = history.records[-1]
-    return best.design.copy(), history
+    return history.stage_records(STAGE_GA)[-1].design.copy(), history
 
 
 def _gauss_newton_step(x, r, jac, grad, lower, upper) -> np.ndarray:
@@ -426,6 +417,7 @@ def run_gradient(
     lower: np.ndarray,
     upper: np.ndarray,
     config: GradConfig,
+    history: ConvergenceHistory | None = None,
 ) -> tuple[np.ndarray, ConvergenceHistory]:
     """Projected Gauss-Newton refinement of a least-squares cost inside the box.
 
@@ -450,25 +442,24 @@ def run_gradient(
     evaluation raises NumericalError is rejected like one that fails the
     Armijo test, and counted in ``failed_evaluations``; at the start point
     the error propagates. After a line search that rejected such a trial,
-    the next one starts no longer than the step just accepted.
+    the next one starts no longer than the step just accepted. Bounds,
+    ``start_design`` and ``history`` are handled as in ``run_ga``; each
+    evaluation adds 1 to ``total_forward_solves`` before it runs.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    lower, upper = _checked_bounds(lower, upper, "start_design", start_design)
     x = np.clip(np.asarray(start_design, dtype=float), lower, upper)
-    counter = (
-        cost_and_jacobian if isinstance(cost_and_jacobian, _CountingCost) else _CountingCost(cost_and_jacobian)
-    )
+    history = ConvergenceHistory() if history is None else history
     span = upper - lower
     pinned = span == 0
 
     def evaluate(z):
-        f_z, r_z, jac_z = counter(z)
+        history.total_forward_solves += 1
+        f_z, r_z, jac_z = cost_and_jacobian(z)
         jac_z = np.where(pinned, 0.0, jac_z)
         return f_z, r_z, jac_z, 2.0 * (jac_z.T @ r_z)
 
     f, r, jac, grad = evaluate(x)
-    history = ConvergenceHistory()
-    history.append(STAGE_GRADIENT, 0, f, x, counter.count)
+    history.append(STAGE_GRADIENT, 0, f, x)
 
     # After a line search that rejected a failed trial, the next one starts
     # no longer than the step it accepted, so it does not pay again for
@@ -504,10 +495,9 @@ def run_gradient(
             rel_step = np.where(span > 0, np.abs(step) / span, 0.0)
         x, f, r, jac, grad = x_new, f_new, r_new, jac_new, grad_new
         t_cap = t if failed else np.inf
-        history.append(STAGE_GRADIENT, it, f, x, counter.count)
+        history.append(STAGE_GRADIENT, it, f, x)
         if float(rel_step.max()) < _STEP_TOL:
             break
-    history.total_forward_solves = counter.count
     return x.copy(), history
 
 
@@ -541,52 +531,40 @@ def run_hybrid(
     compared with it. A GA that ends at its cap or by its stall rule gets
     a handoff at its last generation if none ran there. Handoffs never
     feed the population, so the GA records are those of ``run_ga`` alone
-    with the same seed, up to the generation the hybrid stopped at. The
-    history holds the records of each Gauss-Newton run after those of the
-    generation it ran at, in run order (a partner before its handoff), and
-    every record carries one forward-solve count shared by both stages
-    (one count per factorization). Returns the last handoff's design, or
-    the GA best it started from when that cost less.
+    with the same seed, up to the generation the hybrid stopped at. The GA
+    and every Gauss-Newton run append to one history, so it is in run order
+    while the run goes on (each Gauss-Newton run after the generation it
+    ran at, a partner before its handoff) and holds one forward-solve count
+    for both stages (one per factorization). Returns the last handoff's
+    design, or the GA best it started from when that cost less.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    cost = _CountingCost(context.cost)
-    runs = {}  # GA generation -> its Gauss-Newton runs (design, history), in run order, the handoff last
-    generation0 = []  # the GA's generation-0 best design
+    lower, upper = _checked_bounds(lower, upper, "initial_guess", initial_guess)
+    history = ConvergenceHistory()
+    start = handoff = None  # the GA's generation-0 best; the last handoff's (generation, end design)
 
-    def gauss_newton(generation, design):
-        counter = _CountingCost(context.cost_and_jacobian, cost.count)
-        runs.setdefault(generation, []).append(run_gradient(counter, design, lower, upper, grad_config))
-        cost.count = counter.count  # later GA records count the run's solves
-        return runs[generation][-1][0]
+    def gauss_newton(design):
+        return run_gradient(context.cost_and_jacobian, design, lower, upper, grad_config, history)[0]
 
     def after_generation(record):
+        nonlocal start, handoff
         generation = record.iteration
         if generation == 0:
-            generation0.append(record.design)
+            start = record.design
             return False
         if generation % _HANDOFF_GENERATIONS:
             return False
-        earlier = runs.get(generation - _HANDOFF_GENERATIONS)
-        if earlier:
-            previous = earlier[-1][0]
-        elif generation < ga_config.generations_max and not np.array_equal(record.design, generation0[0]):
-            previous = gauss_newton(generation, generation0[0])  # the partner
+        if handoff is not None:
+            previous = handoff[1]
+        elif generation < ga_config.generations_max and not np.array_equal(record.design, start):
+            previous = gauss_newton(start)  # the partner
         else:
             previous = None
-        refined = gauss_newton(generation, record.design)
-        return previous is not None and _relative_gap(refined, previous, lower, upper) <= _SAME_MINIMIZER_TOL
+        handoff = (generation, gauss_newton(record.design))
+        return previous is not None and _relative_gap(handoff[1], previous, lower, upper) <= _SAME_MINIMIZER_TOL
 
-    ga_best, ga_history = run_ga(cost, lower, upper, ga_config, initial_guess, after_generation)
-    ga_final = ga_history.final
-    if ga_final.iteration not in runs:
-        gauss_newton(ga_final.iteration, ga_final.design)
-    history = ConvergenceHistory(failed_evaluations=ga_history.failed_evaluations)
-    for record in ga_history.records:
-        history.records.append(record)
-        for _, gn_history in runs.get(record.iteration, ()):
-            history.extend(gn_history)
-    history.total_forward_solves = cost.count
-    refined = runs[ga_final.iteration][-1][0]
-    final = refined if history.final.best_cost <= ga_final.best_cost else ga_best
+    ga_best, _ = run_ga(context.cost, lower, upper, ga_config, initial_guess, after_generation, history)
+    ga_final = history.stage_records(STAGE_GA)[-1]
+    if handoff is None or handoff[0] != ga_final.iteration:
+        handoff = (ga_final.iteration, gauss_newton(ga_final.design))
+    final = handoff[1] if history.final.best_cost <= ga_final.best_cost else ga_best
     return final, history

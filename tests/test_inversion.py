@@ -2,6 +2,7 @@
 Gauss-Newton stages."""
 
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -96,6 +97,12 @@ class TestRelativeResidualCost:
     def test_floor_must_be_positive(self):
         with pytest.raises(ValueError):
             residual_cost((np.ones(1),) * 3, (np.ones(1),) * 3, 0.0)
+
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, 0.0, -1.0])
+    def test_floor_must_be_positive_and_finite(self, floor):
+        # a NaN floor made every cost NaN, an infinite one every cost 0.0
+        with pytest.raises(ValueError, match="strain_floor"):
+            residual_cost((np.ones(1),) * 3, (np.ones(1),) * 3, floor)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31))
@@ -529,6 +536,12 @@ def bowl(c):
     return lambda x: (float(np.sum((x - c) ** 2)), x - c, np.eye(x.size))
 
 
+def rows(records, solves_before=0):
+    """Records as comparable tuples, their forward-solve counts offset by ``solves_before``."""
+    return [(r.stage, r.iteration, r.best_cost, r.design.tobytes(), solves_before + r.forward_solve_count)
+            for r in records]
+
+
 # Final cost of the Barzilai-Borwein gradient stage that projected
 # Gauss-Newton replaced, on small_context from 1.4 x truth with the default
 # GradConfig (33 forward solves). Frozen.
@@ -690,6 +703,118 @@ class TestRunGradient:
         assert history.final.forward_solve_count <= calls[0]
 
 
+def never_evaluated(x):
+    raise AssertionError("evaluated before the inputs were checked")
+
+
+def start_optimizer(optimizer, lower, upper, start):
+    lower, upper, start = np.array(lower), np.array(upper), np.array(start)
+    if optimizer == "ga":
+        return fu.run_ga(never_evaluated, lower, upper, fu.GAConfig(population_size=6, generations_max=2), start)
+    return fu.run_gradient(never_evaluated, start, lower, upper, fu.GradConfig())
+
+
+class TestInputChecks:
+    """Both optimizers check bounds and start design in one helper, before
+    their first evaluation."""
+
+    @pytest.mark.parametrize("optimizer", ["ga", "gradient"])
+    @pytest.mark.parametrize("lower, upper, message", [
+        ([2e5, 3e5, 3e5], [2e5, 1e4, 1e4], "lower bounds exceed upper bounds"),
+        ([1e4, -np.inf, 1e4], [3e5, 3e5, 3e5], "bounds must be finite"),
+        ([1e4, 1e4, 1e4], [3e5, np.nan, 3e5], "bounds must be finite"),
+    ])
+    def test_bad_bounds_rejected(self, optimizer, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            start_optimizer(optimizer, lower, upper, [2e5, 1e5, 1e5])
+
+    @pytest.mark.parametrize("optimizer, name", [("ga", "initial_guess"), ("gradient", "start_design")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_named(self, optimizer, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            start_optimizer(optimizer, np.full(3, 1e4), np.full(3, 3e5), [2e5, bad, 1e5])
+
+    def test_hybrid_rejects_a_non_finite_guess_before_any_solve(self):
+        context = types.SimpleNamespace(cost=never_evaluated, cost_and_jacobian=never_evaluated)
+        with pytest.raises(ValueError, match="initial_guess must be finite"):
+            fu.run_hybrid(context, np.array([-2.0]), np.array([2.0]), fu.GAConfig(population_size=6),
+                          fu.GradConfig(), initial_guess=np.array([np.nan]))
+
+
+def earlier_history():
+    """A history that already holds two records, 9 forward solves and 2
+    failed evaluations."""
+    history = fu.ConvergenceHistory(total_forward_solves=9, failed_evaluations=2)
+    history.append("EARLIER", 0, 5.0, np.ones(2))
+    history.append("EARLIER", 1, 4.0, np.ones(2))
+    return history
+
+
+class TestSharedHistory:
+    """An optimizer given a history appends to it: the records already there
+    stay, its own follow with their counts offset by the solves before."""
+
+    def test_run_gradient_appends_after_earlier_records(self):
+        c = np.array([0.9, -0.4])
+        calls = [0]
+
+        def cost_and_jacobian(x):
+            calls[0] += 1
+            if x[0] > 0.5:  # failed trials are counted as solves too
+                raise fu.SingularSystemError("stiffness is numerically singular")
+            return bowl(c)(x)
+
+        lower, upper, start = np.full(2, -1.0), np.full(2, 1.0), np.array([-0.5, 0.5])
+        _, alone = fu.run_gradient(cost_and_jacobian, start, lower, upper, fu.GradConfig(max_iterations=30))
+        own_calls, calls[0] = calls[0], 0
+        assert alone.failed_evaluations > 0
+        given = earlier_history()
+        earlier = list(given.records)
+        x, history = fu.run_gradient(cost_and_jacobian, start, lower, upper, fu.GradConfig(max_iterations=30),
+                                     history=given)
+        assert history is given
+        assert [id(r) for r in history.records[:2]] == [id(r) for r in earlier]
+        assert rows(history.records[2:]) == rows(alone.records, 9)
+        assert history.total_forward_solves == 9 + calls[0] == 9 + own_calls
+        assert history.failed_evaluations == 2 + alone.failed_evaluations
+        assert np.array_equal(x, alone.final.design)
+
+    def test_run_ga_appends_after_earlier_records(self):
+        calls = [0]
+
+        def cost(x):
+            calls[0] += len(x)
+            return np.sum((x - 0.3) ** 2, axis=-1)
+
+        lower, upper = np.full(2, -1.0), np.full(2, 1.0)
+        config = fu.GAConfig(population_size=10, generations_max=8, rng_seed=3)
+        _, alone = fu.run_ga(cost, lower, upper, config)
+        own_calls, calls[0] = calls[0], 0
+        given = earlier_history()
+        earlier = list(given.records)
+        best, history = fu.run_ga(cost, lower, upper, config, history=given)
+        assert history is given
+        assert [id(r) for r in history.records[:2]] == [id(r) for r in earlier]
+        assert rows(history.records[2:]) == rows(alone.records, 9)
+        assert history.total_forward_solves == 9 + calls[0] == 9 + own_calls
+        assert history.failed_evaluations == 2
+
+    def test_run_ga_returns_its_own_last_record(self):
+        """Records a hook appends (as run_hybrid's Gauss-Newton runs do) come
+        after the generation they ran at; the GA returns its own best."""
+        cost = lambda x: np.sum((x - 0.3) ** 2, axis=-1)
+        lower, upper = np.full(2, -1.0), np.full(2, 1.0)
+        config = fu.GAConfig(population_size=10, generations_max=8, rng_seed=3)
+        alone_best, alone = fu.run_ga(cost, lower, upper, config)
+        given = fu.ConvergenceHistory()
+        best, history = fu.run_ga(cost, lower, upper, config, history=given,
+                                  after_generation=lambda r: given.append("HOOK", r.iteration, -1.0, np.zeros(2)))
+        assert [r.stage for r in history.records] == [STAGE_GA, "HOOK"] * len(alone.records)
+        assert rows(history.stage_records(STAGE_GA)) == rows(alone.records)
+        assert history.final.stage == "HOOK"
+        assert np.array_equal(best, alone_best)
+
+
 class TiltedDoubleWell:
     """Least squares in one coordinate, r(x) = (x^2 - 1, 0.3 (x - 1)): the
     global minimum is 0 at x = 1, a local one lies near x = -0.95. Stands in
@@ -809,10 +934,6 @@ class TestRunHybrid:
         ga_best, ga_history = fu.run_ga(context.cost, lower, upper, ga, initial_guess=np.full(4, E0))
         refined, gn_history = fu.run_gradient(context.cost_and_jacobian, ga_best, lower, upper, grad)
         offset = ga_history.total_forward_solves
-
-        def rows(records, solves_before=0):
-            return [(r.stage, r.iteration, r.best_cost, r.design.tobytes(), solves_before + r.forward_solve_count)
-                    for r in records]
 
         assert rows(history.records) == rows(ga_history.records) + rows(gn_history.records, offset)
         assert history.total_forward_solves == offset + gn_history.total_forward_solves

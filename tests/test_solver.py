@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import femupdate as fu
 from conftest import Prescribed, dense_stiffness
+from femupdate._shape import HEX8_SIGNS, QUAD4_SIGNS, gauss_points, shape_gradients, shape_values
 from femupdate.errors import DegenerateElementError, NumericalError
 
 E_STEEL = 200000.0
@@ -45,6 +46,41 @@ def quad4_k00_exact_oracle() -> float:
     integrand = (b.T * d * b)[0, 0] * sp.Rational(1, 4)  # times det J
     k00 = sp.integrate(sp.integrate(integrand, (xi, -1, 1)), (eta, -1, 1))
     return float(k00)
+
+
+def explicit_shape_functions(point):
+    """QUAD4 or HEX8 values N_i and gradients dN_i/dxi_a written out per
+    dimension, each product taken in axis order."""
+    if len(point) == 2:
+        s, (xi, eta) = QUAD4_SIGNS, point
+        values = 0.25 * (1 + s[:, 0] * xi) * (1 + s[:, 1] * eta)
+        gradients = np.stack([0.25 * s[:, 0] * (1 + s[:, 1] * eta), 0.25 * s[:, 1] * (1 + s[:, 0] * xi)], axis=1)
+        return values, gradients
+    s, (xi, eta, zeta) = HEX8_SIGNS, point
+    values = 0.125 * (1 + s[:, 0] * xi) * (1 + s[:, 1] * eta) * (1 + s[:, 2] * zeta)
+    gradients = np.stack([
+        0.125 * s[:, 0] * (1 + s[:, 1] * eta) * (1 + s[:, 2] * zeta),
+        0.125 * s[:, 1] * (1 + s[:, 0] * xi) * (1 + s[:, 2] * zeta),
+        0.125 * s[:, 2] * (1 + s[:, 0] * xi) * (1 + s[:, 1] * eta),
+    ], axis=1)
+    return values, gradients
+
+
+class TestShapeFunctions:
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_bitwise_the_explicit_formulas(self, dimension):
+        points = np.vstack([gauss_points(dimension), np.random.default_rng(dimension).uniform(-1, 1, (200, dimension))])
+        for point in points:
+            values, gradients = explicit_shape_functions(point)
+            assert shape_values(point).tobytes() == values.tobytes()
+            assert shape_gradients(point).tobytes() == gradients.tobytes()
+            assert shape_values(point).sum() == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(1,), (4,), (2, 2)])
+    def test_other_point_shapes_rejected(self, shape):
+        for fn in (shape_values, shape_gradients):
+            with pytest.raises(ValueError, match="parent point must be 2D or 3D"):
+                fn(np.zeros(shape))
 
 
 class TestElementStiffness:
