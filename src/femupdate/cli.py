@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -23,61 +22,16 @@ import numpy as np
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, NumericalError, OutOfDomainError
 from .inversion import STAGE_GA, STAGE_GRADIENT, CostContext, run_hybrid
-from .measurement import generate_synthetic, load_measurement_csv, measurement_csv_text
+from .measurement import generate_synthetic, load_measurement_csv, write_measurement_csv
 from .solver import ForwardModel
 from .vtkio import atomic_write_text, write_mesh_vtk, write_points_vtk, write_table_csv
 
 REPORT_SCHEMA_VERSION = 2
 _LOCK_NAME = ".femupdate.lock"
-
-
-@dataclass
-class InversionReport:
-    """Machine-readable inversion outcome written to report.json."""
-
-    recovered_moduli_mpa: list
-    initial_moduli_mpa: list
-    truth_moduli_mpa: list | None
-    relative_errors: list | None
-    initial_cost: float
-    final_cost: float
-    cost_reduction_factor: float | None  # None when the final cost is exactly zero
-    forward_solve_count: int
-    gradient_stalled: bool
-    failed_evaluations: int  # solves that failed: GA candidates scored +inf, rejected line-search trials
-    stage_iterations: dict
-    bounds_lo_mpa: list
-    bounds_hi_mpa: list
-    pinned_patch: int | None
-    convergence: list
-    files: dict
-    wall_time_s: float
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["schema_version"] = REPORT_SCHEMA_VERSION
-        return d
-
-
-@contextmanager
-def _locked_output(outdir: str):
-    """Hold an exclusive ``flock`` on the output directory's lock file.
-
-    The kernel drops the lock when the holder exits, so a run that died
-    leaves nothing that blocks the next one. The empty lock file stays.
-    """
-    os.makedirs(outdir, exist_ok=True)
-    lock = os.path.join(outdir, _LOCK_NAME)
-    fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
-    try:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise ConfigError(lock, "output directory is locked by another run") from None
-        yield
-    finally:
-        os.close(fd)
+_INVERT_FILES = (
+    "convergence.csv", "residual_before.vtk", "residual_before.csv", "residual_after.vtk",
+    "residual_after.csv", "modulus_map.vtk", "modulus_map.csv", "summary.txt",
+)
 
 
 def _json_text(obj) -> str:
@@ -95,11 +49,17 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     return config
 
 
-def _write_resolved_config(config: RunConfig, outdir: str) -> None:
-    atomic_write_text(os.path.join(outdir, "resolved_config.json"), _json_text(config.to_dict()))
+@contextmanager
+def _prepared(config: RunConfig):
+    """Build the problem and range-check its patch indices, then hold the
+    output directory's lock with ``resolved_config.json`` written; yields
+    ``(model, truth)``.
 
-
-def _build_problem(config: RunConfig):
+    A config error raises before the output directory is touched. The lock
+    is an exclusive ``flock`` on the directory's lock file: the kernel drops
+    it when the holder exits, so a run that died leaves nothing that blocks
+    the next one. The empty lock file stays.
+    """
     mesh = config.build_mesh()
     try:
         pmap = config.build_patch_map(mesh)
@@ -110,12 +70,37 @@ def _build_problem(config: RunConfig):
         bcs.prescribed_dofs(mesh)
     except ValueError as exc:
         raise ConfigError("bcs", str(exc)) from None
-    return mesh, pmap, bcs
+    truth = config.truth_values(pmap.patch_count)
+    config.moduli_bounds(pmap.patch_count)  # range-checks the pinned patch
+    outdir = config.output_dir
+    os.makedirs(outdir, exist_ok=True)
+    lock = os.path.join(outdir, _LOCK_NAME)
+    fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(lock, "output directory is locked by another run") from None
+        atomic_write_text(os.path.join(outdir, "resolved_config.json"), _json_text(config.to_dict()))
+        yield ForwardModel(mesh, pmap, config.material.poisson_ratio, bcs), truth
+    finally:
+        os.close(fd)
 
 
-def _modulus_outputs(outdir, mesh, pmap, values):
+def _write_point_field(outdir, name, points, columns: dict, title) -> None:
+    """``<name>.vtk`` and ``<name>.csv`` of the ``{column: values}`` at the (x, y) ``points``."""
+    write_points_vtk(os.path.join(outdir, f"{name}.vtk"), points, columns, title=title)
+    write_table_csv(
+        os.path.join(outdir, f"{name}.csv"),
+        ["x_mm", "y_mm", *columns],
+        np.column_stack([points, *columns.values()]).tolist(),
+    )
+
+
+def _modulus_outputs(outdir, model: ForwardModel, values):
+    mesh = model.mesh
     centroids = mesh.element_centroids()
-    patch = pmap.patch_of_element
+    patch = model.patch_map.patch_of_element
     moduli = values[patch]
     write_mesh_vtk(
         os.path.join(outdir, "modulus_map.vtk"),
@@ -133,59 +118,40 @@ def _modulus_outputs(outdir, mesh, pmap, values):
 def cmd_forward(config: RunConfig) -> int:
     """Forward solve with the configured truth moduli; write fields."""
     outdir = config.output_dir
-    mesh, pmap, bcs = _build_problem(config)
-    truth = config.truth_values(pmap.patch_count)
-    config.moduli_bounds(pmap.patch_count)  # range-checks the pinned patch
-    with _locked_output(outdir):
-        _write_resolved_config(config, outdir)
-        model = ForwardModel(mesh, pmap, config.material.poisson_ratio, bcs)
+    with _prepared(config) as (model, truth):
+        mesh = model.mesh
         u_flat = model.solve_displacement(truth)
         exx, eyy, exy = model.sample_strains(u_flat)
         u = u_flat.reshape(mesh.n_nodes, mesh.dimension)
-        points = model.surface_points
 
         axes = "xyz"[: mesh.dimension]
         write_mesh_vtk(
             os.path.join(outdir, "displacement.vtk"),
             mesh,
-            cell_data={"modulus_mpa": truth[pmap.patch_of_element]},
+            cell_data={"modulus_mpa": truth[model.patch_map.patch_of_element]},
             point_data={"displacement_mm": u},
             title="displacement field",
         )
         header = [f"{a}_mm" for a in axes] + [f"u{a}_mm" for a in axes]
         write_table_csv(os.path.join(outdir, "displacement.csv"), header, np.hstack([mesh.nodes, u]).tolist())
-
-        write_points_vtk(
-            os.path.join(outdir, "strains.vtk"),
-            points,
-            {"exx": exx, "eyy": eyy, "exy": exy},
-            title="surface strains at Gauss points",
+        _write_point_field(
+            outdir, "strains", model.surface_points, {"exx": exx, "eyy": eyy, "exy": exy},
+            "surface strains at Gauss points",
         )
-        write_table_csv(
-            os.path.join(outdir, "strains.csv"),
-            ["x_mm", "y_mm", "exx", "eyy", "exy"],
-            np.column_stack([points, exx, eyy, exy]).tolist(),
-        )
-        _modulus_outputs(outdir, mesh, pmap, truth)
+        _modulus_outputs(outdir, model, truth)
     return 0
 
 
 def cmd_synth(config: RunConfig) -> int:
     """Generate a synthetic measurement CSV from the configured truth."""
-    outdir = config.output_dir
-    mesh, pmap, bcs = _build_problem(config)
-    truth = config.truth_values(pmap.patch_count)
-    config.moduli_bounds(pmap.patch_count)  # range-checks the pinned patch
     try:
         grid = config.build_grid()
     except ValueError as exc:
         raise ConfigError("measurement", str(exc)) from None
-    with _locked_output(outdir):
-        _write_resolved_config(config, outdir)
-        model = ForwardModel(mesh, pmap, config.material.poisson_ratio, bcs)
+    with _prepared(config) as (model, truth):
         meas = config.measurement
         field = generate_synthetic(model, truth, grid, noise_sigma=meas.noise_sigma, rng_seed=meas.rng_seed)
-        atomic_write_text(os.path.join(outdir, "measurement.csv"), measurement_csv_text(field))
+        write_measurement_csv(field, os.path.join(config.output_dir, "measurement.csv"))
     return 0
 
 
@@ -193,29 +159,36 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
     """Run the hybrid inversion against a measurement file; write the report."""
     outdir = config.output_dir
     field = load_measurement_csv(measurement_path)
-    mesh, pmap, bcs = _build_problem(config)
-    # The patch indices of the config are range-checked before the output directory is touched.
-    config.truth_values(pmap.patch_count)
-    lower, upper = config.moduli_bounds(pmap.patch_count)
-    guess = config.initial_guess(pmap.patch_count)
-    with _locked_output(outdir):
-        _write_resolved_config(config, outdir)
-        model = ForwardModel(mesh, pmap, config.material.poisson_ratio, bcs)
+    with _prepared(config) as (model, truth):
         try:
             context = CostContext(model, field, strain_floor=config.strain_floor)
         except OutOfDomainError as exc:
-            length, width = mesh.extent[:2]
+            length, width = model.mesh.extent[:2]
             raise DataError(
                 f"measurement grid does not fit the configured geometry: measurement is a "
                 f"{field.grid.describe()}; the model surface covers {length:g} x {width:g} mm; {exc}"
             ) from exc
+        lower, upper = config.moduli_bounds(model.patch_map.patch_count)
+        guess = config.initial_guess(model.patch_map.patch_count)
 
         start = time.perf_counter()
         final, history = run_hybrid(context, lower, upper, config.ga, config.grad, guess)
         wall = time.perf_counter() - start
 
-        report = _build_report(config, pmap, guess, final, history, lower, upper, wall)
-        _write_inversion_outputs(outdir, context, mesh, pmap, guess, final, history, report)
+        grid_pts = context.grid.points()
+        for tag, design in (("before", guess), ("after", final)):
+            _write_point_field(
+                outdir, f"residual_{tag}", grid_pts, _residual_maps(context, design),
+                f"absolute strain residuals {tag} updating",
+            )
+        _modulus_outputs(outdir, model, np.asarray(final))
+        header = ["stage", "iteration", "best_cost"] + [f"E_{k + 1}" for k in range(len(final))]
+        rows = [[r.stage, r.iteration, r.best_cost, *r.design.tolist()] for r in history.records]
+        write_table_csv(os.path.join(outdir, "convergence.csv"), header, rows)
+
+        report = _build_report(config, truth, guess, final, history, lower, upper, wall)
+        atomic_write_text(os.path.join(outdir, "report.json"), _json_text(report))
+        atomic_write_text(os.path.join(outdir, "summary.txt"), _summary_text(report))
     return 0
 
 
@@ -229,131 +202,83 @@ def _residual_maps(context: CostContext, design) -> dict:
     return {"abs_err_exx": axx, "abs_err_eyy": ayy, "abs_err_exy": axy, "abs_err_rss": rss}
 
 
-def _build_report(config, pmap, guess, final, history, lower, upper, wall) -> InversionReport:
-    # Truth is only known when the config carries explicit per-patch overrides
-    # (the synthetic pipeline); a plain e_ref is a nominal value, not truth.
-    truth = None
-    rel_err = None
-    if config.material.truth_moduli_mpa:
-        truth_values = config.truth_values(pmap.patch_count)
-        truth = [float(v) for v in truth_values]
-        rel_err = [float(abs(f - t) / abs(t)) for f, t in zip(final, truth_values)]
+def _build_report(config, truth, guess, final, history, lower, upper, wall) -> dict:
+    """The report.json object."""
     initial_cost = history.records[0].best_cost
     final_cost = history.final.best_cost
-    stage_iters = {
-        STAGE_GA: len(history.stage_records(STAGE_GA)),
-        STAGE_GRADIENT: len(history.stage_records(STAGE_GRADIENT)),
+    # Truth is only known when the config carries explicit per-patch overrides
+    # (the synthetic pipeline); a plain e_ref is a nominal value, not truth.
+    known = bool(config.material.truth_moduli_mpa)
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "recovered_moduli_mpa": [float(v) for v in final],
+        "initial_moduli_mpa": [float(v) for v in guess],
+        "truth_moduli_mpa": [float(v) for v in truth] if known else None,
+        "relative_errors": [float(abs(f - t) / abs(t)) for f, t in zip(final, truth)] if known else None,
+        "initial_cost": initial_cost,
+        "final_cost": final_cost,
+        # None when the final cost is exactly zero
+        "cost_reduction_factor": float(initial_cost / final_cost) if final_cost > 0 else None,
+        "forward_solve_count": history.total_forward_solves,
+        "gradient_stalled": history.gradient_stalled,
+        # solves that failed: GA candidates scored +inf, rejected line-search trials
+        "failed_evaluations": history.failed_evaluations,
+        "stage_iterations": {stage: len(history.stage_records(stage)) for stage in (STAGE_GA, STAGE_GRADIENT)},
+        "bounds_lo_mpa": [float(v) for v in lower],
+        "bounds_hi_mpa": [float(v) for v in upper],
+        "pinned_patch": config.bounds.pin_reference_patch,
+        "convergence": [
+            {
+                "stage": r.stage,
+                "iteration": r.iteration,
+                "best_cost": r.best_cost,
+                "design": [float(v) for v in r.design],
+                "forward_solve_count": r.forward_solve_count,
+            }
+            for r in history.records
+        ],
+        "files": {name.replace(".", "_"): name for name in _INVERT_FILES},
+        "wall_time_s": wall,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    convergence = [
-        {
-            "stage": r.stage,
-            "iteration": r.iteration,
-            "best_cost": r.best_cost,
-            "design": [float(v) for v in r.design],
-            "forward_solve_count": r.forward_solve_count,
-        }
-        for r in history.records
+
+
+def _summary_text(report: dict) -> str:
+    """The text of summary.txt, which ``femupdate report`` prints. Takes any
+    report ``_check_report`` accepts: a count an older or partial report
+    leaves out shows as ``?``, a missing reduction factor is computed."""
+    factor = report.get("cost_reduction_factor")
+    if factor is None and report["final_cost"]:
+        factor = report["initial_cost"] / report["final_cost"]
+    shown = "exact fit" if factor is None else f"{factor:.6e}"
+    stages = report.get("stage_iterations", {})
+    lines = [
+        "Inversion summary",
+        "=================",
+        f"patches: {len(report['recovered_moduli_mpa'])}",
+        f"initial cost: {report['initial_cost']:.6e}",
+        f"final cost:   {report['final_cost']:.6e}",
+        f"cost reduction factor: {shown}",
+        f"forward solves: {report.get('forward_solve_count', '?')}"
+        f" (GA iterations {stages.get(STAGE_GA, '?')}, gradient iterations {stages.get(STAGE_GRADIENT, '?')})",
     ]
-    files = {
-        "convergence_csv": "convergence.csv",
-        "residual_before_vtk": "residual_before.vtk",
-        "residual_before_csv": "residual_before.csv",
-        "residual_after_vtk": "residual_after.vtk",
-        "residual_after_csv": "residual_after.csv",
-        "modulus_map_vtk": "modulus_map.vtk",
-        "modulus_map_csv": "modulus_map.csv",
-        "summary_txt": "summary.txt",
-    }
-    return InversionReport(
-        recovered_moduli_mpa=[float(v) for v in final],
-        initial_moduli_mpa=[float(v) for v in guess],
-        truth_moduli_mpa=truth,
-        relative_errors=rel_err,
-        initial_cost=initial_cost,
-        final_cost=final_cost,
-        cost_reduction_factor=float(initial_cost / final_cost) if final_cost > 0 else None,
-        forward_solve_count=history.total_forward_solves,
-        gradient_stalled=history.gradient_stalled,
-        failed_evaluations=history.failed_evaluations,
-        stage_iterations=stage_iters,
-        bounds_lo_mpa=[float(v) for v in lower],
-        bounds_hi_mpa=[float(v) for v in upper],
-        pinned_patch=config.bounds.pin_reference_patch,
-        convergence=convergence,
-        files=files,
-        wall_time_s=wall,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-
-
-def _write_inversion_outputs(outdir, context, mesh, pmap, guess, final, history, report):
-    grid_pts = context.grid.points()
-    for tag, design in (("before", guess), ("after", final)):
-        maps = _residual_maps(context, design)
-        write_points_vtk(
-            os.path.join(outdir, f"residual_{tag}.vtk"),
-            grid_pts,
-            maps,
-            title=f"absolute strain residuals {tag} updating",
-        )
-        write_table_csv(
-            os.path.join(outdir, f"residual_{tag}.csv"),
-            ["x_mm", "y_mm", "abs_err_exx", "abs_err_eyy", "abs_err_exy", "abs_err_rss"],
-            np.column_stack([grid_pts, *maps.values()]).tolist(),
-        )
-    _modulus_outputs(outdir, mesh, pmap, np.asarray(final))
-
-    p = pmap.patch_count
-    header = ["stage", "iteration", "best_cost"] + [f"E_{k + 1}" for k in range(p)]
-    rows = [[r.stage, r.iteration, r.best_cost, *r.design.tolist()] for r in history.records]
-    write_table_csv(os.path.join(outdir, "convergence.csv"), header, rows)
-
-    atomic_write_text(os.path.join(outdir, "report.json"), _json_text(report.to_dict()))
-    atomic_write_text(os.path.join(outdir, "summary.txt"), _summary_text(report))
-
-
-def _summary_text(report: InversionReport) -> str:
-    lines = ["Inversion summary", "================="]
-    lines.append(f"patches: {len(report.recovered_moduli_mpa)}")
-    lines.append(f"initial cost: {report.initial_cost:.6e}")
-    lines.append(f"final cost:   {report.final_cost:.6e}")
-    factor = "exact fit" if report.cost_reduction_factor is None else f"{report.cost_reduction_factor:.6e}"
-    lines.append(f"cost reduction factor: {factor}")
-    lines.append(
-        f"forward solves: {report.forward_solve_count}"
-        f" (GA iterations {report.stage_iterations.get(STAGE_GA, 0)},"
-        f" gradient iterations {report.stage_iterations.get(STAGE_GRADIENT, 0)})"
-    )
-    if report.gradient_stalled:
+    if report.get("gradient_stalled"):
         lines.append("note: gradient line search stalled before meeting its tolerance")
     lines.append("")
-    lines.extend(
-        _patch_table(
-            report.initial_moduli_mpa,
-            report.recovered_moduli_mpa,
-            report.truth_moduli_mpa,
-            report.relative_errors,
-            report.pinned_patch,
-        )
-    )
-    return "\n".join(lines) + "\n"
 
-
-def _patch_table(initial, recovered, truth, rel, pinned) -> list:
-    """Per-patch rows of initial, final and (when known) truth moduli."""
+    # Per-patch rows of initial, final and (when known) truth moduli.
+    truth, rel = report.get("truth_moduli_mpa"), report.get("relative_errors")
     has_truth = truth is not None and rel is not None
     head = f"{'patch':>5} {'initial_MPa':>14} {'final_MPa':>14}"
-    if has_truth:
-        head += f" {'truth_MPa':>14} {'rel_error':>10}"
-    lines = [head]
-    for k, (e0, ef) in enumerate(zip(initial, recovered)):
+    lines.append(head + f" {'truth_MPa':>14} {'rel_error':>10}" if has_truth else head)
+    for k, (e0, ef) in enumerate(zip(report["initial_moduli_mpa"], report["recovered_moduli_mpa"])):
         row = f"{k:>5} {e0:>14.4f} {ef:>14.4f}"
         if has_truth:
             row += f" {truth[k]:>14.4f} {rel[k]:>10.2e}"
-        if pinned == k:
+        if report.get("pinned_patch") == k:
             row += "  (pinned)"
         lines.append(row)
-    return lines
+    return "\n".join(lines) + "\n"
 
 
 def _is_number(value) -> bool:
@@ -385,7 +310,7 @@ def _check_report(data, where: str) -> None:
 
 
 def cmd_report(report_path: str) -> int:
-    """Print the per-patch table and convergence summary of a report."""
+    """Print the summary of a report: the text ``invert`` writes to summary.txt."""
     try:
         with open(report_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -394,27 +319,7 @@ def cmd_report(report_path: str) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(str(report_path), f"corrupt report JSON: {exc}") from exc
     _check_report(data, str(report_path))
-
-    print(f"patches: {len(data['recovered_moduli_mpa'])}")
-    table = _patch_table(
-        data["initial_moduli_mpa"],
-        data["recovered_moduli_mpa"],
-        data.get("truth_moduli_mpa"),
-        data.get("relative_errors"),
-        data.get("pinned_patch"),
-    )
-    print("\n".join(table))
-    factor = data.get("cost_reduction_factor")
-    if factor is None and data["final_cost"]:
-        factor = data["initial_cost"] / data["final_cost"]
-    shown = "exact fit" if factor is None else f"{factor:.6e}"
-    print(f"cost: {data['initial_cost']:.6e} -> {data['final_cost']:.6e}"
-          f" (reduction factor {shown})")
-    stages = data.get("stage_iterations", {})
-    print(
-        f"iterations: GA {stages.get(STAGE_GA, '?')}, gradient {stages.get(STAGE_GRADIENT, '?')};"
-        f" forward solves {data.get('forward_solve_count', '?')}"
-    )
+    sys.stdout.write(_summary_text(data))
     return 0
 
 

@@ -269,15 +269,23 @@ def _tournament(costs, rng):
 
 
 def _checked_bounds(lower, upper, name: str, design) -> tuple[np.ndarray, np.ndarray]:
-    """The bounds as float arrays; ValueError on non-finite or crossed ones or a non-finite ``design``."""
+    """The bounds as float arrays; ValueError unless they are 1-D of one
+    length, finite and not crossed, and ``design`` (when given) is finite
+    and of their shape."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    if lower.ndim != 1 or lower.shape != upper.shape:
+        raise ValueError(f"lower and upper must be 1-D of one length, got shapes {lower.shape} and {upper.shape}")
     if not np.all(np.isfinite(lower)) or not np.all(np.isfinite(upper)):
         raise ValueError("bounds must be finite")
     if np.any(lower > upper):
         raise ValueError("lower bounds exceed upper bounds")
-    if design is not None and not np.all(np.isfinite(np.asarray(design, dtype=float))):
-        raise ValueError(f"{name} must be finite")
+    if design is not None:
+        design = np.asarray(design, dtype=float)
+        if design.shape != lower.shape:
+            raise ValueError(f"{name} must have shape {lower.shape}, got {design.shape}")
+        if not np.all(np.isfinite(design)):
+            raise ValueError(f"{name} must be finite")
     return lower, upper
 
 

@@ -20,6 +20,7 @@ import scipy.sparse as sp
 
 from .errors import OutOfDomainError, ParseError
 from .solver import ForwardModel
+from .vtkio import atomic_write_text
 
 IDW_NEIGHBORS = 4
 IDW_POWER = 2
@@ -296,8 +297,8 @@ def generate_synthetic(
     return ExperimentalField(0, grid, exx, eyy, exy, noise_sigma=noise_sigma, rng_seed=rng_seed)
 
 
-def measurement_csv_text(field: ExperimentalField) -> str:
-    """Render the measurement CSV schema: metadata comments, header, rows."""
+def write_measurement_csv(field: ExperimentalField, path) -> None:
+    """Write the measurement CSV schema atomically: metadata comments, header, rows."""
     pts = field.grid.points()
     lines = [
         f"# load_step={field.load_step}",
@@ -307,12 +308,7 @@ def measurement_csv_text(field: ExperimentalField) -> str:
     ]
     for p, a, b, c in zip(pts, field.exx, field.eyy, field.exy):
         lines.append(f"{p[0]:.17g},{p[1]:.17g},{a:.17g},{b:.17g},{c:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def write_measurement_csv(field: ExperimentalField, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(measurement_csv_text(field))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_measurement_csv(path) -> ExperimentalField:

@@ -257,12 +257,23 @@ REMOVED_GA_KEYS = {
 
 
 class TestCmdSynthAndForward:
-    @pytest.mark.parametrize("command", ["synth", "forward"])
-    def test_pinned_patch_out_of_range_exit_2_before_writing(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, section, override, field",
+        [
+            (command, "bounds", {"pin_reference_patch": 7}, "bounds.pin_reference_patch")
+            for command in ("synth", "forward")
+        ] + [
+            (command, "material", {"truth_moduli_mpa": {"9": 60000.0}}, "material.truth_moduli_mpa")
+            for command in ("synth", "forward")
+        ],
+        ids=["synth", "forward", "synth-truth-index", "forward-truth-index"],
+    )
+    def test_pinned_patch_out_of_range_exit_2_before_writing(self, tmp_path, capsys, command, section, override,
+                                                             field):
         out = tmp_path / "t"
-        cfg_path = write_config(tmp_path, base_config(out, bounds={"pin_reference_patch": 7}))
+        cfg_path = write_config(tmp_path, base_config(out, **{section: override}))
         assert cli.main([command, "--config", cfg_path]) == 2
-        assert "config error: bounds.pin_reference_patch: patch index" in capsys.readouterr().err
+        assert f"config error: {field}: patch index" in capsys.readouterr().err
         assert not (out / "resolved_config.json").exists()
 
     def test_synth_deterministic_bytes(self, tmp_path):
@@ -470,6 +481,11 @@ class TestCmdInvert:
         assert "patches: 4" in out
         assert "rel_error" in out
         assert "reduction factor" in out
+
+    def test_report_command_prints_summary_txt(self, inverted, capsysbinary):
+        _, inv = inverted
+        assert cli.main(["report", str(inv / "report.json")]) == 0
+        assert capsysbinary.readouterr().out == (inv / "summary.txt").read_bytes()
 
     def test_homogeneous_control_recovers_uniform(self, tmp_path):
         """Noiseless homogeneous truth: all patches within 2% of one another."""

@@ -734,6 +734,30 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             start_optimizer(optimizer, np.full(3, 1e4), np.full(3, 3e5), [2e5, bad, 1e5])
 
+    @pytest.mark.parametrize("optimizer", ["ga", "gradient"])
+    @pytest.mark.parametrize("lower, upper", [
+        (np.full(3, 1e4), np.full(2, 3e5)),
+        (np.full((1, 3), 1e4), np.full((1, 3), 3e5)),
+    ], ids=["lengths-3-2", "2-d"])
+    def test_bounds_of_unlike_shapes_rejected(self, optimizer, lower, upper):
+        with pytest.raises(ValueError, match="^lower and upper must be 1-D of one length"):
+            start_optimizer(optimizer, lower, upper, [2e5, 1e5, 1e5])
+
+    @pytest.mark.parametrize("optimizer, name", [("ga", "initial_guess"), ("gradient", "start_design")])
+    @pytest.mark.parametrize("start", [[0.5], [2e5, 1e5], [[2e5, 1e5, 1e5]]], ids=["one", "two", "2-d"])
+    def test_start_of_another_shape_named(self, optimizer, name, start):
+        with pytest.raises(ValueError, match=rf"^{name} must have shape \(3,\)"):
+            start_optimizer(optimizer, np.zeros(3), np.full(3, 3e5), start)
+
+    @pytest.mark.parametrize("lower, upper, guess, message", [
+        (np.zeros(3), np.ones(2), None, "lower and upper must be 1-D of one length"),
+        (np.zeros(3), np.ones(3), np.full(2, 0.5), r"initial_guess must have shape \(3,\)"),
+    ], ids=["bounds", "guess"])
+    def test_hybrid_rejects_unlike_shapes_before_any_solve(self, lower, upper, guess, message):
+        context = types.SimpleNamespace(cost=never_evaluated, cost_and_jacobian=never_evaluated)
+        with pytest.raises(ValueError, match=message):
+            fu.run_hybrid(context, lower, upper, fu.GAConfig(population_size=6), fu.GradConfig(), initial_guess=guess)
+
     def test_hybrid_rejects_a_non_finite_guess_before_any_solve(self):
         context = types.SimpleNamespace(cost=never_evaluated, cost_and_jacobian=never_evaluated)
         with pytest.raises(ValueError, match="initial_guess must be finite"):
