@@ -2,9 +2,9 @@
 
 Synthetic strain measurements come from a coupon with one soft patch;
 the hybrid optimizer (GA exploration, handing off to projected
-Gauss-Newton on exact sensitivities every 4 generations until two
-Gauss-Newton runs agree) recovers every patch modulus from the surface
-field alone. The inversion takes a fraction of a second.
+Gauss-Newton on exact sensitivities at generation 0 and every 4
+generations after it until two Gauss-Newton runs agree) recovers every
+patch modulus from the surface field alone. The inversion takes a fraction of a second.
 
 Note the scale pin: under displacement control, scaling every modulus
 by the same factor leaves strains unchanged, so section 0 is fixed at

@@ -6,15 +6,16 @@ by point, normalizing each residual by the measured strain magnitude
 squared ratios over all grid points and components.
 
 Minimization runs in two stages: a real-coded genetic algorithm explores
-the bounded design space, and every few generations projected
-Gauss-Newton with Armijo backtracking refines its best individual (a
-handoff); the GA stops once two consecutive handoffs reach the same
-minimizer. The first handoff is compared with a partner run from the
-GA's generation-0 best, the handoff generation 0 would have made, so the
-GA stops at its first handoff when both runs reach one minimizer. The GA
-solves each distinct design once: elites and children identical to an
-earlier candidate reuse its cost, and the new designs of a generation
-are scored as one stack.
+the bounded design space, and at generation 0 and every few generations
+after it projected Gauss-Newton with Armijo backtracking refines its best
+individual (a handoff); the GA stops once two consecutive handoffs reach
+the same minimizer. The generation-0 handoff is compared with a partner
+run from the GA's generation-0 runner-up, so the GA stops before it
+breeds when both runs reach one minimizer. A handoff from the design the
+previous one started from reuses that run's end. The GA solves each
+distinct design once: elites and children identical to an earlier
+candidate reuse its cost, and the new designs of a generation are scored
+as one stack.
 The misfit is a sum of squared weighted residuals r(E), so the second
 stage works on r and its exact Jacobian J = dr/dE: one factorization
 serves the forward solve and the P sensitivity solves (the structure of
@@ -104,8 +105,8 @@ class ConvergenceRecord:
 class ConvergenceHistory:
     """Per-iteration log of the optimization, in run order (``run_hybrid``
     passes one history to the GA and to every Gauss-Newton run; the
-    partner from the generation-0 best comes after the first handoff's
-    generation, before that handoff).
+    partner from the generation-0 runner-up comes after the GA's
+    generation 0, before the generation-0 handoff).
 
     ``total_forward_solves`` is the running forward-solve count, which
     ``append`` stamps on each record; it also counts the trial points of a
@@ -327,16 +328,29 @@ def run_ga(
     ``cost_fn`` sees it. Returns the last GA record's design and the history.
 
     ``after_generation``, when given, is called with the record of each
-    generation, once it is logged; a true return from generation 1 on
-    stops the run there (generation 0 always goes on). It sees no
-    population and no random stream, so the records up to the stop are
-    those of a run without it.
+    generation, once it is logged, and the generation's runner-up: its
+    lowest-cost design that differs bitwise from the best and has a finite
+    cost, in population order among equal costs (None when there is
+    none). A true return stops the run at that generation, generation 0
+    included. The hook sees no population and no random stream, so the
+    records up to the stop are those of a run without it.
     """
     lower, upper = _checked_bounds(lower, upper, "initial_guess", initial_guess)
     rng = np.random.default_rng(config.rng_seed)
     dim = lower.size
     history = ConvergenceHistory() if history is None else history
     cache: dict = {}
+
+    def log_generation(gen, pop, costs):
+        """Log the generation's best; True when the hook stops the run there."""
+        best_idx = int(np.argmin(costs))
+        history.append(STAGE_GA, gen, costs[best_idx], pop[best_idx])
+        if after_generation is None:
+            return False
+        best = pop[best_idx].tobytes()
+        runner_up = next((pop[i].copy() for i in np.argsort(costs, kind="stable")
+                          if costs[i] < np.inf and pop[i].tobytes() != best), None)
+        return after_generation(history.final, runner_up)
 
     def score(pop):
         keys = [ind.tobytes() for ind in pop]
@@ -358,12 +372,9 @@ def run_ga(
     pop[0] = np.clip(guess, lower, upper)
     pop[1:] = rng.uniform(lower, upper, size=(config.population_size - 1, dim))
     costs = score(pop)
-
     best_per_gen = [float(costs.min())]
-    best_idx = int(np.argmin(costs))
-    history.append(STAGE_GA, 0, costs[best_idx], pop[best_idx])
-    if after_generation is not None:
-        after_generation(history.final)
+    if log_generation(0, pop, costs):
+        return history.stage_records(STAGE_GA)[-1].design.copy(), history
 
     for gen in range(1, config.generations_max + 1):
         order = np.argsort(costs, kind="stable")
@@ -381,10 +392,8 @@ def run_ga(
                 children.append(_mutate(c2, lower, upper, rng))
         pop = np.vstack([elites, np.array(children)])
         costs = score(pop)
-        best_idx = int(np.argmin(costs))
-        best_per_gen.append(float(costs[best_idx]))
-        history.append(STAGE_GA, gen, costs[best_idx], pop[best_idx])
-        if after_generation is not None and after_generation(history.final):
+        best_per_gen.append(float(costs.min()))
+        if log_generation(gen, pop, costs):
             break
         if gen >= _STALL_GENERATIONS:
             ref = best_per_gen[gen - _STALL_GENERATIONS]
@@ -527,52 +536,66 @@ def run_hybrid(
     """GA exploration with Gauss-Newton handoffs from the GA's best.
 
     The GA scores designs with ``context.cost`` (each distinct design
-    once, one stack per generation). After every ``_HANDOFF_GENERATIONS``
-    generations, Gauss-Newton (``run_gradient`` on
-    ``context.cost_and_jacobian``) refines the GA's current best, and the
-    GA stops once this handoff and the previous one end within
-    ``_SAME_MINIMIZER_TOL`` of each other (``_relative_gap``). The first
-    handoff has no previous one, so unless it starts from the GA's
-    generation-0 best or runs at the GA's last generation, Gauss-Newton
-    first runs from that generation-0 best (its partner: the handoff a
-    generation-0 handoff would have made) and the first handoff is
-    compared with it. A GA that ends at its cap or by its stall rule gets
-    a handoff at its last generation if none ran there. Handoffs never
-    feed the population, so the GA records are those of ``run_ga`` alone
-    with the same seed, up to the generation the hybrid stopped at. The GA
-    and every Gauss-Newton run append to one history, so it is in run order
-    while the run goes on (each Gauss-Newton run after the generation it
-    ran at, a partner before its handoff) and holds one forward-solve count
-    for both stages (one per factorization). Returns the last handoff's
-    design, or the GA best it started from when that cost less.
+    once, one stack per generation). At generation 0 and after every
+    ``_HANDOFF_GENERATIONS`` generations, Gauss-Newton (``run_gradient``
+    on ``context.cost_and_jacobian``) refines the GA's current best, and
+    the GA stops once this handoff and the previous one end within
+    ``_SAME_MINIMIZER_TOL`` of each other (``_relative_gap``). The
+    generation-0 handoff is compared with a partner run from the GA's
+    generation-0 runner-up (``run_ga``), which runs first, so the GA stops
+    before it breeds when both reach one minimizer; with no runner-up
+    there is no generation-0 check. A GA of at most
+    ``_HANDOFF_GENERATIONS`` generations skips generation 0 (the pair
+    would double its Gauss-Newton runs) and gets one handoff, at its last
+    generation. A GA that ends at its cap or by its stall rule gets a
+    handoff at its last generation if none ran there. A handoff that
+    starts bitwise from the previous handoff's start (the GA best has not
+    moved) reuses that run's end: Gauss-Newton is deterministic, so it
+    costs no solves and adds no run to the history.
+
+    Handoffs never feed the population, so the GA records are those of
+    ``run_ga`` alone with the same seed, up to the generation the hybrid
+    stopped at. The GA and every Gauss-Newton run append to one history, so
+    it is in run order while the run goes on (each Gauss-Newton run after
+    the generation it ran at, a partner before its handoff) and holds one
+    forward-solve count for both stages (one per factorization). Returns
+    the last handoff's end, which is then the history's last record (a
+    reused end is logged once more when GA records came after it), or the
+    GA best it started from when that cost less.
     """
     lower, upper = _checked_bounds(lower, upper, "initial_guess", initial_guess)
     history = ConvergenceHistory()
-    start = handoff = None  # the GA's generation-0 best; the last handoff's (generation, end design)
+    handoff = None  # the last handoff: (start design, end record)
 
     def gauss_newton(design):
-        return run_gradient(context.cost_and_jacobian, design, lower, upper, grad_config, history)[0]
+        run_gradient(context.cost_and_jacobian, design, lower, upper, grad_config, history)
+        return history.final
 
-    def after_generation(record):
-        nonlocal start, handoff
-        generation = record.iteration
-        if generation == 0:
-            start = record.design
+    def hand_off(design):
+        """The end record of Gauss-Newton from ``design``, reused when the
+        last handoff started there."""
+        nonlocal handoff
+        if handoff is None or handoff[0].tobytes() != design.tobytes():
+            handoff = (design, gauss_newton(design))
+        return handoff[1]
+
+    def after_generation(record, runner_up):
+        if record.iteration % _HANDOFF_GENERATIONS:
             return False
-        if generation % _HANDOFF_GENERATIONS:
-            return False
-        if handoff is not None:
-            previous = handoff[1]
-        elif generation < ga_config.generations_max and not np.array_equal(record.design, start):
-            previous = gauss_newton(start)  # the partner
+        if record.iteration > 0:
+            previous = None if handoff is None else handoff[1]
+        elif ga_config.generations_max > _HANDOFF_GENERATIONS and runner_up is not None:
+            previous = gauss_newton(runner_up)  # the partner
         else:
-            previous = None
-        handoff = (generation, gauss_newton(record.design))
-        return previous is not None and _relative_gap(handoff[1], previous, lower, upper) <= _SAME_MINIMIZER_TOL
+            return False
+        end = hand_off(record.design)
+        return previous is not None and _relative_gap(end.design, previous.design, lower, upper) <= _SAME_MINIMIZER_TOL
 
-    ga_best, _ = run_ga(context.cost, lower, upper, ga_config, initial_guess, after_generation, history)
+    run_ga(context.cost, lower, upper, ga_config, initial_guess, after_generation, history)
     ga_final = history.stage_records(STAGE_GA)[-1]
-    if handoff is None or handoff[0] != ga_final.iteration:
-        handoff = (ga_final.iteration, gauss_newton(ga_final.design))
-    final = handoff[1] if history.final.best_cost <= ga_final.best_cost else ga_best
-    return final, history
+    end = hand_off(ga_final.design)  # reused when a handoff ran at the GA's last generation
+    if end.best_cost > ga_final.best_cost:
+        return ga_final.design.copy(), history
+    if not np.array_equal(history.final.design, end.design):
+        history.append(end.stage, end.iteration, end.best_cost, end.design)
+    return end.design.copy(), history

@@ -324,17 +324,29 @@ class TestRunGa:
             assert r1.best_cost == r2.best_cost
             assert np.array_equal(r1.design, r2.design)
 
-    def test_hook_sees_generation_0_and_stops_from_generation_1(self):
-        cost = lambda x: np.sum((x - 1.0) ** 2, axis=-1)
+    def test_hook_sees_the_runner_up_and_stops_at_generation_0(self):
+        score = lambda x: np.sum((x - 1.0) ** 2, axis=-1)
+        stacks = []
+
+        def cost(x):
+            stacks.append(x.copy())
+            return score(x)
+
         lower, upper = np.full(3, -4.0), np.full(3, 4.0)
         config = fu.GAConfig(population_size=12, generations_max=20, rng_seed=5)
         seen = []
-        _, history = fu.run_ga(cost, lower, upper, config, after_generation=lambda r: seen.append(r) or True)
+        _, history = fu.run_ga(cost, lower, upper, config, after_generation=lambda r, u: seen.append((r, u)) or True)
         _, alone = fu.run_ga(cost, lower, upper, config)
-        assert [r.iteration for r in seen] == [0, 1]
-        assert seen == history.records  # the very records, once each
-        for mine, ref in zip(history.records, alone.records[:2], strict=True):
+        assert [r.iteration for r, _ in seen] == [0]
+        assert [r for r, _ in seen] == history.records  # the very records, once each
+        for mine, ref in zip(history.records, alone.records[:1], strict=True):
             assert (mine.best_cost, mine.design.tobytes()) == (ref.best_cost, ref.design.tobytes())
+        # the generation-0 stack is the whole population, all distinct: the
+        # runner-up is its second-lowest-cost design
+        population = stacks[0]
+        assert population.shape == (12, 3)
+        second = population[np.argsort(score(population), kind="stable")[1]]
+        assert seen[0][1].tobytes() == second.tobytes()
 
     def test_best_cost_non_increasing(self):
         cost = lambda x: np.sum(x * x, axis=-1)
@@ -832,7 +844,7 @@ class TestSharedHistory:
         alone_best, alone = fu.run_ga(cost, lower, upper, config)
         given = fu.ConvergenceHistory()
         best, history = fu.run_ga(cost, lower, upper, config, history=given,
-                                  after_generation=lambda r: given.append("HOOK", r.iteration, -1.0, np.zeros(2)))
+                                  after_generation=lambda r, _: given.append("HOOK", r.iteration, -1.0, np.zeros(2)))
         assert [r.stage for r in history.records] == [STAGE_GA, "HOOK"] * len(alone.records)
         assert rows(history.stage_records(STAGE_GA)) == rows(alone.records)
         assert history.final.stage == "HOOK"
@@ -852,6 +864,36 @@ class TiltedDoubleWell:
         x = float(design[0])
         r = np.array([x * x - 1, 0.3 * (x - 1)])
         return float(np.sum(r**2)), r, np.array([[2 * x], [0.3]])
+
+
+class LeftHalfFails(TiltedDoubleWell):
+    """The tilted double well whose solves fail for x < 0: the GA scores
+    those designs +inf and Gauss-Newton rejects them as trial points."""
+
+    def cost(self, designs):
+        return np.where(designs[:, 0] < 0, np.inf, super().cost(designs))
+
+    def cost_and_jacobian(self, design):
+        if design[0] < 0:
+            raise fu.SingularSystemError("stiffness is numerically singular")
+        return super().cost_and_jacobian(design)
+
+
+def generation0_runner_up(cost, lower, upper, ga, guess):
+    """The runner-up ``run_ga`` hands its hook at generation 0."""
+    seen = []
+    fu.run_ga(cost, lower, upper, ga, guess, after_generation=lambda r, u: seen.append(u) or True)
+    return seen[0]
+
+
+def gauss_newton_starts(history):
+    """Index and start design of each Gauss-Newton run, in run order."""
+    return [(i, r.design) for i, r in enumerate(history.records) if r.stage == STAGE_GRADIENT and r.iteration == 0]
+
+
+def assert_no_start_twice(history):
+    starts = [d.tobytes() for _, d in gauss_newton_starts(history)]
+    assert len(set(starts)) == len(starts)
 
 
 @pytest.fixture(scope="module")
@@ -891,50 +933,101 @@ class TestRunHybrid:
             assert np.array_equal(mine.design, alone.design)
 
     def test_stops_when_two_handoffs_agree(self, hybrid_run):
-        """The first handoff (generation 4) meets its partner, Gauss-Newton
-        from the generation-0 best, at one minimizer, so the GA stops there."""
+        """The generation-0 handoff meets its partner, Gauss-Newton from the
+        generation-0 runner-up, at one minimizer, so the GA stops before it
+        breeds."""
         context, truth, lower, upper, ga, grad, final, history = hybrid_run
         ga_records = history.stage_records(STAGE_GA)
-        assert ga_records[-1].iteration == 4
-        starts = [r for r in history.stage_records(STAGE_GRADIENT) if r.iteration == 0]
-        assert len(starts) == 2
-        # the partner, then the handoff, both after the GA record of generation 4
-        assert np.array_equal(starts[0].design, ga_records[0].design)
-        assert np.array_equal(starts[1].design, ga_records[-1].design)
-        assert [r.stage for r in history.records[: len(ga_records) + 1]] == [STAGE_GA] * 5 + [STAGE_GRADIENT]
+        assert ga_records[-1].iteration == 0
+        runner_up = generation0_runner_up(context.cost, lower, upper, ga, np.full(4, E0))
+        assert runner_up.tobytes() != ga_records[0].design.tobytes()
+        _, partner = fu.run_gradient(context.cost_and_jacobian, runner_up, lower, upper, grad)
+        _, handoff = fu.run_gradient(context.cost_and_jacobian, ga_records[0].design, lower, upper, grad)
+        # the partner, then the handoff, both after the GA record of generation 0
+        solves = ga_records[0].forward_solve_count
+        assert rows(history.records) == (
+            rows(ga_records)
+            + rows(partner.records, solves)
+            + rows(handoff.records, solves + partner.total_forward_solves)
+        )
+        assert np.array_equal(final, handoff.final.design)
         # fewer solves than the GA run to its cap and one Gauss-Newton run after it
         ga_best, ga_history = fu.run_ga(context.cost, lower, upper, ga, initial_guess=np.full(4, E0))
         _, gn_history = fu.run_gradient(context.cost_and_jacobian, ga_best, lower, upper, grad)
         assert history.total_forward_solves < ga_history.total_forward_solves + gn_history.total_forward_solves
 
-    def test_no_partner_when_the_handoff_starts_at_the_generation0_best(self):
-        """From the noiseless truth the GA best never moves, so the first
-        handoff starts from the generation-0 best and gets no partner: the
-        GA stops when the handoffs of generations 4 and 8 agree."""
-        context, truth, lower, upper = small_context()
-        ga = fu.GAConfig(population_size=16, generations_max=15, rng_seed=4)
-        final, history = fu.run_hybrid(context, lower, upper, ga, fu.GradConfig(max_iterations=120),
-                                       initial_guess=truth)
-        assert history.stage_records(STAGE_GA)[-1].iteration == 8
-        stages = [STAGE_GA] * 5 + [STAGE_GRADIENT] + [STAGE_GA] * 4 + [STAGE_GRADIENT]
-        assert [r.stage for r in history.records] == stages
-        assert all(np.array_equal(r.design, truth) for r in history.records)
-        assert np.array_equal(final, truth)
+    def test_no_rerun_from_a_design_already_handed_off(self):
+        """On a tilted double well the generation-0 partner ends in the local
+        minimum and the handoff in the global one, so the GA goes on. Its best
+        does not move by generation 4, so that handoff reuses the end of the
+        generation-0 one (no solves, no second run from one design) and the GA
+        stops there; the end is logged once more as the result."""
+        problem, lower, upper, guess = TiltedDoubleWell(), np.array([-2.0]), np.array([2.0]), np.array([-1.5])
+        ga, grad = fu.GAConfig(population_size=6, generations_max=20, rng_seed=7), fu.GradConfig()
+        final, history = fu.run_hybrid(problem, lower, upper, ga, grad, initial_guess=guess)
+        ga_records = history.stage_records(STAGE_GA)
+        assert ga_records[-1].iteration == 4
+        assert ga_records[4].design.tobytes() == ga_records[0].design.tobytes()
+        runner_up = generation0_runner_up(problem.cost, lower, upper, ga, guess)
+        _, partner = fu.run_gradient(problem.cost_and_jacobian, runner_up, lower, upper, grad)
+        _, handoff = fu.run_gradient(problem.cost_and_jacobian, ga_records[0].design, lower, upper, grad)
+        assert partner.final.design[0] < 0 < handoff.final.design[0]
+        assert rows(history.records) == (
+            rows(ga_records[:1])
+            + rows(partner.records, ga_records[0].forward_solve_count)
+            + rows(handoff.records, ga_records[0].forward_solve_count + partner.total_forward_solves)
+            + rows(ga_records[1:])
+            + rows(handoff.records[-1:], ga_records[-1].forward_solve_count - handoff.final.forward_solve_count)
+        )
+        _, alone = fu.run_ga(problem.cost, lower, upper, ga, guess)
+        gn_solves = partner.total_forward_solves + handoff.total_forward_solves
+        assert history.total_forward_solves == alone.records[4].forward_solve_count + gn_solves
+        assert_no_start_twice(history)
+        assert final[0] == handoff.final.design[0] == pytest.approx(1.0)
 
     def test_partner_in_another_basin_leaves_the_two_handoff_rule(self):
-        """On a tilted double well the generation-0 best lies in the basin of
-        the local minimum and the generation-4 best in that of the global one:
-        partner and handoff disagree, so the GA goes on until the handoffs of
-        generations 4 and 8 agree."""
-        final, history = fu.run_hybrid(TiltedDoubleWell(), np.array([-2.0]), np.array([2.0]),
-                                       fu.GAConfig(population_size=6, generations_max=20, rng_seed=1),
-                                       fu.GradConfig(), initial_guess=np.array([-1.5]))
+        """On a tilted double well the generation-0 runner-up lies in the
+        basin of the local minimum and the generation-0 best in that of the
+        global one: partner and handoff disagree, so the GA goes on until the
+        handoffs of generations 0 and 4 agree."""
+        problem, lower, upper, guess = TiltedDoubleWell(), np.array([-2.0]), np.array([2.0]), np.array([-1.5])
+        ga = fu.GAConfig(population_size=6, generations_max=20, rng_seed=2)
+        final, history = fu.run_hybrid(problem, lower, upper, ga, fu.GradConfig(), initial_guess=guess)
+        ga_records = history.stage_records(STAGE_GA)
+        assert ga_records[-1].iteration == 4
+        runner_up = generation0_runner_up(problem.cost, lower, upper, ga, guess)
+        runs = [fu.run_gradient(problem.cost_and_jacobian, start, lower, upper, fu.GradConfig())[1]
+                for start in (runner_up, ga_records[0].design, ga_records[4].design)]
+        assert runs[0].final.design[0] < 0 < runs[1].final.design[0]
+        g0, g4 = ga_records[0].forward_solve_count, ga_records[4].forward_solve_count
+        assert rows(history.records) == (
+            rows(ga_records[:1]) + rows(runs[0].records, g0) + rows(runs[1].records, g0 + runs[0].total_forward_solves)
+            + rows(ga_records[1:]) + rows(runs[2].records, g4)
+        )
+        # the GA records are those of run_ga alone (their counts also hold the Gauss-Newton solves)
+        _, alone = fu.run_ga(problem.cost, lower, upper, ga, guess)
+        own = [(r.iteration, r.best_cost, r.design.tobytes()) for r in ga_records]
+        assert own == [(r.iteration, r.best_cost, r.design.tobytes()) for r in alone.records[:5]]
+        assert_no_start_twice(history)
+        assert final[0] == pytest.approx(1.0)
+
+    def test_runner_up_scoring_inf_is_never_a_gauss_newton_start(self):
+        """Every generation-0 design but the guess fails: there is no runner-up,
+        so generation 0 gets no check, and the handoffs of generations 4 and
+        8 agree. No Gauss-Newton run starts from a design that failed."""
+        problem, lower, upper, guess = LeftHalfFails(), np.array([-2.0]), np.array([2.0]), np.array([1.5])
+        ga = fu.GAConfig(population_size=4, generations_max=20, rng_seed=26)
+        assert generation0_runner_up(problem.cost, lower, upper, ga, guess) is None
+        final, history = fu.run_hybrid(problem, lower, upper, ga, fu.GradConfig(), initial_guess=guess)
         ga_records = history.stage_records(STAGE_GA)
         assert ga_records[-1].iteration == 8
-        runs = [i for i, r in enumerate(history.records) if r.stage == STAGE_GRADIENT and r.iteration == 0]
-        assert [history.records[i].design[0] for i in runs] == [ga_records[g].design[0] for g in (0, 4, 8)]
-        partner_end = history.records[runs[1] - 1].design[0]
-        assert partner_end < 0 < ga_records[4].design[0]
+        assert ga_records[0].forward_solve_count == 4
+        assert history.failed_evaluations >= 3
+        starts = gauss_newton_starts(history)
+        assert starts[0][0] == 5  # after the GA records of generations 0-4
+        assert [d.tobytes() for _, d in starts] == [ga_records[4].design.tobytes(), ga_records[8].design.tobytes()]
+        assert all(d[0] >= 0 for _, d in starts)
+        assert_no_start_twice(history)
         assert final[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("noise, generations_max", [(0.0, 3), (0.0, 15), (0.01, 15)])
