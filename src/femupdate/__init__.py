@@ -21,7 +21,6 @@ from .geometry import (
     Mesh,
     PatchMap,
     build_coupon_mesh,
-    element_volumes,
     partition_longitudinal,
     stamp_defect_patches,
 )
@@ -49,7 +48,6 @@ from .measurement import (
 from .solver import (
     BoundaryConditions,
     ForwardModel,
-    elastic_matrix,
     element_stiffness,
 )
 

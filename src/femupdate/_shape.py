@@ -5,6 +5,8 @@ counterclockwise for QUAD4, bottom face counterclockwise then top face for
 HEX8. All routines return plain float64 arrays.
 """
 
+import itertools
+
 import numpy as np
 
 from .errors import DegenerateElementError
@@ -28,21 +30,10 @@ HEX8_SIGNS = np.array(
 )
 
 
-def gauss_points_2d() -> np.ndarray:
-    """Full 2x2 Gauss rule, xi fastest; weights are all 1."""
-    pts = [(x, y) for y in (-_G, _G) for x in (-_G, _G)]
-    return np.array(pts)
-
-
-def gauss_points_3d() -> np.ndarray:
-    """Full 2x2x2 Gauss rule, xi fastest, then eta, then zeta."""
-    pts = [(x, y, z) for z in (-_G, _G) for y in (-_G, _G) for x in (-_G, _G)]
-    return np.array(pts)
-
-
 def gauss_points(dimension: int) -> np.ndarray:
-    """Full Gauss rule of a QUAD4 (2) or HEX8 (3) element."""
-    return gauss_points_2d() if dimension == 2 else gauss_points_3d()
+    """Full Gauss rule of a QUAD4 (2) or HEX8 (3) element, xi fastest, then
+    eta, then zeta; the weights are all 1."""
+    return np.array([point[::-1] for point in itertools.product((-_G, _G), repeat=dimension)])
 
 
 _CORNER_SIGNS = {(2,): QUAD4_SIGNS, (3,): HEX8_SIGNS}

@@ -59,10 +59,6 @@ class Mesh:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
-    def element_coords(self, e: int) -> np.ndarray:
-        """Node coordinates of element e, shape (4 or 8, dimension)."""
-        return self.nodes[self.elements[e]]
-
     def element_centroids(self) -> np.ndarray:
         """Centroid of every element, shape (n_elements, dimension)."""
         return self.nodes[self.elements].mean(axis=1)
@@ -98,9 +94,6 @@ class PatchMap:
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             raise ValueError(f"empty patches not allowed: patch {empty[0]} owns no element")
-
-    def elements_of_patch(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.patch_of_element == k)
 
 
 @dataclass(frozen=True)
@@ -207,13 +200,6 @@ def stamp_defect_patches(patch_map: PatchMap, mesh: Mesh, defects: list[DefectSp
             raise ValueError(f"defect {k} contains no element centroid: {defect.box_min}..{defect.box_max}")
         assignment[inside] = patch_map.patch_count + k
     return PatchMap(assignment, patch_map.patch_count + len(defects))
-
-
-def element_volumes(mesh: Mesh) -> np.ndarray:
-    """Gauss-integrated element volumes (area times thickness for QUAD4)."""
-    coords = mesh.nodes[mesh.elements]
-    vols = sum(_shape.strain_displacement(coords, gp)[1] for gp in _shape.gauss_points(mesh.dimension))
-    return vols * mesh.thickness if mesh.dimension == 2 else vols
 
 
 def _check_jacobians(mesh: Mesh) -> None:

@@ -11,11 +11,10 @@ after it projected Gauss-Newton with Armijo backtracking refines its best
 individual (a handoff); the GA stops once two consecutive handoffs reach
 the same minimizer. The generation-0 handoff is compared with a partner
 run from the GA's generation-0 runner-up, so the GA stops before it
-breeds when both runs reach one minimizer. A handoff from the design the
-previous one started from reuses that run's end. The GA solves each
-distinct design once: elites and children identical to an earlier
-candidate reuse its cost, and the new designs of a generation are scored
-as one stack.
+breeds when both runs reach one minimizer. Gauss-Newton runs once per
+start design. The GA solves each distinct design once: elites and
+children identical to an earlier candidate reuse its cost, and the new
+designs of a generation are scored as one stack.
 The misfit is a sum of squared weighted residuals r(E), so the second
 stage works on r and its exact Jacobian J = dr/dE: one factorization
 serves the forward solve and the P sensitivity solves (the structure of
@@ -269,6 +268,24 @@ def _tournament(costs, rng):
     return idx[np.argmin(costs[idx])]
 
 
+def _next_generation(pop, costs, lower, upper, rng):
+    """The ``_ELITE_COUNT`` best of ``pop``, then children of tournament winners."""
+    n_children = pop.shape[0] - _ELITE_COUNT
+    elites = pop[np.argsort(costs, kind="stable")[:_ELITE_COUNT]].copy()
+    children = []
+    while len(children) < n_children:
+        p1 = pop[_tournament(costs, rng)]
+        p2 = pop[_tournament(costs, rng)]
+        if rng.random() < _CROSSOVER_RATE:
+            c1, c2 = _blend_crossover(p1, p2, lower, upper, rng)
+        else:
+            c1, c2 = p1.copy(), p2.copy()
+        children.append(_mutate(c1, lower, upper, rng))
+        if len(children) < n_children:
+            children.append(_mutate(c2, lower, upper, rng))
+    return np.vstack([elites, np.array(children)])
+
+
 def _checked_bounds(lower, upper, name: str, design) -> tuple[np.ndarray, np.ndarray]:
     """The bounds as float arrays; ValueError unless they are 1-D of one
     length, finite and not crossed, and ``design`` (when given) is finite
@@ -321,7 +338,8 @@ def run_ga(
     distinct designs. The cache, the forward-solve count and the history
     therefore do not depend on how the designs are grouped. A design that
     scores +inf (in a ``CostContext.cost`` stack, one whose solve raised
-    NumericalError) is counted in ``failed_evaluations``; the run goes on.
+    NumericalError) or NaN is scored +inf and counted in
+    ``failed_evaluations``; the run goes on.
     Non-finite or crossed bounds and a non-finite ``initial_guess`` raise
     ValueError. Records go to ``history`` (a new one when None), and each
     stack's size is added to its ``total_forward_solves`` before
@@ -341,17 +359,6 @@ def run_ga(
     history = ConvergenceHistory() if history is None else history
     cache: dict = {}
 
-    def log_generation(gen, pop, costs):
-        """Log the generation's best; True when the hook stops the run there."""
-        best_idx = int(np.argmin(costs))
-        history.append(STAGE_GA, gen, costs[best_idx], pop[best_idx])
-        if after_generation is None:
-            return False
-        best = pop[best_idx].tobytes()
-        runner_up = next((pop[i].copy() for i in np.argsort(costs, kind="stable")
-                          if costs[i] < np.inf and pop[i].tobytes() != best), None)
-        return after_generation(history.final, runner_up)
-
     def score(pop):
         keys = [ind.tobytes() for ind in pop]
         new = {}  # key -> population index of its first occurrence, in population order
@@ -363,6 +370,7 @@ def run_ga(
             costs = np.asarray(cost_fn(pop[list(new.values())]), dtype=float)
             if costs.shape != (len(new),):
                 raise ValueError(f"cost_fn returned shape {costs.shape} for {len(new)} designs")
+            costs = np.where(np.isnan(costs), np.inf, costs)
             cache.update(zip(new, costs))
             history.failed_evaluations += int(np.count_nonzero(costs == np.inf))
         return np.array([cache[key] for key in keys])
@@ -371,30 +379,20 @@ def run_ga(
     guess = 0.5 * (lower + upper) if initial_guess is None else np.asarray(initial_guess, dtype=float)
     pop[0] = np.clip(guess, lower, upper)
     pop[1:] = rng.uniform(lower, upper, size=(config.population_size - 1, dim))
-    costs = score(pop)
-    best_per_gen = [float(costs.min())]
-    if log_generation(0, pop, costs):
-        return history.stage_records(STAGE_GA)[-1].design.copy(), history
-
-    for gen in range(1, config.generations_max + 1):
-        order = np.argsort(costs, kind="stable")
-        elites = pop[order[:_ELITE_COUNT]].copy()
-        children = []
-        while len(children) < config.population_size - _ELITE_COUNT:
-            p1 = pop[_tournament(costs, rng)]
-            p2 = pop[_tournament(costs, rng)]
-            if rng.random() < _CROSSOVER_RATE:
-                c1, c2 = _blend_crossover(p1, p2, lower, upper, rng)
-            else:
-                c1, c2 = p1.copy(), p2.copy()
-            children.append(_mutate(c1, lower, upper, rng))
-            if len(children) < config.population_size - _ELITE_COUNT:
-                children.append(_mutate(c2, lower, upper, rng))
-        pop = np.vstack([elites, np.array(children)])
+    best_per_gen = []
+    for gen in range(config.generations_max + 1):
+        if gen:
+            pop = _next_generation(pop, costs, lower, upper, rng)
         costs = score(pop)
-        best_per_gen.append(float(costs.min()))
-        if log_generation(gen, pop, costs):
-            break
+        best_idx = int(np.argmin(costs))
+        best_per_gen.append(float(costs[best_idx]))
+        history.append(STAGE_GA, gen, costs[best_idx], pop[best_idx])
+        if after_generation is not None:
+            best = pop[best_idx].tobytes()
+            runner_up = next((pop[i].copy() for i in np.argsort(costs, kind="stable")
+                              if costs[i] < np.inf and pop[i].tobytes() != best), None)
+            if after_generation(history.final, runner_up):
+                break
         if gen >= _STALL_GENERATIONS:
             ref = best_per_gen[gen - _STALL_GENERATIONS]
             if ref - best_per_gen[gen] < _STALL_REL_TOL * max(abs(ref), 1e-300):
@@ -545,13 +543,18 @@ def run_hybrid(
     generation-0 runner-up (``run_ga``), which runs first, so the GA stops
     before it breeds when both reach one minimizer; with no runner-up
     there is no generation-0 check. A GA of at most
-    ``_HANDOFF_GENERATIONS`` generations skips generation 0 (the pair
-    would double its Gauss-Newton runs) and gets one handoff, at its last
-    generation. A GA that ends at its cap or by its stall rule gets a
-    handoff at its last generation if none ran there. A handoff that
-    starts bitwise from the previous handoff's start (the GA best has not
-    moved) reuses that run's end: Gauss-Newton is deterministic, so it
-    costs no solves and adds no run to the history.
+    ``_HANDOFF_GENERATIONS`` generations skips generation 0 and gets one
+    handoff, at its last generation. The pair would pay more than it saves:
+    on the ``invert3d`` benchmark problem (2-core Intel Xeon, one BLAS
+    thread) one ``cost_and_jacobian`` takes ~8.7 ms against ~5.6 ms per
+    design in a 6-design GA stack, and with the pair the GA stops at
+    generation 0 and seeds 1-30 take 16-20 forward solves instead of
+    16-27, yet ``run_hybrid`` ran slower on 7 of seeds 1-12, by up to 33 %.
+    A GA that ends at its cap or by its stall rule gets a handoff at its
+    last generation if none ran there. Gauss-Newton runs once per start
+    design: it is deterministic, so a run from a design an earlier run
+    started from (a partner or handoff, compared bitwise) reuses that
+    run's end, costs no solves and adds no run to the history.
 
     Handoffs never feed the population, so the GA records are those of
     ``run_ga`` alone with the same seed, up to the generation the hybrid
@@ -560,42 +563,39 @@ def run_hybrid(
     the generation it ran at, a partner before its handoff) and holds one
     forward-solve count for both stages (one per factorization). Returns
     the last handoff's end, which is then the history's last record (a
-    reused end is logged once more when GA records came after it), or the
-    GA best it started from when that cost less.
+    reused end is logged once more unless it already is), or the GA best
+    it started from when that cost less.
     """
     lower, upper = _checked_bounds(lower, upper, "initial_guess", initial_guess)
     history = ConvergenceHistory()
-    handoff = None  # the last handoff: (start design, end record)
+    ends = {}  # start design bytes -> end record of Gauss-Newton from it
+    last = None  # the last handoff's end record
 
     def gauss_newton(design):
-        run_gradient(context.cost_and_jacobian, design, lower, upper, grad_config, history)
-        return history.final
-
-    def hand_off(design):
-        """The end record of Gauss-Newton from ``design``, reused when the
-        last handoff started there."""
-        nonlocal handoff
-        if handoff is None or handoff[0].tobytes() != design.tobytes():
-            handoff = (design, gauss_newton(design))
-        return handoff[1]
+        key = design.tobytes()
+        if key not in ends:
+            run_gradient(context.cost_and_jacobian, design, lower, upper, grad_config, history)
+            ends[key] = history.final
+        return ends[key]
 
     def after_generation(record, runner_up):
+        nonlocal last
         if record.iteration % _HANDOFF_GENERATIONS:
             return False
         if record.iteration > 0:
-            previous = None if handoff is None else handoff[1]
+            previous = last
         elif ga_config.generations_max > _HANDOFF_GENERATIONS and runner_up is not None:
             previous = gauss_newton(runner_up)  # the partner
         else:
             return False
-        end = hand_off(record.design)
-        return previous is not None and _relative_gap(end.design, previous.design, lower, upper) <= _SAME_MINIMIZER_TOL
+        last = gauss_newton(record.design)
+        return previous is not None and _relative_gap(last.design, previous.design, lower, upper) <= _SAME_MINIMIZER_TOL
 
     run_ga(context.cost, lower, upper, ga_config, initial_guess, after_generation, history)
     ga_final = history.stage_records(STAGE_GA)[-1]
-    end = hand_off(ga_final.design)  # reused when a handoff ran at the GA's last generation
+    end = gauss_newton(ga_final.design)  # reused when a handoff ran at the GA's last generation
     if end.best_cost > ga_final.best_cost:
         return ga_final.design.copy(), history
-    if not np.array_equal(history.final.design, end.design):
+    if history.final is not end:
         history.append(end.stage, end.iteration, end.best_cost, end.design)
     return end.design.copy(), history

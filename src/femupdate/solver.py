@@ -187,7 +187,7 @@ def _surface_sampling(mesh: Mesh):
     midplane); 3D meshes sample the z = T face at the 2x2 face Gauss points
     of the top element layer.
     """
-    face = _shape.gauss_points_2d()
+    face = _shape.gauss_points(2)
     if mesh.dimension == 2:
         return np.arange(mesh.n_elements), face
     nx, ny, nz = mesh.divisions
@@ -411,7 +411,7 @@ class ForwardModel:
     @property
     def free_dofs(self) -> np.ndarray:
         """Global indices of the free dofs, in the row and column order of
-        ``stiffness`` and ``rhs`` (read-only)."""
+        ``stiffness`` and the rows of ``_rhs_per_patch`` (read-only)."""
         return self._free
 
     @property
@@ -449,11 +449,6 @@ class ForwardModel:
         values = self._check_values(values)
         weights = sp.kron(values[None, :], sp.identity(self._free.size, format="csr"))
         return (weights @ self._patch_stiffness).tocsc()
-
-    def rhs(self, values: np.ndarray) -> np.ndarray:
-        """Free-dof right-hand side -K(E)[free, prescribed] @ prescribed values;
-        rows follow ``free_dofs``."""
-        return -(self._rhs_per_patch @ self._check_values(values))
 
     def _interface_stiffness(self, values: np.ndarray) -> sp.csc_matrix:
         """Schur complement S(E) = sum_k E_k S_k on the interface dofs."""

@@ -32,12 +32,11 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _points_block(points: np.ndarray) -> list:
-    pts3 = np.zeros((points.shape[0], 3))
-    pts3[:, : points.shape[1]] = points
-    lines = [f"POINTS {points.shape[0]} double"]
-    lines.extend(f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in pts3.tolist())
-    return lines
+def _xyz_lines(values: np.ndarray) -> list:
+    """Rows of an (n, 2 or 3) array as "x y z" lines, zero-padded to 3D."""
+    xyz = np.zeros((values.shape[0], 3))
+    xyz[:, : values.shape[1]] = values
+    return [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in xyz.tolist()]
 
 
 def _data_arrays(kind: str, n: int, arrays: dict) -> list:
@@ -55,40 +54,36 @@ def _data_arrays(kind: str, n: int, arrays: dict) -> list:
             else:
                 lines.extend(f"{v:.17g}" for v in values.tolist())
         else:
-            vec3 = np.zeros((values.shape[0], 3))
-            vec3[:, : values.shape[1]] = values
             lines.append(f"VECTORS {name} double")
-            lines.extend(f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in vec3.tolist())
+            lines.extend(_xyz_lines(values))
     return lines
+
+
+def _write_unstructured_grid(path, title, points, cells, cell_type, cell_data, point_data) -> None:
+    """One unstructured grid: ``cells`` (n_cells, nodes per cell) of one VTK cell type."""
+    n_cells, per = cells.shape
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
+    lines.append(f"POINTS {points.shape[0]} double")
+    lines.extend(_xyz_lines(points))
+    lines.append(f"CELLS {n_cells} {n_cells * (per + 1)}")
+    lines.extend(f"{per} " + " ".join(map(str, conn)) for conn in cells.tolist())
+    lines.append(f"CELL_TYPES {n_cells}")
+    lines.extend([str(cell_type)] * n_cells)
+    lines.extend(_data_arrays("CELL_DATA", n_cells, cell_data or {}))
+    lines.extend(_data_arrays("POINT_DATA", points.shape[0], point_data or {}))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_mesh_vtk(path, mesh: Mesh, cell_data: dict | None = None, point_data: dict | None = None, title="femupdate mesh"):
     """Write the mesh with optional per-element and per-node data arrays."""
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
-    lines.extend(_points_block(mesh.nodes))
-    n_el = mesh.n_elements
-    per = mesh.elements.shape[1]
-    lines.append(f"CELLS {n_el} {n_el * (per + 1)}")
-    lines.extend(f"{per} " + " ".join(map(str, conn)) for conn in mesh.elements.tolist())
-    lines.append(f"CELL_TYPES {n_el}")
-    cell_type = _VTK_QUAD if per == 4 else _VTK_HEX
-    lines.extend([str(cell_type)] * n_el)
-    lines.extend(_data_arrays("CELL_DATA", n_el, cell_data or {}))
-    lines.extend(_data_arrays("POINT_DATA", mesh.n_nodes, point_data or {}))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    cell_type = _VTK_QUAD if mesh.elements.shape[1] == 4 else _VTK_HEX
+    _write_unstructured_grid(path, title, mesh.nodes, mesh.elements, cell_type, cell_data, point_data)
 
 
 def write_points_vtk(path, points: np.ndarray, point_data: dict, title="femupdate point field"):
     """Write scattered points as VTK_VERTEX cells with point data."""
-    n = points.shape[0]
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
-    lines.extend(_points_block(points))
-    lines.append(f"CELLS {n} {2 * n}")
-    lines.extend(f"1 {i}" for i in range(n))
-    lines.append(f"CELL_TYPES {n}")
-    lines.extend([str(_VTK_VERTEX)] * n)
-    lines.extend(_data_arrays("POINT_DATA", n, point_data))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    cells = np.arange(points.shape[0])[:, None]
+    _write_unstructured_grid(path, title, points, cells, _VTK_VERTEX, None, point_data)
 
 
 def write_table_csv(path, header: list, rows) -> None:

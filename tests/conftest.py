@@ -55,7 +55,7 @@ def dense_stiffness(mesh, patch_map, values, nu=0.3):
     k = np.zeros((dim * mesh.n_nodes, dim * mesh.n_nodes))
     for e in range(mesh.n_elements):
         ke = fu.element_stiffness(
-            mesh.element_coords(e), values[patch_map.patch_of_element[e]], nu, mesh.thickness
+            mesh.nodes[mesh.elements[e]], values[patch_map.patch_of_element[e]], nu, mesh.thickness
         )
         gdofs = (dim * mesh.elements[e][:, None] + np.arange(dim)).ravel()
         k[np.ix_(gdofs, gdofs)] += ke

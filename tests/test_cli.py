@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import femupdate as fu
 import femupdate.cli as cli
 from femupdate.config import load_config
 from femupdate.errors import ConfigError
@@ -248,6 +249,37 @@ def test_resolved_config_bytes_pinned(tmp_path, monkeypatch, name):
     data = (tmp_path / "out" / "resolved_config.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == RESOLVED_CONFIG_SHA256[name]
 
+
+
+def vtk_case(name):
+    """(writer, arguments) of one VTK output: a QUAD4 or HEX8 mesh with
+    double and int cell data and vector point data, or scattered points
+    with scalar and vector point data."""
+    if name == "points":
+        points = np.column_stack([np.linspace(0.0, 10.0, 5), np.linspace(0.0, 4.0, 5) ** 2 / 3.0])
+        data = {"exx": points[:, 0] / 3e4, "shift_mm": points / 7.0}
+        return cli.write_points_vtk, (points, data)
+    mesh = (fu.build_coupon_mesh(10.0, 4.0, 2.0, 3, 2) if name == "quad4"
+            else fu.build_coupon_mesh(10.0, 4.0, 3.0, 3, 2, 2))
+    cell_data = {"modulus_mpa": 1000.0 + np.arange(mesh.n_elements) / 3.0,
+                 "patch_index": np.arange(mesh.n_elements) % 2}
+    return cli.write_mesh_vtk, (mesh, cell_data, {"displacement_mm": mesh.nodes / 7.0})
+
+
+# sha256 of the VTK files the writers produce for ``vtk_case``: the VTK
+# output format is part of the reproducibility contract.
+VTK_SHA256 = {
+    "hex8": "9763fc4e3c342d71f32daf3218861790037a17149688c6d37e291a81da3d718a",
+    "points": "e04357c592a7d997f4f2b2540749a31944c7389846beb032600a86048d1c3913",
+    "quad4": "a7e3fd78adbafd25d4626e31a52ffc486baa483bec12e148ae83ede6923f9c20",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VTK_SHA256))
+def test_vtk_bytes_pinned(tmp_path, name):
+    writer, args = vtk_case(name)
+    writer(tmp_path / "out.vtk", *args)
+    assert hashlib.sha256((tmp_path / "out.vtk").read_bytes()).hexdigest() == VTK_SHA256[name]
 
 # The GA settings that are constants in inversion.py, with the values they had as config keys.
 REMOVED_GA_KEYS = {

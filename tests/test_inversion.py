@@ -421,6 +421,23 @@ class TestRunGa:
         assert len(failing) > 0
         assert history.failed_evaluations == len(failing)
 
+    def test_nan_cost_scored_inf(self):
+        """A design whose cost is NaN is never a generation's best: it scores
+        +inf and counts as a failed evaluation."""
+        failing = set()
+
+        def cost(x):
+            fails = x[:, 0] > 0.8
+            failing.update(row.tobytes() for row in x[fails])
+            return np.where(fails, np.nan, np.sum(x * x, axis=-1))
+
+        config = fu.GAConfig(population_size=8, generations_max=10, rng_seed=1)
+        best, history = fu.run_ga(cost, np.zeros(2), np.ones(2), config)
+        assert all(np.isfinite(r.best_cost) and r.design[0] <= 0.8 for r in history.records)
+        assert best[0] <= 0.8
+        assert len(failing) > 0
+        assert history.failed_evaluations == len(failing)
+
     def test_bounds_validation(self):
         config = fu.GAConfig(population_size=6, generations_max=2)
         with pytest.raises(ValueError):
@@ -918,6 +935,7 @@ class TestRunHybrid:
         assert stages == {STAGE_GA, STAGE_GRADIENT}
         counts = [r.forward_solve_count for r in history.records]
         assert all(b >= a for a, b in zip(counts, counts[1:]))  # shared cumulative counter
+        assert_no_start_twice(history)
 
     def test_hybrid_not_worse_than_ga_alone(self, hybrid_run):
         context, truth, lower, upper, ga, grad, final, history = hybrid_run
@@ -951,6 +969,7 @@ class TestRunHybrid:
             + rows(handoff.records, solves + partner.total_forward_solves)
         )
         assert np.array_equal(final, handoff.final.design)
+        assert_no_start_twice(history)
         # fewer solves than the GA run to its cap and one Gauss-Newton run after it
         ga_best, ga_history = fu.run_ga(context.cost, lower, upper, ga, initial_guess=np.full(4, E0))
         _, gn_history = fu.run_gradient(context.cost_and_jacobian, ga_best, lower, upper, grad)
