@@ -26,7 +26,7 @@ from .measurement import generate_synthetic, load_measurement_csv, write_measure
 from .solver import ForwardModel
 from .vtkio import atomic_write_text, write_mesh_vtk, write_points_vtk, write_table_csv
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 _LOCK_NAME = ".femupdate.lock"
 _INVERT_FILES = (
     "convergence.csv", "residual_before.vtk", "residual_before.csv", "residual_after.vtk",
@@ -171,22 +171,24 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
         lower, upper = config.moduli_bounds(model.patch_map.patch_count)
         guess = config.initial_guess(model.patch_map.patch_count)
 
+        # The maps at the guess come first: their solve is the run's first
+        # forward solve, which the benchmark's solve phase starts at.
+        before = _residual_maps(context, guess)
         start = time.perf_counter()
         final, history = run_hybrid(context, lower, upper, config.ga, config.grad, guess)
         wall = time.perf_counter() - start
 
         grid_pts = context.grid.points()
-        for tag, design in (("before", guess), ("after", final)):
+        for tag, maps in (("before", before), ("after", _residual_maps(context, final))):
             _write_point_field(
-                outdir, f"residual_{tag}", grid_pts, _residual_maps(context, design),
-                f"absolute strain residuals {tag} updating",
+                outdir, f"residual_{tag}", grid_pts, maps, f"absolute strain residuals {tag} updating",
             )
         _modulus_outputs(outdir, model, np.asarray(final))
         header = ["stage", "iteration", "best_cost"] + [f"E_{k + 1}" for k in range(len(final))]
         rows = [[r.stage, r.iteration, r.best_cost, *r.design.tolist()] for r in history.records]
         write_table_csv(os.path.join(outdir, "convergence.csv"), header, rows)
 
-        report = _build_report(config, truth, guess, final, history, lower, upper, wall)
+        report = _build_report(config, truth, guess, final, history, lower, upper, wall, context.noise_floor())
         atomic_write_text(os.path.join(outdir, "report.json"), _json_text(report))
         atomic_write_text(os.path.join(outdir, "summary.txt"), _summary_text(report))
     return 0
@@ -202,10 +204,14 @@ def _residual_maps(context: CostContext, design) -> dict:
     return {"abs_err_exx": axx, "abs_err_eyy": ayy, "abs_err_exy": axy, "abs_err_rss": rss}
 
 
-def _build_report(config, truth, guess, final, history, lower, upper, wall) -> dict:
-    """The report.json object."""
+def _build_report(config, truth, guess, final, history, lower, upper, wall, noise_floor) -> dict:
+    """The report.json object. ``noise_floor`` is ``CostContext.noise_floor()``."""
     initial_cost = history.records[0].best_cost
     final_cost = history.final.best_cost
+    floor = None
+    if noise_floor is not None:
+        expected, sd = noise_floor
+        floor = {"expected": expected, "sd": sd, "z": (final_cost - expected) / sd}
     # Truth is only known when the config carries explicit per-patch overrides
     # (the synthetic pipeline); a plain e_ref is a nominal value, not truth.
     known = bool(config.material.truth_moduli_mpa)
@@ -223,6 +229,9 @@ def _build_report(config, truth, guess, final, history, lower, upper, wall) -> d
         "gradient_stalled": history.gradient_stalled,
         # solves that failed: GA candidates scored +inf, rejected line-search trials
         "failed_evaluations": history.failed_evaluations,
+        # the final cost against the one the measurement's noise predicts at
+        # the truth; None for noiseless data
+        "noise_floor": floor,
         "stage_iterations": {stage: len(history.stage_records(stage)) for stage in (STAGE_GA, STAGE_GRADIENT)},
         "bounds_lo_mpa": [float(v) for v in lower],
         "bounds_hi_mpa": [float(v) for v in upper],
@@ -261,6 +270,7 @@ def _summary_text(report: dict) -> str:
         f"cost reduction factor: {shown}",
         f"forward solves: {report.get('forward_solve_count', '?')}"
         f" (GA iterations {stages.get(STAGE_GA, '?')}, gradient iterations {stages.get(STAGE_GRADIENT, '?')})",
+        f"noise floor z: {_noise_floor_text(report)}",
     ]
     if report.get("gradient_stalled"):
         lines.append("note: gradient line search stalled before meeting its tolerance")
@@ -281,14 +291,25 @@ def _summary_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _noise_floor_text(report: dict) -> str:
+    """z of the final cost against the noise floor; ``?`` for a report from
+    before the field existed."""
+    if "noise_floor" not in report:
+        return "?"
+    floor = report["noise_floor"]
+    if floor is None:
+        return "none (noiseless measurement)"
+    return f"{floor['z']:+.2f} (final cost against expected {floor['expected']:.6e} +- {floor['sd']:.6e})"
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_report(data, where: str) -> None:
     """Raise ConfigError unless ``data`` holds the fields ``cmd_report``
-    prints, each of the type it is printed as; the truth columns and the
-    reduction factor may be null or left out."""
+    prints, each of the type it is printed as; the truth columns, the
+    reduction factor and the noise floor may be null or left out."""
     if not isinstance(data, dict):
         raise ConfigError(where, f"report must be a JSON object, got {type(data).__name__}")
     for key in ("recovered_moduli_mpa", "initial_moduli_mpa", "initial_cost", "final_cost"):
@@ -307,6 +328,10 @@ def _check_report(data, where: str) -> None:
             raise ConfigError(where, f"field {key!r} must be a list of one number per patch")
     if not isinstance(data.get("stage_iterations", {}), dict):
         raise ConfigError(where, "field 'stage_iterations' must be an object")
+    floor = data.get("noise_floor")
+    if floor is not None and not (isinstance(floor, dict)
+                                  and all(_is_number(floor.get(k)) for k in ("expected", "sd", "z"))):
+        raise ConfigError(where, "field 'noise_floor' must be null or an object of numbers expected, sd and z")
 
 
 def cmd_report(report_path: str) -> int:

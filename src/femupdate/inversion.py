@@ -5,16 +5,21 @@ by point, normalizing each residual by the measured strain magnitude
 (floored to keep near-zero measurements from dominating), and sums the
 squared ratios over all grid points and components.
 
-Minimization runs in two stages: a real-coded genetic algorithm explores
-the bounded design space, and at generation 0 and every few generations
-after it projected Gauss-Newton with Armijo backtracking refines its best
-individual (a handoff); the GA stops once two consecutive handoffs reach
-the same minimizer. The generation-0 handoff is compared with a partner
-run from the GA's generation-0 runner-up, so the GA stops before it
-breeds when both runs reach one minimizer. Gauss-Newton runs once per
-start design. The GA solves each distinct design once: elites and
-children identical to an earlier candidate reuse its cost, and the new
-designs of a generation are scored as one stack.
+Minimization starts with projected Gauss-Newton with Armijo backtracking
+from the initial guess. When the measurement carries a noise level, the
+cost expected at the true moduli and its spread follow from it
+(``CostContext.noise_floor``); an end within a few spreads of that
+expectation explains the data to their noise, and is the answer. Otherwise
+(noiseless data, a local minimum, or model error) a real-coded genetic
+algorithm explores the bounded design space, and at generation 0 and every
+few generations after it Gauss-Newton refines its best individual (a
+handoff); the GA stops once two consecutive handoffs reach the same
+minimizer. The generation-0 handoff is compared with a partner run from the
+GA's generation-0 runner-up, so the GA stops before it breeds when both
+runs reach one minimizer. Gauss-Newton runs once per start design. The GA
+solves each distinct design once: elites and children identical to an
+earlier candidate reuse its cost, and the new designs of a generation are
+scored as one stack.
 The misfit is a sum of squared weighted residuals r(E), so the second
 stage works on r and its exact Jacobian J = dr/dE: one factorization
 serves the forward solve and the P sensitivity solves (the structure of
@@ -59,6 +64,10 @@ _STALL_REL_TOL = 1e-3
 # which two Gauss-Newton runs count as one minimizer.
 _HANDOFF_GENERATIONS = 4
 _SAME_MINIMIZER_TOL = 1e-6
+# Largest z = (F - expected) / sd (``CostContext.noise_floor``) at which
+# Gauss-Newton from the initial guess counts as fitting the data to their
+# noise, so ``run_hybrid`` returns its end without running the GA.
+_NOISE_FLOOR_Z = 5.0
 
 
 @dataclass(frozen=True)
@@ -103,9 +112,10 @@ class ConvergenceRecord:
 @dataclass
 class ConvergenceHistory:
     """Per-iteration log of the optimization, in run order (``run_hybrid``
-    passes one history to the GA and to every Gauss-Newton run; the
-    partner from the generation-0 runner-up comes after the GA's
-    generation 0, before the generation-0 handoff).
+    passes one history to the GA and to every Gauss-Newton run; the run
+    from the initial guess on noisy data comes first, and the partner from
+    the generation-0 runner-up after the GA's generation 0, before the
+    generation-0 handoff).
 
     ``total_forward_solves`` is the running forward-solve count, which
     ``append`` stamps on each record; it also counts the trial points of a
@@ -156,6 +166,29 @@ class CostContext:
         self._operator = grid_strain_operator(self.forward, self.grid)
         self._measured = np.concatenate([measurement.exx, measurement.eyy, measurement.exy])
         self._denominator = np.maximum(np.abs(self._measured), self.strain_floor)
+
+    def noise_floor(self) -> tuple[float, float] | None:
+        """(expected, sd): mean and standard deviation of the cost at the
+        true moduli under the measurement's noise model, or None for a
+        noiseless measurement (``noise_sigma`` 0, or an all-zero field).
+
+        ``generate_synthetic`` adds to each component Gaussian noise of
+        standard deviation sigma times the RMS of the clean component. That
+        RMS is estimated as the measured component's over sqrt(1 + sigma^2).
+        At the truth each residual is then s_i n_i, with
+        s_i = sigma rms_c / max(|measured_i|, strain_floor) and n_i standard
+        normal, so the cost is a weighted chi-square: expected = sum s_i^2,
+        sd = sqrt(sum 2 s_i^4). A fit whose cost lies within a few sd of
+        expected explains the data to their noise (Morozov's discrepancy
+        principle, Soviet Math. Dokl. 7, 1966; Tarantola, Inverse Problem
+        Theory, SIAM 2005, section 7).
+        """
+        sigma = self.measurement.noise_sigma
+        components = self._measured.reshape(3, -1)
+        rms = np.sqrt(np.mean(components**2, axis=1)) / np.sqrt(1.0 + sigma**2)
+        s2 = (sigma * np.repeat(rms, components.shape[1]) / self._denominator) ** 2
+        sd = float(np.sqrt(np.sum(2.0 * s2**2)))
+        return None if sd == 0 else (float(np.sum(s2)), sd)
 
     def numerical_grid_field(self, design: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Forward solve and map (exx, eyy, exy) onto the grid."""
@@ -531,15 +564,27 @@ def run_hybrid(
     grad_config: GradConfig,
     initial_guess: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ConvergenceHistory]:
-    """GA exploration with Gauss-Newton handoffs from the GA's best.
+    """Gauss-Newton from the initial guess, then, unless its end fits the
+    data to their noise, GA exploration with Gauss-Newton handoffs from the
+    GA's best.
+
+    Gauss-Newton (``run_gradient`` on ``context.cost_and_jacobian``) first
+    refines the initial guess, clipped into the box (the bounds midpoint
+    when omitted; the GA's ``pop[0]``). When ``context.noise_floor()`` gives
+    (expected, sd) and that end's z = (cost - expected) / sd is at most
+    ``_NOISE_FLOOR_Z``, the end is returned and the GA never runs. On the
+    two benchmark problems (1 % noise, seeds 11-20) this cuts the forward
+    solves from 54-57 (2D) and 16-25 (3D) to 7, and the final cost moves by
+    less than 1e-11 relative. Noiseless data
+    (no noise floor) skip this first run, and a larger z, from a local
+    minimum or from model error, falls through to the hybrid below.
 
     The GA scores designs with ``context.cost`` (each distinct design
     once, one stack per generation). At generation 0 and after every
-    ``_HANDOFF_GENERATIONS`` generations, Gauss-Newton (``run_gradient``
-    on ``context.cost_and_jacobian``) refines the GA's current best, and
-    the GA stops once this handoff and the previous one end within
-    ``_SAME_MINIMIZER_TOL`` of each other (``_relative_gap``). The
-    generation-0 handoff is compared with a partner run from the GA's
+    ``_HANDOFF_GENERATIONS`` generations, Gauss-Newton refines the GA's
+    current best, and the GA stops once this handoff and the previous one
+    end within ``_SAME_MINIMIZER_TOL`` of each other (``_relative_gap``).
+    The generation-0 handoff is compared with a partner run from the GA's
     generation-0 runner-up (``run_ga``), which runs first, so the GA stops
     before it breeds when both reach one minimizer; with no runner-up
     there is no generation-0 check. A GA of at most
@@ -553,20 +598,23 @@ def run_hybrid(
     A GA that ends at its cap or by its stall rule gets a handoff at its
     last generation if none ran there. Gauss-Newton runs once per start
     design: it is deterministic, so a run from a design an earlier run
-    started from (a partner or handoff, compared bitwise) reuses that
-    run's end, costs no solves and adds no run to the history.
+    started from (the guess, a partner or a handoff, compared bitwise)
+    reuses that run's end, costs no solves and adds no run to the history.
 
     Handoffs never feed the population, so the GA records are those of
     ``run_ga`` alone with the same seed, up to the generation the hybrid
     stopped at. The GA and every Gauss-Newton run append to one history, so
-    it is in run order while the run goes on (each Gauss-Newton run after
-    the generation it ran at, a partner before its handoff) and holds one
-    forward-solve count for both stages (one per factorization). Returns
-    the last handoff's end, which is then the history's last record (a
-    reused end is logged once more unless it already is), or the GA best
-    it started from when that cost less.
+    it is in run order while the run goes on (the run from the guess
+    first, each other Gauss-Newton run after the generation it ran at, a
+    partner before its handoff) and holds one forward-solve count for both
+    stages (one per factorization). Returns the run from the guess's end
+    when the GA is skipped; otherwise the last handoff's end, which is then
+    the history's last record (a reused end is logged once more unless it
+    already is), or the GA best it started from when that cost less.
     """
     lower, upper = _checked_bounds(lower, upper, "initial_guess", initial_guess)
+    guess = 0.5 * (lower + upper) if initial_guess is None else np.asarray(initial_guess, dtype=float)
+    guess = np.clip(guess, lower, upper)
     history = ConvergenceHistory()
     ends = {}  # start design bytes -> end record of Gauss-Newton from it
     last = None  # the last handoff's end record
@@ -577,6 +625,13 @@ def run_hybrid(
             run_gradient(context.cost_and_jacobian, design, lower, upper, grad_config, history)
             ends[key] = history.final
         return ends[key]
+
+    floor = context.noise_floor()
+    if floor is not None:
+        end = gauss_newton(guess)
+        expected, sd = floor
+        if (end.best_cost - expected) / sd <= _NOISE_FLOOR_Z:
+            return end.design.copy(), history
 
     def after_generation(record, runner_up):
         nonlocal last
@@ -591,7 +646,7 @@ def run_hybrid(
         last = gauss_newton(record.design)
         return previous is not None and _relative_gap(last.design, previous.design, lower, upper) <= _SAME_MINIMIZER_TOL
 
-    run_ga(context.cost, lower, upper, ga_config, initial_guess, after_generation, history)
+    run_ga(context.cost, lower, upper, ga_config, guess, after_generation, history)
     ga_final = history.stage_records(STAGE_GA)[-1]
     end = gauss_newton(ga_final.design)  # reused when a handoff ran at the GA's last generation
     if end.best_cost > ga_final.best_cost:

@@ -475,8 +475,9 @@ class TestCmdInvert:
     def test_report_contents(self, inverted):
         _, inv = inverted
         report = json.loads((inv / "report.json").read_text())
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["failed_evaluations"] == 0
+        assert report["noise_floor"] is None  # noiseless measurement
         assert len(report["recovered_moduli_mpa"]) == 4
         recovered = np.array(report["recovered_moduli_mpa"])
         truth = np.array(report["truth_moduli_mpa"])
@@ -513,11 +514,38 @@ class TestCmdInvert:
         assert "patches: 4" in out
         assert "rel_error" in out
         assert "reduction factor" in out
+        assert "noise floor z: none (noiseless measurement)" in out
 
     def test_report_command_prints_summary_txt(self, inverted, capsysbinary):
         _, inv = inverted
         assert cli.main(["report", str(inv / "report.json")]) == 0
         assert capsysbinary.readouterr().out == (inv / "summary.txt").read_bytes()
+
+    def test_noisy_report_z_against_the_measurement(self, tmp_path):
+        """With 1 % noise Gauss-Newton from the guess fits the data to their
+        noise, so the GA never runs; report.json's z equals one written out
+        from the measurement CSV, and summary.txt prints it."""
+        out = tmp_path / "run"
+        measurement = {"grid_counts": [12, 5], "rng_seed": 9, "noise_sigma": 0.01}
+        cfg_path = write_config(tmp_path, base_config(out, measurement=measurement, strain_floor=3e-5))
+        assert cli.main(["synth", "--config", cfg_path]) == 0
+        inv = tmp_path / "inv"
+        assert cli.main(["invert", "--config", cfg_path, "--measurement", str(out / "measurement.csv"),
+                         "--out", str(inv)]) == 0
+        report = json.loads((inv / "report.json").read_text())
+        assert report["stage_iterations"]["GA"] == 0
+        lines = (out / "measurement.csv").read_text().splitlines()
+        strains = np.loadtxt([l for l in lines if not l.startswith(("#", "x_mm"))], delimiter=",")[:, 2:]
+        assert strains.shape == (60, 3)
+        clean_rms = np.sqrt(np.mean(strains**2, axis=0) / (1 + 0.01**2))
+        s2 = (0.01 * clean_rms / np.maximum(np.abs(strains), 3e-5)) ** 2
+        expected, sd = s2.sum(), np.sqrt(2 * np.sum(s2**2))
+        floor = report["noise_floor"]
+        assert floor["expected"] == pytest.approx(expected, rel=1e-12)
+        assert floor["sd"] == pytest.approx(sd, rel=1e-12)
+        assert floor["z"] == pytest.approx((report["final_cost"] - expected) / sd, rel=1e-9)
+        assert floor["z"] <= 5.0
+        assert f"noise floor z: {floor['z']:+.2f} " in (inv / "summary.txt").read_text()
 
     def test_homogeneous_control_recovers_uniform(self, tmp_path):
         """Noiseless homogeneous truth: all patches within 2% of one another."""
@@ -550,6 +578,7 @@ class TestCmdInvert:
         out = capsys.readouterr().out
         assert "rel_error" not in out
         assert "patches: 2" in out
+        assert "noise floor z: ?" in out  # a report from before the noise floor
 
     def test_truncated_csv_exit_3(self, tmp_path, capsys):
         out = tmp_path / "t"
@@ -648,8 +677,10 @@ class TestCmdInvert:
             ("recovered_moduli_mpa initial_moduli_mpa initial_cost final_cost", "JSON object"),
             ({"recovered_moduli_mpa": "1, 2", "initial_moduli_mpa": [1.0, 1.0], "initial_cost": 4.0,
               "final_cost": 1.0}, "'recovered_moduli_mpa'"),
+            ({"recovered_moduli_mpa": [1.0], "initial_moduli_mpa": [1.0], "initial_cost": 4.0,
+              "final_cost": 1.0, "noise_floor": {"expected": 1.0, "sd": 0.5}}, "'noise_floor'"),
         ],
-        ids=["number", "string", "string-moduli"],
+        ids=["number", "string", "string-moduli", "noise-floor-without-z"],
     )
     def test_malformed_report_exit_2(self, tmp_path, capsys, report, field):
         path = tmp_path / "bad.json"
