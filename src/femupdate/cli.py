@@ -39,9 +39,9 @@ def _json_text(obj) -> str:
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    if getattr(args, "out", None):
+    if args.out:
         config.output_dir = args.out
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
         config.measurement.rng_seed = args.seed
@@ -230,7 +230,7 @@ def _build_report(config, truth, guess, final, history, lower, upper, wall, nois
         # solves that failed: GA candidates scored +inf, rejected line-search trials
         "failed_evaluations": history.failed_evaluations,
         # the final cost against the one the measurement's noise predicts at
-        # the truth; None for noiseless data
+        # the truth; None for noiseless data or a strain floor below the noise
         "noise_floor": floor,
         "stage_iterations": {stage: len(history.stage_records(stage)) for stage in (STAGE_GA, STAGE_GRADIENT)},
         "bounds_lo_mpa": [float(v) for v in lower],
@@ -298,7 +298,7 @@ def _noise_floor_text(report: dict) -> str:
         return "?"
     floor = report["noise_floor"]
     if floor is None:
-        return "none (noiseless measurement)"
+        return "none (noiseless measurement, or a strain floor below the noise)"
     return f"{floor['z']:+.2f} (final cost against expected {floor['expected']:.6e} +- {floor['sd']:.6e})"
 
 
@@ -355,9 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to the JSON run config")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="override measurement and GA seeds")
 
@@ -383,9 +382,7 @@ def main(argv=None) -> int:
             return cmd_forward(config)
         if args.command == "synth":
             return cmd_synth(config)
-        if args.command == "invert":
-            return cmd_invert(config, args.measurement)
-        raise ConfigError("command", f"unknown command {args.command!r}")
+        return cmd_invert(config, args.measurement)
     except ConfigError as exc:
         print(f"femupdate: config error: {exc}", file=sys.stderr)
         return 2

@@ -170,7 +170,8 @@ class CostContext:
     def noise_floor(self) -> tuple[float, float] | None:
         """(expected, sd): mean and standard deviation of the cost at the
         true moduli under the measurement's noise model, or None for a
-        noiseless measurement (``noise_sigma`` 0, or an all-zero field).
+        noiseless measurement (``noise_sigma`` 0, or an all-zero field) and
+        for a strain floor below the noise, sigma rms_c, of any component.
 
         ``generate_synthetic`` adds to each component Gaussian noise of
         standard deviation sigma times the RMS of the clean component. That
@@ -181,14 +182,17 @@ class CostContext:
         sd = sqrt(sum 2 s_i^4). A fit whose cost lies within a few sd of
         expected explains the data to their noise (Morozov's discrepancy
         principle, Soviet Math. Dokl. 7, 1966; Tarantola, Inverse Problem
-        Theory, SIAM 2005, section 7).
+        Theory, SIAM 2005, section 7). A floor below the noise lets measured
+        strains near zero make this estimate run high: 1.4 times the Monte
+        Carlo mean on the 10 x 4 test coupon with 1 % noise at a 1e-6 floor.
         """
         sigma = self.measurement.noise_sigma
         components = self._measured.reshape(3, -1)
         rms = np.sqrt(np.mean(components**2, axis=1)) / np.sqrt(1.0 + sigma**2)
         s2 = (sigma * np.repeat(rms, components.shape[1]) / self._denominator) ** 2
         sd = float(np.sqrt(np.sum(2.0 * s2**2)))
-        return None if sd == 0 else (float(np.sum(s2)), sd)
+        holds = sd > 0 and np.all(self.strain_floor >= sigma * rms)
+        return (float(np.sum(s2)), sd) if holds else None
 
     def numerical_grid_field(self, design: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Forward solve and map (exx, eyy, exy) onto the grid."""

@@ -30,7 +30,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dtbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import _shape
@@ -215,8 +214,8 @@ class ForwardModel:
     ``free_dofs`` order: the I_k patch by patch, each in coordinate order
     with the mesh axis of most divisions slowest, so that the band of a
     block is about one cross-section of nodes wide, run in the direction
-    that puts the side of its rows coupled to G last; then G in reverse
-    Cuthill-McKee order. Construction factors the unit-modulus interior
+    that puts the side of its rows coupled to G last; then G in the same
+    coordinate order. Construction factors the unit-modulus interior
     blocks D = K(1)[I, I] = L L^T once (one banded Cholesky) and condenses
     each patch onto the interface dofs g its elements touch, those with a
     nonzero diagonal in A_k:
@@ -596,17 +595,10 @@ def _condensed_free_dofs(mesh: Mesh, patch_map: PatchMap, prescribed: np.ndarray
     fastest, so each block's band is about one cross-section of nodes wide.
     Each patch runs that order in the direction that leaves more of its
     nodes ahead of its first touching node; touching nodes may still come
-    before non-touching ones. Interface nodes follow reverse Cuthill-McKee
-    order of the node adjacency graph. The dofs of a node stay together.
+    before non-touching ones. Interface nodes follow the same coordinate
+    order, ascending. The dofs of a node stay together.
     """
-    n_nodes, nodes_per_element = mesh.n_nodes, mesh.elements.shape[1]
-    n_patches = patch_map.patch_count
-    rows = np.repeat(mesh.elements, nodes_per_element, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nodes_per_element)).ravel()
-    graph = sp.csr_matrix((np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(n_nodes, n_nodes))
-    rcm_rank = np.empty(n_nodes, dtype=np.int64)
-    rcm_rank[reverse_cuthill_mckee(graph, symmetric_mode=True)] = np.arange(n_nodes)
-
+    n_nodes, n_patches = mesh.n_nodes, patch_map.patch_count
     # The distinct (node, patch) pairs: a node in more than one patch is on the interface.
     node_of_pair, patch_of_pair = np.divmod(
         np.unique(mesh.elements * n_patches + patch_map.patch_of_element[:, None]), n_patches
@@ -615,10 +607,13 @@ def _condensed_free_dofs(mesh: Mesh, patch_map: PatchMap, prescribed: np.ndarray
     node_patch = np.full(n_nodes, n_patches)  # interface nodes sort last
     node_patch[node_of_pair] = patch_of_pair
     node_patch[interface] = n_patches
-    touching_node = ~interface & (graph @ interface.astype(np.int32) > 0)
+    touching_node = np.zeros(n_nodes, dtype=bool)
+    touching_node[mesh.elements[interface[mesh.elements].any(axis=1)]] = True
+    touching_node &= ~interface
 
     # Coordinate order, then per patch the direction whose first touching
-    # node has more of the patch's nodes ahead of it (ties ascending).
+    # node has more of the patch's nodes ahead of it (ties, and so the
+    # interface, which has no touching node, ascending).
     axes = np.argsort(mesh.divisions, kind="stable")
     line_rank = np.empty(n_nodes, dtype=np.int64)
     line_rank[np.lexsort(mesh.nodes[:, axes].T)] = np.arange(n_nodes)
@@ -628,8 +623,7 @@ def _condensed_free_dofs(mesh: Mesh, patch_map: PatchMap, prescribed: np.ndarray
     np.maximum.at(last, node_patch[touching_node], line_rank[touching_node])
     ahead = np.bincount(node_patch[~interface & (line_rank < first[node_patch])], minlength=n_patches + 1)
     behind = np.bincount(node_patch[~interface & (line_rank > last[node_patch])], minlength=n_patches + 1)
-    interior_rank = np.where((behind > ahead)[node_patch], -line_rank, line_rank)
-    order = np.lexsort((rcm_rank, np.where(interface, 0, interior_rank), node_patch))
+    order = np.lexsort((np.where((behind > ahead)[node_patch], -line_rank, line_rank), node_patch))
 
     dim = mesh.dimension
     dofs = (dim * order[:, None] + np.arange(dim)).ravel()

@@ -514,7 +514,7 @@ class TestCmdInvert:
         assert "patches: 4" in out
         assert "rel_error" in out
         assert "reduction factor" in out
-        assert "noise floor z: none (noiseless measurement)" in out
+        assert "noise floor z: none (noiseless measurement, or a strain floor below the noise)" in out
 
     def test_report_command_prints_summary_txt(self, inverted, capsysbinary):
         _, inv = inverted
@@ -546,6 +546,20 @@ class TestCmdInvert:
         assert floor["z"] == pytest.approx((report["final_cost"] - expected) / sd, rel=1e-9)
         assert floor["z"] <= 5.0
         assert f"noise floor z: {floor['z']:+.2f} " in (inv / "summary.txt").read_text()
+
+    def test_noisy_report_with_floor_below_the_noise_runs_the_ga(self, tmp_path):
+        """With 1 % noise and the default 1e-6 strain floor, below the
+        noise, the report has no noise floor and the GA runs."""
+        out = tmp_path / "run"
+        measurement = {"grid_counts": [12, 5], "rng_seed": 9, "noise_sigma": 0.01}
+        cfg_path = write_config(tmp_path, base_config(out, measurement=measurement))
+        assert cli.main(["synth", "--config", cfg_path]) == 0
+        inv = tmp_path / "inv"
+        assert cli.main(["invert", "--config", cfg_path, "--measurement", str(out / "measurement.csv"),
+                         "--out", str(inv)]) == 0
+        report = json.loads((inv / "report.json").read_text())
+        assert report["noise_floor"] is None
+        assert report["stage_iterations"]["GA"] > 0
 
     def test_homogeneous_control_recovers_uniform(self, tmp_path):
         """Noiseless homogeneous truth: all patches within 2% of one another."""
@@ -739,12 +753,13 @@ def test_benchmark_hooks_see_the_solves(tmp_path, monkeypatch):
     assert splu_in_hybrid[0] == report["forward_solve_count"] > 0
 
 
-def test_cli_import_leaves_out_scipy_spatial_and_special():
-    """The package's one neighbour search needs neither; importing them
+def test_cli_import_leaves_out_unused_scipy_modules():
+    """The package's one neighbour search needs neither scipy.spatial nor
+    scipy.special, and its node order no graph routine; importing them
     costs every command start-up time."""
     code = (
         "import sys, femupdate.cli; "
-        "print(sorted(m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.spatial', 'scipy.special', 'scipy.sparse.csgraph') if m in sys.modules))"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))  # the femupdate under test
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

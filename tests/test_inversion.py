@@ -168,12 +168,22 @@ class TestNoiseFloor:
         context, *_ = small_context()
         assert context.noise_floor() is None
 
+    def test_none_for_a_strain_floor_below_the_noise(self):
+        """On this coupon 1 % noise is 1.0e-5 on exx (sigma times its RMS):
+        with the 1e-6 default floor there is no estimate, with 1.5e-5 there
+        is one."""
+        below, *_ = small_context(noise=0.01, seed=4, strain_floor=1e-6)
+        above, *_ = small_context(noise=0.01, seed=4, strain_floor=1.5e-5)
+        assert below.noise_floor() is None
+        assert above.noise_floor() is not None
+
     def test_matches_monte_carlo_at_the_truth(self):
         """Over 200 noise draws the cost at the truth has the mean and
         standard deviation ``noise_floor`` predicts, within 10 %. The strain
         floor lies above the noise, as in the benchmark and acceptance runs:
-        with the 1e-6 default, measured strains near zero make ``expected``
-        21.5 against a Monte Carlo mean of 15.3 on this coupon."""
+        below it, measured strains near zero would make the estimate 21.5
+        against a Monte Carlo mean of 15.3 on this coupon at a 1e-6 floor,
+        and ``noise_floor`` gives none."""
         context, truth, _, _ = small_context(strain_floor=3e-5)
         costs, floors = [], []
         for seed in range(200):

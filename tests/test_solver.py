@@ -433,8 +433,8 @@ class TestSolverInvariants:
         ids=["2d", "3d"],
     )
     def test_banded_no_pivot_solve_matches_dense(self, dims, defect, uniaxial_bcs):
-        """A 300x modulus contrast, solved in the RCM order without pivoting,
-        against a dense solve of the element-by-element stiffness."""
+        """A 300x modulus contrast, solved in the condensed order without
+        pivoting, against a dense solve of the element-by-element stiffness."""
         mesh = fu.build_coupon_mesh(*dims)
         pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 2), mesh, [defect])
         values = np.array([3.0, 1.0, 0.01]) * E_STEEL
@@ -543,6 +543,30 @@ class TestCondensation:
         pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, n_sections), mesh, defects)
         model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
         assert model._interior.shape[0] - 1 <= max_band
+
+    @pytest.mark.parametrize(
+        "dims, blocks, max_fill",
+        [
+            ((100, 20, 2, 40, 10), (20, 5), 36_502),
+            ((100, 20, 2, 40, 10), (40, 10), 45_474),
+            ((100, 20, 8, 30, 8, 4), (10, 4, 2), 1_132_489),
+        ],
+        ids=["2d-blocks", "2d-per-element", "3d-blocks"],
+    )
+    def test_interface_fill_on_block_grids(self, dims, blocks, max_fill, uniaxial_bcs):
+        """On grids of equal block patches, where the interface is large,
+        the LU of S(1) in the condensed order fills no more than it did
+        with the interface in reverse Cuthill-McKee order (``max_fill``)."""
+        from femupdate import solver
+
+        mesh = fu.build_coupon_mesh(*dims)
+        shape, counts = mesh.divisions[::-1], blocks[::-1]  # element numbers run x fastest
+        index = np.unravel_index(np.arange(mesh.n_elements), shape)
+        block = [i * c // n for i, c, n in zip(index, counts, shape)]
+        pmap = fu.PatchMap(np.ravel_multi_index(block, counts), int(np.prod(blocks)))
+        model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
+        lu = solver._factor(model._interface_stiffness(np.ones(pmap.patch_count)))
+        assert lu.L.nnz + lu.U.nnz <= max_fill
 
     @pytest.mark.parametrize(
         "dims, dofs",
