@@ -26,9 +26,13 @@ serves the forward solve and the P sensitivity solves (the structure of
 Oberai, Gokhale & Feijoo, Inverse Problems 19, 2003), so a cost and its
 Jacobian cost one forward solve. Each step fixes the active bounds, as in
 Bertsekas' projected Newton method (SIAM J. Control Optim. 20, 1982), and
-solves a linear least-squares problem over the free moduli. Both stages
-are deterministic given their seeds and append every iterate to one
-ConvergenceHistory, in run order, with their forward-solve count.
+solves a linear least-squares problem over the free moduli. Moduli are
+positive scale parameters and strains go roughly as 1/E, so the step is
+taken in ln E (Tarantola, Inverse Problem Theory, SIAM 2005, section 1.2):
+a linear step from a stiff guess overshoots a soft patch to its lower
+bound, one in ln E lands near it. Both stages are deterministic given
+their seeds and append every iterate to one ConvergenceHistory, in run
+order, with their forward-solve count.
 ``fd_gradient`` remains as a finite-difference oracle for checking gradients.
 """
 
@@ -481,20 +485,26 @@ def run_gradient(
     coordinates (``lower == upper``) are set to zero, so they get a zero
     gradient and a zero step.
 
-    Each iteration takes the Gauss-Newton direction d over the free
-    coordinates (``_gauss_newton_step``: the active set is fixed, as in
-    Bertsekas' projected Newton method) and backtracks from t = 1 by
-    ``_BACKTRACK_FACTOR`` until the projected Armijo condition
-    f(x(t)) <= f(x) + c g^T (x(t) - x), x(t) = clip(x + t d), with
-    c = ``_ARMIJO_C``, holds, so accepted costs decrease and every iterate
-    stays inside the box. Stops on a projected-gradient infinity norm below
-    ``_GRAD_TOL``, on a step relative to the bound range below
-    ``_STEP_TOL``, or at ``config.max_iterations``; a failed line search
-    sets the stalled flag and returns the current iterate. A trial point whose
-    evaluation raises NumericalError is rejected like one that fails the
-    Armijo test, and counted in ``failed_evaluations``; at the start point
-    the error propagates. After a line search that rejected such a trial,
-    the next one starts no longer than the step just accepted. Bounds,
+    A coordinate whose lower bound is positive (every modulus) steps in
+    ln x, the others in x. Each iteration takes the Gauss-Newton direction
+    d in those variables over the free coordinates (``_gauss_newton_step``
+    on J and g with the log coordinates' columns scaled by x: the active
+    set is fixed, as in Bertsekas' projected Newton method) and backtracks
+    from t = 1 by ``_BACKTRACK_FACTOR`` until the projected Armijo condition
+    f(x(t)) <= f(x) + c g^T (x(t) - x), with c = ``_ARMIJO_C``, holds.
+    x(t) is clip(x exp(t d)) on the log coordinates (an exp that overflows
+    clips to the upper bound) and clip(x + t d) on the others, so accepted
+    costs decrease and every iterate stays inside the box. On a box that
+    does not lie above zero every step is linear.
+
+    Stops on a projected-gradient infinity norm below ``_GRAD_TOL``, on a
+    step relative to the bound range below ``_STEP_TOL``, or at
+    ``config.max_iterations``; a failed line search sets the stalled flag
+    and returns the current iterate. A trial point whose evaluation raises
+    NumericalError is rejected like one that fails the Armijo test, and
+    counted in ``failed_evaluations``; at the start point the error
+    propagates. After a line search that rejected such a trial, the next
+    one starts no longer than the step just accepted. Bounds,
     ``start_design`` and ``history`` are handled as in ``run_ga``; each
     evaluation adds 1 to ``total_forward_solves`` before it runs.
     """
@@ -503,6 +513,7 @@ def run_gradient(
     history = ConvergenceHistory() if history is None else history
     span = upper - lower
     pinned = span == 0
+    log = lower > 0  # positive scale parameters: step in ln x
 
     def evaluate(z):
         history.total_forward_solves += 1
@@ -521,11 +532,15 @@ def run_gradient(
         projected = x - np.clip(x - grad, lower, upper)
         if np.max(np.abs(projected)) < _GRAD_TOL:
             break
-        direction = _gauss_newton_step(x, r, jac, grad, lower, upper)
+        scale = np.where(log, x, 1.0)  # d(ln x)/dx = 1/x
+        direction = _gauss_newton_step(x, r, jac * scale, grad * scale, lower, upper)
         t = min(1.0, t_cap)
         accepted = failed = False
         for _ in range(_MAX_BACKTRACKS):
-            x_new = np.clip(x + t * direction, lower, upper)
+            x_new = x + t * direction
+            with np.errstate(over="ignore"):  # an overflow gives inf, which the clip takes to the upper bound
+                x_new[log] = x[log] * np.exp(t * direction[log])
+            x_new = np.clip(x_new, lower, upper)
             step = x_new - x
             if not step.any():
                 t *= _BACKTRACK_FACTOR
@@ -578,8 +593,8 @@ def run_hybrid(
     (expected, sd) and that end's z = (cost - expected) / sd is at most
     ``_NOISE_FLOOR_Z``, the end is returned and the GA never runs. On the
     two benchmark problems (1 % noise, seeds 11-20) this cuts the forward
-    solves from 54-57 (2D) and 16-25 (3D) to 7, and the final cost moves by
-    less than 1e-11 relative. Noiseless data
+    solves from 54-57 (2D) and 16-25 (3D) to 6 (2D) and 5-6 (3D), and the
+    final cost moves by less than 1e-11 relative. Noiseless data
     (no noise floor) skip this first run, and a larger z, from a local
     minimum or from model error, falls through to the hybrid below.
 

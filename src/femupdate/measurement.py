@@ -87,8 +87,8 @@ class ExperimentalField:
                 raise ValueError(f"{name} must have {self.grid.n_points} entries, got {a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} contains non-finite values")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def grid_for_footprint(
@@ -284,8 +284,8 @@ def generate_synthetic(
     relative to the signal. With ``noise_sigma`` 0 the clean field is
     returned exactly.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     exx, eyy, exy = np.split(grid_strain_operator(model, grid) @ model.solve_displacement(truth), 3)
     if noise_sigma > 0:
         rng = np.random.default_rng(rng_seed)

@@ -4,6 +4,7 @@ Gauss-Newton stages."""
 import functools
 import hashlib
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -751,6 +752,61 @@ class TestRunGradient:
         accepted = len(history.records) - 1
         assert accepted > 0
         assert history.failed_evaluations <= 2 * accepted
+
+    def test_positive_box_steps_in_log(self):
+        """r(x) = ln x - ln c is linear in ln x, so from x = 1 on a positive
+        box one step lands on c; a linear step from 1 would end at 1 + ln c."""
+        c = np.array([0.05, 3.0, 70.0])
+
+        def cost_and_jacobian(x):
+            r = np.log(x) - np.log(c)
+            return float(r @ r), r, np.diag(1.0 / x)
+
+        x, history = fu.run_gradient(cost_and_jacobian, np.ones(3), np.full(3, 1e-2), np.full(3, 1e2),
+                                     fu.GradConfig())
+        assert len(history.records) == 2
+        assert history.total_forward_solves == 2
+        assert_allclose(x, c, rtol=1e-14)
+
+    def test_pinned_positive_coordinate_keeps_its_value(self):
+        c = np.array([1.0, 3.0, 70.0])
+        lower, upper = np.array([7.3, 1e-2, 1e-2]), np.array([7.3, 1e2, 1e2])
+
+        def cost_and_jacobian(x):
+            r = np.log(x) - np.log(c)
+            return float(r @ r), r, np.diag(1.0 / x)
+
+        x, history = fu.run_gradient(cost_and_jacobian, np.array([7.3, 1.0, 1.0]), lower, upper, fu.GradConfig())
+        assert len(history.records) > 1
+        for r in history.records:
+            assert r.design[0].tobytes() == np.float64(7.3).tobytes()
+        assert_allclose(x[1:], c[1:], rtol=1e-14)
+
+    def test_overflowing_log_step_clips_to_the_upper_bound(self):
+        """From x = 1e-5 toward a minimum at 1e6 the log step is ~1e11, whose
+        exp overflows; the trial point is the upper bound, with no
+        RuntimeWarning (an error under the suite's warning filters)."""
+        def cost_and_jacobian(x):
+            r = x - 1e6
+            return float(r @ r), r, np.eye(1)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, history = fu.run_gradient(cost_and_jacobian, np.array([1e-5]), np.array([1e-6]), np.array([1e2]),
+                                         fu.GradConfig())
+        assert x[0] == 1e2
+        assert len(history.records) == 2
+
+    def test_noisy_coupon_reaches_the_noise_floor_in_five_solves(self):
+        """Gauss-Newton from the homogeneous guess on the noisy coupon: 5
+        solves (7 with linear steps in E), ending within the noise floor."""
+        context, truth, lower, upper = small_context(noise=0.01, seed=3, strain_floor=3e-5)
+        x, history = fu.run_gradient(context.cost_and_jacobian, np.full(4, E0), lower, upper,
+                                     fu.GradConfig(max_iterations=120))
+        expected, sd = context.noise_floor()
+        assert history.total_forward_solves <= 5
+        assert (history.final.best_cost - expected) / sd <= 5.0
+        assert np.abs(x - truth).max() / E0 < 0.01
 
     def test_solve_count_audited(self):
         calls = [0]

@@ -236,6 +236,20 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             fu.generate_synthetic(model, truth, grid, -0.1)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, sigma):
+        model, truth = make_problem()
+        grid = fu.grid_for_footprint((100, 20), counts=(5, 3))
+        with pytest.raises(ValueError, match="^noise_sigma must be finite and >= 0, got"):
+            fu.generate_synthetic(model, truth, grid, sigma)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+    def test_field_rejects_invalid_noise(self, sigma):
+        grid = fu.grid_for_footprint((100, 20), counts=(5, 3))
+        zeros = np.zeros(grid.n_points)
+        with pytest.raises(ValueError, match="^noise_sigma must be finite and >= 0, got"):
+            fu.ExperimentalField(0, grid, zeros, zeros, zeros, noise_sigma=sigma)
+
 
 class TestMeasurementCsv:
     def test_minimal_file(self, tmp_path):
