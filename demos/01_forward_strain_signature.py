@@ -23,7 +23,7 @@ def main():
     )
     print(f"coupon: {mesh.n_elements} QUAD4 elements, {patches.patch_count} modulus patches")
 
-    bcs = fu.BoundaryConditions("xmin", "xmax", u_applied=0.1)
+    bcs = fu.BoundaryConditions("xmin", u_applied=0.1)
     model = fu.ForwardModel(mesh, patches, poisson_ratio=0.3, bcs=bcs)
 
     homogeneous = np.full(patches.patch_count, E0)

@@ -23,7 +23,7 @@ def main():
 
     truth = np.full(patches.patch_count, E0)
     truth[-1] = 0.25 * E0
-    bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+    bcs = fu.BoundaryConditions("xmin", 0.1)
     model = fu.ForwardModel(mesh, patches, 0.3, bcs)
 
     grid = fu.grid_for_footprint((100, 20), counts=(40, 10))

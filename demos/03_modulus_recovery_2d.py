@@ -27,7 +27,7 @@ def main():
 
     truth = np.full(patches.patch_count, E0)
     truth[5] = 0.3 * E0
-    bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+    bcs = fu.BoundaryConditions("xmin", 0.1)
     grid = fu.grid_for_footprint((100, 20), counts=(20, 6))
     model = fu.ForwardModel(mesh, patches, 0.3, bcs)
     measurement = fu.generate_synthetic(model, truth, grid)

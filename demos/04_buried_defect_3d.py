@@ -20,7 +20,7 @@ def main():
     patches = fu.partition_longitudinal(mesh, 2)
     # back-half box: z only up to T/2, invisible from the front surface
     patches = fu.stamp_defect_patches(patches, mesh, [fu.DefectSpec((40, 5, 0), (60, 15, 4))])
-    bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+    bcs = fu.BoundaryConditions("xmin", 0.1)
     model = fu.ForwardModel(mesh, patches, 0.3, bcs)
 
     truth = np.array([E0, E0, 0.25 * E0])

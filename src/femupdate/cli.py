@@ -65,11 +65,6 @@ def _prepared(config: RunConfig):
         pmap = config.build_patch_map(mesh)
     except ValueError as exc:
         raise ConfigError("patches", str(exc)) from None
-    try:
-        bcs = config.build_bcs()
-        bcs.prescribed_dofs(mesh)
-    except ValueError as exc:
-        raise ConfigError("bcs", str(exc)) from None
     truth = config.truth_values(pmap.patch_count)
     config.moduli_bounds(pmap.patch_count)  # range-checks the pinned patch
     outdir = config.output_dir
@@ -82,7 +77,7 @@ def _prepared(config: RunConfig):
         except BlockingIOError:
             raise ConfigError(lock, "output directory is locked by another run") from None
         atomic_write_text(os.path.join(outdir, "resolved_config.json"), _json_text(config.to_dict()))
-        yield ForwardModel(mesh, pmap, config.material.poisson_ratio, bcs), truth
+        yield ForwardModel(mesh, pmap, config.material.poisson_ratio, config.build_bcs()), truth
     finally:
         os.close(fd)
 

@@ -145,9 +145,12 @@ class MaterialConfig:
 
 @dataclass(kw_only=True)
 class BcsConfig:
+    """``fixed_face`` is held and the face opposite it is displaced by
+    ``u_applied_mm`` along their common axis; ``load_config`` rejects a z
+    face on a 2D geometry."""
+
     u_applied_mm: float = _field(0.1, check=_nonzero)
     fixed_face: str = _field("xmin", check=_face)
-    loaded_face: str = _field("xmax", check=_face)
     clamp_fixed_face: bool = False
 
 
@@ -196,7 +199,7 @@ class RunConfig:
 
     def build_bcs(self) -> BoundaryConditions:
         b = self.bcs
-        return BoundaryConditions(b.fixed_face, b.loaded_face, b.u_applied_mm, clamp_fixed=b.clamp_fixed_face)
+        return BoundaryConditions(b.fixed_face, b.u_applied_mm, clamp_fixed=b.clamp_fixed_face)
 
     def build_grid(self) -> MeasurementGrid:
         m = self.measurement
@@ -358,6 +361,8 @@ def load_config(source) -> RunConfig:
         raise ConfigError("bounds", f"lo_factor {bounds.lo_factor} exceeds hi_factor {bounds.hi_factor}")
     if not (bounds.lo_factor <= 1.0 <= bounds.hi_factor):
         raise ConfigError("bounds", "bounds must bracket e_ref (lo_factor <= 1 <= hi_factor)")
+    if geo.dimension == 2 and config.bcs.fixed_face[0] == "z":
+        raise ConfigError("bcs.fixed_face", f"{config.bcs.fixed_face!r} does not exist on a 2D coupon")
     if geo.dimension == 2 and config.patches.n_sections > geo.nx:
         raise ConfigError("patches.n_sections", f"must be <= nx ({geo.nx}) so every section owns elements")
     return config

@@ -137,8 +137,8 @@ def build_coupon_mesh(
     ``thickness_mm`` as the z extent.
     """
     for name, v in (("length_mm", length_mm), ("width_mm", width_mm), ("thickness_mm", thickness_mm)):
-        if not (v > 0):
-            raise ValueError(f"{name} must be positive, got {v}")
+        if not (0 < v < np.inf):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
     if nx < 1 or ny < 1:
         raise ValueError(f"nx and ny must be >= 1, got nx={nx} ny={ny}")
     if nz is not None and nz < 1:

@@ -43,8 +43,10 @@ class MeasurementGrid:
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
         object.__setattr__(self, "spacing", (float(self.spacing[0]), float(self.spacing[1])))
         object.__setattr__(self, "counts", (int(self.counts[0]), int(self.counts[1])))
-        if self.spacing[0] <= 0 or self.spacing[1] <= 0:
-            raise ValueError(f"grid spacing must be positive, got {self.spacing}")
+        if not all(math.isfinite(v) for v in self.origin):
+            raise ValueError(f"grid origin must be finite, got {self.origin}")
+        if not all(0 < h < math.inf for h in self.spacing):
+            raise ValueError(f"grid spacing must be positive and finite, got {self.spacing}")
         if self.counts[0] < 1 or self.counts[1] < 1:
             raise ValueError(f"grid counts must be >= 1, got {self.counts}")
 
@@ -164,7 +166,7 @@ class Interpolator:
     def _check_domain(samples: np.ndarray, targets: np.ndarray) -> None:
         lo = samples.min(axis=0)
         hi = samples.max(axis=0)
-        outside = np.any((targets < lo) | (targets > hi), axis=1)
+        outside = ~np.all((targets >= lo) & (targets <= hi), axis=1)  # NaN counts as outside
         if outside.any():
             bad = targets[outside]
             shown = ", ".join(f"({p[0]:.4g}, {p[1]:.4g})" for p in bad[:5])

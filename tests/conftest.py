@@ -20,7 +20,7 @@ def coupon_mesh():
 
 @pytest.fixture(scope="session")
 def uniaxial_bcs():
-    return fu.BoundaryConditions("xmin", "xmax", 0.1)
+    return fu.BoundaryConditions("xmin", 0.1)
 
 
 @pytest.fixture

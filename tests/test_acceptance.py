@@ -145,7 +145,7 @@ def test_criterion_1_solver_analytic():
         mesh = fu.build_coupon_mesh(100, 20, 2, 40, 10)
         pmap = fu.partition_longitudinal(mesh, 1)
         values = np.array([E0])
-        bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+        bcs = fu.BoundaryConditions("xmin", 0.1)
         exx, eyy, exy = fu.ForwardModel(mesh, pmap, NU, bcs).surface_strain_arrays(values)
         np.testing.assert_allclose(exx, 1.0e-3, rtol=1e-8)
         np.testing.assert_allclose(eyy, -NU * 1.0e-3, rtol=1e-8)
@@ -234,7 +234,7 @@ def test_criterion_5_surface_only_3d(run_3d):
         mesh = fu.build_coupon_mesh(100, 20, 8, 30, 8, 4)
         pmap = fu.partition_longitudinal(mesh, 2)
         pmap = fu.stamp_defect_patches(pmap, mesh, [fu.DefectSpec((40, 5, 0), (60, 15, 4))])
-        model = fu.ForwardModel(mesh, pmap, NU, fu.BoundaryConditions("xmin", "xmax", 0.1))
+        model = fu.ForwardModel(mesh, pmap, NU, fu.BoundaryConditions("xmin", 0.1))
         homog = model.surface_strain_arrays(np.array([E0, E0, E0]))[0]
         soft = model.surface_strain_arrays(np.array([E0, E0, 0.25 * E0]))[0]
         rel = np.abs(soft - homog) / np.abs(homog)

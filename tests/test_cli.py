@@ -231,9 +231,9 @@ def test_fuzzed_config_loads_or_raises_config_error(data):
 # output_dir "out": the resolved-config format is part of the
 # reproducibility contract, so any change to it must be deliberate.
 RESOLVED_CONFIG_SHA256 = {
-    "coupon2d": "e7f190fd72c95ac03f6c3e734ee288d48a98c536e0cee95dd7d9ac5e1af8b929",
-    "coupon3d": "0bb5bd4227845b5e1094f87b79257ca0020801c9863251574a98a4bcbde216c7",
-    "minimal": "06e08b56dd193757a087e0e0d974a3e928d21f5855682773677f86cb77baaf36",
+    "coupon2d": "31dc4151c9523f75a002020e5312919fdb974dfd601a2466b33b41f965aebace",
+    "coupon3d": "9f56a07918493f5a7532becd1b744821002cda1615a65accbbd64ff9ca734062",
+    "minimal": "09dc1c3c891e8b7f793ff416553b7d47af56cb4ddc853d65e3084a5b563249c6",
 }
 
 
@@ -401,6 +401,13 @@ class TestCmdSynthAndForward:
         assert "config error: bcs.u_applied_mm: must be nonzero" in capsys.readouterr().err
         assert not (tmp_path / "z").exists()
 
+    def test_z_face_on_2d_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        cfg_path = write_config(tmp_path, base_config(out, bcs={"fixed_face": "zmin"}))
+        assert cli.main(["forward", "--config", cfg_path]) == 2
+        assert "config error: bcs.fixed_face: " in capsys.readouterr().err
+        assert not (out / "resolved_config.json").exists()
+
     def test_locked_output_dir_exit_2(self, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()
@@ -422,15 +429,18 @@ class TestCmdSynthAndForward:
 
     @pytest.mark.parametrize(
         "key",
-        ["fd_step_rel", "armijo_c", "backtrack_factor", "grad_tol", "step_tol", *(f"ga.{k}" for k in REMOVED_GA_KEYS)],
+        [
+            "fd_step_rel", "armijo_c", "backtrack_factor", "grad_tol", "step_tol",
+            *(f"ga.{k}" for k in REMOVED_GA_KEYS), "bcs.loaded_face",
+        ],
     )
     def test_removed_fd_step_knob_exit_2(self, tmp_path, capsys, key):
         # 1e-6 was a legal value of every one of the removed grad keys; a
-        # removed ga key gets its old default.
+        # removed ga or bcs key gets its old default.
         section, _, name = key.rpartition(".")
         section = section or "grad"
         cfg = base_config(tmp_path / "x")
-        cfg[section][name] = REMOVED_GA_KEYS.get(name, 1e-6)
+        cfg.setdefault(section, {})[name] = {**REMOVED_GA_KEYS, "loaded_face": "xmax"}.get(name, 1e-6)
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["forward", "--config", cfg_path]) == 2
         err = capsys.readouterr().err

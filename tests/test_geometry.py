@@ -37,6 +37,7 @@ class TestBuildCouponMesh:
             dict(length_mm=0.0, width_mm=20, thickness_mm=2, nx=2, ny=2),
             dict(length_mm=100, width_mm=-1, thickness_mm=2, nx=2, ny=2),
             dict(length_mm=100, width_mm=20, thickness_mm=0, nx=2, ny=2),
+            dict(length_mm=np.inf, width_mm=20, thickness_mm=2, nx=4, ny=2),
             dict(length_mm=100, width_mm=20, thickness_mm=2, nx=0, ny=2),
             dict(length_mm=100, width_mm=20, thickness_mm=2, nx=2, ny=2, nz=0),
         ],

@@ -27,7 +27,7 @@ def small_context(noise=0.0, seed=None, nx=10, ny=4, strain_floor=1e-6):
     mesh = fu.build_coupon_mesh(100, 20, 2, nx, ny)
     pmap = fu.partition_longitudinal(mesh, 3)
     pmap = fu.stamp_defect_patches(pmap, mesh, [fu.DefectSpec((40, 5), (60, 15))])
-    bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+    bcs = fu.BoundaryConditions("xmin", 0.1)
     truth = np.full(4, E0)
     truth[3] = 0.3 * E0
     grid = fu.grid_for_footprint((100, 20), counts=(12, 5))
@@ -45,7 +45,7 @@ def front_face_context():
     mesh = fu.build_coupon_mesh(100, 20, 8, 10, 4, 2)
     pmap = fu.partition_longitudinal(mesh, 2)
     pmap = fu.stamp_defect_patches(pmap, mesh, [fu.DefectSpec((40, 5, 0), (60, 15, 4))])
-    bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+    bcs = fu.BoundaryConditions("xmin", 0.1)
     truth = np.array([E0, E0, 0.25 * E0])
     grid = fu.grid_for_footprint((100, 20), counts=(9, 4))
     model = fu.ForwardModel(mesh, pmap, 0.3, bcs)
@@ -72,7 +72,7 @@ def assert_adjoint_matches_fd(context, designs, lower, upper):
 @functools.cache
 def one_patch_model():
     mesh = fu.build_coupon_mesh(100, 20, 2, 4, 2)
-    return fu.ForwardModel(mesh, fu.partition_longitudinal(mesh, 1), 0.3, fu.BoundaryConditions("xmin", "xmax", 0.1))
+    return fu.ForwardModel(mesh, fu.partition_longitudinal(mesh, 1), 0.3, fu.BoundaryConditions("xmin", 0.1))
 
 
 def residual_cost(exp, num, strain_floor):
@@ -492,7 +492,7 @@ def eleven_patch_context():
     mesh = fu.build_coupon_mesh(100, 20, 2, 40, 10)
     defects = [fu.DefectSpec((20, 6), (32, 14)), fu.DefectSpec((60, 4), (72, 12))]
     pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 9), mesh, defects)
-    bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+    bcs = fu.BoundaryConditions("xmin", 0.1)
     truth = np.full(11, E0)
     truth[9:] = 0.3 * E0
     grid = fu.grid_for_footprint((100, 20), counts=(40, 10))

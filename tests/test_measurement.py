@@ -20,7 +20,7 @@ def make_problem(nx=10, ny=4, defect=True):
     pmap = fu.partition_longitudinal(mesh, 2)
     if defect:
         pmap = fu.stamp_defect_patches(pmap, mesh, [fu.DefectSpec((30, 5), (70, 15))])
-    bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+    bcs = fu.BoundaryConditions("xmin", 0.1)
     values = np.full(pmap.patch_count, E0)
     if defect:
         values[-1] = 0.3 * E0
@@ -39,6 +39,18 @@ class TestMeasurementGrid:
     def test_invalid_spacing(self):
         with pytest.raises(ValueError):
             fu.MeasurementGrid((0, 0), (0.0, 1.0), (2, 2))
+
+    @pytest.mark.parametrize(
+        "origin, spacing",
+        [((np.nan, 5.0), (10.0, 5.0)), ((0.0, np.inf), (10.0, 5.0)), ((0.0, 0.0), (np.nan, 5.0)), ((0.0, 0.0), (1.0, np.inf))],
+    )
+    def test_non_finite_origin_or_spacing(self, origin, spacing):
+        with pytest.raises(ValueError, match="finite"):
+            fu.MeasurementGrid(origin, spacing, (3, 2))
+
+    def test_grid_for_footprint_infinite_spacing(self):
+        with pytest.raises(ValueError, match="finite"):
+            fu.grid_for_footprint((100, 20), spacing=(np.inf, 5))
 
     def test_grid_for_footprint_counts(self):
         grid = fu.grid_for_footprint((100, 20), counts=(40, 10))
@@ -89,6 +101,11 @@ class TestInterpolation:
         samples = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(OutOfDomainError, match=r"\(2, 0.5\)"):
             Interpolator(samples, np.array([[0.5, 0.5], [2.0, 0.5]]))
+
+    def test_nan_target_is_outside(self):
+        samples = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(OutOfDomainError, match=r"\(nan, 0.5\)"):
+            Interpolator(samples, np.array([[0.5, 0.5], [np.nan, 0.5]]))
 
     def test_grid_beyond_footprint_rejected(self):
         model, _ = make_problem()
@@ -187,7 +204,7 @@ class TestGridStrainOperator:
             pmap = fu.stamp_defect_patches(
                 fu.partition_longitudinal(mesh, 2), mesh, [fu.DefectSpec((40, 5, 0), (60, 15, 4))]
             )
-            model = fu.ForwardModel(mesh, pmap, 0.3, fu.BoundaryConditions("xmin", "xmax", 0.1))
+            model = fu.ForwardModel(mesh, pmap, 0.3, fu.BoundaryConditions("xmin", 0.1))
             values = np.array([E0, E0, 0.25 * E0])
         grid = fu.grid_for_footprint((100, 20), counts=(12, 5))
         u = model.solve_displacement(values)

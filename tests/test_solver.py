@@ -232,20 +232,15 @@ class TestBoundaryConditions:
         assert np.all(u[loaded, 0] == 0.1)
         assert np.all(u[fixed, 0] == 0.0)
 
-    def test_faces_must_be_disjoint(self, coupon_mesh):
-        bcs = fu.BoundaryConditions("xmin", "ymax", 0.1)  # share the corner node
-        with pytest.raises(ValueError, match="share"):
-            bcs.prescribed_dofs(coupon_mesh)
-
     def test_clamped_mode_pins_all_components(self, coupon_mesh):
-        bcs = fu.BoundaryConditions("xmin", "xmax", 0.1, clamp_fixed=True)
+        bcs = fu.BoundaryConditions("xmin", 0.1, clamp_fixed=True)
         dofs, values = bcs.prescribed_dofs(coupon_mesh)
         fixed = coupon_mesh.face_nodes("xmin")
         for n in fixed:
             assert 2 * n in dofs and 2 * n + 1 in dofs
 
     def test_non_finite_u_applied(self, coupon_mesh):
-        bcs = fu.BoundaryConditions("xmin", "xmax", np.nan)
+        bcs = fu.BoundaryConditions("xmin", np.nan)
         with pytest.raises(ValueError, match="finite"):
             bcs.prescribed_dofs(coupon_mesh)
 
@@ -262,8 +257,29 @@ class TestSolveStatic:
         expected = 0.001 * coupon_mesh.nodes[:, 0]
         assert np.abs(u[:, 0] - expected).max() < 1e-8 * 0.1
 
+    @pytest.mark.parametrize(
+        "dims, face",
+        [pytest.param((100, 20, 2, 10, 4), f, id=f"2d-{f}") for f in ("xmin", "xmax", "ymin", "ymax")]
+        + [
+            pytest.param((100, 20, 8, 10, 4, 2), f, id=f"3d-{f}")
+            for f in ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax")
+        ],
+    )
+    def test_every_load_axis_analytic(self, dims, face):
+        """Rollers on any face: the displacement along its axis grows
+        linearly from it to ``u_applied`` on the opposite face."""
+        mesh = fu.build_coupon_mesh(*dims)
+        u_applied = 0.1
+        bcs = fu.BoundaryConditions(face, u_applied)
+        u = nodal_displacements(mesh, fu.partition_longitudinal(mesh, 1), np.array([E_STEEL]), bcs)
+        axis = "xyz".index(face[0])
+        length = mesh.extent[axis]
+        coord = mesh.nodes[:, axis]
+        distance = coord if face.endswith("min") else length - coord
+        assert np.abs(u[:, axis] - u_applied * distance / length).max() <= 1e-13 * u_applied
+
     def test_zero_applied_displacement(self, coupon_mesh, single_patch, material_factory):
-        bcs = fu.BoundaryConditions("xmin", "xmax", 0.0)
+        bcs = fu.BoundaryConditions("xmin", 0.0)
         u = nodal_displacements(coupon_mesh, single_patch, material_factory(1), bcs)
         assert np.abs(u).max() == 0.0
 
@@ -319,7 +335,7 @@ class TestSurfaceStrains:
         mesh = fu.build_coupon_mesh(100, 20, 8, 15, 4, 4)
         pmap = fu.partition_longitudinal(mesh, 2)
         pmap = fu.stamp_defect_patches(pmap, mesh, [fu.DefectSpec((40, 5, 0), (60, 15, 4))])
-        bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+        bcs = fu.BoundaryConditions("xmin", 0.1)
         model = fu.ForwardModel(mesh, pmap, NU, bcs)
         homog = model.surface_strain_arrays(np.array([E_STEEL, E_STEEL, E_STEEL]))[0]
         soft = model.surface_strain_arrays(np.array([E_STEEL, E_STEEL, 0.25 * E_STEEL]))[0]
@@ -330,7 +346,7 @@ class TestSurfaceStrains:
         mesh = fu.build_coupon_mesh(100, 20, 8, 6, 3, 2)
         pmap = fu.partition_longitudinal(mesh, 1)
         values = np.array([E_STEEL])
-        bcs = fu.BoundaryConditions("xmin", "xmax", 0.1)
+        bcs = fu.BoundaryConditions("xmin", 0.1)
         model = fu.ForwardModel(mesh, pmap, NU, bcs)
         exx, _, _ = model.surface_strain_arrays(values)
         assert model.surface_points.shape[0] == 6 * 3 * 4  # top-layer elements, 2x2 face points each
@@ -410,7 +426,7 @@ class TestSolverInvariants:
         """K(E) and rhs of the cached model against a dense element-by-element assembly."""
         mesh = fu.build_coupon_mesh(*dims)
         pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, n_sections), mesh, defects)
-        bcs = fu.BoundaryConditions("xmin", "xmax", 0.1, clamp_fixed=clamp_fixed)
+        bcs = fu.BoundaryConditions("xmin", 0.1, clamp_fixed=clamp_fixed)
         rng = np.random.default_rng(21)
         values = rng.uniform(0.3, 2.0, pmap.patch_count) * E_STEEL
         k_dense = dense_stiffness(mesh, pmap, values, NU)
