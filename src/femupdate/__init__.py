@@ -45,10 +45,6 @@ from .measurement import (
     load_measurement_csv,
     write_measurement_csv,
 )
-from .solver import (
-    BoundaryConditions,
-    ForwardModel,
-    element_stiffness,
-)
+from .solver import BoundaryConditions, ForwardModel
 
 __version__ = "0.1.0"

@@ -363,6 +363,6 @@ def load_config(source) -> RunConfig:
         raise ConfigError("bounds", "bounds must bracket e_ref (lo_factor <= 1 <= hi_factor)")
     if geo.dimension == 2 and config.bcs.fixed_face[0] == "z":
         raise ConfigError("bcs.fixed_face", f"{config.bcs.fixed_face!r} does not exist on a 2D coupon")
-    if geo.dimension == 2 and config.patches.n_sections > geo.nx:
+    if config.patches.n_sections > geo.nx:
         raise ConfigError("patches.n_sections", f"must be <= nx ({geo.nx}) so every section owns elements")
     return config

@@ -139,10 +139,10 @@ def build_coupon_mesh(
     for name, v in (("length_mm", length_mm), ("width_mm", width_mm), ("thickness_mm", thickness_mm)):
         if not (0 < v < np.inf):
             raise ValueError(f"{name} must be positive and finite, got {v}")
-    if nx < 1 or ny < 1:
-        raise ValueError(f"nx and ny must be >= 1, got nx={nx} ny={ny}")
-    if nz is not None and nz < 1:
-        raise ValueError(f"nz must be >= 1 when 3D, got {nz}")
+    for name, v in (("nx", nx), ("ny", ny), ("nz", 1 if nz is None else nz)):
+        if not (float(v).is_integer() and v >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {v}")
+    nx, ny, nz = int(nx), int(ny), None if nz is None else int(nz)
 
     xs = np.linspace(0.0, length_mm, nx + 1)
     ys = np.linspace(0.0, width_mm, ny + 1)

@@ -615,7 +615,9 @@ def run_hybrid(
     generation 0 and seeds 1-30 take 16-20 forward solves instead of
     16-27, yet ``run_hybrid`` ran slower on 7 of seeds 1-12, by up to 33 %.
     A GA that ends at its cap or by its stall rule gets a handoff at its
-    last generation if none ran there. Gauss-Newton runs once per start
+    last generation if none ran there. A GA best that failed (+inf) gets
+    no handoff, and a GA that ends with every design failed (elites keep
+    any finite one) raises NumericalError. Gauss-Newton runs once per start
     design: it is deterministic, so a run from a design an earlier run
     started from (the guess, a partner or a handoff, compared bitwise)
     reuses that run's end, costs no solves and adds no run to the history.
@@ -654,7 +656,7 @@ def run_hybrid(
 
     def after_generation(record, runner_up):
         nonlocal last
-        if record.iteration % _HANDOFF_GENERATIONS:
+        if record.iteration % _HANDOFF_GENERATIONS or record.best_cost == np.inf:
             return False
         if record.iteration > 0:
             previous = last
@@ -667,6 +669,11 @@ def run_hybrid(
 
     run_ga(context.cost, lower, upper, ga_config, guess, after_generation, history)
     ga_final = history.stage_records(STAGE_GA)[-1]
+    if ga_final.best_cost == np.inf:
+        raise NumericalError(
+            f"every design the GA scored failed (failed_evaluations = {history.failed_evaluations}); "
+            "no design to refine"
+        )
     end = gauss_newton(ga_final.design)  # reused when a handoff ran at the GA's last generation
     if end.best_cost > ga_final.best_cost:
         return ga_final.design.copy(), history

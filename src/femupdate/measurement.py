@@ -42,6 +42,8 @@ class MeasurementGrid:
     def __post_init__(self):
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
         object.__setattr__(self, "spacing", (float(self.spacing[0]), float(self.spacing[1])))
+        if not all(float(n).is_integer() for n in self.counts):
+            raise ValueError(f"grid counts must be integers, got {self.counts}")
         object.__setattr__(self, "counts", (int(self.counts[0]), int(self.counts[1])))
         if not all(math.isfinite(v) for v in self.origin):
             raise ValueError(f"grid origin must be finite, got {self.origin}")
@@ -109,9 +111,9 @@ def grid_for_footprint(
     if (spacing is None) == (counts is None):
         raise ValueError("give exactly one of spacing or counts")
     if counts is not None:
+        if not all(float(n).is_integer() and n >= 2 for n in counts):
+            raise ValueError(f"grid counts must be integers >= 2 to define a spacing, got {counts}")
         gx, gy = int(counts[0]), int(counts[1])
-        if gx < 2 or gy < 2:
-            raise ValueError("grid counts must be >= 2 to define a spacing")
         # margin defaults to one grid spacing (the finer of the two axes)
         if margin is None:
             margin = min(length / (gx + 1), width / (gy + 1))

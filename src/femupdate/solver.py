@@ -42,11 +42,6 @@ _EQUILIBRIUM_RTOL = 1e-8
 _PIVOT_RTOL = 1e-12
 
 
-def _check_poisson(nu: float) -> None:
-    if not (0.0 <= nu < 0.5):
-        raise ValueError(f"poisson_ratio must satisfy 0 <= nu < 0.5, got {nu}")
-
-
 @dataclass(frozen=True)
 class BoundaryConditions:
     """Displacement control: ``fixed_face`` held, the opposite face displaced.
@@ -106,16 +101,15 @@ class BoundaryConditions:
         return dim * np.array([corner_a, corner_a, corner_b]) + np.array([t1, t2, t2])
 
 
-def elastic_matrix(modulus: float, nu: float, dimension: int) -> np.ndarray:
-    """Constitutive matrix for engineering-shear Voigt strain vectors."""
-    _check_poisson(nu)
-    if modulus <= 0:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    if dimension == 2:  # plane stress
-        c = modulus / (1.0 - nu * nu)
+def elastic_matrix(nu: float, dimension: int) -> np.ndarray:
+    """Unit-modulus constitutive matrix for engineering-shear Voigt strain
+    vectors (plane stress in 2D); D(E) = E D(1). ``nu`` is not checked here:
+    ``ForwardModel`` checks it once per model."""
+    if dimension == 2:
+        c = 1.0 / (1.0 - nu * nu)
         return c * np.array([[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, 0.5 * (1.0 - nu)]])
-    lam = modulus * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    mu = modulus / (2.0 * (1.0 + nu))
+    lam = nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
+    mu = 1.0 / (2.0 * (1.0 + nu))
     d = np.zeros((6, 6))
     d[:3, :3] = lam
     d[np.arange(3), np.arange(3)] = lam + 2.0 * mu
@@ -123,46 +117,21 @@ def elastic_matrix(modulus: float, nu: float, dimension: int) -> np.ndarray:
     return d
 
 
-def _element_stiffnesses(coords: np.ndarray, d: np.ndarray, scale: float, element_ids=None):
+def _element_stiffnesses(coords: np.ndarray, d: np.ndarray, scale: float):
     """Stiffness matrices of many elements, shape (n_elements, n_dofs, n_dofs).
 
     ``coords`` is (n_elements, n_nodes, dim); ``d`` the constitutive matrix
-    and ``scale`` the plate thickness (1 for HEX8). Computed once per
-    distinct element shape.
+    and ``scale`` the plate thickness (1 for HEX8). Full Gauss integration,
+    computed once per distinct element shape. Raises DegenerateElementError,
+    naming the first element that fails, unless det J > 0 at every
+    integration point.
     """
     shapes, first, inverse = _shape.distinct_shapes(coords)
-    ids = first if element_ids is None else np.asarray(element_ids)[first]
     k = 0.0
     for gp in _shape.gauss_points(coords.shape[2]):
-        b, detj = _shape.strain_displacement(shapes, gp, ids)
+        b, detj = _shape.strain_displacement(shapes, gp, first)
         k = k + (scale * detj)[:, None, None] * (b.transpose(0, 2, 1) @ d @ b)
     return k[inverse]
-
-
-def element_stiffness(
-    element_nodes: np.ndarray,
-    modulus: float,
-    nu: float,
-    thickness: float | None = None,
-    element_id: int | None = None,
-) -> np.ndarray:
-    """Isoparametric element stiffness, 8x8 for QUAD4 or 24x24 for HEX8.
-
-    Full Gauss integration (2x2 or 2x2x2). ``thickness`` is required for
-    QUAD4 and ignored for HEX8. Raises DegenerateElementError unless the
-    Jacobian determinant is positive at every integration point.
-    """
-    coords = np.asarray(element_nodes, dtype=float)
-    if coords.shape == (4, 2):
-        if thickness is None or thickness <= 0:
-            raise ValueError("QUAD4 stiffness requires a positive thickness")
-        scale = float(thickness)
-    elif coords.shape == (8, 3):
-        scale = 1.0
-    else:
-        raise ValueError(f"element_nodes must be (4, 2) or (8, 3), got {coords.shape}")
-    d = elastic_matrix(modulus, nu, coords.shape[1])
-    return _element_stiffnesses(coords[None], d, scale, [element_id])[0]
 
 
 def _element_dofs(mesh: Mesh) -> np.ndarray:
@@ -190,9 +159,11 @@ class ForwardModel:
     """The forward operator: patch moduli to displacements and surface strains.
 
     K(E) = sum_k E_k A_k is linear in the patch moduli, so construction
-    assembles the A_k once, from the unit-modulus element stiffnesses, into
-    one sparse matrix: its rows are (patch k, free dof), its columns the
-    free dofs in ``free_dofs`` order, then the prescribed dofs. Its free
+    checks the Poisson ratio, then assembles the A_k once, from the
+    unit-modulus element stiffnesses (``_element_stiffnesses`` with
+    D = ``elastic_matrix(nu, dim)``), into one sparse matrix: its rows are
+    (patch k, free dof), its columns the free dofs in ``free_dofs`` order,
+    then the prescribed dofs. Its free
     columns are the stacked [A_1; ...; A_P], the one form of the A_k that
     the condensation and every solve read. Its prescribed columns times the
     prescribed values give the per-patch right-hand sides R (the load is
@@ -214,7 +185,8 @@ class ForwardModel:
     nonzero diagonal in A_k:
     S_k = A_k[g, g] - A_k[g, I_k] A_k[I_k, I_k]^-1 A_k[I_k, g]
     = A_k[g, g] - Y^T Y with Y = L^-1 A_k[I_k, g], which is zero above the
-    first row of I_k coupled to G; so Y needs only the rows of the factor
+    first row of I_k coupled to G, the first nonempty row of B^T below
+    (K(1)[I_k, G] = A_k[I_k, G]); so Y needs only the rows of the factor
     from there to the end of the block. The Schur complement is then
     S(E) = sum_k E_k S_k, kept as weights over the slots of its pattern,
     the union of the blocks g x g. An interior row of R is nonzero only in
@@ -258,7 +230,8 @@ class ForwardModel:
         poisson_ratio: float,
         bcs: BoundaryConditions,
     ):
-        _check_poisson(poisson_ratio)
+        if not (0.0 <= poisson_ratio < 0.5):
+            raise ValueError(f"poisson_ratio must satisfy 0 <= nu < 0.5, got {poisson_ratio}")
         surface_elements, parent_points = _surface_sampling(mesh)
         self.mesh = mesh
         self.patch_map = patch_map
@@ -267,10 +240,10 @@ class ForwardModel:
         self._dofs, self._dof_values = bcs.prescribed_dofs(mesh)
         n_dofs = mesh.dimension * mesh.n_nodes
         self._n_dofs = n_dofs
-        self._free, self._interior_patch, touching = _condensed_free_dofs(mesh, patch_map, self._dofs)
+        self._free, self._interior_patch = _condensed_free_dofs(mesh, patch_map, self._dofs)
         edofs = _element_dofs(mesh)
         self._assemble(edofs)
-        self._condense(touching)
+        self._condense()
         self._init_strain_sampling(edofs, surface_elements, parent_points)
 
     def _assemble(self, edofs: np.ndarray) -> None:
@@ -280,7 +253,7 @@ class ForwardModel:
         ``free_dofs`` order, then the prescribed dofs."""
         mesh, patch = self.mesh, self.patch_map.patch_of_element
         n_patches, n_free = self.patch_map.patch_count, self._free.size
-        d = elastic_matrix(1.0, self.poisson_ratio, mesh.dimension)
+        d = elastic_matrix(self.poisson_ratio, mesh.dimension)
         scale = mesh.thickness if mesh.dimension == 2 else 1.0
         ke = _element_stiffnesses(mesh.nodes[mesh.elements], d, scale)
 
@@ -304,12 +277,12 @@ class ForwardModel:
         r = (a[:, n_free:] @ self._dof_values).reshape(n_patches, n_free)
         self._rhs_per_patch = np.ascontiguousarray(r.T)
 
-    def _condense(self, touching) -> None:
+    def _condense(self) -> None:
         """Factor the unit-modulus interior blocks, condense the load
         (``_g_rhs``, ``_z0``) and every patch onto the interface
         (``_s_weights`` over the slots ``_s_indices``, ``_s_indptr`` of S)
-        and check the rank of K(1). ``touching`` marks the interior dofs
-        coupled to the interface."""
+        and check the rank of K(1). The interior rows coupled to the
+        interface are the nonempty rows of B^T = K(1)[I, G]."""
         n_patches = self.patch_map.patch_count
         n_free, n_i = self._free.size, self._interior_patch.size
         n_g = n_free - n_i
@@ -343,10 +316,10 @@ class ForwardModel:
         blocks = [self._patch_stiffness[k * n_free:(k + 1) * n_free] for k in range(n_patches)]
         gs = [np.flatnonzero(a.diagonal()[n_i:]) for a in blocks]
         block_end = np.searchsorted(self._interior_patch, np.arange(1, n_patches + 1))
-        block_tail = block_end.copy()  # a block without touching rows needs no Y
-        touching_rows = np.flatnonzero(touching)
-        touched, first = np.unique(self._interior_patch[touching_rows], return_index=True)
-        block_tail[touched] = touching_rows[first]
+        block_tail = block_end.copy()  # a block without coupled rows needs no Y
+        coupled_rows = np.flatnonzero(np.diff(self._coupling_t.indptr))
+        coupled, first = np.unique(self._interior_patch[coupled_rows], return_index=True)
+        block_tail[coupled] = coupled_rows[first]
         # S is the union of the dense blocks g x g of the patches; a dense
         # slot map over G x G, indexed [column, row], costs about what S does.
         used = np.zeros((n_g, n_g), dtype=bool)
@@ -579,17 +552,16 @@ class ForwardModel:
 def _condensed_free_dofs(mesh: Mesh, patch_map: PatchMap, prescribed: np.ndarray):
     """Free dofs in the condensed order of ``ForwardModel``.
 
-    Returns (free, interior_patch, touching). ``free`` (read-only int64)
-    lists the interior dofs patch by patch, then the interface dofs;
-    ``interior_patch`` is the patch of each interior dof (nondecreasing) and
-    ``touching`` marks the interior dofs whose node shares an element with
-    an interface node. Within a patch the interior nodes are sorted by their
-    coordinates, the axis of most divisions slowest and that of fewest
-    fastest, so each block's band is about one cross-section of nodes wide.
-    Each patch runs that order in the direction that leaves more of its
-    nodes ahead of its first touching node; touching nodes may still come
-    before non-touching ones. Interface nodes follow the same coordinate
-    order, ascending. The dofs of a node stay together.
+    Returns (free, interior_patch). ``free`` (read-only int64) lists the
+    interior dofs patch by patch, then the interface dofs; ``interior_patch``
+    is the patch of each interior dof (nondecreasing). Within a patch the
+    interior nodes are sorted by their coordinates, the axis of most
+    divisions slowest and that of fewest fastest, so each block's band is
+    about one cross-section of nodes wide. Each patch runs that order in the
+    direction that leaves more of its nodes ahead of its first touching node
+    (one that shares an element with an interface node); touching nodes may
+    still come before non-touching ones. Interface nodes follow the same
+    coordinate order, ascending. The dofs of a node stay together.
     """
     n_nodes, n_patches = mesh.n_nodes, patch_map.patch_count
     # The distinct (node, patch) pairs: a node in more than one patch is on the interface.
@@ -624,9 +596,7 @@ def _condensed_free_dofs(mesh: Mesh, patch_map: PatchMap, prescribed: np.ndarray
     free = dofs[keep]
     free.flags.writeable = False
     dof_patch = np.repeat(node_patch[order], dim)[keep]
-    n_interior = int(np.count_nonzero(dof_patch < n_patches))
-    touching = np.repeat(touching_node[order], dim)[keep][:n_interior]
-    return free, dof_patch[:n_interior], touching
+    return free, dof_patch[dof_patch < n_patches]
 
 
 def _factor(k: sp.csc_matrix):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 import femupdate as fu
+from femupdate.solver import _element_stiffnesses, elastic_matrix
 
 # CI selects "ci" (HYPOTHESIS_PROFILE=ci): the same examples on every run, so
 # a property test cannot pass on one run of a change and fail on the next.
@@ -49,14 +50,21 @@ class Prescribed:
         return self.dofs[order], self.values[order]
 
 
+def element_stiffness(coords, modulus, nu, scale=1.0):
+    """One element's stiffness: ``_element_stiffnesses`` with D = E D(1);
+    ``scale`` is the plate thickness of a QUAD4 (1 for HEX8)."""
+    coords = np.asarray(coords, dtype=float)
+    d = modulus * elastic_matrix(nu, coords.shape[1])
+    return _element_stiffnesses(coords[None], d, scale)[0]
+
+
 def dense_stiffness(mesh, patch_map, values, nu=0.3):
     """Global stiffness assembled element by element from element_stiffness."""
     dim = mesh.dimension
+    scale = mesh.thickness if dim == 2 else 1.0
     k = np.zeros((dim * mesh.n_nodes, dim * mesh.n_nodes))
     for e in range(mesh.n_elements):
-        ke = fu.element_stiffness(
-            mesh.nodes[mesh.elements[e]], values[patch_map.patch_of_element[e]], nu, mesh.thickness
-        )
+        ke = element_stiffness(mesh.nodes[mesh.elements[e]], values[patch_map.patch_of_element[e]], nu, scale)
         gdofs = (dim * mesh.elements[e][:, None] + np.arange(dim)).ravel()
         k[np.ix_(gdofs, gdofs)] += ke
     return k

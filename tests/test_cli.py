@@ -408,6 +408,30 @@ class TestCmdSynthAndForward:
         assert "config error: bcs.fixed_face: " in capsys.readouterr().err
         assert not (out / "resolved_config.json").exists()
 
+    @pytest.mark.parametrize(
+        "override, field, message",
+        [
+            ({"patches": {"n_sections": 3, "defects": [{"box_min": [41.0, 6.0], "box_max": [42.0, 7.0]}]}},
+             "patches", "contains no element centroid"),
+            ({"geometry": {"dimension": 3, "length_mm": 100.0, "width_mm": 20.0, "thickness_mm": 8.0,
+                           "nx": 4, "ny": 2, "nz": 2}, "patches": {"n_sections": 5, "defects": []}},
+             "patches.n_sections", "must be <= nx"),
+            ({"measurement": {"grid_counts": [12, 5], "grid_margin_mm": 10.0}}, "measurement", "leaves no room"),
+            ({"measurement": {"grid_counts": [12, 5], "grid_spacing_mm": [5.0, 5.0]}}, "measurement", "give only one"),
+            ({"bounds": {"lo_factor": 2.0, "hi_factor": 1.5}}, "bounds", "exceeds hi_factor"),
+            ({"bounds": {"lo_factor": 1.2}}, "bounds", "must bracket e_ref"),
+        ],
+        ids=["defect-misses-centroids", "3d-sections-exceed-nx", "margin-leaves-no-room", "counts-and-spacing",
+             "crossed-factors", "bounds-miss-e-ref"],
+    )
+    def test_rejected_config_exit_2_before_writing(self, tmp_path, capsys, override, field, message):
+        out = tmp_path / "t"
+        cfg_path = write_config(tmp_path, base_config(out, **override))
+        assert cli.main(["synth", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}: " in err and message in err
+        assert not out.exists()
+
     def test_locked_output_dir_exit_2(self, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()

@@ -46,6 +46,11 @@ class TestBuildCouponMesh:
         with pytest.raises(ValueError):
             fu.build_coupon_mesh(**kwargs)
 
+    @pytest.mark.parametrize("divisions, name", [((4.5, 2), "nx"), ((4, 2, 2.5), "nz")], ids=["nx", "nz"])
+    def test_non_integral_division_named(self, divisions, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            fu.build_coupon_mesh(100, 20, 2, *divisions)
+
     def test_structured_counts_3d(self):
         mesh = fu.build_coupon_mesh(30, 10, 6, 3, 2, 2)
         assert mesh.n_nodes == 4 * 3 * 3

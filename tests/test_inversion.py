@@ -1158,6 +1158,24 @@ class TestRunHybrid:
         assert_no_start_twice(history)
         assert final[0] == pytest.approx(1.0)
 
+    def test_failed_ga_best_gets_no_handoff(self):
+        """From a guess that fails, the GA's best still fails at the
+        generation-4 handoff: Gauss-Newton does not start from it, and a later
+        generation's finite best leads to the global minimum."""
+        problem, lower, upper, guess = LeftHalfFails(), np.array([-2.0]), np.array([2.0]), np.array([-1.5])
+        ga = fu.GAConfig(population_size=4, generations_max=16, rng_seed=22)
+        final, history = fu.run_hybrid(problem, lower, upper, ga, fu.GradConfig(), initial_guess=guess)
+        assert history.stage_records(STAGE_GA)[4].best_cost == np.inf
+        assert all(d[0] >= 0 for _, d in gauss_newton_starts(history))
+        assert final[0] == pytest.approx(1.0)
+        assert history.final.best_cost == 0.0
+
+    def test_ga_with_every_design_failed_raises(self):
+        problem, lower, upper, guess = LeftHalfFails(), np.array([-2.0]), np.array([2.0]), np.array([-1.5])
+        ga = fu.GAConfig(population_size=4, generations_max=16, rng_seed=25)
+        with pytest.raises(fu.NumericalError, match=r"every design the GA scored failed \(failed_evaluations = \d+\)"):
+            fu.run_hybrid(problem, lower, upper, ga, fu.GradConfig(), initial_guess=guess)
+
     def test_noisy_fit_at_the_floor_skips_the_ga(self):
         """Gauss-Newton from the guess ends within the noise floor, so the
         hybrid is that one run: no GA records, its solves only."""

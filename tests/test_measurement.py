@@ -52,6 +52,14 @@ class TestMeasurementGrid:
         with pytest.raises(ValueError, match="finite"):
             fu.grid_for_footprint((100, 20), spacing=(np.inf, 5))
 
+    def test_non_integral_counts_rejected(self):
+        with pytest.raises(ValueError, match="counts"):
+            fu.MeasurementGrid((0, 0), (1, 1), (2.7, 3))
+
+    def test_grid_for_footprint_non_integral_counts_rejected(self):
+        with pytest.raises(ValueError, match="counts"):
+            fu.grid_for_footprint((100, 20), counts=(12.5, 5))
+
     def test_grid_for_footprint_counts(self):
         grid = fu.grid_for_footprint((100, 20), counts=(40, 10))
         assert grid.counts == (40, 10)
