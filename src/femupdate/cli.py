@@ -55,10 +55,12 @@ def _prepared(config: RunConfig):
     output directory's lock with ``resolved_config.json`` written; yields
     ``(model, truth)``.
 
-    A config error raises before the output directory is touched. The lock
-    is an exclusive ``flock`` on the directory's lock file: the kernel drops
-    it when the holder exits, so a run that died leaves nothing that blocks
-    the next one. The empty lock file stays.
+    A config error raises before the output directory is touched, and a
+    directory or lock file that cannot be created raises ConfigError before
+    anything is written. The lock is an exclusive ``flock`` on the
+    directory's lock file: the kernel drops it when the holder exits, so a
+    run that died leaves nothing that blocks the next one. The empty lock
+    file stays.
     """
     mesh = config.build_mesh()
     try:
@@ -68,9 +70,12 @@ def _prepared(config: RunConfig):
     truth = config.truth_values(pmap.patch_count)
     config.moduli_bounds(pmap.patch_count)  # range-checks the pinned patch
     outdir = config.output_dir
-    os.makedirs(outdir, exist_ok=True)
     lock = os.path.join(outdir, _LOCK_NAME)
-    fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+    except OSError as exc:
+        raise ConfigError(str(outdir), f"cannot use as output directory: {exc}") from exc
     try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)

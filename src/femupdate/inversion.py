@@ -631,21 +631,28 @@ def run_hybrid(
     stages (one per factorization). Returns the run from the guess's end
     when the GA is skipped; otherwise the last handoff's end, which is then
     the history's last record (a reused end is logged once more unless it
-    already is), or the GA best it started from when that cost less.
+    already is), or the GA best it started from when that cost less. The
+    history's ``gradient_stalled`` is that of the run whose end is returned
+    (the run from the GA best when the GA best itself is returned), not of
+    any partner or earlier handoff.
     """
     lower, upper = _checked_bounds(lower, upper, "initial_guess", initial_guess)
     guess = 0.5 * (lower + upper) if initial_guess is None else np.asarray(initial_guess, dtype=float)
     guess = np.clip(guess, lower, upper)
     history = ConvergenceHistory()
-    ends = {}  # start design bytes -> end record of Gauss-Newton from it
+    ends = {}  # start design bytes -> (end record, stalled flag) of Gauss-Newton from it
     last = None  # the last handoff's end record
 
     def gauss_newton(design):
+        """The end record of the run from ``design``; sets the history's
+        stalled flag to that run's, so it describes the last run asked for."""
         key = design.tobytes()
         if key not in ends:
+            history.gradient_stalled = False
             run_gradient(context.cost_and_jacobian, design, lower, upper, grad_config, history)
-            ends[key] = history.final
-        return ends[key]
+            ends[key] = history.final, history.gradient_stalled
+        end, history.gradient_stalled = ends[key]
+        return end
 
     floor = context.noise_floor()
     if floor is not None:

@@ -4,12 +4,12 @@ The measurement grid mimics a DIC export: a regular (x, y) lattice inset
 from the specimen edge by a margin, with the three in-plane strain
 components at every point. Numerical fields are brought onto the grid by
 inverse-distance interpolation over the nearest strain sample points. The
-nearest samples are found exactly, by a ring-by-ring search of a uniform
-cell grid over the samples (``nearest_samples``); ties are broken by
-(distance, sample index), so of equidistant samples the lower index wins.
-``grid_strain_operator`` composes that interpolation W with the model's
-surface strain sampling S into one sparse matrix M from displacements to
-grid strains; synthesis, the misfit and its Jacobian all apply M.
+nearest samples are found exactly by a ring search over a padded table of
+the samples in each cell of a uniform grid (``nearest_samples``); of
+equidistant samples the lower index wins. ``grid_strain_operator``
+composes that interpolation W with the model's surface strain sampling S
+into one sparse matrix M from displacements to grid strains; synthesis,
+the misfit and its Jacobian all apply M.
 """
 
 import math
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import OutOfDomainError, ParseError
+from .errors import DataError, OutOfDomainError, ParseError
 from .solver import ForwardModel
 from .vtkio import atomic_write_text
 
@@ -194,8 +194,11 @@ def nearest_samples(samples: np.ndarray, targets: np.ndarray, k: int) -> tuple[n
     sample outside rings 0..r lies more than r h from the target, so the
     search of a target is complete once its k-th distance is at most r h
     (less a relative margin for rounding in the cell index), or once its
-    rings cover the grid. All targets still searching take ring r together,
-    in groups of at most about ``_PAIR_BUDGET`` (target, sample) pairs, so
+    rings cover the grid. One padded table, as wide as the fullest cell,
+    lists the samples of cell c in index order in row c; the padding is a
+    sentinel sample at +inf, and an all-padding last row stands for cells
+    off the grid. All targets still searching take ring r together, in
+    groups of at most about ``_PAIR_BUDGET`` (target, candidate) pairs, so
     a group's transient memory stays under about 1 MB.
     """
     n_samples, n_targets = samples.shape[0], targets.shape[0]
@@ -216,12 +219,15 @@ def nearest_samples(samples: np.ndarray, targets: np.ndarray, k: int) -> tuple[n
 
     sample_cell = cell_of(samples) @ np.array([shape[1], 1])
     by_cell = np.argsort(sample_cell, kind="stable")  # index order within a cell
-    cell_start = np.searchsorted(sample_cell[by_cell], np.arange(shape[0] * shape[1] + 1))
-    per_cell = int(np.diff(cell_start).max())
+    in_order = sample_cell[by_cell]
+    count = np.bincount(in_order, minlength=shape[0] * shape[1])
+    rank = np.arange(n_samples) - (np.cumsum(count) - count)[in_order]  # place within its cell
+    table = np.full((count.size + 1, count.max()), n_samples)
+    table[in_order, rank] = by_cell
+    padded = np.vstack([samples, np.full((1, 2), np.inf)])
     target_cell = cell_of(targets)
 
-    dist = np.full((n_targets, k), np.inf)
-    idx = np.full((n_targets, k), n_samples)  # past every sample index
+    dist, idx = np.full((n_targets, k), np.inf), np.full((n_targets, k), n_samples)  # all padding
     searching = np.arange(n_targets)
     ring = 0
     while searching.size:
@@ -229,28 +235,20 @@ def nearest_samples(samples: np.ndarray, targets: np.ndarray, k: int) -> tuple[n
         dx, dy = np.meshgrid(side, side, indexing="ij")
         on_ring = np.maximum(np.abs(dx), np.abs(dy)) == ring
         offsets = np.column_stack([dx[on_ring], dy[on_ring]])  # (8 ring or 1, 2)
-        step = max(1, _PAIR_BUDGET // (offsets.shape[0] * per_cell))
+        step = max(1, _PAIR_BUDGET // (offsets.shape[0] * table.shape[1]))
         for group in np.array_split(searching, -(-searching.size // step)):
             cells = target_cell[group, None, :] + offsets  # (targets, ring cells, 2)
             inside = np.all((cells >= 0) & (cells < shape), axis=2)
-            flat = np.where(inside, cells[:, :, 0] * shape[1] + cells[:, :, 1], 0)
-            first = cell_start[flat].ravel()
-            count = np.where(inside, cell_start[flat + 1] - cell_start[flat], 0).ravel()
-            # Expand every (target, cell) into its samples: pair p takes the
-            # sample at position first + (p - pairs before it) of ``by_cell``.
-            before = np.cumsum(count) - count
-            pair_target = np.repeat(np.repeat(np.arange(group.size), offsets.shape[0]), count)
-            pair_sample = by_cell[np.repeat(first - before, count) + np.arange(count.sum())]
-            delta = samples[pair_sample] - targets[group[pair_target]]
-            pair_dist = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1])
-            # Merge with the k best so far: sort by (target, distance, index).
-            all_target = np.concatenate([np.repeat(np.arange(group.size), k), pair_target])
-            all_dist = np.concatenate([dist[group].ravel(), pair_dist])
-            all_idx = np.concatenate([idx[group].ravel(), pair_sample])
-            order = np.lexsort((all_idx, all_dist, all_target))
-            per_target = k + count.reshape(group.size, -1).sum(axis=1)
-            keep = order[(np.cumsum(per_target) - per_target)[:, None] + np.arange(k)]
-            dist[group], idx[group] = all_dist[keep], all_idx[keep]
+            flat = np.where(inside, cells[:, :, 0] * shape[1] + cells[:, :, 1], -1)
+            found = table[flat].reshape(group.size, -1)
+            delta = padded[found] - targets[group, None, :]
+            found_dist = np.sqrt(delta[:, :, 0] * delta[:, :, 0] + delta[:, :, 1] * delta[:, :, 1])
+            # Merge with the k best so far, per target by (distance, index).
+            all_dist = np.hstack([dist[group], found_dist])
+            all_idx = np.hstack([idx[group], found])
+            keep = np.lexsort((all_idx, all_dist), axis=1)[:, :k]
+            dist[group] = np.take_along_axis(all_dist, keep, axis=1)
+            idx[group] = np.take_along_axis(all_idx, keep, axis=1)
         done = dist[searching, k - 1] <= ring * h * margin
         if ring >= shape.max() - 1:
             break  # every ring searched: every sample seen
@@ -319,50 +317,53 @@ def load_measurement_csv(path) -> ExperimentalField:
     """Parse a measurement CSV, validating the regular-grid structure.
 
     Points must form the declared row-major regular grid to 1e-9 mm;
-    malformed rows (including bytes that are not UTF-8; a UTF-8
-    byte-order mark at the start is accepted), non-finite
-    strains, invalid metadata and grid irregularities raise ParseError
-    with the offending line number.
+    malformed rows (including bytes that are not UTF-8; a UTF-8 byte-order
+    mark at the start is accepted), non-finite strains, invalid metadata and
+    grid irregularities raise ParseError with the offending line number, and
+    an unreadable file raises DataError naming its path.
     """
     meta = {"load_step": 0, "noise_sigma": 0.0, "rng_seed": None}
     rows = []
     header_seen = False
     # Undecodable bytes become lone surrogates, so the line that holds them is
     # known; a leading byte-order mark, as spreadsheet exports write, is dropped.
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ParseError(lineno, "line is not UTF-8 text") from None
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if header_seen:
-                    raise ParseError(lineno, "comment after header is not allowed")
-                _parse_meta(line, lineno, meta)
-                continue
-            if not header_seen:
-                _check_header(line, lineno)
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ParseError(lineno, f"expected 5 comma-separated values, got {len(parts)}")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError(lineno, f"non-numeric value in row: {line!r}") from None
-            if not all(np.isfinite(v) for v in vals):
-                raise ParseError(lineno, "non-finite strain or coordinate value")
-            rows.append((lineno, vals))
+    try:
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(lineno, "line is not UTF-8 text") from None
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    if header_seen:
+                        raise ParseError(lineno, "comment after header is not allowed")
+                    _parse_meta(line, lineno, meta)
+                    continue
+                if not header_seen:
+                    _check_header(line, lineno)
+                    header_seen = True
+                    continue
+                parts = line.split(",")
+                if len(parts) != 5:
+                    raise ParseError(lineno, f"expected 5 comma-separated values, got {len(parts)}")
+                try:
+                    vals = [float(p) for p in parts]
+                except ValueError:
+                    raise ParseError(lineno, f"non-numeric value in row: {line!r}") from None
+                if not all(np.isfinite(v) for v in vals):
+                    raise ParseError(lineno, "non-finite strain or coordinate value")
+                rows.append((lineno, vals))
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read measurement file: {exc}") from exc
     if not header_seen:
         raise ParseError(0, f"missing header line {_CSV_HEADER!r}")
     if not rows:
         raise ParseError(0, "file contains no data rows")
-    grid = _infer_grid(rows)
     data = np.array([v for _, v in rows])
+    grid = _infer_grid(data[:, :2], [lineno for lineno, _ in rows])
     return ExperimentalField(
         int(meta["load_step"]),
         grid,
@@ -404,28 +405,26 @@ def _check_header(line: str, lineno: int) -> None:
         raise ParseError(lineno, f"header must be {_CSV_HEADER!r}, got {line!r}")
 
 
-def _infer_grid(rows: list) -> MeasurementGrid:
+def _infer_grid(pts: np.ndarray, linenos: list) -> MeasurementGrid:
     tol = 1e-9
-    pts = np.array([(v[0], v[1]) for _, v in rows])
-    y0 = pts[0, 1]
-    gx = 1
-    while gx < len(rows) and abs(pts[gx, 1] - y0) < tol:
-        gx += 1
-    if len(rows) % gx != 0:
-        raise ParseError(rows[-1][0], f"{len(rows)} rows do not form a grid with row length {gx}")
-    gy = len(rows) // gx
-    origin = (pts[0, 0], pts[0, 1])
-    dx = (pts[gx - 1, 0] - origin[0]) / (gx - 1) if gx > 1 else 1.0
-    dy = (pts[-1, 1] - origin[1]) / (gy - 1) if gy > 1 else 1.0
-    if dx <= 0 or dy <= 0:
-        raise ParseError(rows[0][0], "grid points are not ordered with increasing x and y")
-    for n, (lineno, v) in enumerate(rows):
-        want_x = origin[0] + (n % gx) * dx
-        want_y = origin[1] + (n // gx) * dy
-        if abs(v[0] - want_x) > tol or abs(v[1] - want_y) > tol:
-            raise ParseError(
-                lineno,
-                f"point ({v[0]:.12g}, {v[1]:.12g}) deviates from the regular grid "
-                f"position ({want_x:.12g}, {want_y:.12g})",
-            )
-    return MeasurementGrid(origin, (dx, dy), (gx, gy))
+    in_first_row = np.abs(pts[:, 1] - pts[0, 1]) < tol
+    gx = len(pts) if in_first_row.all() else int(np.argmin(in_first_row))
+    if len(pts) % gx != 0:
+        raise ParseError(linenos[-1], f"{len(pts)} rows do not form a grid with row length {gx}")
+    gy = len(pts) // gx
+    (x0, y0), (x1, _), (_, y1) = pts[[0, gx - 1, -1]].tolist()  # Python floats: an overflow gives inf
+    dx = (x1 - x0) / (gx - 1) if gx > 1 else 1.0
+    dy = (y1 - y0) / (gy - 1) if gy > 1 else 1.0
+    if not (0 < dx < math.inf and 0 < dy < math.inf):
+        raise ParseError(linenos[0], "grid points are not ordered with increasing x and y at a finite spacing")
+    grid = MeasurementGrid((x0, y0), (dx, dy), (gx, gy))
+    want = grid.points()
+    off = np.any(np.abs(pts - want) > tol, axis=1)
+    if off.any():
+        n = int(np.argmax(off))
+        raise ParseError(
+            linenos[n],
+            f"point ({pts[n, 0]:.12g}, {pts[n, 1]:.12g}) deviates from the regular grid "
+            f"position ({want[n, 0]:.12g}, {want[n, 1]:.12g})",
+        )
+    return grid

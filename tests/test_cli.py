@@ -441,6 +441,16 @@ class TestCmdSynthAndForward:
             assert cli.main(["synth", "--config", cfg_path]) == 2
         assert "locked" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
+    def test_unusable_output_path_exit_2(self, tmp_path, capsys, where):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        out = afile if where == "existing-file" else afile / "sub"
+        cfg_path = write_config(tmp_path, base_config(tmp_path / "unused"))
+        assert cli.main(["forward", "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"config error: {out}: cannot use as output directory" in capsys.readouterr().err
+        assert afile.read_text() == "not a directory\n"
+
     def test_dead_runs_lock_does_not_block(self, tmp_path):
         dead = subprocess.Popen([sys.executable, "-c", "pass"])
         dead.wait()
@@ -640,6 +650,17 @@ class TestCmdInvert:
             ["invert", "--config", cfg_path, "--measurement", str(truncated), "--out", str(tmp_path / "i")]
         ) == 3
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["missing", "directory"])
+    def test_unreadable_measurement_exit_3(self, tmp_path, capsys, what):
+        path = tmp_path / "nonexist.csv"
+        if what == "directory":
+            path.mkdir()
+        inv = tmp_path / "i"
+        cfg_path = write_config(tmp_path, base_config(inv))
+        assert cli.main(["invert", "--config", cfg_path, "--measurement", str(path)]) == 3
+        assert f"data error: {path}: cannot read measurement file" in capsys.readouterr().err
+        assert not inv.exists()
 
     @pytest.mark.parametrize("sigma", ["-1", "nan"])
     def test_invalid_noise_metadata_exit_3(self, tmp_path, capsys, sigma):

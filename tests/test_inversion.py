@@ -1176,6 +1176,21 @@ class TestRunHybrid:
         with pytest.raises(fu.NumericalError, match=r"every design the GA scored failed \(failed_evaluations = \d+\)"):
             fu.run_hybrid(problem, lower, upper, ga, fu.GradConfig(), initial_guess=guess)
 
+    def test_stalled_flag_is_that_of_the_returned_run(self):
+        """Of the three Gauss-Newton runs only the generation-0 partner's line
+        search stalls; the returned end is that of the run from the GA best,
+        which did not stall, so the hybrid's flag is False."""
+        problem, lower, upper, guess = NoisyTiltedDoubleWell(), np.array([-2.0]), np.array([2.0]), np.array([-1.5])
+        grad = fu.GradConfig()
+        final, history = fu.run_hybrid(problem, lower, upper, fu.GAConfig(4, 8, 6), grad, initial_guess=guess)
+        runs = [fu.run_gradient(problem.cost_and_jacobian, start, lower, upper, grad)
+                for _, start in gauss_newton_starts(history)]
+        assert [alone.gradient_stalled for _, alone in runs] == [False, True, False]
+        ga_best = history.stage_records(STAGE_GA)[-1].design
+        assert np.array_equal(gauss_newton_starts(history)[-1][1], ga_best)
+        assert np.array_equal(final, runs[-1][0])
+        assert not history.gradient_stalled
+
     def test_noisy_fit_at_the_floor_skips_the_ga(self):
         """Gauss-Newton from the guess ends within the noise floor, so the
         hybrid is that one run: no GA records, its solves only."""

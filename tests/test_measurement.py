@@ -188,7 +188,9 @@ class TestNearestSamples:
     @pytest.mark.parametrize("make_config", [coupon_config_2d, coupon_config_3d], ids=["2d", "3d"])
     def test_matches_kdtree_on_coupon_models(self, make_config):
         """The benchmark and acceptance coupons (the same geometries and
-        grids): the neighbour sets of scipy's k-d tree."""
+        grids): the neighbour sets of scipy's k-d tree, and the brute-force
+        neighbours in their (distance, index) order, which fixes the IDW
+        summation order and so the bits of M."""
         from scipy.spatial import cKDTree
 
         config = load_config(make_config("out"))
@@ -199,6 +201,9 @@ class TestNearestSamples:
         tree_dist, tree_idx = cKDTree(model.surface_points).query(targets, k=IDW_NEIGHBORS)
         assert np.array_equal(np.sort(idx, axis=1), np.sort(tree_idx, axis=1))
         assert_allclose(dist, tree_dist, rtol=1e-15, atol=0)
+        want_dist, want_idx = brute_force_nearest(model.surface_points, targets, IDW_NEIGHBORS)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
 
 
 class TestGridStrainOperator:
@@ -371,6 +376,12 @@ class TestMeasurementCsv:
         path = tmp_path / "m.csv"
         path.write_text("x_mm,y_mm,exx,eyy,exy\n")
         with pytest.raises(ParseError, match="no data rows"):
+            fu.load_measurement_csv(path)
+
+    def test_overflowing_spacing_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("x_mm,y_mm,exx,eyy,exy\n-1e308,0,0,0,0\n1e308,0,0,0,0\n")
+        with pytest.raises(ParseError, match="line 2: .* at a finite spacing"):
             fu.load_measurement_csv(path)
 
     @pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "-inf"])
