@@ -51,11 +51,13 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
 
 @contextmanager
 def _prepared(config: RunConfig):
-    """Build the problem and range-check its patch indices, then hold the
-    output directory's lock with ``resolved_config.json`` written; yields
-    ``(model, truth)``.
+    """Build the problem, range-check its patch indices and build the
+    forward model, then hold the output directory's lock with
+    ``resolved_config.json`` written; yields ``(model, truth, (lower,
+    upper))``, the moduli bounds ``config.moduli_bounds`` gives.
 
-    A config error raises before the output directory is touched, and a
+    A config error, and a model that cannot be built (a degenerate element,
+    rigid modes), raise before the output directory is touched, and a
     directory or lock file that cannot be created raises ConfigError before
     anything is written. The lock is an exclusive ``flock`` on the
     directory's lock file: the kernel drops it when the holder exits, so a
@@ -68,7 +70,8 @@ def _prepared(config: RunConfig):
     except ValueError as exc:
         raise ConfigError("patches", str(exc)) from None
     truth = config.truth_values(pmap.patch_count)
-    config.moduli_bounds(pmap.patch_count)  # range-checks the pinned patch
+    bounds = config.moduli_bounds(pmap.patch_count)  # range-checks the pinned patch
+    model = ForwardModel(mesh, pmap, config.material.poisson_ratio, config.build_bcs())
     outdir = config.output_dir
     lock = os.path.join(outdir, _LOCK_NAME)
     try:
@@ -82,7 +85,7 @@ def _prepared(config: RunConfig):
         except BlockingIOError:
             raise ConfigError(lock, "output directory is locked by another run") from None
         atomic_write_text(os.path.join(outdir, "resolved_config.json"), _json_text(config.to_dict()))
-        yield ForwardModel(mesh, pmap, config.material.poisson_ratio, config.build_bcs()), truth
+        yield model, truth, bounds
     finally:
         os.close(fd)
 
@@ -118,7 +121,7 @@ def _modulus_outputs(outdir, model: ForwardModel, values):
 def cmd_forward(config: RunConfig) -> int:
     """Forward solve with the configured truth moduli; write fields."""
     outdir = config.output_dir
-    with _prepared(config) as (model, truth):
+    with _prepared(config) as (model, truth, _):
         mesh = model.mesh
         u_flat = model.solve_displacement(truth)
         exx, eyy, exy = model.sample_strains(u_flat)
@@ -148,7 +151,7 @@ def cmd_synth(config: RunConfig) -> int:
         grid = config.build_grid()
     except ValueError as exc:
         raise ConfigError("measurement", str(exc)) from None
-    with _prepared(config) as (model, truth):
+    with _prepared(config) as (model, truth, _):
         meas = config.measurement
         field = generate_synthetic(model, truth, grid, noise_sigma=meas.noise_sigma, rng_seed=meas.rng_seed)
         write_measurement_csv(field, os.path.join(config.output_dir, "measurement.csv"))
@@ -159,7 +162,7 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
     """Run the hybrid inversion against a measurement file; write the report."""
     outdir = config.output_dir
     field = load_measurement_csv(measurement_path)
-    with _prepared(config) as (model, truth):
+    with _prepared(config) as (model, truth, (lower, upper)):
         try:
             context = CostContext(model, field, strain_floor=config.strain_floor)
         except OutOfDomainError as exc:
@@ -168,7 +171,6 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
                 f"measurement grid does not fit the configured geometry: measurement is a "
                 f"{field.grid.describe()}; the model surface covers {length:g} x {width:g} mm; {exc}"
             ) from exc
-        lower, upper = config.moduli_bounds(model.patch_map.patch_count)
         guess = config.initial_guess(model.patch_map.patch_count)
 
         # The maps at the guess come first: their solve is the run's first

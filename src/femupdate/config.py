@@ -234,8 +234,9 @@ class RunConfig:
         return lower, upper
 
     def initial_guess(self, patch_count: int) -> np.ndarray:
-        lower, upper = self.moduli_bounds(patch_count)
-        return np.clip(np.full(patch_count, self.material.e_ref_mpa), lower, upper)
+        """e_ref for every patch: ``load_config`` makes the bounds bracket
+        e_ref, so the guess lies inside ``moduli_bounds``."""
+        return np.full(patch_count, self.material.e_ref_mpa)
 
     # -- serialization -----------------------------------------------------
 

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _shape
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -134,7 +132,9 @@ def build_coupon_mesh(
 
     With ``nz`` None the mesh is 2D (QUAD4 plane stress, ``thickness_mm``
     stored as the plate thickness); otherwise 3D with HEX8 elements and
-    ``thickness_mm`` as the z extent.
+    ``thickness_mm`` as the z extent. The element Jacobians are not checked
+    here: ``ForwardModel`` checks them where it integrates the stiffness,
+    so a size that underflows them (say 1e-170 mm) fails there.
     """
     for name, v in (("length_mm", length_mm), ("width_mm", width_mm), ("thickness_mm", thickness_mm)):
         if not (0 < v < np.inf):
@@ -155,15 +155,12 @@ def build_coupon_mesh(
         xg, yg = np.meshgrid(xs, ys, indexing="xy")
         nodes = np.column_stack([xg.ravel(), yg.ravel()])
         elems = first[:, None] + quad
-        mesh = Mesh(2, nodes, elems, float(thickness_mm), (nx, ny), (length_mm, width_mm))
-    else:
-        zs = np.linspace(0.0, thickness_mm, nz + 1)
-        zg, yg, xg = np.meshgrid(zs, ys, xs, indexing="ij")
-        nodes = np.column_stack([xg.ravel(), yg.ravel(), zg.ravel()])
-        elems = first[:, None] + np.concatenate([quad, quad + layer])
-        mesh = Mesh(3, nodes, elems, None, (nx, ny, nz), (length_mm, width_mm, thickness_mm))
-    _check_jacobians(mesh)
-    return mesh
+        return Mesh(2, nodes, elems, float(thickness_mm), (nx, ny), (length_mm, width_mm))
+    zs = np.linspace(0.0, thickness_mm, nz + 1)
+    zg, yg, xg = np.meshgrid(zs, ys, xs, indexing="ij")
+    nodes = np.column_stack([xg.ravel(), yg.ravel(), zg.ravel()])
+    elems = first[:, None] + np.concatenate([quad, quad + layer])
+    return Mesh(3, nodes, elems, None, (nx, ny, nz), (length_mm, width_mm, thickness_mm))
 
 
 def partition_longitudinal(mesh: Mesh, n_sections: int) -> PatchMap:
@@ -201,8 +198,3 @@ def stamp_defect_patches(patch_map: PatchMap, mesh: Mesh, defects: list[DefectSp
         assignment[inside] = patch_map.patch_count + k
     return PatchMap(assignment, patch_map.patch_count + len(defects))
 
-
-def _check_jacobians(mesh: Mesh) -> None:
-    shapes, first, _ = _shape.distinct_shapes(mesh.nodes[mesh.elements])
-    for gp in _shape.gauss_points(mesh.dimension):
-        _shape.strain_displacement(shapes, gp, first)

@@ -446,15 +446,13 @@ class ForwardModel:
         else:
             g_rhs = self._g_rhs @ values.T
             u_g = np.empty_like(g_rhs)
-            # One S(E) matrix for the stack: each later design writes its slot
-            # values into it (a factor keeps no reference to the matrix it was
-            # made from), which spares a matrix construction and format check.
-            s_e = None
+            # One S(E) matrix for the stack: each design writes its slot values
+            # into it (a factor keeps no reference to the matrix it was made
+            # from), which spares a matrix construction and format check.
+            n_g = g_rhs.shape[0]
+            s_e = sp.csc_matrix((np.empty(self._s_indices.size), self._s_indices, self._s_indptr), shape=(n_g, n_g))
             for j in range(m):
-                if s_e is None:
-                    s_e = self._interface_stiffness(values[j])
-                else:
-                    s_e.data = self._s_weights @ values[j]
+                s_e.data = self._s_weights @ values[j]
                 try:
                     lu = _factor(s_e)
                 except SingularSystemError as exc:

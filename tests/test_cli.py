@@ -408,6 +408,17 @@ class TestCmdSynthAndForward:
         assert "config error: bcs.fixed_face: " in capsys.readouterr().err
         assert not (out / "resolved_config.json").exists()
 
+    def test_degenerate_geometry_exit_4_before_writing(self, tmp_path, capsys):
+        """A coupon so small that its Jacobian determinants underflow to 0:
+        the forward model's build rejects it before the output directory
+        is made."""
+        out = tmp_path / "t"
+        geometry = {"length_mm": 1e-170, "width_mm": 1e-170, "thickness_mm": 2.0, "nx": 2, "ny": 1}
+        cfg = base_config(out, geometry=geometry, patches={"n_sections": 2}, material={})
+        assert cli.main(["forward", "--config", write_config(tmp_path, cfg)]) == 4
+        assert re.search(r"numerical error: non-positive Jacobian .* in element 0$", capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "override, field, message",
         [

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import femupdate as fu
 from femupdate._shape import gauss_points, strain_displacement
 from femupdate.errors import DegenerateElementError
-from femupdate.geometry import _check_jacobians
 
 
 class TestBuildCouponMesh:
@@ -228,12 +227,12 @@ class TestFaceSelection:
 
 class TestJacobianCheck:
     def test_first_degenerate_element_named(self):
-        """The check runs once per distinct element shape and still names
-        the first element that fails it."""
+        """The model build checks the Jacobians once per distinct element
+        shape and still names the first element that fails."""
         mesh = fu.build_coupon_mesh(100, 20, 8, 6, 3, 2)
         elements = mesh.elements.copy()
         for e in (20, 7, 33):
             elements[e] = elements[e][[4, 5, 6, 7, 0, 1, 2, 3]]  # top and bottom swapped
         bad = fu.Mesh(3, mesh.nodes, elements, None, mesh.divisions, mesh.extent)
         with pytest.raises(DegenerateElementError, match=r"element 7$"):
-            _check_jacobians(bad)
+            fu.ForwardModel(bad, fu.partition_longitudinal(bad, 1), 0.3, fu.BoundaryConditions("xmin", 0.1))

@@ -543,6 +543,15 @@ class TestCostStack:
         for x, row in zip(designs, u):
             assert np.array_equal(row, context.forward.solve_displacement(x))
 
+    def test_empty_stack(self, stacked, monkeypatch):
+        """No design, no factorization: the costs and displacements of an
+        empty stack are empty."""
+        context, designs = stacked
+        calls = failing_on_call(monkeypatch)
+        assert context.cost(designs[:0]).shape == (0,)
+        assert context.forward.solve_displacement(designs[:0]).shape == (0, context.forward.strain_sampling.shape[1])
+        assert calls == []
+
     def test_one_factorization_per_design(self, stacked, monkeypatch):
         context, designs = stacked
         calls = failing_on_call(monkeypatch)

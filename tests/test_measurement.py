@@ -205,6 +205,24 @@ class TestNearestSamples:
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(dist, want_dist)
 
+    @pytest.mark.parametrize(
+        "target, shown",
+        [((0.5, -0.25), r"\(0.5, -0.25\)"), ((np.nan, 0.5), r"\(nan, 0.5\)")],
+        ids=["below", "nan"],
+    )
+    def test_target_outside_box_rejected(self, target, shown):
+        """A target below the sample box, or with a NaN coordinate, gets no
+        neighbours: the error lists it."""
+        samples = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(OutOfDomainError, match=shown):
+            nearest_samples(samples, np.array([[0.5, 0.5], target]), 2)
+
+    @pytest.mark.parametrize("k", [0, 6, 7])
+    def test_k_out_of_range_rejected(self, k):
+        samples = np.arange(10.0).reshape(5, 2)
+        with pytest.raises(ValueError, match=rf"k must be in \[1, n_samples = 5\], got {k}"):
+            nearest_samples(samples, samples[:2], k)
+
 
 class TestGridStrainOperator:
     @pytest.mark.parametrize("dimension", [2, 3])
