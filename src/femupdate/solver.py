@@ -40,6 +40,9 @@ _EQUILIBRIUM_RTOL = 1e-8
 # Smallest pivot / largest pivot of K(1) in the condensed order accepted as
 # nonsingular.
 _PIVOT_RTOL = 1e-12
+# Element-stiffness entries assembled through one COO at most, unless one
+# patch holds more.
+_CHUNK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -118,20 +121,22 @@ def elastic_matrix(nu: float, dimension: int) -> np.ndarray:
 
 
 def _element_stiffnesses(coords: np.ndarray, d: np.ndarray, scale: float):
-    """Stiffness matrices of many elements, shape (n_elements, n_dofs, n_dofs).
+    """Stiffness matrices of many elements.
 
     ``coords`` is (n_elements, n_nodes, dim); ``d`` the constitutive matrix
     and ``scale`` the plate thickness (1 for HEX8). Full Gauss integration,
     computed once per distinct element shape. Raises DegenerateElementError,
     naming the first element that fails, unless det J > 0 at every
-    integration point.
+    integration point. Returns (k, shape): the stiffness of each distinct
+    element shape, (n_shapes, n_dofs, n_dofs), and the shape of every
+    element, so element e's stiffness is ``k[shape[e]]``.
     """
     shapes, first, inverse = _shape.distinct_shapes(coords)
     k = 0.0
     for gp in _shape.gauss_points(coords.shape[2]):
         b, detj = _shape.strain_displacement(shapes, gp, first)
         k = k + (scale * detj)[:, None, None] * (b.transpose(0, 2, 1) @ d @ b)
-    return k[inverse]
+    return k, inverse
 
 
 def _element_dofs(mesh: Mesh) -> np.ndarray:
@@ -159,9 +164,9 @@ class ForwardModel:
     """The forward operator: patch moduli to displacements and surface strains.
 
     K(E) = sum_k E_k A_k is linear in the patch moduli, so construction
-    checks the Poisson ratio, then assembles the A_k once, from the
-    unit-modulus element stiffnesses (``_element_stiffnesses`` with
-    D = ``elastic_matrix(nu, dim)``), into one sparse matrix: its rows are
+    checks the Poisson ratio, then assembles the A_k once, patch by patch,
+    from the unit-modulus element stiffnesses (``_element_stiffnesses``
+    with D = ``elastic_matrix(nu, dim)``), into one sparse matrix: its rows are
     (patch k, free dof), its columns the free dofs in ``free_dofs`` order,
     then the prescribed dofs. Its free
     columns are the stacked [A_1; ...; A_P], the one form of the A_k that
@@ -187,11 +192,15 @@ class ForwardModel:
     = A_k[g, g] - Y^T Y with Y = L^-1 A_k[I_k, g], which is zero above the
     first row of I_k coupled to G, the first nonempty row of B^T below
     (K(1)[I_k, G] = A_k[I_k, G]); so Y needs only the rows of the factor
-    from there to the end of the block. The Schur complement is then
+    from there to the end of the block. K(1) itself is never formed: an
+    interior row of K(1) is that row of the one A_k whose patch holds it,
+    so the band of D is filled block by block from the interior rows of
+    the A_k, and B = K(1)[G, I] = sum_k A_k[G, I_k] is a sum over the
+    patches, whose column ranges I_k are disjoint. The Schur complement is then
     S(E) = sum_k E_k S_k, kept as weights over the slots of its pattern,
     the union of the blocks g x g. An interior row of R is nonzero only in
     the column of its own patch, so the condensed load is linear in E too:
-    with B = K(1)[G, I] and Z = D^-1 R_I, factored once,
+    with Z = D^-1 R_I, factored once,
     the interface load is (B Z - R_G) E and the interior load alone gives
     z0 = -Z 1, whatever the moduli. A solve fills and factors S(E)
     (``splu`` with the natural order and no pivoting; S(E) is symmetric
@@ -248,57 +257,90 @@ class ForwardModel:
 
     def _assemble(self, edofs: np.ndarray) -> None:
         """Fill ``_patch_stiffness`` and ``_rhs_per_patch`` from the
-        unit-modulus element stiffnesses, in one sparse matrix whose rows
-        are (patch k, free dof) and whose columns are the free dofs in
-        ``free_dofs`` order, then the prescribed dofs."""
+        unit-modulus stiffnesses of the distinct element shapes, in one
+        sparse matrix whose rows are (patch k, free dof) and whose columns
+        are the free dofs in ``free_dofs`` order, then the prescribed dofs.
+        Its rows are built a run of consecutive patches at a time, from the
+        free rows of those patches' own elements only: the rows of different
+        patches are disjoint, and within a row the entries come in element
+        order, so duplicates sum as in one whole-mesh assembly. Each run is
+        split into its free and prescribed columns before the runs are
+        stacked, so no full-width copy of the whole matrix is made."""
         mesh, patch = self.mesh, self.patch_map.patch_of_element
         n_patches, n_free = self.patch_map.patch_count, self._free.size
         d = elastic_matrix(self.poisson_ratio, mesh.dimension)
         scale = mesh.thickness if mesh.dimension == 2 else 1.0
-        ke = _element_stiffnesses(mesh.nodes[mesh.elements], d, scale)
+        ke, shape = _element_stiffnesses(mesh.nodes[mesh.elements], d, scale)
 
         column = np.empty(self._n_dofs, dtype=np.int32)
         column[self._free] = np.arange(n_free)
         column[self._dofs] = np.arange(n_free, self._n_dofs)
         ce = column[edofs]
-        # Row keys: (patch k, free dof) first, then the prescribed dofs, shared
-        # by all patches and dropped once summed; int32 unless they overflow it.
-        n_rows = n_patches * n_free
-        ce = ce.astype(np.int32 if n_rows + self._dofs.size < 2**31 else np.int64)
-        key = np.where(ce < n_free, patch[:, None].astype(ce.dtype) * n_free + ce, n_rows + ce - n_free)
-        rows = np.broadcast_to(key[:, :, None], ke.shape).ravel()
-        cols = np.broadcast_to(ce[:, None, :], ke.shape).ravel()
-        a = sp.csr_matrix((ke.ravel(), (rows, cols)), shape=(n_rows + self._dofs.size, self._n_dofs))
-        del ke, rows, cols
-        a = a[:n_rows]
-        a.eliminate_zeros()  # sums that cancel exactly leave no stored entry
-        self._patch_stiffness = a[:, :n_free]
-        # rhs = -(sum_k E_k A_k)[free, prescribed] @ values = -R @ E
-        r = (a[:, n_free:] @ self._dof_values).reshape(n_patches, n_free)
+        by_patch = np.argsort(patch, kind="stable")
+        edge = np.concatenate([[0], np.cumsum(np.bincount(patch, minlength=n_patches))])
+        # Consecutive patches share one COO while they start in the same run
+        # of _CHUNK_ENTRIES element-stiffness entries: each COO-to-CSR
+        # conversion costs ~0.1 ms, and a whole-mesh COO more memory than
+        # the model keeps.
+        first = np.flatnonzero(np.diff(edge[:-1] // max(_CHUNK_ENTRIES // ke[0].size, 1), prepend=-1))
+        blocks, r = [], np.empty((n_patches, n_free))
+        for p0, p1 in zip(first, np.append(first[1:], n_patches)):
+            elements = by_patch[edge[p0]:edge[p1]]
+            # Each free row of each element, in (element, row) order, with all its columns.
+            e, row = np.nonzero(ce[elements] < n_free)
+            e = elements[e]
+            key = (patch[e] - p0) * n_free + ce[e, row]
+            block = sp.csr_matrix(
+                (ke[shape[e], row].ravel(), (np.repeat(key, ce.shape[1]), ce[e].ravel())),
+                shape=((p1 - p0) * n_free, self._n_dofs),
+            )
+            block.eliminate_zeros()  # sums that cancel exactly leave no stored entry
+            blocks.append(block[:, :n_free])
+            # rhs = -(sum_k E_k A_k)[free, prescribed] @ values = -R @ E
+            r[p0:p1] = (block[:, n_free:] @ self._dof_values).reshape(p1 - p0, n_free)
+        self._patch_stiffness = sp.vstack(blocks, format="csr")
         self._rhs_per_patch = np.ascontiguousarray(r.T)
 
     def _condense(self) -> None:
         """Factor the unit-modulus interior blocks, condense the load
         (``_g_rhs``, ``_z0``) and every patch onto the interface
         (``_s_weights`` over the slots ``_s_indices``, ``_s_indptr`` of S)
-        and check the rank of K(1). The interior rows coupled to the
-        interface are the nonempty rows of B^T = K(1)[I, G]."""
+        and check the rank of K(1). K(1) is never formed: the band of D is
+        filled block by block from each patch's own interior rows of
+        ``_patch_stiffness``, and B = K(1)[G, I] is the sum over the patches
+        of A_k[G, I_k]. The interior rows coupled to the interface are the
+        nonempty rows of B^T = K(1)[I, G]."""
         n_patches = self.patch_map.patch_count
         n_free, n_i = self._free.size, self._interior_patch.size
         n_g = n_free - n_i
-        unit = self.stiffness(np.ones(n_patches))  # K(1); one patch per interior row
-        lower = sp.tril(unit[:n_i, :n_i], format="coo")
-        offset = lower.row - lower.col
-        band = np.zeros((int(offset.max(initial=0)) + 1, n_i), order="F")  # factored in place
-        band[offset, lower.col] = lower.data
-        del lower, offset
+        a = self._patch_stiffness
+        block_start = np.searchsorted(self._interior_patch, np.arange(n_patches))
+        block_end = np.append(block_start[1:], n_i)
+        # Interior row i of K(1) is row i of A_k, k = _interior_patch[i]: no
+        # other patch stores an entry in it. Its first stored column is its
+        # lowest (the columns are sorted, and the diagonal is stored).
+        rows = self._interior_patch * n_free + np.arange(n_i)
+        width = np.arange(n_i) - a.indices[a.indptr[rows]]
+        band = np.zeros((int(width.max(initial=0)) + 1, n_i), order="F")  # factored in place
+        for k, (start, end) in enumerate(zip(block_start, block_end)):
+            ptr = a.indptr[k * n_free + start:k * n_free + end + 1]
+            row = np.repeat(np.arange(start, end), np.diff(ptr))
+            col = a.indices[ptr[0]:ptr[-1]]
+            lower = col <= row
+            band[row[lower] - col[lower], col[lower]] = a.data[ptr[0]:ptr[-1]][lower]
         try:
             self._interior = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
         except LinAlgError as exc:
             raise SingularSystemError(f"interior stiffness factorization failed: {exc}") from exc
-        self._coupling = unit[n_i:, :n_i]  # B = K(1)[G, I]
+        # B = K(1)[G, I] = sum_k A_k[G, I_k]: the interior columns of the
+        # interface rows of the A_k, whose I_k are disjoint.
+        g_rows = a[(np.arange(n_patches)[:, None] * n_free + np.arange(n_i, n_free)).ravel()].tocoo()
+        inner = g_rows.col < n_i
+        self._coupling = sp.csc_matrix(
+            (g_rows.data[inner], (g_rows.row[inner] % n_g, g_rows.col[inner])), shape=(n_g, n_i)
+        )
+        del g_rows, inner
         self._coupling_t = self._coupling.T  # CSR over the same arrays
-        del unit, band  # freed before the per-patch condensation: K(1) is needed only through D and B
         # An interior row of R has one nonzero, in the column of its own
         # patch, and D is block diagonal, so row i of Z = D^-1 R_I has one
         # nonzero too, -z0[i] with z0 = -D^-1 R_I 1, in the column of its patch.
@@ -310,12 +352,10 @@ class ForwardModel:
         z[np.arange(n_i), self._interior_patch] = -self._z0
         self._g_rhs = self._coupling @ z - self._rhs_per_patch[n_i:]
 
-        # Per patch: A_k, its interface dofs g (those its elements touch,
-        # so a nonzero diagonal in A_k) and the rows tail..end-1 of its block
+        # Per patch: its interface dofs g (those its elements touch, so a
+        # nonzero diagonal in A_k) and the rows tail..end-1 of its block
         # from its first interior row coupled to g.
-        blocks = [self._patch_stiffness[k * n_free:(k + 1) * n_free] for k in range(n_patches)]
-        gs = [np.flatnonzero(a.diagonal()[n_i:]) for a in blocks]
-        block_end = np.searchsorted(self._interior_patch, np.arange(1, n_patches + 1))
+        gs = [np.flatnonzero(a.diagonal(-k * n_free)[n_i:]) for k in range(n_patches)]
         block_tail = block_end.copy()  # a block without coupled rows needs no Y
         coupled_rows = np.flatnonzero(np.diff(self._coupling_t.indptr))
         coupled, first = np.unique(self._interior_patch[coupled_rows], return_index=True)
@@ -330,23 +370,27 @@ class ForwardModel:
         self._s_indices, self._s_indptr = pattern.indices, pattern.indptr
         # Slot weights of S(E) = _s_weights @ E: column k holds the block S_k.
         s_slot, s_value = [], []
-        for k, (a, g) in enumerate(zip(blocks, gs)):
+        for k, g in enumerate(gs):
             tail, end = block_tail[k], block_end[k]
-            # The columns g of the interior rows tail..end-1, then of the rows g.
-            c = a[np.concatenate([np.arange(tail, end), n_i + g])][:, n_i + g].toarray()
+            # The columns g of A_k's interior rows tail..end-1, then of its rows g.
+            c = a[k * n_free + np.concatenate([np.arange(tail, end), n_i + g])][:, n_i + g].toarray()
             s_k = c[end - tail:]
             if tail < end:
                 # A_k[g, I_k] A_k[I_k, I_k]^-1 A_k[I_k, g] = Y^T Y with Y = L^-1 A_k[I_k, g],
                 # and Y is zero above row tail, as A_k[I_k, g] is (L is lower triangular).
                 y, _ = dtbtrs(self._interior[:, tail:end], c[:end - tail], uplo="L")
                 s_k -= y.T @ y
+                del y
             s_slot.append(slot_of[np.ix_(g, g)].ravel())
             s_value.append(s_k.T.ravel())
+            del c, s_k  # freed before the next patch's copies
+        del used, slot_of
         s_ptr = np.zeros(n_patches + 1, dtype=np.int32)
         np.cumsum([g.size ** 2 for g in gs], out=s_ptr[1:])
         self._s_weights = sp.csc_matrix(
             (np.concatenate(s_value), np.concatenate(s_slot), s_ptr), shape=(pattern.nnz, n_patches)
         )
+        del pattern, s_slot, s_value
 
         pivots = self._interior[0] ** 2
         if n_g:
@@ -376,7 +420,7 @@ class ForwardModel:
     @property
     def free_dofs(self) -> np.ndarray:
         """Global indices of the free dofs, in the row and column order of
-        ``stiffness`` and the rows of ``_rhs_per_patch`` (read-only)."""
+        each A_k and the rows of ``_rhs_per_patch`` (read-only)."""
         return self._free
 
     @property
@@ -408,12 +452,6 @@ class ForwardModel:
         if not np.all(values > 0):
             raise ValueError("all patch moduli must be positive")
         return values
-
-    def stiffness(self, values: np.ndarray) -> sp.csc_matrix:
-        """Free-free stiffness K(E) = sum_k E_k A_k; rows and columns follow ``free_dofs``."""
-        values = self._check_values(values)
-        weights = sp.kron(values[None, :], sp.identity(self._free.size, format="csr"))
-        return (weights @ self._patch_stiffness).tocsc()
 
     def _interface_stiffness(self, values: np.ndarray) -> sp.csc_matrix:
         """Schur complement S(E) = sum_k E_k S_k on the interface dofs."""

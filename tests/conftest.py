@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import settings
 
 import femupdate as fu
@@ -55,7 +56,15 @@ def element_stiffness(coords, modulus, nu, scale=1.0):
     ``scale`` is the plate thickness of a QUAD4 (1 for HEX8)."""
     coords = np.asarray(coords, dtype=float)
     d = modulus * elastic_matrix(nu, coords.shape[1])
-    return _element_stiffnesses(coords[None], d, scale)[0]
+    k, shape = _element_stiffnesses(coords[None], d, scale)
+    return k[shape[0]]
+
+
+def stiffness(model, values):
+    """Free-free stiffness K(E) = sum_k E_k A_k of a ForwardModel, as CSC;
+    rows and columns follow ``model.free_dofs``."""
+    weights = sp.kron(np.asarray(values, dtype=float)[None, :], sp.identity(model.free_dofs.size, format="csr"))
+    return (weights @ model._patch_stiffness).tocsc()
 
 
 def dense_stiffness(mesh, patch_map, values, nu=0.3):

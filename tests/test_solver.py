@@ -1,12 +1,16 @@
 """Element stiffness, assembly, static solves and strain extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.linalg import eigvalsh
 from numpy.testing import assert_allclose
+from scipy.linalg import cholesky_banded
 
 import femupdate as fu
-from conftest import Prescribed, dense_stiffness, element_stiffness
+from conftest import Prescribed, dense_stiffness, element_stiffness, stiffness
 from femupdate._shape import HEX8_SIGNS, QUAD4_SIGNS, gauss_points, shape_gradients, shape_values, strain_displacement
 from femupdate.errors import DegenerateElementError, NumericalError
 
@@ -159,7 +163,7 @@ class TestAssemble:
         free = model.free_dofs
         e = np.array([E_STEEL])
         atol = 1e-12 * np.abs(ke).max()
-        assert_allclose(model.stiffness(e).toarray(), k_global[np.ix_(free, free)], rtol=0, atol=atol)
+        assert_allclose(stiffness(model, e).toarray(), k_global[np.ix_(free, free)], rtol=0, atol=atol)
         assert_allclose(-(model._rhs_per_patch @ e), -k_global[np.ix_(free, prescribed)] @ v, rtol=0, atol=atol)
 
     def test_distorted_mesh_matches_element_by_element(self, uniaxial_bcs):
@@ -177,7 +181,25 @@ class TestAssemble:
         model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
         free = model.free_dofs
         k_general = k_dense[np.ix_(free, free)]
-        assert np.abs(model.stiffness(values).toarray() - k_general).max() < 1e-12 * np.abs(k_general).max()
+        assert np.abs(stiffness(model, values).toarray() - k_general).max() < 1e-12 * np.abs(k_general).max()
+
+    @pytest.mark.parametrize("chunk_entries", [1, 2**12], ids=["patch-by-patch", "few-patches"])
+    def test_assembly_bitwise_independent_of_chunks(self, coupon_mesh, uniaxial_bcs, monkeypatch, chunk_entries):
+        """The A_k and R are bitwise the same whether each COO holds one
+        patch, a few or the whole mesh (the default on this coupon): the
+        rows of different patches are disjoint, and within a row the
+        entries keep element order, so duplicates sum in the same order."""
+        from femupdate import solver
+
+        defects = [fu.DefectSpec((20, 6), (32, 14)), fu.DefectSpec((60, 4), (72, 12))]
+        pmap = fu.stamp_defect_patches(fu.partition_longitudinal(coupon_mesh, 9), coupon_mesh, defects)
+        whole = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs)
+        monkeypatch.setattr(solver, "_CHUNK_ENTRIES", chunk_entries)
+        chunked = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(chunked._patch_stiffness, name), getattr(whole._patch_stiffness, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert chunked._rhs_per_patch.tobytes() == whole._rhs_per_patch.tobytes()
 
     def test_first_degenerate_element_named(self, coupon_mesh, uniaxial_bcs):
         """Inverted elements sharing one shape: the error names the first."""
@@ -193,21 +215,21 @@ class TestAssemble:
         pmap = fu.partition_longitudinal(coupon_mesh, 9)
         rng = np.random.default_rng(3)
         values = rng.uniform(0.5, 3.0, 9) * E_STEEL
-        k = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs).stiffness(values)
+        k = stiffness(fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs), values)
         asym = np.abs(k - k.T).max()
         assert asym < 1e-10 * np.abs(k).max()
 
     def test_doubling_all_moduli_doubles_matrix(self, coupon_mesh, single_patch, uniaxial_bcs):
         v1 = np.array([E_STEEL])
         model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
-        k1 = model.stiffness(v1)
-        k2 = model.stiffness(2 * v1)
+        k1 = stiffness(model, v1)
+        k2 = stiffness(model, 2 * v1)
         assert np.abs(k2 - 2 * k1).max() < 1e-12 * np.abs(k1).max()
 
     def test_patch_count_mismatch(self, coupon_mesh, single_patch, material_factory, uniaxial_bcs):
         model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
         with pytest.raises(ValueError, match="patch_count"):
-            model.stiffness(material_factory(3))
+            model.solve_displacement(material_factory(3))
 
 
 class TestBoundaryConditions:
@@ -422,7 +444,7 @@ class TestSolverInvariants:
         free = model.free_dofs
         k_general = k_dense[np.ix_(free, free)]
         rhs_general = -k_dense[np.ix_(free, dofs)] @ prescribed
-        k_fast = model.stiffness(values).toarray()
+        k_fast = stiffness(model, values).toarray()
         rhs_fast = -(model._rhs_per_patch @ values)
         assert np.abs(k_fast - k_general).max() < 1e-12 * np.abs(k_general).max()
         assert_allclose(rhs_fast, rhs_general, rtol=0, atol=1e-12 * np.abs(rhs_general).max())
@@ -581,6 +603,55 @@ class TestCondensation:
         # one node pinned: the rotations about it stay free
         with pytest.raises(fu.SingularSystemError):
             fu.ForwardModel(mesh, pmap, NU, Prescribed(dofs, np.zeros(len(dofs))))
+
+    @pytest.mark.parametrize(
+        "dims, n_sections, defects",
+        [
+            ((100.0, 20.0, 2.0, 40, 10), 9, [fu.DefectSpec((20, 6), (32, 14)), fu.DefectSpec((60, 4), (72, 12))]),
+            ((100, 20, 8, 30, 8, 4), 2, [fu.DefectSpec((40, 5, 0), (60, 15, 4))]),
+            ((100, 20, 2, 12, 4), 1, []),
+        ],
+        ids=["2d-11-patches", "3d-3-patches", "single-patch"],
+    )
+    def test_interior_and_coupling_bitwise_those_of_k1(self, dims, n_sections, defects, uniaxial_bcs):
+        """The interior factor and B, built from the A_k, are bitwise those
+        of K(1) = sum_k A_k: the factor of the band of the lower triangle of
+        K(1)[I, I], and B = K(1)[G, I] as CSC, B^T its CSR transpose, with
+        the same format, sorted indices, index arrays and values. The single
+        patch has an empty interface."""
+        mesh = fu.build_coupon_mesh(*dims)
+        pmap = fu.partition_longitudinal(mesh, n_sections)
+        if defects:
+            pmap = fu.stamp_defect_patches(pmap, mesh, defects)
+        model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
+        n_i = model._interior_patch.size
+        unit = stiffness(model, np.ones(pmap.patch_count))
+        lower = sp.tril(unit[:n_i, :n_i], format="coo")
+        offset = lower.row - lower.col
+        band = np.zeros((int(offset.max(initial=0)) + 1, n_i), order="F")
+        band[offset, lower.col] = lower.data
+        factor = cholesky_banded(band, lower=True, check_finite=False)
+        assert factor.shape == model._interior.shape and factor.tobytes() == model._interior.tobytes()
+        coupling = unit[n_i:, :n_i]
+        for built, expected in ((model._coupling, coupling), (model._coupling_t, coupling.T)):
+            assert (built.format, built.shape) == (expected.format, expected.shape)
+            assert built.has_sorted_indices and expected.has_sorted_indices
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(built, name), getattr(expected, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_build_peak_memory(self, uniaxial_bcs):
+        """On the 3D acceptance coupon the model build holds no large copy it
+        throws away: its traced peak is at most 1.5x what it keeps."""
+        mesh = fu.build_coupon_mesh(100, 20, 8, 30, 8, 4)
+        pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 2), mesh, [fu.DefectSpec((40, 5, 0), (60, 15, 4))])
+        tracemalloc.start()
+        try:
+            model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)  # noqa: F841 (kept while measured)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * kept, f"build peak {peak} B, {kept} B kept"
 
 
 class TestFactorizationCount:
