@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, NumericalError, OutOfDomainError
-from .inversion import STAGE_GA, STAGE_GRADIENT, CostContext, run_hybrid
+from .inversion import _NOISE_FLOOR_Z, STAGE_GA, STAGE_GRADIENT, CostContext, run_hybrid
 from .measurement import generate_synthetic, load_measurement_csv, write_measurement_csv
 from .solver import ForwardModel
 from .vtkio import atomic_write_text, write_mesh_vtk, write_points_vtk, write_table_csv
@@ -274,6 +274,10 @@ def _summary_text(report: dict) -> str:
         f" (GA iterations {stages.get(STAGE_GA, '?')}, gradient iterations {stages.get(STAGE_GRADIENT, '?')})",
         f"noise floor z: {_noise_floor_text(report)}",
     ]
+    floor = report.get("noise_floor")
+    if floor is not None and floor["z"] > _NOISE_FLOOR_Z:
+        lines.append(f"note: the fit ends above the noise floor (z > {_NOISE_FLOOR_Z:g}), "
+                     "from model error or a local minimum")
     if report.get("gradient_stalled"):
         lines.append("note: gradient line search stalled before meeting its tolerance")
     lines.append("")

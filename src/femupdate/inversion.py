@@ -9,17 +9,19 @@ Minimization starts with projected Gauss-Newton with Armijo backtracking
 from the initial guess. When the measurement carries a noise level, the
 cost expected at the true moduli and its spread follow from it
 (``CostContext.noise_floor``); an end within a few spreads of that
-expectation explains the data to their noise, and is the answer. Otherwise
-(noiseless data, a local minimum, or model error) a real-coded genetic
-algorithm explores the bounded design space, and at generation 0 and every
-few generations after it Gauss-Newton refines its best individual (a
-handoff); the GA stops once two consecutive handoffs reach the same
-minimizer. The generation-0 handoff is compared with a partner run from the
-GA's generation-0 runner-up, so the GA stops before it breeds when both
-runs reach one minimizer. Gauss-Newton runs once per start design. The GA
-solves each distinct design once: elites and children identical to an
-earlier candidate reuse its cost, and the new designs of a generation are
-scored as one stack.
+expectation explains the data to their noise, and is the answer, so this
+run also stops once its next step would lower the cost by a negligible
+fraction of the spread. Otherwise (noiseless data, a local minimum, or
+model error) a real-coded genetic algorithm explores the bounded design
+space, and at generation 0 and every few generations after it
+Gauss-Newton refines its best individual (a handoff); the GA stops once
+two consecutive handoffs reach the same minimizer. The generation-0
+handoff is compared with a partner run from the GA's generation-0
+runner-up, so the GA stops before it breeds when both runs reach one
+minimizer. Gauss-Newton runs once per start design. The GA solves each
+distinct design once: elites and children identical to an earlier
+candidate reuse its cost, and the new designs of a generation are scored
+as one stack.
 The misfit is a sum of squared weighted residuals r(E), so the second
 stage works on r and its exact Jacobian J = dr/dE: one factorization
 serves the forward solve and the P sensitivity solves (the structure of
@@ -69,9 +71,12 @@ _STALL_REL_TOL = 1e-3
 _HANDOFF_GENERATIONS = 4
 _SAME_MINIMIZER_TOL = 1e-6
 # Largest z = (F - expected) / sd (``CostContext.noise_floor``) at which
-# Gauss-Newton from the initial guess counts as fitting the data to their
-# noise, so ``run_hybrid`` returns its end without running the GA.
+# a cost counts as fitting the data to their noise: ``run_hybrid`` returns
+# the end of Gauss-Newton from the initial guess without running the GA.
 _NOISE_FLOOR_Z = 5.0
+# Gauss-Newton given a noise floor stops at a cost within it once its next
+# step would lower the cost by less than this many sd (``run_gradient``).
+_NEGLIGIBLE_DECREASE_SD = 1e-2
 
 
 @dataclass(frozen=True)
@@ -474,6 +479,7 @@ def run_gradient(
     upper: np.ndarray,
     config: GradConfig,
     history: ConvergenceHistory | None = None,
+    noise_floor: tuple[float, float] | None = None,
 ) -> tuple[np.ndarray, ConvergenceHistory]:
     """Projected Gauss-Newton refinement of a least-squares cost inside the box.
 
@@ -500,11 +506,18 @@ def run_gradient(
     Stops on a projected-gradient infinity norm below ``_GRAD_TOL``, on a
     step relative to the bound range below ``_STEP_TOL``, or at
     ``config.max_iterations``; a failed line search sets the stalled flag
-    and returns the current iterate. A trial point whose evaluation raises
-    NumericalError is rejected like one that fails the Armijo test, and
-    counted in ``failed_evaluations``; at the start point the error
-    propagates. After a line search that rejected such a trial, the next
-    one starts no longer than the step just accepted. Bounds,
+    and returns the current iterate. Given ``noise_floor`` = (expected, sd)
+    (``CostContext.noise_floor``), it also stops before a step, with no
+    further evaluation, when the cost lies within the floor
+    (``_within_floor``) and the decrease the step predicts,
+    -(2 r^T J_s d + |J_s d|^2) with J_s the Jacobian in the step's
+    variables, is below ``_NEGLIGIBLE_DECREASE_SD`` sd: the data are
+    explained to their noise, and the step would not change that (on the
+    benchmark problems, 4 solves instead of 5-6). A trial point whose
+    evaluation raises NumericalError is rejected like one that fails the
+    Armijo test, and counted in ``failed_evaluations``; at the start point
+    the error propagates. After a line search that rejected such a trial,
+    the next one starts no longer than the step just accepted. Bounds,
     ``start_design`` and ``history`` are handled as in ``run_ga``; each
     evaluation adds 1 to ``total_forward_solves`` before it runs.
     """
@@ -533,7 +546,12 @@ def run_gradient(
         if np.max(np.abs(projected)) < _GRAD_TOL:
             break
         scale = np.where(log, x, 1.0)  # d(ln x)/dx = 1/x
-        direction = _gauss_newton_step(x, r, jac * scale, grad * scale, lower, upper)
+        jac_s = jac * scale
+        direction = _gauss_newton_step(x, r, jac_s, grad * scale, lower, upper)
+        if _within_floor(f, noise_floor):
+            change = jac_s @ direction  # of r, to first order, over a full step
+            if -(2.0 * float(r @ change) + float(change @ change)) < _NEGLIGIBLE_DECREASE_SD * noise_floor[1]:
+                break
         t = min(1.0, t_cap)
         accepted = failed = False
         for _ in range(_MAX_BACKTRACKS):
@@ -568,6 +586,15 @@ def run_gradient(
     return x.copy(), history
 
 
+def _within_floor(cost: float, noise_floor: tuple[float, float] | None) -> bool:
+    """Whether z = (cost - expected) / sd is at most ``_NOISE_FLOOR_Z``;
+    False without a noise floor."""
+    if noise_floor is None:
+        return False
+    expected, sd = noise_floor
+    return (cost - expected) / sd <= _NOISE_FLOOR_Z
+
+
 def _relative_gap(a: np.ndarray, b: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
     """Largest |a - b| relative to the bound range over the unpinned coordinates."""
     span = upper - lower
@@ -591,12 +618,17 @@ def run_hybrid(
     refines the initial guess, clipped into the box (the bounds midpoint
     when omitted; the GA's ``pop[0]``). When ``context.noise_floor()`` gives
     (expected, sd) and that end's z = (cost - expected) / sd is at most
-    ``_NOISE_FLOOR_Z``, the end is returned and the GA never runs. On the
-    two benchmark problems (1 % noise, seeds 11-20) this cuts the forward
-    solves from 54-57 (2D) and 16-25 (3D) to 6 (2D) and 5-6 (3D), and the
-    final cost moves by less than 1e-11 relative. Noiseless data
-    (no noise floor) skip this first run, and a larger z, from a local
-    minimum or from model error, falls through to the hybrid below.
+    ``_NOISE_FLOOR_Z``, the end is returned and the GA never runs. This run
+    alone is given the floor, so it also stops once its next step would
+    lower the cost by less than ``_NEGLIGIBLE_DECREASE_SD`` sd
+    (``run_gradient``); that stop fires only at z <= ``_NOISE_FLOOR_Z``,
+    so a run it ends is returned, and any other run is bitwise one without
+    the floor. On the two benchmark problems (1 % noise, seeds 1-20) this
+    cuts the forward solves from 54-57 (2D) and 16-25 (3D) with the GA to
+    4; without the negligible-decrease stop they were 5-6, and the final
+    moduli move by at most 1.8e-4 relative. Noiseless data (no noise
+    floor) skip this first run, and a larger z, from a local minimum or
+    from model error, falls through to the hybrid below.
 
     The GA scores designs with ``context.cost`` (each distinct design
     once, one stack per generation). At generation 0 and after every
@@ -643,22 +675,21 @@ def run_hybrid(
     ends = {}  # start design bytes -> (end record, stalled flag) of Gauss-Newton from it
     last = None  # the last handoff's end record
 
-    def gauss_newton(design):
+    def gauss_newton(design, noise_floor=None):
         """The end record of the run from ``design``; sets the history's
         stalled flag to that run's, so it describes the last run asked for."""
         key = design.tobytes()
         if key not in ends:
             history.gradient_stalled = False
-            run_gradient(context.cost_and_jacobian, design, lower, upper, grad_config, history)
+            run_gradient(context.cost_and_jacobian, design, lower, upper, grad_config, history, noise_floor)
             ends[key] = history.final, history.gradient_stalled
         end, history.gradient_stalled = ends[key]
         return end
 
     floor = context.noise_floor()
     if floor is not None:
-        end = gauss_newton(guess)
-        expected, sd = floor
-        if (end.best_cost - expected) / sd <= _NOISE_FLOOR_Z:
+        end = gauss_newton(guess, floor)
+        if _within_floor(end.best_cost, floor):
             return end.design.copy(), history
 
     def after_generation(record, runner_up):

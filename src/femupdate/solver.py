@@ -370,21 +370,25 @@ class ForwardModel:
         self._s_indices, self._s_indptr = pattern.indices, pattern.indptr
         # Slot weights of S(E) = _s_weights @ E: column k holds the block S_k.
         s_slot, s_value = [], []
+        position = np.full(n_free, -1)  # column -> position in g of the current patch, -1 off g
         for k, g in enumerate(gs):
             tail, end = block_tail[k], block_end[k]
-            # The columns g of A_k's interior rows tail..end-1, then of its rows g.
-            c = a[k * n_free + np.concatenate([np.arange(tail, end), n_i + g])][:, n_i + g].toarray()
-            s_k = c[end - tail:]
+            position[n_i + g] = np.arange(g.size)
+            s_k = _dense_rows(a, k * n_free + n_i + g, position, np.zeros((g.size, g.size)))
             if tail < end:
                 # A_k[g, I_k] A_k[I_k, I_k]^-1 A_k[I_k, g] = Y^T Y with Y = L^-1 A_k[I_k, g],
                 # and Y is zero above row tail, as A_k[I_k, g] is (L is lower triangular).
-                y, _ = dtbtrs(self._interior[:, tail:end], c[:end - tail], uplo="L")
+                # Fortran order lets dtbtrs solve in place, so Y is the one copy.
+                y = np.zeros((end - tail, g.size), order="F")
+                _dense_rows(a, k * n_free + np.arange(tail, end), position, y)
+                y, _ = dtbtrs(self._interior[:, tail:end], y, uplo="L", overwrite_b=True)
                 s_k -= y.T @ y
                 del y
+            position[n_i + g] = -1
             s_slot.append(slot_of[np.ix_(g, g)].ravel())
             s_value.append(s_k.T.ravel())
-            del c, s_k  # freed before the next patch's copies
-        del used, slot_of
+            del s_k  # freed before the next patch's copies
+        del used, slot_of, position
         s_ptr = np.zeros(n_patches + 1, dtype=np.int32)
         np.cumsum([g.size ** 2 for g in gs], out=s_ptr[1:])
         self._s_weights = sp.csc_matrix(
@@ -633,6 +637,19 @@ def _condensed_free_dofs(mesh: Mesh, patch_map: PatchMap, prescribed: np.ndarray
     free.flags.writeable = False
     dof_patch = np.repeat(node_patch[order], dim)[keep]
     return free, dof_patch[dof_patch < n_patches]
+
+
+def _dense_rows(a: sp.csr_matrix, rows: np.ndarray, position: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the ``rows`` of ``a`` (CSR without duplicate entries) into
+    ``out``: the entry in column j of rows[i] goes to out[i, position[j]],
+    and columns whose position is -1 are left out. Returns ``out``."""
+    start = a.indptr[rows]
+    count = a.indptr[rows + 1] - start
+    entry = np.arange(count.sum()) + np.repeat(start + count - np.cumsum(count), count)
+    column = position[a.indices[entry]]
+    kept = column >= 0
+    out[np.repeat(np.arange(rows.size), count)[kept], column[kept]] = a.data[entry[kept]]
+    return out
 
 
 def _factor(k: sp.csc_matrix):

@@ -649,6 +649,23 @@ class TestCmdInvert:
         assert "patches: 2" in out
         assert "noise floor z: ?" in out  # a report from before the noise floor
 
+    @pytest.mark.parametrize("z, noted", [(5.0, False), (5.01, True)])
+    def test_report_notes_a_fit_above_the_noise_floor(self, tmp_path, capsys, z, noted):
+        """A final cost more than 5 sd above the noise floor gets a note in
+        the summary; one at 5 sd does not."""
+        report = {
+            "recovered_moduli_mpa": [1.0, 2.0],
+            "initial_moduli_mpa": [1.5, 1.5],
+            "initial_cost": 4.0,
+            "final_cost": 1.0,
+            "noise_floor": {"expected": 0.5, "sd": 0.1, "z": z},
+        }
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert cli.main(["report", str(path)]) == 0
+        note = "note: the fit ends above the noise floor (z > 5), from model error or a local minimum\n"
+        assert (note in capsys.readouterr().out) == noted
+
     def test_truncated_csv_exit_3(self, tmp_path, capsys):
         out = tmp_path / "t"
         cfg_path = write_config(tmp_path, base_config(out))

@@ -609,6 +609,28 @@ def bowl(c):
     return lambda x: (float(np.sum((x - c) ** 2)), x - c, np.eye(x.size))
 
 
+def nearly_linear():
+    """r = A x - b + 1e-4 |x|^2 on six residuals, b noisy with sd 0.05, so
+    the noise floor is (6 * 0.05^2, sqrt(12) * 0.05^2). Gauss-Newton from
+    x = 0 lands next to the minimum in one step; without a floor it goes on
+    to a tolerance stop. Returns (cost_and_jacobian, calls): calls holds
+    the points evaluated."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(6, 2))
+    b = a @ np.array([0.3, -0.2]) + 0.05 * rng.normal(size=6)
+    calls = []
+
+    def cost_and_jacobian(x):
+        calls.append(x.copy())
+        r = a @ x - b + 1e-4 * (x @ x)
+        return float(r @ r), r, a + 2e-4 * x
+
+    return cost_and_jacobian, calls
+
+
+NEARLY_LINEAR_FLOOR = (6 * 0.05**2, np.sqrt(12) * 0.05**2)
+
+
 def rows(records, solves_before=0):
     """Records as comparable tuples, their forward-solve counts offset by ``solves_before``."""
     return [(r.stage, r.iteration, r.best_cost, r.design.tobytes(), solves_before + r.forward_solve_count)
@@ -816,6 +838,40 @@ class TestRunGradient:
         assert history.total_forward_solves <= 5
         assert (history.final.best_cost - expected) / sd <= 5.0
         assert np.abs(x - truth).max() / E0 < 0.01
+
+    @pytest.mark.parametrize("noise_floor", [NEARLY_LINEAR_FLOOR, (0.2, 0.05)], ids=["start-above", "start-within"])
+    def test_noise_floor_stops_before_a_negligible_step(self, noise_floor):
+        """Once the cost lies within the noise floor and the next step would
+        lower it by less than 1 % of sd, the run ends without evaluating a
+        further point; its records are the first of the run without the
+        floor. A start within the floor whose step would lower the cost by
+        more still takes it."""
+        cost_and_jacobian, calls = nearly_linear()
+        lower, upper, start = np.full(2, -1.0), np.full(2, 1.0), np.zeros(2)
+        _, alone = fu.run_gradient(cost_and_jacobian, start, lower, upper, fu.GradConfig())
+        assert alone.total_forward_solves > 2
+        calls.clear()
+        x, history = fu.run_gradient(cost_and_jacobian, start, lower, upper, fu.GradConfig(),
+                                     noise_floor=noise_floor)
+        assert len(calls) == history.total_forward_solves == 2
+        assert rows(history.records) == rows(alone.records[:2])
+        assert np.array_equal(x, alone.records[1].design)
+        expected, sd = noise_floor
+        assert (history.final.best_cost - expected) / sd <= 5.0
+
+    def test_noise_floor_below_every_cost_changes_nothing(self):
+        """With z > 5 at every iterate the floor never stops the run: its
+        records are bitwise those of the run without it."""
+        cost_and_jacobian, _ = nearly_linear()
+        lower, upper, start = np.full(2, -1.0), np.full(2, 1.0), np.zeros(2)
+        x_alone, alone = fu.run_gradient(cost_and_jacobian, start, lower, upper, fu.GradConfig())
+        expected, sd = 0.0, 1e-4
+        x, history = fu.run_gradient(cost_and_jacobian, start, lower, upper, fu.GradConfig(),
+                                     noise_floor=(expected, sd))
+        assert all((r.best_cost - expected) / sd > 5.0 for r in history.records)
+        assert rows(history.records) == rows(alone.records)
+        assert history.total_forward_solves == alone.total_forward_solves
+        assert np.array_equal(x, x_alone)
 
     def test_solve_count_audited(self):
         calls = [0]
@@ -1207,7 +1263,8 @@ class TestRunHybrid:
         ga = fu.GAConfig(population_size=16, generations_max=15, rng_seed=4)
         grad = fu.GradConfig(max_iterations=120)
         final, history = fu.run_hybrid(context, lower, upper, ga, grad, initial_guess=np.full(4, E0))
-        refined, alone = fu.run_gradient(context.cost_and_jacobian, np.full(4, E0), lower, upper, grad)
+        refined, alone = fu.run_gradient(context.cost_and_jacobian, np.full(4, E0), lower, upper, grad,
+                                         noise_floor=context.noise_floor())
         assert history.stage_records(STAGE_GA) == []
         assert rows(history.records) == rows(alone.records)
         assert history.total_forward_solves == alone.total_forward_solves
@@ -1220,6 +1277,20 @@ class TestRunHybrid:
         ])
         expected, sd = s2.sum(), np.sqrt(2 * np.sum(s2**2))
         assert context.noise_floor() == pytest.approx((expected, sd), rel=1e-12)
+        assert (history.final.best_cost - expected) / sd <= 5.0
+        assert np.abs(final - truth).max() / E0 < 0.01
+
+    def test_noisy_coupon_stops_at_the_floor_in_four_solves(self):
+        """Gauss-Newton from the guess stops once its next step would lower
+        the cost by less than 1 % of the noise sd: at most 4 solves (3 here;
+        the run without the floor takes 5), within the floor and 1 % of the
+        truth."""
+        context, truth, lower, upper = small_context(noise=0.01, seed=3, strain_floor=3e-5)
+        ga = fu.GAConfig(population_size=16, generations_max=15, rng_seed=4)
+        final, history = fu.run_hybrid(context, lower, upper, ga, fu.GradConfig(max_iterations=120),
+                                       initial_guess=np.full(4, E0))
+        expected, sd = context.noise_floor()
+        assert history.total_forward_solves <= 4
         assert (history.final.best_cost - expected) / sd <= 5.0
         assert np.abs(final - truth).max() / E0 < 0.01
 
