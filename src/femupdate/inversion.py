@@ -638,21 +638,14 @@ def run_hybrid(
     The generation-0 handoff is compared with a partner run from the GA's
     generation-0 runner-up (``run_ga``), which runs first, so the GA stops
     before it breeds when both reach one minimizer; with no runner-up
-    there is no generation-0 check. A GA of at most
-    ``_HANDOFF_GENERATIONS`` generations skips generation 0 and gets one
-    handoff, at its last generation. The pair would pay more than it saves:
-    on the ``invert3d`` benchmark problem (2-core Intel Xeon, one BLAS
-    thread) one ``cost_and_jacobian`` takes ~8.7 ms against ~5.6 ms per
-    design in a 6-design GA stack, and with the pair the GA stops at
-    generation 0 and seeds 1-30 take 16-20 forward solves instead of
-    16-27, yet ``run_hybrid`` ran slower on 7 of seeds 1-12, by up to 33 %.
-    A GA that ends at its cap or by its stall rule gets a handoff at its
-    last generation if none ran there. A GA best that failed (+inf) gets
-    no handoff, and a GA that ends with every design failed (elites keep
-    any finite one) raises NumericalError. Gauss-Newton runs once per start
-    design: it is deterministic, so a run from a design an earlier run
-    started from (the guess, a partner or a handoff, compared bitwise)
-    reuses that run's end, costs no solves and adds no run to the history.
+    there is no generation-0 check. A GA that ends at its cap or by its
+    stall rule gets a handoff at its last generation if none ran there. A
+    GA best that failed (+inf) gets no handoff, and a GA that ends with
+    every design failed (elites keep any finite one) raises
+    NumericalError. Gauss-Newton runs once per start design: it is
+    deterministic, so a run from a design an earlier run started from (the
+    guess, a partner or a handoff, compared bitwise) reuses that run's
+    end, costs no solves and adds no run to the history.
 
     Handoffs never feed the population, so the GA records are those of
     ``run_ga`` alone with the same seed, up to the generation the hybrid
@@ -698,7 +691,7 @@ def run_hybrid(
             return False
         if record.iteration > 0:
             previous = last
-        elif ga_config.generations_max > _HANDOFF_GENERATIONS and runner_up is not None:
+        elif runner_up is not None:
             previous = gauss_newton(runner_up)  # the partner
         else:
             return False

@@ -359,7 +359,7 @@ def load_measurement_csv(path) -> ExperimentalField:
                     vals = [float(p) for p in parts]
                 except ValueError:
                     raise ParseError(lineno, f"non-numeric value in row: {line!r}") from None
-                if not all(np.isfinite(v) for v in vals):
+                if not all(map(math.isfinite, vals)):
                     raise ParseError(lineno, "non-finite strain or coordinate value")
                 rows.append((lineno, vals))
     except OSError as exc:

@@ -332,12 +332,17 @@ class ForwardModel:
             self._interior = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
         except LinAlgError as exc:
             raise SingularSystemError(f"interior stiffness factorization failed: {exc}") from exc
+        # Row (k, g) of A_k is nonempty exactly when patch k touches
+        # interface dof g, and then its diagonal is positive: the mask gives
+        # each patch's interface dofs g_k.
+        touches = np.diff(a.indptr).reshape(n_patches, n_free)[:, n_i:] > 0
         # B = K(1)[G, I] = sum_k A_k[G, I_k]: the interior columns of the
-        # interface rows of the A_k, whose I_k are disjoint.
-        g_rows = a[(np.arange(n_patches)[:, None] * n_free + np.arange(n_i, n_free)).ravel()].tocoo()
+        # nonempty interface rows of the A_k, whose I_k are disjoint.
+        k_of, g_of = np.nonzero(touches)
+        g_rows = a[k_of * n_free + n_i + g_of].tocoo()
         inner = g_rows.col < n_i
         self._coupling = sp.csc_matrix(
-            (g_rows.data[inner], (g_rows.row[inner] % n_g, g_rows.col[inner])), shape=(n_g, n_i)
+            (g_rows.data[inner], (g_of[g_rows.row[inner]], g_rows.col[inner])), shape=(n_g, n_i)
         )
         del g_rows, inner
         self._coupling_t = self._coupling.T  # CSR over the same arrays
@@ -352,10 +357,9 @@ class ForwardModel:
         z[np.arange(n_i), self._interior_patch] = -self._z0
         self._g_rhs = self._coupling @ z - self._rhs_per_patch[n_i:]
 
-        # Per patch: its interface dofs g (those its elements touch, so a
-        # nonzero diagonal in A_k) and the rows tail..end-1 of its block
-        # from its first interior row coupled to g.
-        gs = [np.flatnonzero(a.diagonal(-k * n_free)[n_i:]) for k in range(n_patches)]
+        # Per patch: its interface dofs g and the rows tail..end-1 of its
+        # block from its first interior row coupled to g.
+        gs = [np.flatnonzero(row) for row in touches]
         block_tail = block_end.copy()  # a block without coupled rows needs no Y
         coupled_rows = np.flatnonzero(np.diff(self._coupling_t.indptr))
         coupled, first = np.unique(self._interior_patch[coupled_rows], return_index=True)

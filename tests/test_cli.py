@@ -96,6 +96,11 @@ class TestLoadConfig:
                 }
             )
 
+    def test_defect_box_coordinates_match_the_dimension(self):
+        geometry = {"dimension": 3, "length_mm": 100, "width_mm": 20, "thickness_mm": 8, "nx": 10, "ny": 4, "nz": 2}
+        with pytest.raises(ConfigError, match=r"patches\.defects\[0\]\.box_min: expected 3 coordinates"):
+            load_config({"geometry": geometry, "patches": {"defects": [{"box_min": [40, 5], "box_max": [60, 15]}]}})
+
     def test_sections_must_fit_columns(self):
         with pytest.raises(ConfigError, match="n_sections"):
             load_config(
@@ -666,6 +671,21 @@ class TestCmdInvert:
         note = "note: the fit ends above the noise floor (z > 5), from model error or a local minimum\n"
         assert (note in capsys.readouterr().out) == noted
 
+    @pytest.mark.parametrize("stalled", [False, True])
+    def test_report_notes_a_stalled_line_search(self, tmp_path, capsys, stalled):
+        report = {
+            "recovered_moduli_mpa": [1.0, 2.0],
+            "initial_moduli_mpa": [1.5, 1.5],
+            "initial_cost": 4.0,
+            "final_cost": 1.0,
+            "gradient_stalled": stalled,
+        }
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert cli.main(["report", str(path)]) == 0
+        note = "note: gradient line search stalled before meeting its tolerance\n"
+        assert (note in capsys.readouterr().out) == stalled
+
     def test_truncated_csv_exit_3(self, tmp_path, capsys):
         out = tmp_path / "t"
         cfg_path = write_config(tmp_path, base_config(out))
@@ -776,8 +796,15 @@ class TestCmdInvert:
               "final_cost": 1.0}, "'recovered_moduli_mpa'"),
             ({"recovered_moduli_mpa": [1.0], "initial_moduli_mpa": [1.0], "initial_cost": 4.0,
               "final_cost": 1.0, "noise_floor": {"expected": 1.0, "sd": 0.5}}, "'noise_floor'"),
+            ({"recovered_moduli_mpa": [1.0], "initial_moduli_mpa": [1.0], "initial_cost": 4.0},
+             "report is missing field 'final_cost'"),
+            ({"recovered_moduli_mpa": [1.0], "initial_moduli_mpa": [1.0], "initial_cost": "4.0",
+              "final_cost": 1.0}, "field 'initial_cost' must be a number"),
+            ({"recovered_moduli_mpa": [1.0], "initial_moduli_mpa": [1.0], "initial_cost": 4.0,
+              "final_cost": 1.0, "stage_iterations": [1, 9]}, "field 'stage_iterations' must be an object"),
         ],
-        ids=["number", "string", "string-moduli", "noise-floor-without-z"],
+        ids=["number", "string", "string-moduli", "noise-floor-without-z", "no-final-cost", "string-cost",
+             "list-stage-iterations"],
     )
     def test_malformed_report_exit_2(self, tmp_path, capsys, report, field):
         path = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ Gauss-Newton stages."""
 
 import functools
 import hashlib
+import re
 import types
 import warnings
 
@@ -477,6 +478,14 @@ class TestRunGa:
         config = fu.GAConfig(population_size=6, generations_max=2)
         with pytest.raises(ValueError):
             fu.run_ga(lambda x: np.zeros(len(x)), np.array([0.0, np.inf]), np.array([1.0, np.inf]), config)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (6, 1)], ids=["scalar", "short", "column"])
+    def test_cost_fn_of_the_wrong_shape_rejected(self, shape):
+        """The generation-0 stack holds six distinct designs; a cost_fn that
+        returns anything but six costs for it raises."""
+        config = fu.GAConfig(population_size=6, generations_max=2)
+        with pytest.raises(ValueError, match=re.escape(f"cost_fn returned shape {shape} for 6 designs")):
+            fu.run_ga(lambda x: np.zeros(shape), np.zeros(2), np.ones(2), config)
 
     def test_config_validation(self):
         fu.GAConfig(population_size=4, generations_max=1)  # the smallest legal GA
@@ -1344,21 +1353,32 @@ class TestRunHybrid:
                                        initial_guess=np.full(4, E0))
         assert context.cost(final) == history.final.best_cost
 
-    @pytest.mark.parametrize("generations_max", [3, 4])
-    def test_short_ga_gets_one_final_handoff(self, generations_max):
-        """With no handoff before the cap, the hybrid is run_ga followed by
-        one run_gradient from its best."""
+    @pytest.mark.parametrize("generations_max", [3, 4, 15])
+    def test_generation_0_pair_at_every_cap(self, generations_max):
+        """Whatever the GA's cap, its generation-0 handoff is compared with
+        the partner run from the generation-0 runner-up. Both end at one
+        minimizer, so the GA stops before it breeds, with fewer solves than
+        run_ga to its cap followed by one run_gradient from its best."""
         context, truth, lower, upper = small_context()
+        guess = np.full(4, E0)
         ga = fu.GAConfig(population_size=16, generations_max=generations_max, rng_seed=4)
         grad = fu.GradConfig(max_iterations=120)
-        final, history = fu.run_hybrid(context, lower, upper, ga, grad, initial_guess=np.full(4, E0))
-        ga_best, ga_history = fu.run_ga(context.cost, lower, upper, ga, initial_guess=np.full(4, E0))
-        refined, gn_history = fu.run_gradient(context.cost_and_jacobian, ga_best, lower, upper, grad)
-        offset = ga_history.total_forward_solves
-
-        assert rows(history.records) == rows(ga_history.records) + rows(gn_history.records, offset)
-        assert history.total_forward_solves == offset + gn_history.total_forward_solves
+        final, history = fu.run_hybrid(context, lower, upper, ga, grad, initial_guess=guess)
+        ga_records = history.stage_records(STAGE_GA)
+        assert [r.iteration for r in ga_records] == [0]
+        runner_up = generation0_runner_up(context.cost, lower, upper, ga, guess)
+        _, partner = fu.run_gradient(context.cost_and_jacobian, runner_up, lower, upper, grad)
+        refined, handoff = fu.run_gradient(context.cost_and_jacobian, ga_records[0].design, lower, upper, grad)
+        solves = ga_records[0].forward_solve_count
+        assert rows(history.records) == (
+            rows(ga_records)
+            + rows(partner.records, solves)
+            + rows(handoff.records, solves + partner.total_forward_solves)
+        )
         assert np.array_equal(final, refined)
+        ga_best, ga_history = fu.run_ga(context.cost, lower, upper, ga, initial_guess=guess)
+        _, gn_history = fu.run_gradient(context.cost_and_jacobian, ga_best, lower, upper, grad)
+        assert history.total_forward_solves < ga_history.total_forward_solves + gn_history.total_forward_solves
 
     def test_same_seeds_identical_run(self, hybrid_run):
         context, truth, lower, upper, ga, grad, final, history = hybrid_run

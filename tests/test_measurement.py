@@ -320,6 +320,12 @@ class TestMeasurementCsv:
         with pytest.raises(ParseError, match="'exx'"):
             fu.load_measurement_csv(path)
 
+    def test_reordered_columns_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("x_mm,y_mm,eyy,exx,exy\n1,1,0,0,0\n")
+        with pytest.raises(ParseError, match="line 1: header must be 'x_mm,y_mm,exx,eyy,exy', got 'x_mm,y_mm,eyy,exx,exy'"):
+            fu.load_measurement_csv(path)
+
     def test_malformed_row_line_number(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("x_mm,y_mm,exx,eyy,exy\n1,1,0,0,0\n2,1,0,0\n")
