@@ -323,20 +323,16 @@ def _load(cls, path: str, data):
 
 
 def load_config(source) -> RunConfig:
-    """Parse and validate a config from a path, JSON string, or dict."""
+    """Parse and validate a config from the path of a JSON file, or from a
+    dict of the same structure."""
     if isinstance(source, dict):
         raw = source
     else:
-        if str(source).lstrip().startswith("{"):
-            text = str(source)
-        else:
-            try:
-                with open(source, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ConfigError(str(source), f"cannot read config file: {exc}") from exc
         try:
-            raw = json.loads(text)
+            with open(source, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(str(source), f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(str(source), f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):

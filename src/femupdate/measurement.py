@@ -25,9 +25,11 @@ from .vtkio import atomic_write_text
 IDW_NEIGHBORS = 4
 IDW_POWER = 2
 _COINCIDENT = 1e-12
-# Cell size and memory bound of the neighbour search (``nearest_samples``).
+# Cell size and memory bounds of the neighbour search (``nearest_samples``):
+# its table holds at most _TABLE_PER_SAMPLE n + _TABLE_SLACK entries.
 _SAMPLES_PER_CELL = 2
 _PAIR_BUDGET = 1 << 13
+_TABLE_PER_SAMPLE, _TABLE_SLACK = 64, 1024
 _CSV_HEADER = "x_mm,y_mm,exx,eyy,exy"
 
 
@@ -144,7 +146,8 @@ class Interpolator:
 
     The neighbours are found by ``nearest_samples``, an exact search over a
     uniform cell grid that raises OutOfDomainError for a target outside the
-    samples' bounding box. Ties are broken by (distance, sample index): of
+    samples' bounding box, and ValueError for samples crowded into a few of
+    its cells. Ties are broken by (distance, sample index): of
     samples at the same distance the lower index is nearer, so a target on
     coincident samples takes the one with the lowest index.
     """
@@ -189,10 +192,13 @@ def nearest_samples(samples: np.ndarray, targets: np.ndarray, k: int) -> tuple[n
     (target, candidate) pairs, so a group's transient memory stays under
     about 1 MB.
 
-    The table is cells x fullest cell, so a clustered or coincident cloud
-    costs memory and time quadratic in its samples: 4,000 samples on 3
-    distinct points allocate up to 55 MB at once and take 4 s (2-core x86),
-    and 40,000 had reached 2.7 GB resident after 11 CPU minutes.
+    The table is (cells + 1) x fullest cell entries: about 2 n for the n
+    distinct surface Gauss points of a finite element model, but quadratic
+    in n for a cloud crowded into a few cells. n samples on 3 distinct
+    points need about 80 n at n = 400, 700 n at 4,000 (a 22 MB table) and
+    6,800 n at 40,000 (2.2 GB). So a table of more than
+    ``_TABLE_PER_SAMPLE`` n + ``_TABLE_SLACK`` entries raises ValueError,
+    naming the sample and cell counts, before it is allocated.
     """
     n_samples, n_targets = samples.shape[0], targets.shape[0]
     if not 1 <= k <= n_samples:
@@ -227,6 +233,8 @@ def nearest_samples(samples: np.ndarray, targets: np.ndarray, k: int) -> tuple[n
     by_cell = np.argsort(sample_cell, kind="stable")  # index order within a cell
     in_order = sample_cell[by_cell]
     count = np.bincount(in_order, minlength=shape[0] * shape[1])
+    if (count.size + 1) * count.max() > _TABLE_PER_SAMPLE * n_samples + _TABLE_SLACK:
+        raise ValueError(f"{n_samples} samples crowd into few of {count.size} cells, up to {count.max()} in one")
     rank = np.arange(n_samples) - (np.cumsum(count) - count)[in_order]  # place within its cell
     table = np.full((count.size + 1, count.max()), n_samples)
     table[in_order, rank] = by_cell

@@ -220,11 +220,15 @@ class ForwardModel:
 
     The surface strains are the sparse linear map ``strain_sampling`` of the
     displacements, sampled on the one measured surface: the midplane of a
-    2D mesh, the z = T face of a 3D one (``_surface_sampling``). The rank
-    is checked once, at construction: for positive moduli the null space of
-    K(E) is the intersection of those of the A_k, so the pivots of K(1) in
-    the condensed order (the squared diagonal of the interior Cholesky
-    factor, then the pivots of S(1)) show whether any solve can be
+    2D mesh, the z = T face of a 3D one (``_surface_sampling``). Each of its
+    rows is a row of B of one surface element at one sample point; B is
+    computed once per distinct element shape, as for the stiffness, and
+    the rows are written straight into CSR (``_init_strain_sampling``).
+
+    The rank is checked once, at construction: for positive moduli the null
+    space of K(E) is the intersection of those of the A_k, so the pivots of
+    K(1) in the condensed order (the squared diagonal of the interior
+    Cholesky factor, then the pivots of S(1)) show whether any solve can be
     singular.
 
     ``bcs`` may be any object whose ``prescribed_dofs(mesh)`` returns
@@ -253,7 +257,7 @@ class ForwardModel:
         edofs = _element_dofs(mesh)
         self._assemble(edofs)
         self._condense()
-        self._init_strain_sampling(edofs, surface_elements, parent_points)
+        self._init_strain_sampling(edofs[surface_elements], surface_elements, parent_points)
 
     def _assemble(self, edofs: np.ndarray) -> None:
         """Fill ``_patch_stiffness`` and ``_rhs_per_patch`` from the
@@ -409,19 +413,25 @@ class ForwardModel:
                 "stiffness is numerically singular; boundary conditions leave rigid modes"
             )
 
-    def _init_strain_sampling(self, edofs, element_ids, parent_points) -> None:
+    def _init_strain_sampling(self, dofs, element_ids, parent_points) -> None:
+        """Fill ``_surface_points`` and ``_strain_sampling`` from the surface
+        elements ``element_ids``, their global ``dofs`` and the parent-space
+        sample points. B is computed once per distinct element shape, as in
+        ``_element_stiffnesses``. Row (strain c, sample (e, p)) of S is row c
+        of B of element e at point p; it is written straight into CSR, its
+        columns sorted, and the entries B holds as zeros are dropped."""
         coords = self.mesh.nodes[self.mesh.elements[element_ids]]
-        components = [0, 1, 2] if self.mesh.dimension == 2 else [0, 1, 3]
-        b = [_shape.strain_displacement(coords, gp, element_ids)[0][:, components] for gp in parent_points]
+        shapes, first, shape = _shape.distinct_shapes(coords)
+        b = np.stack([_shape.strain_displacement(shapes, gp, element_ids[first])[0] for gp in parent_points], axis=2)
+        b = b[:, [0, 1, 2] if self.mesh.dimension == 2 else [0, 1, 3]].transpose(1, 0, 2, 3)  # (3, shapes, points, dofs)
         pts = [(_shape.shape_values(gp) @ coords)[:, :2] for gp in parent_points]
         self._surface_points = np.stack(pts, axis=1).reshape(-1, 2)
-        b = np.stack(b, axis=1)  # (elements, points, 3, element dofs)
-        n_samples = self._surface_points.shape[0]
-        sample = np.arange(n_samples).reshape(b.shape[:2])
-        rows = sample[:, :, None, None] + n_samples * np.arange(3)[:, None]
-        cols = edofs[element_ids][:, None, None, :]
-        rows, cols = np.broadcast_arrays(rows, cols)
-        s = sp.csr_matrix((b.ravel(), (rows.ravel(), cols.ravel())), shape=(3 * n_samples, self._n_dofs))
+        order = np.argsort(dofs, axis=1, kind="stable")  # the sort kind the model build already runs
+        # (3, elements, points, dofs): the CSR rows in order, each with its columns sorted.
+        data = b[:, shape[:, None, None], np.arange(len(parent_points))[:, None], order[:, None]]
+        indices = np.broadcast_to(np.sort(dofs, axis=1, kind="stable").astype(np.int32)[:, None], data.shape)
+        indptr = np.arange(0, data.size + 1, dofs.shape[1])
+        s = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(indptr.size - 1, self._n_dofs))
         s.eliminate_zeros()
         self._strain_sampling = s
 

@@ -53,6 +53,13 @@ class TestLoadConfig:
         # resolving twice is stable
         assert load_config(resolved).to_dict() == resolved
 
+    def test_path_starting_with_brace_is_a_file(self, tmp_path, monkeypatch):
+        """A config source that is not a dict is always a file path, even a
+        relative one that starts with '{'."""
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, base_config(tmp_path / "out"), name="{coupon}.json")
+        assert load_config("{coupon}.json").geometry.nx == 10
+
     def test_missing_geometry_field_names_path(self):
         with pytest.raises(ConfigError, match="geometry.width_mm"):
             load_config({"geometry": {"length_mm": 10, "thickness_mm": 1}})

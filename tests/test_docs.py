@@ -24,8 +24,10 @@ def test_library_quick_start_runs():
     assert np.abs(recovered - truth).max() / truth.max() < 0.01
 
 
-def test_minimal_config_loads():
-    config = load_config(code_block("json", "A minimal config"))
+def test_minimal_config_loads(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(code_block("json", "A minimal config"), encoding="utf-8")
+    config = load_config(path)
     mesh = config.build_mesh()
     assert config.build_patch_map(mesh).patch_count == 11
     assert config.truth_values(11)[9] == 60000.0

@@ -1,5 +1,7 @@
 """Measurement grids, interpolation, synthetic generation and CSV I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,20 @@ class TestNearestSamples:
         samples = np.arange(10.0).reshape(5, 2)
         with pytest.raises(ValueError, match=rf"k must be in \[1, n_samples = 5\], got {k}"):
             nearest_samples(samples, samples[:2], k)
+
+    def test_crowded_cloud_rejected_before_its_table(self):
+        """4,000 samples on 3 distinct points would need a table of ~700
+        entries per sample (22 MB): refused before it is allocated."""
+        rng = np.random.default_rng(3)
+        samples = rng.uniform(0.0, 2.0, size=(3, 2))[rng.integers(0, 3, 4000)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"4000 samples crowd into few of \d+ cells"):
+                nearest_samples(samples, samples[:5], IDW_NEIGHBORS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestGridStrainOperator:

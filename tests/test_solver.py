@@ -11,7 +11,9 @@ from scipy.linalg import cholesky_banded
 
 import femupdate as fu
 from conftest import Prescribed, dense_stiffness, element_stiffness, stiffness
-from femupdate._shape import HEX8_SIGNS, QUAD4_SIGNS, gauss_points, shape_gradients, shape_values, strain_displacement
+from femupdate._shape import (
+    HEX8_SIGNS, QUAD4_SIGNS, distinct_shapes, gauss_points, shape_gradients, shape_values, strain_displacement,
+)
 from femupdate.errors import DegenerateElementError, NumericalError
 
 E_STEEL = 200000.0
@@ -350,6 +352,46 @@ class TestSurfaceStrains:
         soft = model.surface_strain_arrays(np.array([E_STEEL, E_STEEL, 0.25 * E_STEEL]))[0]
         rel = np.abs(soft - homog) / np.abs(homog)
         assert rel.max() > 0.05
+
+    @pytest.mark.parametrize("dims", [(8, 4), (8, 4, 2)], ids=["2d", "3d"])
+    def test_sampling_matches_element_by_element_on_several_shapes(self, dims, uniaxial_bcs):
+        """B is computed once per distinct element shape: on a coupon whose
+        surface elements take several shapes, some shared by several
+        elements, S has the pattern of a per-element build from each
+        element's own coordinates and its values to rounding."""
+        mesh = fu.build_coupon_mesh(100, 20, 2 if len(dims) == 2 else 8, *dims)
+        nodes = mesh.nodes.copy()
+        # Two nodes off the coupon's sides, far apart, moved in-plane by one
+        # offset (the coordinates stay exact in binary), so each distorted
+        # shape occurs twice. In 3D they are on the z = T face: there the
+        # in-plane strains do not depend on the nodes below it.
+        for point in ((25, 5, 8), (75, 10, 8)):
+            node = np.flatnonzero((nodes == point[:len(dims)]).all(axis=1))
+            nodes[node, :2] += (1.5, 1.0)
+        mesh = fu.Mesh(mesh.dimension, nodes, mesh.elements, mesh.thickness, mesh.divisions, mesh.extent)
+        model = fu.ForwardModel(mesh, fu.partition_longitudinal(mesh, 2), NU, uniaxial_bcs)
+        elements, points = fu.solver._surface_sampling(mesh)
+        _, _, shape = distinct_shapes(mesh.nodes[mesh.elements[elements]])
+        assert np.sort(np.bincount(shape)).tolist() == [2, 2, 2, 2, elements.size - 8]
+
+        n_samples = elements.size * len(points)
+        rows, cols, values = [], [], []
+        for i, e in enumerate(elements):
+            dofs = (mesh.dimension * mesh.elements[e][:, None] + np.arange(mesh.dimension)).ravel()
+            for p, gp in enumerate(points):
+                b = strain_displacement(mesh.nodes[mesh.elements[e]][None], gp)[0][0]
+                for c, strain in enumerate([0, 1, 2] if mesh.dimension == 2 else [0, 1, 3]):
+                    rows.append(np.full(dofs.size, c * n_samples + i * len(points) + p))
+                    cols.append(dofs)
+                    values.append(b[strain])
+        want = sp.csr_matrix(
+            (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=model.strain_sampling.shape
+        )
+        want.eliminate_zeros()
+        got = model.strain_sampling
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert_allclose(got.data, want.data, rtol=0, atol=1e-12 * np.abs(want.data).max())
 
     def test_3d_front_face_points_on_top_layer(self):
         mesh = fu.build_coupon_mesh(100, 20, 8, 6, 3, 2)
