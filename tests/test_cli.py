@@ -19,6 +19,7 @@ import femupdate as fu
 import femupdate.cli as cli
 from femupdate.config import load_config
 from femupdate.errors import ConfigError
+from femupdate.vtkio import atomic_write_text
 from test_acceptance import context_from, coupon_config_2d, coupon_config_3d
 
 
@@ -59,6 +60,21 @@ class TestLoadConfig:
         monkeypatch.chdir(tmp_path)
         write_config(tmp_path, base_config(tmp_path / "out"), name="{coupon}.json")
         assert load_config("{coupon}.json").geometry.nx == 10
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(None, "cannot read config file"), ('{"geometry": ', "invalid JSON"),
+         ("[1, 2]", "top-level config must be a JSON object")],
+        ids=["missing-file", "broken-json", "top-level-array"],
+    )
+    def test_unloadable_file_raises_and_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+        assert cli.main(["forward", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_geometry_field_names_path(self):
         with pytest.raises(ConfigError, match="geometry.width_mm"):
@@ -413,6 +429,15 @@ class TestCmdSynthAndForward:
         assert "config error: bcs.u_applied_mm: must be nonzero" in capsys.readouterr().err
         assert not (tmp_path / "z").exists()
 
+    @pytest.mark.parametrize("modulus", [0.0, -60000.0])
+    def test_non_positive_truth_modulus_exit_2(self, tmp_path, capsys, modulus):
+        out = tmp_path / "t"
+        cfg_path = write_config(tmp_path, base_config(out, material={"truth_moduli_mpa": {"3": modulus}}))
+        assert cli.main(["forward", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "config error: material.truth_moduli_mpa: modulus for patch 3 must be positive and finite" in err
+        assert not out.exists()
+
     def test_z_face_on_2d_exit_2(self, tmp_path, capsys):
         out = tmp_path / "t"
         cfg_path = write_config(tmp_path, base_config(out, bcs={"fixed_face": "zmin"}))
@@ -510,6 +535,16 @@ class TestCmdSynthAndForward:
         assert cli.main(["synth", "--config", cfg_path]) == 0
         leftovers = [f for f in os.listdir(out) if f.startswith(".tmp")]
         assert leftovers == []
+
+    def test_failed_atomic_write_keeps_the_old_file(self, tmp_path):
+        """A write that raises (a lone surrogate has no UTF-8 encoding)
+        leaves the target as it was and no temporary file behind."""
+        target = tmp_path / "summary.txt"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(str(target), "new \ud800\n")
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["summary.txt"]
 
 
 @pytest.fixture(scope="module")

@@ -1064,6 +1064,17 @@ class LeftHalfFails(TiltedDoubleWell):
         return super().cost_and_jacobian(design)
 
 
+class CostlierGaussNewton(TiltedDoubleWell):
+    """The tilted double well whose ``cost_and_jacobian`` reports 1 more
+    than ``cost`` at the same design, so every Gauss-Newton end costs more
+    than a GA best below 1. Its Jacobian is negated for x < 0, so the step
+    from there points uphill and the line search stalls."""
+
+    def cost_and_jacobian(self, design):
+        cost, r, j = super().cost_and_jacobian(design)
+        return cost + 1.0, r, -j if design[0] < 0 else j
+
+
 class NoisyTiltedDoubleWell(TiltedDoubleWell):
     """The tilted double well with a noise floor: two residuals of standard
     deviation 0.05, so the cost at the truth has mean 0.005 and sd 0.005.
@@ -1264,6 +1275,22 @@ class TestRunHybrid:
         assert np.array_equal(gauss_newton_starts(history)[-1][1], ga_best)
         assert np.array_equal(final, runs[-1][0])
         assert not history.gradient_stalled
+
+    def test_ga_best_cheaper_than_its_gauss_newton_end_is_returned(self):
+        """The run from the GA best (x < 0) ends costing more than the GA
+        best itself, so the GA best is returned, and the hybrid's stalled
+        flag is that run's (True), not the partner's (False)."""
+        problem, lower, upper, guess = CostlierGaussNewton(), np.array([-2.0]), np.array([2.0]), np.array([-1.5])
+        grad = fu.GradConfig()
+        final, history = fu.run_hybrid(problem, lower, upper, fu.GAConfig(4, 8, 0), grad, initial_guess=guess)
+        ga_best = history.stage_records(STAGE_GA)[-1]
+        starts = gauss_newton_starts(history)
+        assert np.array_equal(starts[-1][1], ga_best.design) and ga_best.design[0] < 0
+        runs = [fu.run_gradient(problem.cost_and_jacobian, start, lower, upper, grad)[1] for _, start in starts]
+        assert runs[-1].final.best_cost > ga_best.best_cost
+        assert np.array_equal(final, ga_best.design)
+        assert [run.gradient_stalled for run in runs] == [False, True]
+        assert history.gradient_stalled
 
     def test_noisy_fit_at_the_floor_skips_the_ga(self):
         """Gauss-Newton from the guess ends within the noise floor, so the

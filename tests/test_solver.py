@@ -518,6 +518,14 @@ class TestSolverInvariants:
         assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
 
 
+def block_patches(mesh, blocks):
+    """A grid of equal block patches, ``blocks`` per axis (x first)."""
+    shape, counts = mesh.divisions[::-1], blocks[::-1]  # element numbers run x fastest
+    index = np.unravel_index(np.arange(mesh.n_elements), shape)
+    block = [i * c // n for i, c, n in zip(index, counts, shape)]
+    return fu.PatchMap(np.ravel_multi_index(block, counts), int(np.prod(blocks)))
+
+
 def assert_matches_dense(mesh, pmap, values, bcs):
     """ForwardModel.solve_displacement against a dense solve of the
     element-by-element stiffness, 1e-10 relative in the max norm."""
@@ -626,10 +634,7 @@ class TestCondensation:
         from femupdate import solver
 
         mesh = fu.build_coupon_mesh(*dims)
-        shape, counts = mesh.divisions[::-1], blocks[::-1]  # element numbers run x fastest
-        index = np.unravel_index(np.arange(mesh.n_elements), shape)
-        block = [i * c // n for i, c, n in zip(index, counts, shape)]
-        pmap = fu.PatchMap(np.ravel_multi_index(block, counts), int(np.prod(blocks)))
+        pmap = block_patches(mesh, blocks)
         model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
         lu = solver._factor(model._interface_stiffness(np.ones(pmap.patch_count)))
         assert lu.L.nnz + lu.U.nnz <= max_fill
@@ -694,6 +699,45 @@ class TestCondensation:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * kept, f"build peak {peak} B, {kept} B kept"
+
+    @pytest.mark.parametrize(
+        "dims, blocks, max_peak_mb",
+        [((100, 20, 2, 40, 10), (40, 10), None), ((100, 20, 8, 30, 8, 4), (10, 4, 2), 50)],
+        ids=["2d-per-element", "3d-blocks"],
+    )
+    def test_slot_map_is_that_of_a_dense_map(self, dims, blocks, max_peak_mb, uniaxial_bcs):
+        """On grids of equal block patches (P = 400 and 80), S's pattern and
+        the slots of its weights are those of a dense G x G map of the union
+        of the blocks g_k x g_k, each block's slots read from the map's
+        running count in [column, row] order: the same values and dtypes.
+        On the 3D grid the build's traced peak stays under 50 MB; the dense
+        map and its int32 count alone took 33 MB there (71 MB peak)."""
+        mesh = fu.build_coupon_mesh(*dims)
+        pmap = block_patches(mesh, blocks)
+        tracemalloc.start()
+        try:
+            model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        a, n_free, n_i = model._patch_stiffness, model.free_dofs.size, model._interior_patch.size
+        n_g = n_free - n_i
+        touches = np.diff(a.indptr).reshape(pmap.patch_count, n_free)[:, n_i:] > 0
+        used = np.zeros((n_g, n_g), dtype=bool)
+        for g in map(np.flatnonzero, touches):
+            used[np.ix_(g, g)] = True
+        pattern = sp.csc_matrix(used)
+        slot_of = np.cumsum(used, dtype=np.int32).reshape(n_g, n_g) - 1  # symmetric: [column, row]
+        slots = np.concatenate([slot_of[np.ix_(g, g)].ravel() for g in map(np.flatnonzero, touches)])
+        block_ptr = np.cumsum(np.append(0, touches.sum(axis=1) ** 2), dtype=np.int32)
+        weights = model._s_weights
+        for got, want in ((model._s_indices, pattern.indices), (model._s_indptr, pattern.indptr),
+                          (weights.indices, slots), (weights.indptr, block_ptr)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert weights.shape == (pattern.nnz, pmap.patch_count)
+        if max_peak_mb is not None:
+            assert peak <= max_peak_mb * 1e6, f"build peak {peak / 1e6:.1f} MB"
 
 
 class TestFactorizationCount:
@@ -834,6 +878,38 @@ class TestSolveChecks:
         monkeypatch.setattr(solver, "splu", perturbed)
         with pytest.raises(NumericalError, match="equilibrium residual"):
             model.solve_displacement(np.array([1.0, 1.2, 0.3]) * E_STEEL)
+
+    @THREE_PATCH
+    def test_sensitivities_raise_the_forward_solves_error(self, dims, defect, uniaxial_bcs, monkeypatch):
+        """``displacement_with_sensitivities`` raises the NumericalError of
+        its forward solve, here the equilibrium failure of a perturbed
+        factor: the error ``solve_displacement`` raises for the same moduli."""
+        from femupdate import solver
+
+        model = three_patch_model(dims, defect, uniaxial_bcs)
+        real = solver.splu
+
+        def perturbed(k, *args, **kwargs):
+            k = k.copy()
+            k.data *= 1.0 + 1e-3
+            return real(k, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "splu", perturbed)
+        values = np.array([1.0, 1.2, 0.3]) * E_STEEL
+        with pytest.raises(NumericalError, match="equilibrium residual") as forward:
+            model.solve_displacement(values)
+        with pytest.raises(NumericalError, match="equilibrium residual") as info:
+            model.displacement_with_sensitivities(values)
+        assert str(info.value) == str(forward.value)
+
+    def test_superlu_failure_is_a_singular_system(self):
+        """``_factor`` maps SuperLU's RuntimeError on an exactly singular
+        matrix to SingularSystemError, with SuperLU's message."""
+        from femupdate import solver
+
+        with pytest.raises(fu.SingularSystemError, match="factorization failed: Factor is exactly singular") as info:
+            solver._factor(sp.csc_matrix(np.diag([1.0, 0.0])))
+        assert isinstance(info.value.__cause__, RuntimeError)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_moduli_rejected(self, coupon_mesh, single_patch, uniaxial_bcs, bad):
