@@ -32,7 +32,11 @@ solves a linear least-squares problem over the free moduli. Moduli are
 positive scale parameters and strains go roughly as 1/E, so the step is
 taken in ln E (Tarantola, Inverse Problem Theory, SIAM 2005, section 1.2):
 a linear step from a stiff guess overshoots a soft patch to its lower
-bound, one in ln E lands near it. Both stages are deterministic given
+bound, one in ln E lands near it. The strains still bend along a long
+ln E step, so each step is corrected by its geodesic acceleration
+(Transtrum & Sethna, arXiv:1201.5885, 2012), from the residuals' second
+derivative along the step, which the factor of the evaluation already
+made gives without a new factorization. Both stages are deterministic given
 their seeds and append every iterate to one ConvergenceHistory, in run
 order, with their forward-solve count.
 ``fd_gradient`` remains as a finite-difference oracle for checking gradients.
@@ -77,6 +81,11 @@ _NOISE_FLOOR_Z = 5.0
 # Gauss-Newton given a noise floor stops at a cost within it once its next
 # step would lower the cost by less than this many sd (``run_gradient``).
 _NEGLIGIBLE_DECREASE_SD = 1e-2
+# Geodesic acceleration (``run_gradient``): computed while the Gauss-Newton
+# model predicts a decrease of at least this fraction of the cost, and kept
+# when 2 |a| <= _ACCELERATION_RATIO |d| (Transtrum & Sethna, 2012).
+_ACCELERATION_MIN_DECREASE = 1e-2
+_ACCELERATION_RATIO = 0.75
 
 
 @dataclass(frozen=True)
@@ -244,9 +253,27 @@ class CostContext:
         factorization, shared by the forward solve and the P sensitivity
         solves. The gradient of the cost is 2 J^T r.
         """
-        u, du = self.forward.displacement_with_sensitivities(design)
+        return self.cost_and_derivatives(design)[:3]
+
+    def cost_and_derivatives(self, design: np.ndarray):
+        """``cost_and_jacobian`` and the residuals' second derivative along a path.
+
+        Returns (f, r, J, second): f, r and J as ``cost_and_jacobian``
+        returns them, and ``second(rate, acceleration)``, the second
+        derivative r'' = -(M u'') / max(|measured|, strain_floor) along a
+        path of moduli through ``design`` with that first and second
+        derivative (``ForwardModel.displacement_derivatives``): one more
+        single-column solve on this call's factor, no factorization.
+        ``run_gradient`` uses it to correct its steps.
+        """
+        u, du, u_second = self.forward.displacement_derivatives(design)
         r = self.residuals(self._operator @ u)
-        return float(np.sum(r**2, axis=-1)), r, -(self._operator @ du) / self._denominator[:, None]
+        jac = -(self._operator @ du) / self._denominator[:, None]
+
+        def second(rate: np.ndarray, acceleration: np.ndarray) -> np.ndarray:
+            return -(self._operator @ u_second(rate, acceleration)) / self._denominator
+
+        return float(np.sum(r**2, axis=-1)), r, jac, second
 
 
 def fd_gradient(
@@ -447,7 +474,15 @@ def run_ga(
     return history.stage_records(STAGE_GA)[-1].design.copy(), history
 
 
-def _gauss_newton_step(x, r, jac, grad, lower, upper) -> np.ndarray:
+def _free_least_squares(jac, rhs, free, norms) -> np.ndarray:
+    """min |J_F s - rhs| over the free set F, solved with unit-norm columns;
+    zero off F."""
+    s = np.zeros(jac.shape[1])
+    s[free] = np.linalg.lstsq(jac[:, free] / norms[free], rhs, rcond=None)[0] / norms[free]
+    return s
+
+
+def _gauss_newton_step(x, r, jac, grad, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     """Projected Gauss-Newton direction: min |J_F d + r| over the free set F.
 
     F leaves out the coordinates whose column of J is zero (pinned ones
@@ -456,20 +491,31 @@ def _gauss_newton_step(x, r, jac, grad, lower, upper) -> np.ndarray:
     The least-squares problem is solved with unit-norm columns. A free
     coordinate at a bound whose step would leave the box is then fixed
     too, and the problem solved again, so a short enough step moves no
-    coordinate out of the box.
+    coordinate out of the box. Returns (d, F).
     """
     norms = np.linalg.norm(jac, axis=0)
     at_lower, at_upper = x <= lower, x >= upper
     free = (norms > 0) & ~(at_lower & (grad > 0)) & ~(at_upper & (grad < 0))
     step = np.zeros_like(x)
     while free.any():
-        step[:] = 0.0
-        step[free] = np.linalg.lstsq(jac[:, free] / norms[free], -r, rcond=None)[0] / norms[free]
+        step = _free_least_squares(jac, -r, free, norms)
         outward = (at_lower & (step < 0)) | (at_upper & (step > 0))
         if not outward.any():
             break
         free &= ~outward
-    return np.where(free, step, 0.0)
+    return np.where(free, step, 0.0), free
+
+
+def _geodesic_acceleration(r_second, jac, direction, free) -> np.ndarray | None:
+    """Geodesic acceleration of the step ``direction`` (Transtrum & Sethna,
+    arXiv:1201.5885, 2012): a = argmin |J_F a + r''| over the step's free
+    set F, with r'' = ``r_second`` the residuals' second derivative along
+    the direction, or None when 2 |a| > ``_ACCELERATION_RATIO`` |d| (the
+    correction would not be small)."""
+    acceleration = _free_least_squares(jac, -r_second, free, np.linalg.norm(jac, axis=0))
+    if 2.0 * np.linalg.norm(acceleration) > _ACCELERATION_RATIO * np.linalg.norm(direction):
+        return None
+    return acceleration
 
 
 def run_gradient(
@@ -498,10 +544,28 @@ def run_gradient(
     set is fixed, as in Bertsekas' projected Newton method) and backtracks
     from t = 1 by ``_BACKTRACK_FACTOR`` until the projected Armijo condition
     f(x(t)) <= f(x) + c g^T (x(t) - x), with c = ``_ARMIJO_C``, holds.
-    x(t) is clip(x exp(t d)) on the log coordinates (an exp that overflows
-    clips to the upper bound) and clip(x + t d) on the others, so accepted
-    costs decrease and every iterate stays inside the box. On a box that
-    does not lie above zero every step is linear.
+    x(t) is clip(x exp(t d + t^2 a / 2)) on the log coordinates (an exp
+    that overflows clips to the upper bound) and clip(x + t d + t^2 a / 2)
+    on the others, so accepted costs decrease and every iterate stays
+    inside the box. On a box that does not lie above zero every step is
+    linear.
+
+    a is the step's geodesic acceleration (Transtrum & Sethna,
+    arXiv:1201.5885, 2012), zero unless the provider supplies the
+    residuals' second derivative: ``cost_and_jacobian(x)`` may return
+    (f, r, J, second), with ``second(rate, acceleration)`` the second
+    derivative r'' of r along a path of x through x with those first and
+    second derivatives (``CostContext.cost_and_derivatives``, on the
+    factor of its evaluation). Then, while the Gauss-Newton model
+    predicts a decrease of at least ``_ACCELERATION_MIN_DECREASE`` times
+    the cost, a = argmin |J_s a + r''| over d's free set, with r'' along
+    the uncorrected path, and a is kept only if
+    2 |a| <= ``_ACCELERATION_RATIO`` |d| (``_geodesic_acceleration``).
+    The decrease gate keeps a run near a minimum from spending its steps
+    on rounding; a dropped a, or a provider with no second derivative,
+    leaves the step bitwise that of plain Gauss-Newton. ``second`` is
+    dropped before the line search evaluates, so the factor it holds is
+    never held through another factorization.
 
     Stops on a projected-gradient infinity norm below ``_GRAD_TOL``, on a
     step relative to the bound range below ``_STEP_TOL``, or at
@@ -513,11 +577,12 @@ def run_gradient(
     -(2 r^T J_s d + |J_s d|^2) with J_s the Jacobian in the step's
     variables, is below ``_NEGLIGIBLE_DECREASE_SD`` sd: the data are
     explained to their noise, and the step would not change that (on the
-    benchmark problems, 4 solves instead of 5-6). A trial point whose
-    evaluation raises NumericalError is rejected like one that fails the
-    Armijo test, and counted in ``failed_evaluations``; at the start point
-    the error propagates. After a line search that rejected such a trial,
-    the next one starts no longer than the step just accepted. Bounds,
+    benchmark problems, 3 solves with the acceleration and 4 without,
+    instead of 5-6). A trial point whose evaluation raises NumericalError
+    is rejected like one that fails the Armijo test, and counted in
+    ``failed_evaluations``; at the start point the error propagates.
+    After a line search that rejected such a trial, the next one starts
+    no longer than the step just accepted. Bounds,
     ``start_design`` and ``history`` are handled as in ``run_ga``; each
     evaluation adds 1 to ``total_forward_solves`` before it runs.
     """
@@ -530,11 +595,11 @@ def run_gradient(
 
     def evaluate(z):
         history.total_forward_solves += 1
-        f_z, r_z, jac_z = cost_and_jacobian(z)
+        f_z, r_z, jac_z, *second_z = cost_and_jacobian(z)
         jac_z = np.where(pinned, 0.0, jac_z)
-        return f_z, r_z, jac_z, 2.0 * (jac_z.T @ r_z)
+        return f_z, r_z, jac_z, 2.0 * (jac_z.T @ r_z), (second_z[0] if second_z else None)
 
-    f, r, jac, grad = evaluate(x)
+    f, r, jac, grad, second = evaluate(x)
     history.append(STAGE_GRADIENT, 0, f, x)
 
     # After a line search that rejected a failed trial, the next one starts
@@ -547,24 +612,32 @@ def run_gradient(
             break
         scale = np.where(log, x, 1.0)  # d(ln x)/dx = 1/x
         jac_s = jac * scale
-        direction = _gauss_newton_step(x, r, jac_s, grad * scale, lower, upper)
-        if _within_floor(f, noise_floor):
-            change = jac_s @ direction  # of r, to first order, over a full step
-            if -(2.0 * float(r @ change) + float(change @ change)) < _NEGLIGIBLE_DECREASE_SD * noise_floor[1]:
-                break
+        direction, free = _gauss_newton_step(x, r, jac_s, grad * scale, lower, upper)
+        change = jac_s @ direction  # of r, to first order, over a full step
+        decrease = -(2.0 * float(r @ change) + float(change @ change))  # predicted by the Gauss-Newton model
+        if _within_floor(f, noise_floor) and decrease < _NEGLIGIBLE_DECREASE_SD * noise_floor[1]:
+            break
+        acceleration = None
+        if second is not None and decrease >= _ACCELERATION_MIN_DECREASE * f:
+            r_second = second(scale * direction, np.where(log, x * direction**2, 0.0))
+            acceleration = _geodesic_acceleration(r_second, jac_s, direction, free)
+        second = second_new = None  # the factor of x is not held through the line search's solves
         t = min(1.0, t_cap)
         accepted = failed = False
         for _ in range(_MAX_BACKTRACKS):
-            x_new = x + t * direction
+            move = t * direction
+            if acceleration is not None:
+                move = move + 0.5 * t * t * acceleration
+            x_new = x + move
             with np.errstate(over="ignore"):  # an overflow gives inf, which the clip takes to the upper bound
-                x_new[log] = x[log] * np.exp(t * direction[log])
+                x_new[log] = x[log] * np.exp(move[log])
             x_new = np.clip(x_new, lower, upper)
             step = x_new - x
             if not step.any():
                 t *= _BACKTRACK_FACTOR
                 continue
             try:
-                f_new, r_new, jac_new, grad_new = evaluate(x_new)
+                f_new, r_new, jac_new, grad_new, second_new = evaluate(x_new)
             except NumericalError:
                 history.failed_evaluations += 1
                 failed = True
@@ -572,13 +645,14 @@ def run_gradient(
                 if f_new <= f + _ARMIJO_C * float(grad @ step):
                     accepted = True
                     break
+                second_new = None  # nor is a rejected trial's through the next one
             t *= _BACKTRACK_FACTOR
         if not accepted:
             history.gradient_stalled = True
             break
         with np.errstate(invalid="ignore", divide="ignore"):
             rel_step = np.where(span > 0, np.abs(step) / span, 0.0)
-        x, f, r, jac, grad = x_new, f_new, r_new, jac_new, grad_new
+        x, f, r, jac, grad, second = x_new, f_new, r_new, jac_new, grad_new, second_new
         t_cap = t if failed else np.inf
         history.append(STAGE_GRADIENT, it, f, x)
         if float(rel_step.max()) < _STEP_TOL:
@@ -614,21 +688,23 @@ def run_hybrid(
     data to their noise, GA exploration with Gauss-Newton handoffs from the
     GA's best.
 
-    Gauss-Newton (``run_gradient`` on ``context.cost_and_jacobian``) first
-    refines the initial guess, clipped into the box (the bounds midpoint
-    when omitted; the GA's ``pop[0]``). When ``context.noise_floor()`` gives
-    (expected, sd) and that end's z = (cost - expected) / sd is at most
-    ``_NOISE_FLOOR_Z``, the end is returned and the GA never runs. This run
+    Gauss-Newton (``run_gradient`` on ``context.cost_and_derivatives``,
+    so its steps are geodesically accelerated; on ``cost_and_jacobian``
+    for a context without it) first refines the initial guess, clipped
+    into the box (the bounds midpoint when omitted; the GA's ``pop[0]``).
+    When ``context.noise_floor()`` gives (expected, sd) and that end's
+    z = (cost - expected) / sd is at most ``_NOISE_FLOOR_Z``, the end is
+    returned and the GA never runs. This run
     alone is given the floor, so it also stops once its next step would
     lower the cost by less than ``_NEGLIGIBLE_DECREASE_SD`` sd
     (``run_gradient``); that stop fires only at z <= ``_NOISE_FLOOR_Z``,
     so a run it ends is returned, and any other run is bitwise one without
     the floor. On the two benchmark problems (1 % noise, seeds 1-20) this
     cuts the forward solves from 54-57 (2D) and 16-25 (3D) with the GA to
-    4; without the negligible-decrease stop they were 5-6, and the final
-    moduli move by at most 1.8e-4 relative. Noiseless data (no noise
-    floor) skip this first run, and a larger z, from a local minimum or
-    from model error, falls through to the hybrid below.
+    3 (4 on 4 of the 20 3D seeds); without the geodesic acceleration they
+    were 4, without the negligible-decrease stop 5-6. Noiseless data (no
+    noise floor) skip this first run, and a larger z, from a local minimum
+    or from model error, falls through to the hybrid below.
 
     The GA scores designs with ``context.cost`` (each distinct design
     once, one stack per generation). At generation 0 and after every
@@ -665,6 +741,9 @@ def run_hybrid(
     guess = 0.5 * (lower + upper) if initial_guess is None else np.asarray(initial_guess, dtype=float)
     guess = np.clip(guess, lower, upper)
     history = ConvergenceHistory()
+    # A context that supplies the residuals' second derivatives (CostContext)
+    # gets geodesically accelerated Gauss-Newton steps.
+    provider = getattr(context, "cost_and_derivatives", context.cost_and_jacobian)
     ends = {}  # start design bytes -> (end record, stalled flag) of Gauss-Newton from it
     last = None  # the last handoff's end record
 
@@ -674,7 +753,7 @@ def run_hybrid(
         key = design.tobytes()
         if key not in ends:
             history.gradient_stalled = False
-            run_gradient(context.cost_and_jacobian, design, lower, upper, grad_config, history, noise_floor)
+            run_gradient(provider, design, lower, upper, grad_config, history, noise_floor)
             ends[key] = history.final, history.gradient_stalled
         end, history.gradient_stalled = ends[key]
         return end

@@ -14,7 +14,8 @@ symmetric positive definite for positive moduli), and recovers the
 interior with one banded solve. K(E) is never assembled per solve: the
 equilibrium check and the displacement sensitivities du/dE use the
 per-patch products A_k u, and the sensitivities of all P moduli are one
-multi-right-hand-side solve on the factors of the forward solve. Surface
+multi-right-hand-side solve on the factors of the forward solve, as is the
+second derivative of the displacements along a path of moduli. Surface
 strain sampling is one sparse matrix from displacements to strains,
 built once with the model; it maps displacement sensitivities to strain
 sensitivities too.
@@ -41,7 +42,8 @@ _EQUILIBRIUM_RTOL = 1e-8
 # nonsingular.
 _PIVOT_RTOL = 1e-12
 # Element-stiffness entries assembled through one COO at most, unless one
-# patch holds more.
+# patch holds more; also the slots of S(1) the rank check writes into its
+# band at once, unless one column holds more.
 _CHUNK_ENTRIES = 2**18
 
 
@@ -219,7 +221,11 @@ class ForwardModel:
     ``displacement_with_sensitivities`` reuses the same factors for the P
     sensitivity solves (K(E) is symmetric): their right-hand sides vanish
     on the interior, so they take one LU solve of S(E) and one banded
-    solve, each with P columns.
+    solve, each with P columns. ``displacement_derivatives`` also gives
+    the second derivative u'' of the displacements along a path of moduli
+    on those factors: its right-hand side vanishes on the interior too, so
+    it takes one single-column LU solve and one banded solve, and no new
+    factorization.
 
     The surface strains are the sparse linear map ``strain_sampling`` of the
     displacements, sampled on the one measured surface: the midplane of a
@@ -231,8 +237,9 @@ class ForwardModel:
     The rank is checked once, at construction: for positive moduli the null
     space of K(E) is the intersection of those of the A_k, so the pivots of
     K(1) in the condensed order (the squared diagonal of the interior
-    Cholesky factor, then the pivots of S(1)) show whether any solve can be
-    singular.
+    Cholesky factor, then that of a banded Cholesky factor of S(1),
+    ``_interface_pivots``) show whether any solve can be singular. The
+    build makes no sparse LU factorization.
 
     ``bcs`` may be any object whose ``prescribed_dofs(mesh)`` returns
     (sorted dof indices, values). Instances are immutable after
@@ -412,12 +419,36 @@ class ForwardModel:
 
         pivots = self._interior[0] ** 2
         if n_g:
-            s_unit = self._interface_stiffness(np.ones(n_patches))
-            pivots = np.concatenate([pivots, np.abs(_factor(s_unit).U.diagonal())])
+            pivots = np.concatenate([pivots, self._interface_pivots()])
         if not pivots.min(initial=np.inf) >= _PIVOT_RTOL * pivots.max(initial=0.0):
             raise SingularSystemError(
                 "stiffness is numerically singular; boundary conditions leave rigid modes"
             )
+
+    def _interface_pivots(self) -> np.ndarray:
+        """Pivots of S(1): the squared diagonal of the banded Cholesky factor
+        of its lower band. S's pattern is symmetric and holds its diagonal,
+        so the lower band of column j is its slots from row j on; the band
+        is filled straight from the slots, a run of columns of about
+        ``_CHUNK_ENTRIES`` slots at a time with int32 positions, so no copy
+        of S(1) as a sparse matrix and no per-slot index array of all of S
+        is made. A failed factorization is a SingularSystemError."""
+        ptr, rows = self._s_indptr, self._s_indices
+        n_g = ptr.size - 1
+        values = self._s_weights @ np.ones(self.patch_map.patch_count)
+        band = np.zeros((int(np.max(rows[ptr[1:] - 1] - np.arange(n_g))) + 1, n_g), order="F")
+        first = np.flatnonzero(np.diff(ptr[:-1] // _CHUNK_ENTRIES, prepend=-1))
+        for j0, j1 in zip(first, np.append(first[1:], n_g)):
+            column = np.repeat(np.arange(j0, j1, dtype=np.int32), np.diff(ptr[j0:j1 + 1]))
+            offset = rows[ptr[j0]:ptr[j1]] - column
+            lower = offset >= 0
+            band[offset[lower], column[lower]] = values[ptr[j0]:ptr[j1]][lower]
+        del values
+        try:
+            factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+        except LinAlgError as exc:
+            raise SingularSystemError(f"interface stiffness factorization failed: {exc}") from exc
+        return factor[0] ** 2
 
     def _init_strain_sampling(self, dofs, element_ids, parent_points) -> None:
         """Fill ``_surface_points`` and ``_strain_sampling`` from the surface
@@ -587,8 +618,30 @@ class ForwardModel:
         interior equations, zero. So K(E)^-1 (A_k u_f + R_k) is
         u_G = S(E)^-1 (A_k u_f + R_k)_G, one LU solve on the forward
         solve's factor, and u_I = -D^-1 B^T u_G, one banded solve, each
-        with P columns; du is its negative. One factorization per call;
-        the forward solve is checked as in ``solve_displacement``.
+        with P columns (``_interface_solve``); du is its negative. One
+        factorization per call; the forward solve is checked as in
+        ``solve_displacement``.
+        """
+        return self.displacement_derivatives(values)[:2]
+
+    def displacement_derivatives(self, values: np.ndarray):
+        """``displacement_with_sensitivities``, and second derivatives on its factor.
+
+        Returns (u, du, second): u and du as ``displacement_with_sensitivities``
+        returns them, and ``second(rate, acceleration)``, the flat vector
+        u'' = d^2 u / dt^2 at t = 0 along a path of moduli E(t) through
+        E(0) = ``values`` with E'(0) = ``rate`` and E''(0) = ``acceleration``
+        (both (P,)); E(t) = E exp(t d) has rate E d and acceleration E d^2.
+        Differentiating K(E(t)) u_f(t) = -R E(t) twice gives
+        u'' = du E'' - 2 K(E)^-1 q with q = sum_k E'_k A_k u', u' = du E'.
+        The interior rows of q vanish, as those of the sensitivity
+        right-hand sides do: on I_k only patch k contributes, and there
+        A_k u' = 0 is the interior equation of K u' = -sum_k E'_k (A_k u_f + R_k).
+        So K(E)^-1 q is one single-column LU solve on this call's factor of
+        S(E) and one banded solve: no new factorization. ``second`` holds
+        that factor; drop it before the next solve so that two factors are
+        never held at once. A single-patch model (u = z0 whatever the
+        modulus) has u'' = 0.
         """
         values = self._check_values(values)
         uf, au, errors, lu = self._solve(values[None])
@@ -597,12 +650,29 @@ class ForwardModel:
         n_i = self._interior_patch.size
         du = np.zeros((self._n_dofs, values.size))  # a single patch: u = z0 whatever the modulus
         if lu is not None:
-            u_g = lu.solve(au[:, n_i:, 0].T + self._rhs_per_patch[n_i:])
-            du[self._free[n_i:]] = -u_g
-            du[self._free[:n_i]] = cho_solve_banded(
-                (self._interior, True), self._coupling_t @ u_g, check_finite=False
-            )
-        return self._full(uf)[0], du
+            du[self._free] = -self._interface_solve(lu, au[:, n_i:, 0].T + self._rhs_per_patch[n_i:])
+
+        def second(rate: np.ndarray, acceleration: np.ndarray) -> np.ndarray:
+            u2 = du @ acceleration
+            if lu is not None:
+                q = self._path_load(rate, (du @ rate)[self._free])
+                u2[self._free] -= 2.0 * self._interface_solve(lu, q[n_i:])
+            return u2
+
+        return self._full(uf)[0], du, second
+
+    def _path_load(self, rate: np.ndarray, du_rate: np.ndarray) -> np.ndarray:
+        """q = sum_k rate_k A_k u' over the free dofs (``free_dofs`` order),
+        u' = ``du_rate``: one product with the stacked A_k."""
+        return rate @ (self._patch_stiffness @ du_rate).reshape(rate.size, -1)
+
+    def _interface_solve(self, lu, rhs_g: np.ndarray) -> np.ndarray:
+        """K(E)^-1 of right-hand sides (free dofs, condensed order) that vanish
+        on the interior, given their interface rows ``rhs_g``:
+        u_G = S(E)^-1 rhs_g on the factor ``lu``, u_I = -D^-1 B^T u_G."""
+        u_g = lu.solve(rhs_g)
+        u_i = cho_solve_banded((self._interior, True), self._coupling_t @ u_g, check_finite=False)
+        return np.concatenate([-u_i, u_g])
 
     def surface_strain_arrays(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exx, eyy, gamma_xy) at the surface sample points; one fresh solve."""
@@ -674,8 +744,7 @@ def _dense_rows(a: sp.csr_matrix, rows: np.ndarray, position: np.ndarray, out: n
 
 def _factor(k: sp.csc_matrix):
     """LU of a symmetric positive definite matrix in a fixed order: no
-    column reordering, no pivoting and no equilibration, so the diagonal of
-    U holds the pivots of ``k`` itself."""
+    column reordering, no pivoting and no equilibration."""
     try:
         return splu(
             k, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True, Equil=False)

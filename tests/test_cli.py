@@ -663,6 +663,36 @@ class TestCmdInvert:
         assert report["noise_floor"] is None
         assert report["stage_iterations"]["GA"] > 0
 
+    def test_noisy_11_patch_coupon_in_three_solves(self, tmp_path):
+        """The 2D benchmark problem (40 x 10 coupon, 11 patches, two defects
+        at 0.3 E0, 1 % noise; its seed 1): Gauss-Newton with geodesic
+        acceleration reaches the noise floor from the homogeneous guess in 3
+        forward solves (4 without it), and the GA never runs."""
+        noise_seed, ga_seed = (int(v) for v in np.random.SeedSequence(1).generate_state(2))
+        e0 = 200000.0
+        out = tmp_path / "run"
+        cfg = {
+            "geometry": {"length_mm": 100.0, "width_mm": 20.0, "thickness_mm": 2.0, "nx": 40, "ny": 10},
+            "patches": {"n_sections": 9, "defects": [{"box_min": [20.0, 6.0], "box_max": [32.0, 14.0]},
+                                                     {"box_min": [60.0, 4.0], "box_max": [72.0, 12.0]}]},
+            "material": {"e_ref_mpa": e0, "poisson_ratio": 0.3, "truth_moduli_mpa": {"9": 0.3 * e0, "10": 0.3 * e0}},
+            "bcs": {"u_applied_mm": 0.1},
+            "measurement": {"grid_counts": [40, 10], "noise_sigma": 0.01, "rng_seed": noise_seed},
+            "ga": {"population_size": 40, "generations_max": 20, "rng_seed": ga_seed},
+            "grad": {"max_iterations": 90},
+            "strain_floor": 3e-5,
+            "output_dir": str(out),
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["synth", "--config", cfg_path]) == 0
+        inv = tmp_path / "inv"
+        assert cli.main(["invert", "--config", cfg_path, "--measurement", str(out / "measurement.csv"),
+                         "--out", str(inv)]) == 0
+        report = json.loads((inv / "report.json").read_text())
+        assert report["stage_iterations"]["GA"] == 0
+        assert report["forward_solve_count"] == 3
+        assert report["noise_floor"]["z"] <= 5.0
+
     def test_homogeneous_control_recovers_uniform(self, tmp_path):
         """Noiseless homogeneous truth: all patches within 2% of one another."""
         out = tmp_path / "homog"

@@ -637,6 +637,21 @@ def nearly_linear():
     return cost_and_jacobian, calls
 
 
+def inverse_modulus(c):
+    """r = 1/x - 1/c, a strain against its modulus: in ln x the residual
+    bends, so a Gauss-Newton step toward a soft c overshoots. Returns
+    (cost_and_jacobian, cost_and_derivatives); the second also gives
+    r'' = 2 x'^2 / x^3 - x'' / x^2 along a path of x."""
+    def cost_and_jacobian(x):
+        r = 1.0 / x - 1.0 / c
+        return float(r @ r), r, np.diag(-1.0 / x**2)
+
+    def cost_and_derivatives(x):
+        return (*cost_and_jacobian(x), lambda rate, acceleration: 2.0 * rate**2 / x**3 - acceleration / x**2)
+
+    return cost_and_jacobian, cost_and_derivatives
+
+
 NEARLY_LINEAR_FLOOR = (6 * 0.05**2, np.sqrt(12) * 0.05**2)
 
 
@@ -881,6 +896,34 @@ class TestRunGradient:
         assert rows(history.records) == rows(alone.records)
         assert history.total_forward_solves == alone.total_forward_solves
         assert np.array_equal(x, x_alone)
+
+    def test_rejected_acceleration_leaves_plain_gauss_newton(self):
+        """A geodesic acceleration that fails the ratio test 2 |a| <= 0.75 |d|
+        is dropped: the run is bitwise that of a provider with no second
+        derivative."""
+        cost_and_jacobian, _ = inverse_modulus(np.array([0.3, 0.25, 2.0]))
+        asked = []
+
+        def too_curved(x):
+            return (*cost_and_jacobian(x), lambda rate, acceleration: asked.append(1) or np.full(3, 1e3))
+
+        lower, upper, start = np.full(3, 1e-2), np.full(3, 1e2), np.ones(3)
+        x_plain, plain = fu.run_gradient(cost_and_jacobian, start, lower, upper, fu.GradConfig())
+        x, history = fu.run_gradient(too_curved, start, lower, upper, fu.GradConfig())
+        assert asked
+        assert rows(history.records) == rows(plain.records)
+        assert np.array_equal(x, x_plain)
+
+    def test_acceleration_follows_a_bending_path(self):
+        """On r = 1/x - 1/c the step in ln x bends; with its exact second
+        derivative the accelerated run reaches c in fewer solves."""
+        c = np.array([0.8, 0.9, 1.2])
+        cost_and_jacobian, cost_and_derivatives = inverse_modulus(c)
+        lower, upper, start = np.full(3, 1e-2), np.full(3, 1e2), np.ones(3)
+        _, plain = fu.run_gradient(cost_and_jacobian, start, lower, upper, fu.GradConfig())
+        x, history = fu.run_gradient(cost_and_derivatives, start, lower, upper, fu.GradConfig())
+        assert history.total_forward_solves < plain.total_forward_solves
+        assert_allclose(x, c, rtol=1e-10)
 
     def test_solve_count_audited(self):
         calls = [0]
@@ -1153,8 +1196,8 @@ class TestRunHybrid:
         assert ga_records[-1].iteration == 0
         runner_up = generation0_runner_up(context.cost, lower, upper, ga, np.full(4, E0))
         assert runner_up.tobytes() != ga_records[0].design.tobytes()
-        _, partner = fu.run_gradient(context.cost_and_jacobian, runner_up, lower, upper, grad)
-        _, handoff = fu.run_gradient(context.cost_and_jacobian, ga_records[0].design, lower, upper, grad)
+        _, partner = fu.run_gradient(context.cost_and_derivatives, runner_up, lower, upper, grad)
+        _, handoff = fu.run_gradient(context.cost_and_derivatives, ga_records[0].design, lower, upper, grad)
         # the partner, then the handoff, both after the GA record of generation 0
         solves = ga_records[0].forward_solve_count
         assert rows(history.records) == (
@@ -1166,7 +1209,7 @@ class TestRunHybrid:
         assert_no_start_twice(history)
         # fewer solves than the GA run to its cap and one Gauss-Newton run after it
         ga_best, ga_history = fu.run_ga(context.cost, lower, upper, ga, initial_guess=np.full(4, E0))
-        _, gn_history = fu.run_gradient(context.cost_and_jacobian, ga_best, lower, upper, grad)
+        _, gn_history = fu.run_gradient(context.cost_and_derivatives, ga_best, lower, upper, grad)
         assert history.total_forward_solves < ga_history.total_forward_solves + gn_history.total_forward_solves
 
     def test_no_rerun_from_a_design_already_handed_off(self):
@@ -1299,7 +1342,7 @@ class TestRunHybrid:
         ga = fu.GAConfig(population_size=16, generations_max=15, rng_seed=4)
         grad = fu.GradConfig(max_iterations=120)
         final, history = fu.run_hybrid(context, lower, upper, ga, grad, initial_guess=np.full(4, E0))
-        refined, alone = fu.run_gradient(context.cost_and_jacobian, np.full(4, E0), lower, upper, grad,
+        refined, alone = fu.run_gradient(context.cost_and_derivatives, np.full(4, E0), lower, upper, grad,
                                          noise_floor=context.noise_floor())
         assert history.stage_records(STAGE_GA) == []
         assert rows(history.records) == rows(alone.records)
@@ -1394,8 +1437,8 @@ class TestRunHybrid:
         ga_records = history.stage_records(STAGE_GA)
         assert [r.iteration for r in ga_records] == [0]
         runner_up = generation0_runner_up(context.cost, lower, upper, ga, guess)
-        _, partner = fu.run_gradient(context.cost_and_jacobian, runner_up, lower, upper, grad)
-        refined, handoff = fu.run_gradient(context.cost_and_jacobian, ga_records[0].design, lower, upper, grad)
+        _, partner = fu.run_gradient(context.cost_and_derivatives, runner_up, lower, upper, grad)
+        refined, handoff = fu.run_gradient(context.cost_and_derivatives, ga_records[0].design, lower, upper, grad)
         solves = ga_records[0].forward_solve_count
         assert rows(history.records) == (
             rows(ga_records)
@@ -1404,7 +1447,7 @@ class TestRunHybrid:
         )
         assert np.array_equal(final, refined)
         ga_best, ga_history = fu.run_ga(context.cost, lower, upper, ga, initial_guess=guess)
-        _, gn_history = fu.run_gradient(context.cost_and_jacobian, ga_best, lower, upper, grad)
+        _, gn_history = fu.run_gradient(context.cost_and_derivatives, ga_best, lower, upper, grad)
         assert history.total_forward_solves < ga_history.total_forward_solves + gn_history.total_forward_solves
 
     def test_same_seeds_identical_run(self, hybrid_run):

@@ -742,7 +742,8 @@ class TestCondensation:
 
 class TestFactorizationCount:
     """The factorization hook the benchmark traces: ``solver.splu``, looked
-    up at call time, is called once at model build and once per solve."""
+    up at call time, is called once per solve and not at model build, whose
+    rank check factors S(1) as a band (``_interface_pivots``)."""
 
     @pytest.fixture
     def splu_calls(self, monkeypatch):
@@ -771,9 +772,9 @@ class TestFactorizationCount:
         pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 2), mesh, [defect])
         values = np.array([1.0, 1.2, 0.3]) * E_STEEL
         model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
-        assert len(splu_calls) == 1
+        assert len(splu_calls) == 0
         model.solve_displacement(values)
-        assert len(splu_calls) == 2
+        assert len(splu_calls) == 1
         grid = fu.grid_for_footprint((100, 20), counts=(8, 4))
         field = fu.generate_synthetic(model, values, grid)
         context = fu.CostContext(model, field)
@@ -849,17 +850,61 @@ class TestBandedSolveCount:
         assert len(banded_calls) == 0
 
 
+class TestPathSecondDerivative:
+    """u'' = d^2 u / dt^2 along E(t) = E exp(t d), from ``displacement_derivatives``."""
+
+    @THREE_PATCH
+    def test_matches_central_differences_in_ln_e(self, dims, defect, uniaxial_bcs):
+        model = three_patch_model(dims, defect, uniaxial_bcs)
+        values = np.array([1.0, 1.2, 0.3]) * E_STEEL
+        d = np.array([0.4, -0.7, 1.1])
+        _, _, second = model.displacement_derivatives(values)
+        u2 = second(values * d, values * d**2)
+        h = 1e-3
+        fd = (model.solve_displacement(values * np.exp(h * d)) - 2.0 * model.solve_displacement(values)
+              + model.solve_displacement(values * np.exp(-h * d))) / h**2
+        assert np.linalg.norm(u2 - fd) <= 1e-5 * np.linalg.norm(u2)
+
+    def test_single_patch_has_none(self, coupon_mesh, single_patch, uniaxial_bcs):
+        """u = z0 whatever the modulus, so u'' = 0."""
+        model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
+        _, _, second = model.displacement_derivatives(np.array([E_STEEL]))
+        assert not second(np.array([0.5 * E_STEEL]), np.array([0.25 * E_STEEL])).any()
+
+    @THREE_PATCH
+    def test_interior_rows_of_the_load_vanish(self, dims, defect, uniaxial_bcs):
+        """q = sum_k E'_k A_k u' is zero on every patch interior, so K^-1 q
+        takes one solve on S(E) and one banded solve."""
+        model = three_patch_model(dims, defect, uniaxial_bcs)
+        values = np.array([1.0, 1.2, 0.3]) * E_STEEL
+        rate = values * np.array([0.4, -0.7, 1.1])
+        _, du, _ = model.displacement_derivatives(values)
+        q = model._path_load(rate, (du @ rate)[model.free_dofs])
+        n_i = model._interior_patch.size
+        assert 0 < n_i < q.size
+        assert np.abs(q[:n_i]).max() <= 1e-12 * np.abs(q).max()
+
+
 class TestSolveChecks:
     @THREE_PATCH
     def test_interface_pivots_are_unscaled(self, dims, defect, uniaxial_bcs):
-        """The rank check reads the U diagonal of S(1) as its pivots: with
-        no equilibration they are the squared diagonal of its Cholesky factor."""
-        from femupdate import solver
-
+        """The rank check reads the pivots of S(1) as the squared diagonal
+        of its banded Cholesky factor: those of a dense Cholesky of S(1)."""
         model = three_patch_model(dims, defect, uniaxial_bcs)
         s_unit = model._interface_stiffness(np.ones(3))
         chol = np.linalg.cholesky(s_unit.toarray())
-        assert_allclose(solver._factor(s_unit).U.diagonal(), np.diag(chol) ** 2, rtol=1e-10)
+        assert_allclose(model._interface_pivots(), np.diag(chol) ** 2, rtol=1e-10)
+
+    @THREE_PATCH
+    def test_interface_pivots_independent_of_chunks(self, dims, defect, uniaxial_bcs, monkeypatch):
+        """The band of S(1) filled a few slots at a time gives bitwise the
+        pivots of the one-run fill."""
+        from femupdate import solver
+
+        model = three_patch_model(dims, defect, uniaxial_bcs)
+        whole = model._interface_pivots()
+        monkeypatch.setattr(solver, "_CHUNK_ENTRIES", 7)
+        assert model._interface_pivots().tobytes() == whole.tobytes()
 
     @THREE_PATCH
     def test_equilibrium_check_reads_the_assembled_physics(self, dims, defect, uniaxial_bcs, monkeypatch):
