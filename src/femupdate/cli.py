@@ -26,7 +26,7 @@ from .measurement import generate_synthetic, load_measurement_csv, write_measure
 from .solver import ForwardModel
 from .vtkio import atomic_write_text, write_mesh_vtk, write_points_vtk, write_table_csv
 
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 _LOCK_NAME = ".femupdate.lock"
 _INVERT_FILES = (
     "convergence.csv", "residual_before.vtk", "residual_before.csv", "residual_after.vtk",
@@ -174,7 +174,9 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
         guess = config.initial_guess(model.patch_map.patch_count)
 
         # The maps at the guess come first: their solve is the run's first
-        # forward solve, which the benchmark's solve phase starts at.
+        # forward solve, which the benchmark's solve phase starts at. The
+        # model holds it, so Gauss-Newton's first evaluation, at the guess,
+        # factors nothing; the maps at the end reuse its last evaluation.
         before = _residual_maps(context, guess)
         start = time.perf_counter()
         final, history = run_hybrid(context, lower, upper, config.ga, config.grad, guess)
@@ -190,7 +192,8 @@ def cmd_invert(config: RunConfig, measurement_path: str) -> int:
         rows = [[r.stage, r.iteration, r.best_cost, *r.design.tolist()] for r in history.records]
         write_table_csv(os.path.join(outdir, "convergence.csv"), header, rows)
 
-        report = _build_report(config, truth, guess, final, history, lower, upper, wall, context.noise_floor())
+        report = _build_report(config, truth, guess, final, history, lower, upper, wall, context.noise_floor(),
+                               model.factorizations)
         atomic_write_text(os.path.join(outdir, "report.json"), _json_text(report))
         atomic_write_text(os.path.join(outdir, "summary.txt"), _summary_text(report))
     return 0
@@ -206,8 +209,9 @@ def _residual_maps(context: CostContext, design) -> dict:
     return {"abs_err_exx": axx, "abs_err_eyy": ayy, "abs_err_exy": axy, "abs_err_rss": rss}
 
 
-def _build_report(config, truth, guess, final, history, lower, upper, wall, noise_floor) -> dict:
-    """The report.json object. ``noise_floor`` is ``CostContext.noise_floor()``."""
+def _build_report(config, truth, guess, final, history, lower, upper, wall, noise_floor, factorizations) -> dict:
+    """The report.json object. ``noise_floor`` is ``CostContext.noise_floor()``,
+    ``factorizations`` the model's ``ForwardModel.factorizations``."""
     initial_cost = history.records[0].best_cost
     final_cost = history.final.best_cost
     floor = None
@@ -228,6 +232,9 @@ def _build_report(config, truth, guess, final, history, lower, upper, wall, nois
         # None when the final cost is exactly zero
         "cost_reduction_factor": float(initial_cost / final_cost) if final_cost > 0 else None,
         "forward_solve_count": history.total_forward_solves,
+        # the model's, for the whole command: the forward solves and the
+        # residual maps' solves the model did not serve from a held solve
+        "factorizations": factorizations,
         "gradient_stalled": history.gradient_stalled,
         # solves that failed: GA candidates scored +inf, rejected line-search trials
         "failed_evaluations": history.failed_evaluations,
@@ -272,6 +279,7 @@ def _summary_text(report: dict) -> str:
         f"cost reduction factor: {shown}",
         f"forward solves: {report.get('forward_solve_count', '?')}"
         f" (GA iterations {stages.get(STAGE_GA, '?')}, gradient iterations {stages.get(STAGE_GRADIENT, '?')})",
+        f"factorizations: {report.get('factorizations', '?')} (the forward solves and the residual maps)",
         f"noise floor z: {_noise_floor_text(report)}",
     ]
     floor = report.get("noise_floor")

@@ -38,10 +38,15 @@ ln E step, so each step is corrected by its geodesic acceleration
 derivative along the step, which the factor of the evaluation already
 made gives without a new factorization. Both stages are deterministic given
 their seeds and append every iterate to one ConvergenceHistory, in run
-order, with their forward-solve count.
+order, with their forward-solve count: the factorizations the forward model
+made for their evaluations. The model keeps its last solve for one repeat
+(``ForwardModel``), so an evaluation of the design just solved, such as
+Gauss-Newton's first one at an initial guess the caller has solved, counts
+none.
 ``fd_gradient`` remains as a finite-difference oracle for checking gradients.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +142,11 @@ class ConvergenceHistory:
 
     ``total_forward_solves`` is the running forward-solve count, which
     ``append`` stamps on each record; it also counts the trial points of a
-    final line search that found no acceptable step.
+    final line search that found no acceptable step. With ``model``, the
+    ``ForwardModel`` the costs solve on, each evaluation adds the
+    factorizations the model made for it (``ForwardModel.factorizations``),
+    so one it serves from its held solve adds 0; without (a cost function
+    with no model), each evaluated design adds 1, before it is evaluated.
     ``failed_evaluations`` counts the evaluations whose solve raised a
     NumericalError: distinct GA candidates, scored +inf, and Gauss-Newton
     line-search trials, rejected.
@@ -147,11 +156,26 @@ class ConvergenceHistory:
     gradient_stalled: bool = False
     total_forward_solves: int = 0
     failed_evaluations: int = 0
+    model: ForwardModel | None = field(default=None, repr=False, compare=False)
 
     def append(self, stage, iteration, best_cost, design):
         self.records.append(
             ConvergenceRecord(stage, iteration, float(best_cost), np.array(design), self.total_forward_solves)
         )
+
+    @contextmanager
+    def counting(self, designs: int):
+        """Add to ``total_forward_solves`` the forward solves of an
+        evaluation of ``designs`` designs run inside the block."""
+        if self.model is None:
+            self.total_forward_solves += designs
+            yield
+            return
+        before = self.model.factorizations
+        try:
+            yield
+        finally:
+            self.total_forward_solves += self.model.factorizations - before
 
     @property
     def final(self) -> ConvergenceRecord:
@@ -169,7 +193,7 @@ class CostContext:
     one ``measurement``, stacked exx | eyy | exy with the residual weights
     1 / max(|measured|, strain_floor), and composes once the sparse
     operator M = ``grid_strain_operator`` from displacements to grid
-    strains. The cost applies M to a fresh solve, the Jacobian applies it
+    strains. The cost applies M to a forward solve, the Jacobian applies it
     to the displacement sensitivities. Raises OutOfDomainError when the
     grid does not fit the model's surface.
     """
@@ -225,7 +249,7 @@ class CostContext:
         return (self._measured - np.ascontiguousarray(computed)) / self._denominator
 
     def cost(self, design: np.ndarray):
-        """Misfit of ``design`` against the measurement; one fresh solve.
+        """Misfit of ``design`` against the measurement; one forward solve.
 
         ``design`` is one design (P,), whose cost is a float, or a stack
         (m, P), whose costs are an array (m,), each bitwise the cost of its
@@ -408,15 +432,17 @@ def run_ga(
     Costs are cached per run by the design's bytes, so ``cost_fn`` sees
     each distinct design once: elites and repeated children reuse their
     bitwise-identical cost, and the forward-solve count is the number of
-    distinct designs. The cache, the forward-solve count and the history
-    therefore do not depend on how the designs are grouped. A design that
+    distinct designs, less any the model serves from its held solve
+    (``ConvergenceHistory.model``). The cache, the forward-solve count and
+    the history therefore do not depend on how the designs are grouped. A design that
     scores +inf (in a ``CostContext.cost`` stack, one whose solve raised
     NumericalError) or NaN is scored +inf and counted in
     ``failed_evaluations``; the run goes on.
     Non-finite or crossed bounds and a non-finite ``initial_guess`` raise
     ValueError. Records go to ``history`` (a new one when None), and each
-    stack's size is added to its ``total_forward_solves`` before
-    ``cost_fn`` sees it. Returns the last GA record's design and the history.
+    stack's forward solves to its ``total_forward_solves``
+    (``ConvergenceHistory.counting``). Returns the last GA record's design
+    and the history.
 
     ``after_generation``, when given, is called with the record of each
     generation, once it is logged, and the generation's runner-up: its
@@ -439,8 +465,8 @@ def run_ga(
             if key not in cache:
                 new.setdefault(key, i)
         if new:
-            history.total_forward_solves += len(new)
-            costs = np.asarray(cost_fn(pop[list(new.values())]), dtype=float)
+            with history.counting(len(new)):
+                costs = np.asarray(cost_fn(pop[list(new.values())]), dtype=float)
             if costs.shape != (len(new),):
                 raise ValueError(f"cost_fn returned shape {costs.shape} for {len(new)} designs")
             costs = np.where(np.isnan(costs), np.inf, costs)
@@ -584,7 +610,11 @@ def run_gradient(
     After a line search that rejected such a trial, the next one starts
     no longer than the step just accepted. Bounds,
     ``start_design`` and ``history`` are handled as in ``run_ga``; each
-    evaluation adds 1 to ``total_forward_solves`` before it runs.
+    evaluation adds its forward solves to ``total_forward_solves``
+    (``ConvergenceHistory.counting``): 1 per call of a provider without a
+    model, and with ``history.model`` the factorizations the model made,
+    so an evaluation the model serves from its held solve (the start
+    design, when the caller has just solved it) adds 0.
     """
     lower, upper = _checked_bounds(lower, upper, "start_design", start_design)
     x = np.clip(np.asarray(start_design, dtype=float), lower, upper)
@@ -594,8 +624,8 @@ def run_gradient(
     log = lower > 0  # positive scale parameters: step in ln x
 
     def evaluate(z):
-        history.total_forward_solves += 1
-        f_z, r_z, jac_z, *second_z = cost_and_jacobian(z)
+        with history.counting(1):
+            f_z, r_z, jac_z, *second_z = cost_and_jacobian(z)
         jac_z = np.where(pinned, 0.0, jac_z)
         return f_z, r_z, jac_z, 2.0 * (jac_z.T @ r_z), (second_z[0] if second_z else None)
 
@@ -700,9 +730,12 @@ def run_hybrid(
     (``run_gradient``); that stop fires only at z <= ``_NOISE_FLOOR_Z``,
     so a run it ends is returned, and any other run is bitwise one without
     the floor. On the two benchmark problems (1 % noise, seeds 1-20) this
-    cuts the forward solves from 54-57 (2D) and 16-25 (3D) with the GA to
-    3 (4 on 4 of the 20 3D seeds); without the geodesic acceleration they
-    were 4, without the negligible-decrease stop 5-6. Noiseless data (no
+    cuts the Gauss-Newton evaluations from 54-57 (2D) and 16-25 (3D) with
+    the GA to 3 (4 on 4 of the 20 3D seeds); without the geodesic
+    acceleration they were 4, without the negligible-decrease stop 5-6.
+    The first is served by the model's held solve when the caller has just
+    solved the guess, as ``femupdate invert`` does for its residual maps,
+    so the forward-solve count is one less. Noiseless data (no
     noise floor) skip this first run, and a larger z, from a local minimum
     or from model error, falls through to the hybrid below.
 
@@ -729,7 +762,9 @@ def run_hybrid(
     it is in run order while the run goes on (the run from the guess
     first, each other Gauss-Newton run after the generation it ran at, a
     partner before its handoff) and holds one forward-solve count for both
-    stages (one per factorization). Returns the run from the guess's end
+    stages: the factorizations of ``context.forward``
+    (``ConvergenceHistory.model``), or one per evaluated design for a
+    context without a ``forward`` model. Returns the run from the guess's end
     when the GA is skipped; otherwise the last handoff's end, which is then
     the history's last record (a reused end is logged once more unless it
     already is), or the GA best it started from when that cost less. The
@@ -740,7 +775,7 @@ def run_hybrid(
     lower, upper = _checked_bounds(lower, upper, "initial_guess", initial_guess)
     guess = 0.5 * (lower + upper) if initial_guess is None else np.asarray(initial_guess, dtype=float)
     guess = np.clip(guess, lower, upper)
-    history = ConvergenceHistory()
+    history = ConvergenceHistory(model=getattr(context, "forward", None))
     # A context that supplies the residuals' second derivatives (CostContext)
     # gets geodesically accelerated Gauss-Newton steps.
     provider = getattr(context, "cost_and_derivatives", context.cost_and_jacobian)

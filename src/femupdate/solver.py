@@ -241,9 +241,24 @@ class ForwardModel:
     ``_interface_pivots``) show whether any solve can be singular. The
     build makes no sparse LU factorization.
 
+    A model keeps its last successful one-design solve for one repeat:
+    the design's bytes, u_f, the A_k u products (both read-only) and the
+    factor of S(E). The next solve of the bitwise-same design, by
+    ``solve_displacement`` or ``displacement_derivatives``, is served from
+    it with no factorization and uses it up; any other solve (another
+    design, or a stack of more than one) drops it before it factors, so the
+    model never holds two factors at once. A failed solve is never held.
+    So ``invert`` factors once for the residual maps at the initial guess
+    and the first Gauss-Newton evaluation there, and once for the last
+    evaluation and the maps at the end. ``factorizations`` counts the
+    factorizations of S(E) the model has made; a served repeat adds none,
+    and neither does a solve of a one-patch model. The held solve makes a
+    model stateful: share one across threads only with a lock around
+    every solve (no caller shares one).
+
     ``bcs`` may be any object whose ``prescribed_dofs(mesh)`` returns
-    (sorted dof indices, values). Instances are immutable after
-    construction and safe to share across threads.
+    (sorted dof indices, values). Apart from the held solve and the count,
+    a model does not change after construction.
     """
 
     def __init__(
@@ -268,6 +283,8 @@ class ForwardModel:
         self._assemble(edofs)
         self._condense()
         self._init_strain_sampling(edofs[surface_elements], surface_elements, parent_points)
+        self.factorizations = 0
+        self._held = None  # (design bytes, u_f, A_k u, factor) of the last one-design solve
 
     def _assemble(self, edofs: np.ndarray) -> None:
         """Fill ``_patch_stiffness`` and ``_rhs_per_patch`` from the
@@ -519,7 +536,9 @@ class ForwardModel:
         Returns (uf, au, errors, lu): the free-dof displacements, one column
         per design (n_free, m); the per-patch products, ``au[k, :, j]`` =
         A_k u_j; ``errors[j]``, the NumericalError of design j or None; and
-        the factor of S(E) of a one-design stack (otherwise None). Each design
+        the factor of S(E) of a one-design stack (otherwise None). A
+        one-design solve that succeeds is held for one repeat, its uf and au
+        read-only (see the class docstring); a repeat returns it as is. Each design
         takes the fill of its S(E) (its own product with the slot weights,
         written into one matrix for the stack: ``splu`` reads contiguous
         values, and gathering them from one stacked product costs more than
@@ -531,6 +550,12 @@ class ForwardModel:
         solution of its design alone.
         """
         m = values.shape[0]
+        # The held solve serves one repeat of its design; any other solve
+        # drops it before it factors, so two factors are never alive at once.
+        held, self._held = self._held, None
+        if m == 1 and held is not None and held[0] == values.tobytes():
+            return held[1], held[2], [None], held[3]
+        del held
         n_i = self._interior_patch.size
         errors = [None] * m
         lu = None
@@ -546,6 +571,8 @@ class ForwardModel:
             s_e = sp.csc_matrix((np.empty(self._s_indices.size), self._s_indices, self._s_indptr), shape=(n_g, n_g))
             for j in range(m):
                 s_e.data = self._s_weights @ values[j]
+                lu = None  # the previous design's factor is freed before this one is made
+                self.factorizations += 1
                 try:
                     lu = _factor(s_e)
                 except SingularSystemError as exc:
@@ -573,7 +600,12 @@ class ForwardModel:
                     f"{rhs_norm[j]:.3e}"
                 )
             uf[:, j] = np.nan
-        return uf, au, errors, lu if m == 1 else None
+        if m != 1:
+            return uf, au, errors, None
+        if errors[0] is None:
+            uf.flags.writeable = au.flags.writeable = False
+            self._held = values.tobytes(), uf, au, lu
+        return uf, au, errors, lu
 
     def _full(self, uf: np.ndarray) -> np.ndarray:
         """Flat displacement vectors, one row per column of ``uf``."""
@@ -587,7 +619,8 @@ class ForwardModel:
 
         ``values`` is one design (P,) or a stack of designs (m, P); a stack
         gives one row per design, each bitwise the solution of that design
-        alone, at one factorization per design (see ``_solve``). A single
+        alone, at one factorization per design (see ``_solve``); a single
+        design that repeats the held solve's costs none. A single
         design whose solve fails raises its NumericalError; in a stack, the
         row of a design whose solve fails is NaN and the others are returned.
         """
@@ -606,7 +639,7 @@ class ForwardModel:
         return tuple(np.split(self._strain_sampling @ u, 3))
 
     def displacement_with_sensitivities(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Displacements of one fresh solve, and their sensitivities to the moduli.
+        """Displacements of one solve, and their sensitivities to the moduli.
 
         Returns (u, du): u the flat displacement vector that
         ``solve_displacement`` returns, du = du/dE of shape (n_dofs, P),
@@ -619,7 +652,8 @@ class ForwardModel:
         u_G = S(E)^-1 (A_k u_f + R_k)_G, one LU solve on the forward
         solve's factor, and u_I = -D^-1 B^T u_G, one banded solve, each
         with P columns (``_interface_solve``); du is its negative. One
-        factorization per call; the forward solve is checked as in
+        factorization per call, none when the call repeats the design of the
+        model's held solve; the forward solve is checked as in
         ``solve_displacement``.
         """
         return self.displacement_derivatives(values)[:2]
@@ -675,7 +709,7 @@ class ForwardModel:
         return np.concatenate([-u_i, u_g])
 
     def surface_strain_arrays(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(exx, eyy, gamma_xy) at the surface sample points; one fresh solve."""
+        """(exx, eyy, gamma_xy) at the surface sample points; one solve."""
         return self.sample_strains(self.solve_displacement(values))
 
 

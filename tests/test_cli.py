@@ -43,6 +43,25 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def invert2d_config(out, seed=1):
+    """The 2D benchmark problem at one seed: 40 x 10 coupon, 11 patches, two
+    defects at 0.3 E0, 1 % noise."""
+    noise_seed, ga_seed = (int(v) for v in np.random.SeedSequence(seed).generate_state(2))
+    e0 = 200000.0
+    return {
+        "geometry": {"length_mm": 100.0, "width_mm": 20.0, "thickness_mm": 2.0, "nx": 40, "ny": 10},
+        "patches": {"n_sections": 9, "defects": [{"box_min": [20.0, 6.0], "box_max": [32.0, 14.0]},
+                                                 {"box_min": [60.0, 4.0], "box_max": [72.0, 12.0]}]},
+        "material": {"e_ref_mpa": e0, "poisson_ratio": 0.3, "truth_moduli_mpa": {"9": 0.3 * e0, "10": 0.3 * e0}},
+        "bcs": {"u_applied_mm": 0.1},
+        "measurement": {"grid_counts": [40, 10], "noise_sigma": 0.01, "rng_seed": noise_seed},
+        "ga": {"population_size": 40, "generations_max": 20, "rng_seed": ga_seed},
+        "grad": {"max_iterations": 90},
+        "strain_floor": 3e-5,
+        "output_dir": str(out),
+    }
+
+
 class TestLoadConfig:
     def test_defaults_materialized(self, tmp_path):
         cfg = load_config({"geometry": {"length_mm": 10, "width_mm": 5, "thickness_mm": 1}})
@@ -577,8 +596,10 @@ class TestCmdInvert:
     def test_report_contents(self, inverted):
         _, inv = inverted
         report = json.loads((inv / "report.json").read_text())
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["failed_evaluations"] == 0
+        # the residual maps at the guess, and at the end unless the last evaluation was there
+        assert report["factorizations"] - report["forward_solve_count"] in (1, 2)
         assert report["noise_floor"] is None  # noiseless measurement
         assert len(report["recovered_moduli_mpa"]) == 4
         recovered = np.array(report["recovered_moduli_mpa"])
@@ -667,31 +688,60 @@ class TestCmdInvert:
         """The 2D benchmark problem (40 x 10 coupon, 11 patches, two defects
         at 0.3 E0, 1 % noise; its seed 1): Gauss-Newton with geodesic
         acceleration reaches the noise floor from the homogeneous guess in 3
-        forward solves (4 without it), and the GA never runs."""
-        noise_seed, ga_seed = (int(v) for v in np.random.SeedSequence(1).generate_state(2))
-        e0 = 200000.0
+        evaluations (4 without it), the first served by the residual maps'
+        solve at the guess, so 2 forward solves; the GA never runs."""
         out = tmp_path / "run"
-        cfg = {
-            "geometry": {"length_mm": 100.0, "width_mm": 20.0, "thickness_mm": 2.0, "nx": 40, "ny": 10},
-            "patches": {"n_sections": 9, "defects": [{"box_min": [20.0, 6.0], "box_max": [32.0, 14.0]},
-                                                     {"box_min": [60.0, 4.0], "box_max": [72.0, 12.0]}]},
-            "material": {"e_ref_mpa": e0, "poisson_ratio": 0.3, "truth_moduli_mpa": {"9": 0.3 * e0, "10": 0.3 * e0}},
-            "bcs": {"u_applied_mm": 0.1},
-            "measurement": {"grid_counts": [40, 10], "noise_sigma": 0.01, "rng_seed": noise_seed},
-            "ga": {"population_size": 40, "generations_max": 20, "rng_seed": ga_seed},
-            "grad": {"max_iterations": 90},
-            "strain_floor": 3e-5,
-            "output_dir": str(out),
-        }
-        cfg_path = write_config(tmp_path, cfg)
+        cfg_path = write_config(tmp_path, invert2d_config(out))
         assert cli.main(["synth", "--config", cfg_path]) == 0
         inv = tmp_path / "inv"
         assert cli.main(["invert", "--config", cfg_path, "--measurement", str(out / "measurement.csv"),
                          "--out", str(inv)]) == 0
         report = json.loads((inv / "report.json").read_text())
         assert report["stage_iterations"]["GA"] == 0
-        assert report["forward_solve_count"] == 3
+        assert report["forward_solve_count"] == 2
         assert report["noise_floor"]["z"] <= 5.0
+
+    def test_invert_factors_each_design_once(self, tmp_path, monkeypatch):
+        """On the 2D benchmark problem (seed 1) ``invert`` makes 3 ``splu``
+        calls: the maps at the guess, whose solve serves Gauss-Newton's
+        first evaluation, and 2 more evaluations, the last of which serves
+        the maps at the end. Its maps, modulus map and convergence.csv are
+        bitwise those of a run whose every solve factors (5 calls)."""
+        from femupdate import solver
+        from femupdate.solver import ForwardModel
+
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path, invert2d_config(out))
+        assert cli.main(["synth", "--config", cfg_path]) == 0
+        calls = []
+        real_splu, real_solve = solver.splu, ForwardModel._solve
+
+        def splu(*args, **kwargs):
+            calls.append(1)
+            return real_splu(*args, **kwargs)
+
+        def fresh(self, values):
+            self._held = None
+            return real_solve(self, values)
+
+        monkeypatch.setattr(solver, "splu", splu)
+        runs = {}
+        for name in ("held", "fresh"):
+            if name == "fresh":
+                monkeypatch.setattr(ForwardModel, "_solve", fresh)
+            del calls[:]
+            inv = tmp_path / name
+            assert cli.main(["invert", "--config", cfg_path, "--measurement", str(out / "measurement.csv"),
+                             "--out", str(inv)]) == 0
+            report = json.loads((inv / "report.json").read_text())
+            runs[name] = len(calls), report["factorizations"], report["forward_solve_count"]
+        assert runs == {"held": (3, 3, 2), "fresh": (5, 5, 3)}
+        for name in ("residual_before.csv", "residual_before.vtk", "residual_after.csv", "residual_after.vtk",
+                     "modulus_map.csv", "modulus_map.vtk", "convergence.csv"):
+            assert (tmp_path / "held" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+        summary = (tmp_path / "held" / "summary.txt").read_text()
+        assert "forward solves: 2 (GA iterations 0, gradient iterations 3)\n" in summary
+        assert "factorizations: 3 (the forward solves and the residual maps)\n" in summary
 
     def test_homogeneous_control_recovers_uniform(self, tmp_path):
         """Noiseless homogeneous truth: all patches within 2% of one another."""
@@ -725,6 +775,24 @@ class TestCmdInvert:
         assert "rel_error" not in out
         assert "patches: 2" in out
         assert "noise floor z: ?" in out  # a report from before the noise floor
+
+    def test_report_from_before_the_factorization_count(self, tmp_path, capsys):
+        """A schema-3 report has no ``factorizations``: the summary shows ``?``."""
+        report = {
+            "schema_version": 3,
+            "recovered_moduli_mpa": [1.0, 2.0],
+            "initial_moduli_mpa": [1.5, 1.5],
+            "initial_cost": 4.0,
+            "final_cost": 1.0,
+            "forward_solve_count": 3,
+            "stage_iterations": {"GA": 0, "GRADIENT": 3},
+        }
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert cli.main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "forward solves: 3 (GA iterations 0, gradient iterations 3)\n" in out
+        assert "factorizations: ? (the forward solves and the residual maps)\n" in out
 
     @pytest.mark.parametrize("z, noted", [(5.0, False), (5.01, True)])
     def test_report_notes_a_fit_above_the_noise_floor(self, tmp_path, capsys, z, noted):

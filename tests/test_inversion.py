@@ -6,6 +6,7 @@ import hashlib
 import re
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -937,6 +938,51 @@ class TestRunGradient:
         assert history.total_forward_solves == calls[0]
         # trailing evaluations only come from a final line search that failed
         assert history.final.forward_solve_count <= calls[0]
+
+    def test_counts_the_models_factorizations_one_factor_at_a_time(self, monkeypatch):
+        """On a CostContext, with the model on the history, after the start
+        design was solved (as ``femupdate invert`` solves its residual maps
+        at the guess): the first evaluation takes that solve, the count is
+        the factorizations made, one per later evaluation, and no
+        factorization starts while another factor is alive."""
+        from femupdate import solver
+
+        context, truth, lower, upper = small_context(noise=0.01, seed=3, strain_floor=3e-5)
+        real = solver.splu
+        alive, alive_at_factor, evaluations = [0], [], []
+
+        class Factor:
+            def __init__(self, lu):
+                self._lu = lu
+
+            def solve(self, rhs):
+                return self._lu.solve(rhs)
+
+        def released():
+            alive[0] -= 1
+
+        def splu(*args, **kwargs):
+            alive_at_factor.append(alive[0])
+            factor = Factor(real(*args, **kwargs))
+            alive[0] += 1
+            weakref.finalize(factor, released)
+            return factor
+
+        def provider(x):
+            evaluations.append(1)
+            return context.cost_and_derivatives(x)
+
+        monkeypatch.setattr(solver, "splu", splu)
+        start = np.full(4, E0)
+        context.forward.solve_displacement(start)
+        del alive_at_factor[:]
+        history = fu.ConvergenceHistory(model=context.forward)
+        fu.run_gradient(provider, start, lower, upper, fu.GradConfig(max_iterations=120), history,
+                        context.noise_floor())
+        assert len(evaluations) > 1
+        assert len(alive_at_factor) == history.total_forward_solves == len(evaluations) - 1
+        assert alive_at_factor == [0] * len(alive_at_factor)
+        assert alive[0] == 1  # the last evaluation's, held by the model for the maps at the end
 
 
 def never_evaluated(x):

@@ -1,5 +1,6 @@
 """Element stiffness, assembly, static solves and strain extraction."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -840,7 +841,7 @@ class TestBandedSolveCount:
         model.solve_displacement(values)
         assert len(banded_calls) == 1
         del banded_calls[:]
-        context.cost_and_jacobian(values)
+        context.cost_and_jacobian(values * 1.1)  # another design: not served by the held solve
         assert len(banded_calls) == 2
 
     def test_single_patch_solve_has_no_banded_solve(self, coupon_mesh, single_patch, uniaxial_bcs, banded_calls):
@@ -848,6 +849,94 @@ class TestBandedSolveCount:
         del banded_calls[:]
         model.solve_displacement(np.array([E_STEEL]))
         assert len(banded_calls) == 0
+
+
+class TestHeldSolve:
+    """A model keeps its last one-design solve for one repeat: a repeat of
+    the bitwise-same design is served with no factorization, and any other
+    solve drops it first."""
+
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        from femupdate import solver
+
+        calls = []
+        real = solver.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "splu", counting)
+        return calls
+
+    @THREE_PATCH
+    def test_derivatives_after_a_solve_take_its_factor(self, dims, defect, uniaxial_bcs, splu_calls):
+        """``solve_displacement(E)`` then ``displacement_derivatives(E)``:
+        one factorization, and u, du and u'' bitwise those of a fresh model."""
+        model = three_patch_model(dims, defect, uniaxial_bcs)
+        values = np.array([1.0, 1.2, 0.3]) * E_STEEL
+        rate, acceleration = values * np.array([0.4, -0.7, 1.1]), values * np.array([0.16, 0.49, 1.21])
+        u = model.solve_displacement(values)
+        u_again, du, second = model.displacement_derivatives(values)
+        assert len(splu_calls) == model.factorizations == 1
+        u_fresh, du_fresh, second_fresh = three_patch_model(dims, defect, uniaxial_bcs).displacement_derivatives(values)
+        assert u.tobytes() == u_again.tobytes() == u_fresh.tobytes()
+        assert du.tobytes() == du_fresh.tobytes()
+        assert second(rate, acceleration).tobytes() == second_fresh(rate, acceleration).tobytes()
+
+    def test_nothing_reused_but_one_repeat_of_one_design(self, coupon_mesh, uniaxial_bcs, monkeypatch):
+        """Another design, a stack or a failed solve drops the held solve,
+        and a repeat uses it up: a third solve at E factors again."""
+        from femupdate import solver
+
+        pmap = fu.stamp_defect_patches(fu.partition_longitudinal(coupon_mesh, 2), coupon_mesh,
+                                       [fu.DefectSpec((40, 5), (60, 15))])
+        model = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs)
+        e, other = np.array([1.0, 1.2, 0.3]) * E_STEEL, np.array([1.0, 0.8, 0.5]) * E_STEEL
+        calls, fail_at = [], [None]
+        real = solver._factor
+
+        def factor(k):
+            calls.append(1)
+            if len(calls) == fail_at[0]:
+                raise fu.SingularSystemError("stiffness factorization failed")
+            return real(k)
+
+        monkeypatch.setattr(solver, "_factor", factor)
+        steps = [
+            (e, 1), (e, 0), (e, 1),  # a repeat is served once
+            (other, 1), (e, 1),  # another design drops it
+            (np.stack([e, other]), 2), (e, 1),  # so does a stack
+            (e[None], 0),  # a stack of one design is a one-design solve
+        ]
+        for values, expected in steps:
+            before = len(calls)
+            model.solve_displacement(values)
+            assert len(calls) - before == expected
+        model.solve_displacement(e)
+        fail_at[0] = len(calls) + 1
+        with pytest.raises(fu.SingularSystemError):
+            model.solve_displacement(other)
+        before = len(calls)
+        model.solve_displacement(other)  # the failure was not held
+        model.solve_displacement(e)  # and the failed solve dropped e's
+        assert len(calls) - before == 2
+        assert model.factorizations == len(calls)
+
+    def test_held_arrays_are_read_only(self, coupon_mesh, uniaxial_bcs):
+        pmap = fu.stamp_defect_patches(fu.partition_longitudinal(coupon_mesh, 2), coupon_mesh,
+                                       [fu.DefectSpec((40, 5), (60, 15))])
+        model = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs)
+        values = np.array([[1.0, 1.2, 0.3]]) * E_STEEL
+        uf, au, errors, lu = model._solve(values)
+        assert errors == [None] and lu is not None
+        served = model._solve(values)
+        assert served[0] is uf and served[1] is au and served[3] is lu
+        for held in (uf, au):
+            assert not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0.0
 
 
 class TestPathSecondDerivative:
