@@ -23,7 +23,8 @@ distinct design once: elites and children identical to an earlier
 candidate reuse its cost, and the new designs of a generation are scored
 as one stack.
 The misfit is a sum of squared weighted residuals r(E), so the second
-stage works on r and its exact Jacobian J = dr/dE: one factorization
+stage works on r and its exact Jacobian J = dr/dE, both from one
+evaluation of ``CostContext.cost_and_derivatives``: one factorization
 serves the forward solve and the P sensitivity solves (the structure of
 Oberai, Gokhale & Feijoo, Inverse Problems 19, 2003), so a cost and its
 Jacobian cost one forward solve. Each step fixes the active bounds, as in
@@ -36,10 +37,12 @@ bound, one in ln E lands near it. The strains still bend along a long
 ln E step, so each step is corrected by its geodesic acceleration
 (Transtrum & Sethna, arXiv:1201.5885, 2012), from the residuals' second
 derivative along the step, which the factor of the evaluation already
-made gives without a new factorization. Both stages are deterministic given
-their seeds and append every iterate to one ConvergenceHistory, in run
-order, with their forward-solve count: the factorizations the forward model
-made for their evaluations. The model keeps its last solve for one repeat
+made gives without a new factorization. That one evaluation is the only
+derivative path from the forward model
+(``ForwardModel.displacement_derivatives``) to the Gauss-Newton step.
+Both stages are deterministic given their seeds and append every iterate
+to one ConvergenceHistory, in run order, with their forward-solve count:
+the factorizations the forward model made for their evaluations. The model keeps its last solve for one repeat
 (``ForwardModel``), so an evaluation of the design just solved, such as
 Gauss-Newton's first one at an initial guess the caller has solved, counts
 none.
@@ -266,29 +269,21 @@ class CostContext:
         costs[np.isnan(u).any(axis=1)] = np.inf
         return costs
 
-    def cost_and_jacobian(self, design: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Cost, relative residuals and their exact Jacobian for one design.
-
-        Returns (f, r, J): r from ``residuals``; f = sum(r**2), bitwise the
-        value ``cost`` returns, which computes it the same way; and
-        J = dr/dE = -(M du/dE) / max(|measured|, strain_floor), one column
-        per patch, from the displacement sensitivities of
-        ``ForwardModel.displacement_with_sensitivities``: one
-        factorization, shared by the forward solve and the P sensitivity
-        solves. The gradient of the cost is 2 J^T r.
-        """
-        return self.cost_and_derivatives(design)[:3]
-
     def cost_and_derivatives(self, design: np.ndarray):
-        """``cost_and_jacobian`` and the residuals' second derivative along a path.
+        """Cost, relative residuals, their exact Jacobian and their second
+        derivative along a path, for one design.
 
-        Returns (f, r, J, second): f, r and J as ``cost_and_jacobian``
-        returns them, and ``second(rate, acceleration)``, the second
+        Returns (f, r, J, second): r from ``residuals``; f = sum(r**2),
+        bitwise the value ``cost`` returns, which computes it the same way;
+        J = dr/dE = -(M du/dE) / max(|measured|, strain_floor), one column
+        per patch; and ``second(rate, acceleration)``, the second
         derivative r'' = -(M u'') / max(|measured|, strain_floor) along a
         path of moduli through ``design`` with that first and second
-        derivative (``ForwardModel.displacement_derivatives``): one more
-        single-column solve on this call's factor, no factorization.
-        ``run_gradient`` uses it to correct its steps.
+        derivative. All come from one ``ForwardModel.displacement_derivatives``:
+        one factorization, shared by the forward solve and the P
+        sensitivity solves, and ``second`` is one more single-column solve
+        on it, no factorization. The gradient of the cost is 2 J^T r. This
+        is ``run_gradient``'s provider shape.
         """
         u, du, u_second = self.forward.displacement_derivatives(design)
         r = self.residuals(self._operator @ u)
@@ -312,7 +307,7 @@ def fd_gradient(
     Central differences where the stencil fits inside the bounds; second
     order one-sided stencils at the box faces. Coordinates with zero range
     (pinned entries) get a zero gradient component. The optimizer uses the
-    exact gradient 2 J^T r from ``CostContext.cost_and_jacobian``; this is
+    exact gradient 2 J^T r from ``CostContext.cost_and_derivatives``; this is
     the oracle that checks it.
     """
     x = np.asarray(design, dtype=float)
@@ -508,18 +503,18 @@ def _free_least_squares(jac, rhs, free, norms) -> np.ndarray:
     return s
 
 
-def _gauss_newton_step(x, r, jac, grad, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_newton_step(x, r, jac, norms, grad, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     """Projected Gauss-Newton direction: min |J_F d + r| over the free set F.
 
     F leaves out the coordinates whose column of J is zero (pinned ones
     included) and those at a bound where the descent direction -g points
     out of the box.
-    The least-squares problem is solved with unit-norm columns. A free
-    coordinate at a bound whose step would leave the box is then fixed
-    too, and the problem solved again, so a short enough step moves no
-    coordinate out of the box. Returns (d, F).
+    The least-squares problem is solved with unit-norm columns (``norms``
+    are the column norms of J). A free coordinate at a bound whose step
+    would leave the box is then fixed too, and the problem solved again,
+    so a short enough step moves no coordinate out of the box. Returns
+    (d, F).
     """
-    norms = np.linalg.norm(jac, axis=0)
     at_lower, at_upper = x <= lower, x >= upper
     free = (norms > 0) & ~(at_lower & (grad > 0)) & ~(at_upper & (grad < 0))
     step = np.zeros_like(x)
@@ -532,20 +527,21 @@ def _gauss_newton_step(x, r, jac, grad, lower, upper) -> tuple[np.ndarray, np.nd
     return np.where(free, step, 0.0), free
 
 
-def _geodesic_acceleration(r_second, jac, direction, free) -> np.ndarray | None:
+def _geodesic_acceleration(r_second, jac, norms, direction, free) -> np.ndarray | None:
     """Geodesic acceleration of the step ``direction`` (Transtrum & Sethna,
     arXiv:1201.5885, 2012): a = argmin |J_F a + r''| over the step's free
     set F, with r'' = ``r_second`` the residuals' second derivative along
-    the direction, or None when 2 |a| > ``_ACCELERATION_RATIO`` |d| (the
-    correction would not be small)."""
-    acceleration = _free_least_squares(jac, -r_second, free, np.linalg.norm(jac, axis=0))
+    the direction, solved with the column ``norms`` of the step, or None
+    when 2 |a| > ``_ACCELERATION_RATIO`` |d| (the correction would not be
+    small)."""
+    acceleration = _free_least_squares(jac, -r_second, free, norms)
     if 2.0 * np.linalg.norm(acceleration) > _ACCELERATION_RATIO * np.linalg.norm(direction):
         return None
     return acceleration
 
 
 def run_gradient(
-    cost_and_jacobian,
+    cost_and_derivatives,
     start_design: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
@@ -555,13 +551,15 @@ def run_gradient(
 ) -> tuple[np.ndarray, ConvergenceHistory]:
     """Projected Gauss-Newton refinement of a least-squares cost inside the box.
 
-    ``cost_and_jacobian(x)`` returns (f, r, J): the cost f = |r|^2, the
-    residual vector r and its Jacobian J = dr/dx (for a CostContext,
-    ``CostContext.cost_and_jacobian``, exact sensitivities at one forward
-    solve per call), so the Jacobian of an accepted trial point serves the
-    next iteration. The gradient is g = 2 J^T r; the columns of pinned
-    coordinates (``lower == upper``) are set to zero, so they get a zero
-    gradient and a zero step.
+    ``cost_and_derivatives(x)`` returns (f, r, J, second): the cost
+    f = |r|^2, the residual vector r, its Jacobian J = dr/dx, and
+    ``second``, the residuals' second derivative along a path (below) or
+    None for a provider without one. For a CostContext it is
+    ``CostContext.cost_and_derivatives``: exact sensitivities at one
+    forward solve per call, so the Jacobian of an accepted trial point
+    serves the next iteration. The gradient is g = 2 J^T r; the columns
+    of pinned coordinates (``lower == upper``) are set to zero, so they
+    get a zero gradient and a zero step.
 
     A coordinate whose lower bound is positive (every modulus) steps in
     ln x, the others in x. Each iteration takes the Gauss-Newton direction
@@ -577,21 +575,20 @@ def run_gradient(
     linear.
 
     a is the step's geodesic acceleration (Transtrum & Sethna,
-    arXiv:1201.5885, 2012), zero unless the provider supplies the
-    residuals' second derivative: ``cost_and_jacobian(x)`` may return
-    (f, r, J, second), with ``second(rate, acceleration)`` the second
-    derivative r'' of r along a path of x through x with those first and
-    second derivatives (``CostContext.cost_and_derivatives``, on the
-    factor of its evaluation). Then, while the Gauss-Newton model
-    predicts a decrease of at least ``_ACCELERATION_MIN_DECREASE`` times
-    the cost, a = argmin |J_s a + r''| over d's free set, with r'' along
-    the uncorrected path, and a is kept only if
+    arXiv:1201.5885, 2012), zero when ``second`` is None. Otherwise
+    ``second(rate, acceleration)`` is the second derivative r'' of r along
+    a path of x through x with those first and second derivatives (for a
+    CostContext, on the factor of its evaluation). Then, while the
+    Gauss-Newton model predicts a decrease of at least
+    ``_ACCELERATION_MIN_DECREASE`` times the cost, a = argmin |J_s a + r''|
+    over d's free set, with r'' along the uncorrected path, solved with
+    the column norms the step was solved with, and a is kept only if
     2 |a| <= ``_ACCELERATION_RATIO`` |d| (``_geodesic_acceleration``).
     The decrease gate keeps a run near a minimum from spending its steps
-    on rounding; a dropped a, or a provider with no second derivative,
-    leaves the step bitwise that of plain Gauss-Newton. ``second`` is
-    dropped before the line search evaluates, so the factor it holds is
-    never held through another factorization.
+    on rounding; a dropped a, or a ``second`` of None, leaves the step
+    bitwise that of plain Gauss-Newton. ``second`` is dropped before the
+    line search evaluates, so the factor it holds is never held through
+    another factorization.
 
     Stops on a projected-gradient infinity norm below ``_GRAD_TOL``, on a
     step relative to the bound range below ``_STEP_TOL``, or at
@@ -625,9 +622,9 @@ def run_gradient(
 
     def evaluate(z):
         with history.counting(1):
-            f_z, r_z, jac_z, *second_z = cost_and_jacobian(z)
+            f_z, r_z, jac_z, second_z = cost_and_derivatives(z)
         jac_z = np.where(pinned, 0.0, jac_z)
-        return f_z, r_z, jac_z, 2.0 * (jac_z.T @ r_z), (second_z[0] if second_z else None)
+        return f_z, r_z, jac_z, 2.0 * (jac_z.T @ r_z), second_z
 
     f, r, jac, grad, second = evaluate(x)
     history.append(STAGE_GRADIENT, 0, f, x)
@@ -642,7 +639,8 @@ def run_gradient(
             break
         scale = np.where(log, x, 1.0)  # d(ln x)/dx = 1/x
         jac_s = jac * scale
-        direction, free = _gauss_newton_step(x, r, jac_s, grad * scale, lower, upper)
+        norms = np.linalg.norm(jac_s, axis=0)
+        direction, free = _gauss_newton_step(x, r, jac_s, norms, grad * scale, lower, upper)
         change = jac_s @ direction  # of r, to first order, over a full step
         decrease = -(2.0 * float(r @ change) + float(change @ change))  # predicted by the Gauss-Newton model
         if _within_floor(f, noise_floor) and decrease < _NEGLIGIBLE_DECREASE_SD * noise_floor[1]:
@@ -650,7 +648,7 @@ def run_gradient(
         acceleration = None
         if second is not None and decrease >= _ACCELERATION_MIN_DECREASE * f:
             r_second = second(scale * direction, np.where(log, x * direction**2, 0.0))
-            acceleration = _geodesic_acceleration(r_second, jac_s, direction, free)
+            acceleration = _geodesic_acceleration(r_second, jac_s, norms, direction, free)
         second = second_new = None  # the factor of x is not held through the line search's solves
         t = min(1.0, t_cap)
         accepted = failed = False
@@ -719,9 +717,9 @@ def run_hybrid(
     GA's best.
 
     Gauss-Newton (``run_gradient`` on ``context.cost_and_derivatives``,
-    so its steps are geodesically accelerated; on ``cost_and_jacobian``
-    for a context without it) first refines the initial guess, clipped
-    into the box (the bounds midpoint when omitted; the GA's ``pop[0]``).
+    whose second derivatives accelerate its steps geodesically) first
+    refines the initial guess, clipped into the box (the bounds midpoint
+    when omitted; the GA's ``pop[0]``).
     When ``context.noise_floor()`` gives (expected, sd) and that end's
     z = (cost - expected) / sd is at most ``_NOISE_FLOOR_Z``, the end is
     returned and the GA never runs. This run
@@ -776,9 +774,6 @@ def run_hybrid(
     guess = 0.5 * (lower + upper) if initial_guess is None else np.asarray(initial_guess, dtype=float)
     guess = np.clip(guess, lower, upper)
     history = ConvergenceHistory(model=getattr(context, "forward", None))
-    # A context that supplies the residuals' second derivatives (CostContext)
-    # gets geodesically accelerated Gauss-Newton steps.
-    provider = getattr(context, "cost_and_derivatives", context.cost_and_jacobian)
     ends = {}  # start design bytes -> (end record, stalled flag) of Gauss-Newton from it
     last = None  # the last handoff's end record
 
@@ -788,7 +783,7 @@ def run_hybrid(
         key = design.tobytes()
         if key not in ends:
             history.gradient_stalled = False
-            run_gradient(provider, design, lower, upper, grad_config, history, noise_floor)
+            run_gradient(context.cost_and_derivatives, design, lower, upper, grad_config, history, noise_floor)
             ends[key] = history.final, history.gradient_stalled
         end, history.gradient_stalled = ends[key]
         return end

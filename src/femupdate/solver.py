@@ -218,14 +218,13 @@ class ForwardModel:
     takes one fill, factorization and LU solve of S(E) per design; the
     interface loads, the banded solve, the A_k products and the checks run
     once for the stack, each result bitwise that of its design alone.
-    ``displacement_with_sensitivities`` reuses the same factors for the P
+    ``displacement_derivatives`` reuses the same factors for the P
     sensitivity solves (K(E) is symmetric): their right-hand sides vanish
     on the interior, so they take one LU solve of S(E) and one banded
-    solve, each with P columns. ``displacement_derivatives`` also gives
-    the second derivative u'' of the displacements along a path of moduli
-    on those factors: its right-hand side vanishes on the interior too, so
-    it takes one single-column LU solve and one banded solve, and no new
-    factorization.
+    solve, each with P columns. On those factors it also gives the second
+    derivative u'' of the displacements along a path of moduli: its
+    right-hand side vanishes on the interior too, so it takes one
+    single-column LU solve and one banded solve, and no new factorization.
 
     The surface strains are the sparse linear map ``strain_sampling`` of the
     displacements, sampled on the one measured surface: the midplane of a
@@ -525,11 +524,6 @@ class ForwardModel:
             raise ValueError("all patch moduli must be positive")
         return values
 
-    def _interface_stiffness(self, values: np.ndarray) -> sp.csc_matrix:
-        """Schur complement S(E) = sum_k E_k S_k on the interface dofs."""
-        n_g = self._s_indptr.size - 1
-        return sp.csc_matrix((self._s_weights @ values, self._s_indices, self._s_indptr), shape=(n_g, n_g))
-
     def _solve(self, values: np.ndarray):
         """Solve K(E_j) u_j = -R E_j for each row E_j of checked moduli (m, P).
 
@@ -638,12 +632,14 @@ class ForwardModel:
         """(exx, eyy, gamma_xy) of a flat displacement vector at the surface points."""
         return tuple(np.split(self._strain_sampling @ u, 3))
 
-    def displacement_with_sensitivities(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Displacements of one solve, and their sensitivities to the moduli.
+    def displacement_derivatives(self, values: np.ndarray):
+        """Displacements of one solve, their sensitivities to the moduli,
+        and second derivatives on the same factor.
 
-        Returns (u, du): u the flat displacement vector that
+        Returns (u, du, second): u the flat displacement vector that
         ``solve_displacement`` returns, du = du/dE of shape (n_dofs, P),
-        zero at the prescribed dofs. Differentiating K(E) u_f = -R E gives
+        zero at the prescribed dofs, and ``second(rate, acceleration)``,
+        below. Differentiating K(E) u_f = -R E gives
         K(E) du_f/dE_k = -(A_k u_f + R_k) (K(E) is symmetric), all P columns
         from the per-patch products A_k u_f of the forward solve. The
         interior rows of these right-hand sides vanish: on I_k only patch k
@@ -655,27 +651,20 @@ class ForwardModel:
         factorization per call, none when the call repeats the design of the
         model's held solve; the forward solve is checked as in
         ``solve_displacement``.
-        """
-        return self.displacement_derivatives(values)[:2]
 
-    def displacement_derivatives(self, values: np.ndarray):
-        """``displacement_with_sensitivities``, and second derivatives on its factor.
-
-        Returns (u, du, second): u and du as ``displacement_with_sensitivities``
-        returns them, and ``second(rate, acceleration)``, the flat vector
+        ``second(rate, acceleration)`` is the flat vector
         u'' = d^2 u / dt^2 at t = 0 along a path of moduli E(t) through
         E(0) = ``values`` with E'(0) = ``rate`` and E''(0) = ``acceleration``
         (both (P,)); E(t) = E exp(t d) has rate E d and acceleration E d^2.
         Differentiating K(E(t)) u_f(t) = -R E(t) twice gives
         u'' = du E'' - 2 K(E)^-1 q with q = sum_k E'_k A_k u', u' = du E'.
-        The interior rows of q vanish, as those of the sensitivity
-        right-hand sides do: on I_k only patch k contributes, and there
+        The interior rows of q vanish for the same reason: there
         A_k u' = 0 is the interior equation of K u' = -sum_k E'_k (A_k u_f + R_k).
         So K(E)^-1 q is one single-column LU solve on this call's factor of
         S(E) and one banded solve: no new factorization. ``second`` holds
         that factor; drop it before the next solve so that two factors are
         never held at once. A single-patch model (u = z0 whatever the
-        modulus) has u'' = 0.
+        modulus) has du = 0 and u'' = 0.
         """
         values = self._check_values(values)
         uf, au, errors, lu = self._solve(values[None])

@@ -67,6 +67,14 @@ def stiffness(model, values):
     return (weights @ model._patch_stiffness).tocsc()
 
 
+def interface_stiffness(model, values):
+    """Schur complement S(E) = sum_k E_k S_k of a ForwardModel on its
+    interface dofs, as CSC over the model's slots of S."""
+    n_g = model._s_indptr.size - 1
+    weights = model._s_weights @ np.asarray(values, dtype=float)
+    return sp.csc_matrix((weights, model._s_indices, model._s_indptr), shape=(n_g, n_g))
+
+
 def dense_stiffness(mesh, patch_map, values, nu=0.3):
     """Global stiffness assembled element by element from element_stiffness."""
     dim = mesh.dimension

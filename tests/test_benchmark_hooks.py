@@ -43,7 +43,7 @@ def test_first_solve_precedes_the_optimizer(tmp_path, monkeypatch):
     """perfbench/child.py times the solve phase from the first
     ``ForwardModel.solve_displacement`` call to the return of
     ``cli.run_hybrid``. Gauss-Newton solves through
-    ``displacement_with_sensitivities`` alone, so on noisy data, where it
+    ``displacement_derivatives`` alone, so on noisy data, where it
     may be the whole inversion, the first call must come from the residual
     maps at the guess, before ``run_hybrid`` is entered."""
     from femupdate import cli

@@ -487,9 +487,10 @@ class TestCmdSynthAndForward:
             ({"measurement": {"grid_counts": [12, 5], "grid_spacing_mm": [5.0, 5.0]}}, "measurement", "give only one"),
             ({"bounds": {"lo_factor": 2.0, "hi_factor": 1.5}}, "bounds", "exceeds hi_factor"),
             ({"bounds": {"lo_factor": 1.2}}, "bounds", "must bracket e_ref"),
+            ({"grad": {"max_iterations": 0}}, "grad", "max_iterations must be positive"),
         ],
         ids=["defect-misses-centroids", "3d-sections-exceed-nx", "margin-leaves-no-room", "counts-and-spacing",
-             "crossed-factors", "bounds-miss-e-ref"],
+             "crossed-factors", "bounds-miss-e-ref", "no-gauss-newton-iterations"],
     )
     def test_rejected_config_exit_2_before_writing(self, tmp_path, capsys, override, field, message):
         out = tmp_path / "t"

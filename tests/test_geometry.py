@@ -62,6 +62,21 @@ class TestBuildCouponMesh:
         assert mesh.elements.max() < mesh.n_nodes
         assert mesh.elements.min() >= 0
 
+    @pytest.mark.parametrize("node, message", [
+        (6, "^element connectivity references out-of-range node ids$"),
+        (-1, "^element connectivity references out-of-range node ids$"),
+        (1, "^element 1 repeats a node id$"),
+    ], ids=["past-the-end", "negative", "repeated"])
+    def test_bad_connectivity_rejected(self, node, message):
+        """Element 1 of a 2 x 1 QUAD4 strip, nodes (1, 2, 5, 4), with its
+        third node replaced by ``node``: past the 6 nodes, negative, or its
+        own first node."""
+        mesh = fu.build_coupon_mesh(10, 5, 1, 2, 1)
+        elements = mesh.elements.copy()
+        elements[1, 2] = node
+        with pytest.raises(ValueError, match=message):
+            fu.Mesh(2, mesh.nodes, elements, mesh.thickness, mesh.divisions, mesh.extent)
+
     def test_nodes_are_immutable(self):
         mesh = fu.build_coupon_mesh(10, 5, 1, 2, 2)
         with pytest.raises(ValueError):

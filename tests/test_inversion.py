@@ -56,9 +56,15 @@ def front_face_context():
 
 
 def gradient(context, design):
-    """Cost and gradient 2 J^T r from ``cost_and_jacobian``."""
-    f, r, jac = context.cost_and_jacobian(design)
+    """Cost and gradient 2 J^T r from ``cost_and_derivatives``."""
+    f, r, jac, _ = context.cost_and_derivatives(design)
     return f, 2.0 * (jac.T @ r)
+
+
+def without_second(context):
+    """``context.cost_and_derivatives`` without its second derivative, so
+    ``run_gradient`` on it takes plain Gauss-Newton steps."""
+    return lambda x: (*context.cost_and_derivatives(x)[:3], None)
 
 
 def assert_adjoint_matches_fd(context, designs, lower, upper):
@@ -294,11 +300,11 @@ class TestAdjointGradient:
         bad = truth.copy()
         bad[2] = 0.0
         with pytest.raises(ValueError):
-            context.cost_and_jacobian(bad)
+            context.cost_and_derivatives(bad)
 
 
 class TestJacobian:
-    """Every column of J = dr/dE from ``cost_and_jacobian`` against central
+    """Every column of J = dr/dE from ``cost_and_derivatives`` against central
     differences of r, 1e-6 relative in the max norm."""
 
     @pytest.mark.parametrize("fixture", ["2d_11_patches", "3d_3_patches"])
@@ -306,7 +312,7 @@ class TestJacobian:
         context = eleven_patch_context() if fixture.startswith("2d") else front_face_context()[0]
         p = context.forward.patch_map.patch_count
         design = np.random.default_rng(12).uniform(0.3, 2.0, p) * E0
-        f, r, jac = context.cost_and_jacobian(design)
+        f, r, jac, _ = context.cost_and_derivatives(design)
         assert jac.shape == (r.size, p)
         assert f == pytest.approx(r @ r, rel=1e-12)
         h = 1e-6 * 3.0 * E0  # fd_gradient's step on the box [0.01, 3] E0
@@ -314,7 +320,7 @@ class TestJacobian:
             plus, minus = design.copy(), design.copy()
             plus[k] += h
             minus[k] -= h
-            fd = (context.cost_and_jacobian(plus)[1] - context.cost_and_jacobian(minus)[1]) / (2.0 * h)
+            fd = (context.cost_and_derivatives(plus)[1] - context.cost_and_derivatives(minus)[1]) / (2.0 * h)
             rel = np.abs(jac[:, k] - fd).max() / np.abs(fd).max()
             assert rel < 1e-6, f"column {k}: J vs central differences relative error {rel:.2e}"
 
@@ -322,7 +328,7 @@ class TestJacobian:
         context = front_face_context()[0]
         forward = context.forward
         values = np.array([1.0, 1.2, 0.3]) * E0
-        u, du = forward.displacement_with_sensitivities(values)
+        u, du, _ = forward.displacement_derivatives(values)
         assert np.array_equal(u, forward.solve_displacement(values))
         assert du.shape == (u.size, 3)
         prescribed = np.setdiff1d(np.arange(u.size), forward.free_dofs)
@@ -494,6 +500,9 @@ class TestRunGa:
             fu.GAConfig(population_size=3)
         with pytest.raises(ValueError):
             fu.GAConfig(generations_max=0)
+        fu.GradConfig(max_iterations=1)  # the smallest legal Gauss-Newton
+        with pytest.raises(ValueError, match="^max_iterations must be positive$"):
+            fu.GradConfig(max_iterations=0)
 
 
 def eleven_patch_context():
@@ -615,8 +624,8 @@ class TestCostStack:
 
 
 def bowl(c):
-    """|x - c|^2 as a least-squares problem: r = x - c, J = I."""
-    return lambda x: (float(np.sum((x - c) ** 2)), x - c, np.eye(x.size))
+    """|x - c|^2 as a least-squares problem: r = x - c, J = I, no second derivative."""
+    return lambda x: (float(np.sum((x - c) ** 2)), x - c, np.eye(x.size), None)
 
 
 def nearly_linear():
@@ -633,7 +642,7 @@ def nearly_linear():
     def cost_and_jacobian(x):
         calls.append(x.copy())
         r = a @ x - b + 1e-4 * (x @ x)
-        return float(r @ r), r, a + 2e-4 * x
+        return float(r @ r), r, a + 2e-4 * x, None
 
     return cost_and_jacobian, calls
 
@@ -641,14 +650,15 @@ def nearly_linear():
 def inverse_modulus(c):
     """r = 1/x - 1/c, a strain against its modulus: in ln x the residual
     bends, so a Gauss-Newton step toward a soft c overshoots. Returns
-    (cost_and_jacobian, cost_and_derivatives); the second also gives
+    (cost_and_jacobian, cost_and_derivatives): the first gives no second
+    derivative (None), the second gives
     r'' = 2 x'^2 / x^3 - x'' / x^2 along a path of x."""
     def cost_and_jacobian(x):
         r = 1.0 / x - 1.0 / c
-        return float(r @ r), r, np.diag(-1.0 / x**2)
+        return float(r @ r), r, np.diag(-1.0 / x**2), None
 
     def cost_and_derivatives(x):
-        return (*cost_and_jacobian(x), lambda rate, acceleration: 2.0 * rate**2 / x**3 - acceleration / x**2)
+        return (*cost_and_jacobian(x)[:3], lambda rate, acceleration: 2.0 * rate**2 / x**3 - acceleration / x**2)
 
     return cost_and_jacobian, cost_and_derivatives
 
@@ -692,9 +702,9 @@ class TestRunGradient:
 
         def tilted(pinned_component):
             def cost_and_jacobian(x):
-                f, r, jac = bowl(c)(x)
+                f, r, jac, _ = bowl(c)(x)
                 jac[0, 0] = pinned_component  # the pinned column, so its gradient 2 J^T r
-                return f, r, jac
+                return f, r, jac, None
             return cost_and_jacobian
 
         x0, h0 = fu.run_gradient(tilted(0.0), np.zeros(3), lower, upper, fu.GradConfig())
@@ -709,7 +719,7 @@ class TestRunGradient:
     def test_costs_non_increasing_and_in_bounds(self):
         context, truth, lower, upper = small_context()
         start = np.clip(truth * 1.4, lower, upper)
-        x, history = fu.run_gradient(context.cost_and_jacobian, start, lower, upper, fu.GradConfig(max_iterations=20))
+        x, history = fu.run_gradient(without_second(context), start, lower, upper, fu.GradConfig(max_iterations=20))
         costs = [r.best_cost for r in history.records]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         for r in history.records:
@@ -719,7 +729,7 @@ class TestRunGradient:
     def test_reaches_the_replaced_stage_cost_in_few_solves(self):
         context, truth, lower, upper = small_context()
         start = np.clip(truth * 1.4, lower, upper)
-        _, history = fu.run_gradient(context.cost_and_jacobian, start, lower, upper, fu.GradConfig())
+        _, history = fu.run_gradient(without_second(context), start, lower, upper, fu.GradConfig())
         assert history.final.best_cost <= BB_FINAL_COST
         assert history.total_forward_solves <= 12
 
@@ -727,10 +737,10 @@ class TestRunGradient:
         c = np.array([0.7, -0.4, 0.2])
 
         def cost_and_jacobian(x):
-            f, r, jac = bowl(c)(x)
+            f, r, jac, _ = bowl(c)(x)
             r[1] = 0.0
             jac[:, 1] = 0.0  # the cost does not depend on x[1]
-            return f - (x[1] - c[1]) ** 2, r, jac
+            return f - (x[1] - c[1]) ** 2, r, jac, None
 
         start = np.array([0.1, 0.3, -0.5])
         x, history = fu.run_gradient(cost_and_jacobian, start, np.full(3, -1.0), np.full(3, 1.0), fu.GradConfig())
@@ -750,7 +760,7 @@ class TestRunGradient:
 
         def cost_and_jacobian(x):
             r = a @ x - b
-            return float(r @ r), r, a
+            return float(r @ r), r, a, None
 
         x, history = fu.run_gradient(cost_and_jacobian, np.array([-1.0, 0.0]), np.full(2, -1.0),
                                      np.full(2, 3.0), fu.GradConfig())
@@ -763,7 +773,7 @@ class TestRunGradient:
         # is only the tiny linear tilt
         def cost_and_jacobian(x):
             g = np.sign(x - 0.3) - 1e-9
-            return float(abs(x[0] - 0.3) - 1e-9 * x[0]), 0.5 * g, np.eye(1)
+            return float(abs(x[0] - 0.3) - 1e-9 * x[0]), 0.5 * g, np.eye(1), None
 
         x, history = fu.run_gradient(
             cost_and_jacobian, np.array([0.3]), np.array([0.0]), np.array([1.0]), fu.GradConfig()
@@ -816,7 +826,7 @@ class TestRunGradient:
 
         def cost_and_jacobian(x):
             r = np.log(x) - np.log(c)
-            return float(r @ r), r, np.diag(1.0 / x)
+            return float(r @ r), r, np.diag(1.0 / x), None
 
         x, history = fu.run_gradient(cost_and_jacobian, np.ones(3), np.full(3, 1e-2), np.full(3, 1e2),
                                      fu.GradConfig())
@@ -830,7 +840,7 @@ class TestRunGradient:
 
         def cost_and_jacobian(x):
             r = np.log(x) - np.log(c)
-            return float(r @ r), r, np.diag(1.0 / x)
+            return float(r @ r), r, np.diag(1.0 / x), None
 
         x, history = fu.run_gradient(cost_and_jacobian, np.array([7.3, 1.0, 1.0]), lower, upper, fu.GradConfig())
         assert len(history.records) > 1
@@ -844,7 +854,7 @@ class TestRunGradient:
         RuntimeWarning (an error under the suite's warning filters)."""
         def cost_and_jacobian(x):
             r = x - 1e6
-            return float(r @ r), r, np.eye(1)
+            return float(r @ r), r, np.eye(1), None
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -857,7 +867,7 @@ class TestRunGradient:
         """Gauss-Newton from the homogeneous guess on the noisy coupon: 5
         solves (7 with linear steps in E), ending within the noise floor."""
         context, truth, lower, upper = small_context(noise=0.01, seed=3, strain_floor=3e-5)
-        x, history = fu.run_gradient(context.cost_and_jacobian, np.full(4, E0), lower, upper,
+        x, history = fu.run_gradient(without_second(context), np.full(4, E0), lower, upper,
                                      fu.GradConfig(max_iterations=120))
         expected, sd = context.noise_floor()
         assert history.total_forward_solves <= 5
@@ -906,7 +916,7 @@ class TestRunGradient:
         asked = []
 
         def too_curved(x):
-            return (*cost_and_jacobian(x), lambda rate, acceleration: asked.append(1) or np.full(3, 1e3))
+            return (*cost_and_jacobian(x)[:3], lambda rate, acceleration: asked.append(1) or np.full(3, 1e3))
 
         lower, upper, start = np.full(3, 1e-2), np.full(3, 1e2), np.ones(3)
         x_plain, plain = fu.run_gradient(cost_and_jacobian, start, lower, upper, fu.GradConfig())
@@ -1036,12 +1046,14 @@ class TestInputChecks:
         (np.zeros(3), np.ones(3), np.full(2, 0.5), r"initial_guess must have shape \(3,\)"),
     ], ids=["bounds", "guess"])
     def test_hybrid_rejects_unlike_shapes_before_any_solve(self, lower, upper, guess, message):
-        context = types.SimpleNamespace(cost=never_evaluated, cost_and_jacobian=never_evaluated, noise_floor=lambda: None)
+        context = types.SimpleNamespace(cost=never_evaluated, cost_and_derivatives=never_evaluated,
+                                        noise_floor=lambda: None)
         with pytest.raises(ValueError, match=message):
             fu.run_hybrid(context, lower, upper, fu.GAConfig(population_size=6), fu.GradConfig(), initial_guess=guess)
 
     def test_hybrid_rejects_a_non_finite_guess_before_any_solve(self):
-        context = types.SimpleNamespace(cost=never_evaluated, cost_and_jacobian=never_evaluated, noise_floor=lambda: None)
+        context = types.SimpleNamespace(cost=never_evaluated, cost_and_derivatives=never_evaluated,
+                                        noise_floor=lambda: None)
         with pytest.raises(ValueError, match="initial_guess must be finite"):
             fu.run_hybrid(context, np.array([-2.0]), np.array([2.0]), fu.GAConfig(population_size=6),
                           fu.GradConfig(), initial_guess=np.array([np.nan]))
@@ -1134,10 +1146,10 @@ class TiltedDoubleWell:
         x = designs[:, 0]
         return (x * x - 1) ** 2 + (0.3 * (x - 1)) ** 2
 
-    def cost_and_jacobian(self, design):
+    def cost_and_derivatives(self, design):
         x = float(design[0])
         r = np.array([x * x - 1, 0.3 * (x - 1)])
-        return float(np.sum(r**2)), r, np.array([[2 * x], [0.3]])
+        return float(np.sum(r**2)), r, np.array([[2 * x], [0.3]]), None
 
 
 class LeftHalfFails(TiltedDoubleWell):
@@ -1147,21 +1159,21 @@ class LeftHalfFails(TiltedDoubleWell):
     def cost(self, designs):
         return np.where(designs[:, 0] < 0, np.inf, super().cost(designs))
 
-    def cost_and_jacobian(self, design):
+    def cost_and_derivatives(self, design):
         if design[0] < 0:
             raise fu.SingularSystemError("stiffness is numerically singular")
-        return super().cost_and_jacobian(design)
+        return super().cost_and_derivatives(design)
 
 
 class CostlierGaussNewton(TiltedDoubleWell):
-    """The tilted double well whose ``cost_and_jacobian`` reports 1 more
+    """The tilted double well whose ``cost_and_derivatives`` reports 1 more
     than ``cost`` at the same design, so every Gauss-Newton end costs more
     than a GA best below 1. Its Jacobian is negated for x < 0, so the step
     from there points uphill and the line search stalls."""
 
-    def cost_and_jacobian(self, design):
-        cost, r, j = super().cost_and_jacobian(design)
-        return cost + 1.0, r, -j if design[0] < 0 else j
+    def cost_and_derivatives(self, design):
+        cost, r, j, second = super().cost_and_derivatives(design)
+        return cost + 1.0, r, -j if design[0] < 0 else j, second
 
 
 class NoisyTiltedDoubleWell(TiltedDoubleWell):
@@ -1271,8 +1283,8 @@ class TestRunHybrid:
         assert ga_records[-1].iteration == 4
         assert ga_records[4].design.tobytes() == ga_records[0].design.tobytes()
         runner_up = generation0_runner_up(problem.cost, lower, upper, ga, guess)
-        _, partner = fu.run_gradient(problem.cost_and_jacobian, runner_up, lower, upper, grad)
-        _, handoff = fu.run_gradient(problem.cost_and_jacobian, ga_records[0].design, lower, upper, grad)
+        _, partner = fu.run_gradient(problem.cost_and_derivatives, runner_up, lower, upper, grad)
+        _, handoff = fu.run_gradient(problem.cost_and_derivatives, ga_records[0].design, lower, upper, grad)
         assert partner.final.design[0] < 0 < handoff.final.design[0]
         assert rows(history.records) == (
             rows(ga_records[:1])
@@ -1298,7 +1310,7 @@ class TestRunHybrid:
         ga_records = history.stage_records(STAGE_GA)
         assert ga_records[-1].iteration == 4
         runner_up = generation0_runner_up(problem.cost, lower, upper, ga, guess)
-        runs = [fu.run_gradient(problem.cost_and_jacobian, start, lower, upper, fu.GradConfig())[1]
+        runs = [fu.run_gradient(problem.cost_and_derivatives, start, lower, upper, fu.GradConfig())[1]
                 for start in (runner_up, ga_records[0].design, ga_records[4].design)]
         assert runs[0].final.design[0] < 0 < runs[1].final.design[0]
         g0, g4 = ga_records[0].forward_solve_count, ga_records[4].forward_solve_count
@@ -1357,7 +1369,7 @@ class TestRunHybrid:
         problem, lower, upper, guess = NoisyTiltedDoubleWell(), np.array([-2.0]), np.array([2.0]), np.array([-1.5])
         grad = fu.GradConfig()
         final, history = fu.run_hybrid(problem, lower, upper, fu.GAConfig(4, 8, 6), grad, initial_guess=guess)
-        runs = [fu.run_gradient(problem.cost_and_jacobian, start, lower, upper, grad)
+        runs = [fu.run_gradient(problem.cost_and_derivatives, start, lower, upper, grad)
                 for _, start in gauss_newton_starts(history)]
         assert [alone.gradient_stalled for _, alone in runs] == [False, True, False]
         ga_best = history.stage_records(STAGE_GA)[-1].design
@@ -1375,7 +1387,7 @@ class TestRunHybrid:
         ga_best = history.stage_records(STAGE_GA)[-1]
         starts = gauss_newton_starts(history)
         assert np.array_equal(starts[-1][1], ga_best.design) and ga_best.design[0] < 0
-        runs = [fu.run_gradient(problem.cost_and_jacobian, start, lower, upper, grad)[1] for _, start in starts]
+        runs = [fu.run_gradient(problem.cost_and_derivatives, start, lower, upper, grad)[1] for _, start in starts]
         assert runs[-1].final.best_cost > ga_best.best_cost
         assert np.array_equal(final, ga_best.design)
         assert [run.gradient_stalled for run in runs] == [False, True]
@@ -1427,7 +1439,7 @@ class TestRunHybrid:
         lower, upper, guess = np.array([-2.0]), np.array([2.0]), np.array([-1.5])
         ga, grad = fu.GAConfig(population_size=6, generations_max=20, rng_seed=7), fu.GradConfig()
         final, history = fu.run_hybrid(problem, lower, upper, ga, grad, initial_guess=guess)
-        _, first = fu.run_gradient(problem.cost_and_jacobian, guess, lower, upper, grad)
+        _, first = fu.run_gradient(problem.cost_and_derivatives, guess, lower, upper, grad)
         expected, sd = problem.noise_floor()
         assert first.final.design[0] < 0
         assert (first.final.best_cost - expected) / sd > 5.0

@@ -314,11 +314,22 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="^noise_sigma must be finite and >= 0, got"):
             fu.ExperimentalField(0, grid, zeros, zeros, zeros, noise_sigma=sigma)
 
+    @pytest.mark.parametrize("exy, message", [
+        (np.zeros(14), r"^exy must have 15 entries, got \(14,\)$"),
+        (np.where(np.arange(15) == 7, np.nan, 0.0), "^exy contains non-finite values$"),
+    ], ids=["wrong-length", "non-finite"])
+    def test_field_rejects_bad_strains(self, exy, message):
+        grid = fu.grid_for_footprint((100, 20), counts=(5, 3))
+        zeros = np.zeros(grid.n_points)
+        with pytest.raises(ValueError, match=message):
+            fu.ExperimentalField(0, grid, zeros, zeros, exy)
+
 
 class TestMeasurementCsv:
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(
+            "# note: a free-form comment before the header\n"
             "x_mm,y_mm,exx,eyy,exy\n"
             "1,1,1e-3,2e-3,3e-3\n"
             "2,1,1e-3,2e-3,3e-3\n"
@@ -347,6 +358,22 @@ class TestMeasurementCsv:
         path.write_text("x_mm,y_mm,exx,eyy,exy\n1,1,0,0,0\n2,1,0,0\n")
         with pytest.raises(ParseError, match="line 3"):
             fu.load_measurement_csv(path)
+
+    def test_comment_after_header_line_number(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("x_mm,y_mm,exx,eyy,exy\n1,1,0,0,0\n# noise_sigma=0.01\n2,1,0,0,0\n")
+        with pytest.raises(ParseError, match="^line 3: comment after header is not allowed$") as exc:
+            fu.load_measurement_csv(path)
+        assert exc.value.line_number == 3
+
+    def test_rows_not_forming_a_grid_line_number(self, tmp_path):
+        """Three points in the first row and five in all: no whole number
+        of rows; the error names the last data line."""
+        path = tmp_path / "m.csv"
+        path.write_text("x_mm,y_mm,exx,eyy,exy\n1,1,0,0,0\n2,1,0,0,0\n3,1,0,0,0\n1,2,0,0,0\n2,2,0,0,0\n")
+        with pytest.raises(ParseError, match="^line 6: 5 rows do not form a grid with row length 3$") as exc:
+            fu.load_measurement_csv(path)
+        assert exc.value.line_number == 6
 
     def test_nan_strain_rejected(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import cholesky_banded
 
 import femupdate as fu
-from conftest import Prescribed, dense_stiffness, element_stiffness, stiffness
+from conftest import Prescribed, dense_stiffness, element_stiffness, interface_stiffness, stiffness
 from femupdate._shape import (
     HEX8_SIGNS, QUAD4_SIGNS, distinct_shapes, gauss_points, shape_gradients, shape_values, strain_displacement,
 )
@@ -590,10 +590,10 @@ class TestCondensation:
         n_i, free = interior_patch.size, model.free_dofs
         k1 = dense_stiffness(mesh, pmap, np.ones(4), NU)[np.ix_(free, free)]
         schur = k1[n_i:, n_i:] - k1[n_i:, :n_i] @ np.linalg.solve(k1[:n_i, :n_i], k1[:n_i, n_i:])
-        s1 = model._interface_stiffness(np.ones(4)).toarray()
+        s1 = interface_stiffness(model, np.ones(4)).toarray()
         assert np.abs(s1 - schur).max() <= 1e-10 * np.abs(schur).max()
 
-        _, du = model.displacement_with_sensitivities(values)
+        _, du, _ = model.displacement_derivatives(values)
         h = 1e-6 * 3.0 * E_STEEL
         for k in range(4):
             plus, minus = values.copy(), values.copy()
@@ -637,7 +637,7 @@ class TestCondensation:
         mesh = fu.build_coupon_mesh(*dims)
         pmap = block_patches(mesh, blocks)
         model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
-        lu = solver._factor(model._interface_stiffness(np.ones(pmap.patch_count)))
+        lu = solver._factor(interface_stiffness(model, np.ones(pmap.patch_count)))
         assert lu.L.nnz + lu.U.nnz <= max_fill
 
     @pytest.mark.parametrize(
@@ -780,7 +780,7 @@ class TestFactorizationCount:
         field = fu.generate_synthetic(model, values, grid)
         context = fu.CostContext(model, field)
         del splu_calls[:]
-        context.cost_and_jacobian(values)
+        context.cost_and_derivatives(values)
         assert len(splu_calls) == 1
 
     def test_single_patch_solves_without_factorization(self, coupon_mesh, single_patch, uniaxial_bcs, splu_calls):
@@ -841,7 +841,7 @@ class TestBandedSolveCount:
         model.solve_displacement(values)
         assert len(banded_calls) == 1
         del banded_calls[:]
-        context.cost_and_jacobian(values * 1.1)  # another design: not served by the held solve
+        context.cost_and_derivatives(values * 1.1)  # another design: not served by the held solve
         assert len(banded_calls) == 2
 
     def test_single_patch_solve_has_no_banded_solve(self, coupon_mesh, single_patch, uniaxial_bcs, banded_calls):
@@ -980,7 +980,7 @@ class TestSolveChecks:
         """The rank check reads the pivots of S(1) as the squared diagonal
         of its banded Cholesky factor: those of a dense Cholesky of S(1)."""
         model = three_patch_model(dims, defect, uniaxial_bcs)
-        s_unit = model._interface_stiffness(np.ones(3))
+        s_unit = interface_stiffness(model, np.ones(3))
         chol = np.linalg.cholesky(s_unit.toarray())
         assert_allclose(model._interface_pivots(), np.diag(chol) ** 2, rtol=1e-10)
 
@@ -1015,7 +1015,7 @@ class TestSolveChecks:
 
     @THREE_PATCH
     def test_sensitivities_raise_the_forward_solves_error(self, dims, defect, uniaxial_bcs, monkeypatch):
-        """``displacement_with_sensitivities`` raises the NumericalError of
+        """``displacement_derivatives`` raises the NumericalError of
         its forward solve, here the equilibrium failure of a perturbed
         factor: the error ``solve_displacement`` raises for the same moduli."""
         from femupdate import solver
@@ -1033,8 +1033,22 @@ class TestSolveChecks:
         with pytest.raises(NumericalError, match="equilibrium residual") as forward:
             model.solve_displacement(values)
         with pytest.raises(NumericalError, match="equilibrium residual") as info:
-            model.displacement_with_sensitivities(values)
+            model.displacement_derivatives(values)
         assert str(info.value) == str(forward.value)
+
+    def test_unconstrained_single_patch_fails_the_interior_factorization(self):
+        """With one patch every free dof is interior, so a model with no
+        prescribed dof has a singular interior block: its banded Cholesky
+        factorization fails at construction."""
+        mesh = fu.build_coupon_mesh(100, 20, 2, 10, 4)
+        with pytest.raises(fu.SingularSystemError, match="^interior stiffness factorization failed: ") as info:
+            fu.ForwardModel(mesh, fu.partition_longitudinal(mesh, 1), NU, Prescribed([], []))
+        assert info.value.__cause__ is not None
+
+    @pytest.mark.parametrize("nu", [0.5, -0.1], ids=["incompressible", "negative"])
+    def test_poisson_ratio_outside_the_range_rejected(self, coupon_mesh, single_patch, uniaxial_bcs, nu):
+        with pytest.raises(ValueError, match=rf"^poisson_ratio must satisfy 0 <= nu < 0.5, got {nu}$"):
+            fu.ForwardModel(coupon_mesh, single_patch, nu, uniaxial_bcs)
 
     def test_superlu_failure_is_a_singular_system(self):
         """``_factor`` maps SuperLU's RuntimeError on an exactly singular
@@ -1055,6 +1069,6 @@ class TestSolveChecks:
             context = cost_context(model)
             values = np.full(pmap.patch_count, E_STEEL)
             values[-1] = bad
-            for call in (model.solve_displacement, context.cost_and_jacobian):
+            for call in (model.solve_displacement, context.cost_and_derivatives):
                 with pytest.raises(ValueError, match=rf"finite; patches \[{pmap.patch_count - 1}\]"):
                     call(values)
