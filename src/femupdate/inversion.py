@@ -762,7 +762,7 @@ def run_hybrid(
     partner before its handoff) and holds one forward-solve count for both
     stages: the factorizations of ``context.forward``
     (``ConvergenceHistory.model``), or one per evaluated design for a
-    context without a ``forward`` model. Returns the run from the guess's end
+    context whose ``forward`` is None. Returns the run from the guess's end
     when the GA is skipped; otherwise the last handoff's end, which is then
     the history's last record (a reused end is logged once more unless it
     already is), or the GA best it started from when that cost less. The
@@ -773,7 +773,7 @@ def run_hybrid(
     lower, upper = _checked_bounds(lower, upper, "initial_guess", initial_guess)
     guess = 0.5 * (lower + upper) if initial_guess is None else np.asarray(initial_guess, dtype=float)
     guess = np.clip(guess, lower, upper)
-    history = ConvergenceHistory(model=getattr(context, "forward", None))
+    history = ConvergenceHistory(model=context.forward)
     ends = {}  # start design bytes -> (end record, stalled flag) of Gauss-Newton from it
     last = None  # the last handoff's end record
 

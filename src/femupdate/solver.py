@@ -210,14 +210,16 @@ class ForwardModel:
     z0 = -Z 1, whatever the moduli. A solve fills and factors S(E)
     (``splu`` with the natural order and no pivoting; S(E) is symmetric
     positive definite), solves S(E) u_G = (B Z - R_G) E and recovers
-    u_I = z0 - D^-1 B^T u_G with one banded solve. A model with an empty
-    interface (one patch) needs neither a factorization nor a banded solve:
-    u = z0. Each solution is checked for finite values and for its
-    equilibrium residual on the physics, sum_k E_k A_k u_f = -R E, from the
-    per-patch products A_k u_f (K(E) is not assembled). A stack of designs
-    takes one fill, factorization and LU solve of S(E) per design; the
-    interface loads, the banded solve, the A_k products and the checks run
-    once for the stack, each result bitwise that of its design alone.
+    u_I = z0 - D^-1 B^T u_G with one banded solve (``_recover``, the one
+    place u_I is computed from u_G). A one-patch model is the case of an
+    empty interface and takes the same path: its S(E) is 0 x 0, so its u
+    is z0 and its du and u'' are 0. Each solution is checked for finite
+    values and for its equilibrium residual on the physics,
+    sum_k E_k A_k u_f = -R E, from the per-patch products A_k u_f (K(E) is
+    not assembled). A stack of designs takes one fill, factorization and
+    LU solve of S(E) per design; the interface loads, the banded solve, the
+    A_k products and the checks run once for the stack, each result bitwise
+    that of its design alone.
     ``displacement_derivatives`` reuses the same factors for the P
     sensitivity solves (K(E) is symmetric): their right-hand sides vanish
     on the interior, so they take one LU solve of S(E) and one banded
@@ -250,8 +252,8 @@ class ForwardModel:
     So ``invert`` factors once for the residual maps at the initial guess
     and the first Gauss-Newton evaluation there, and once for the last
     evaluation and the maps at the end. ``factorizations`` counts the
-    factorizations of S(E) the model has made; a served repeat adds none,
-    and neither does a solve of a one-patch model. The held solve makes a
+    factorizations of S(E) the model has made, one per design of every
+    solve that is not a served repeat. The held solve makes a
     model stateful: share one across threads only with a lock around
     every solve (no caller shares one).
 
@@ -399,7 +401,7 @@ class ForwardModel:
         self._z0 = -cho_solve_banded(
             (self._interior, True), self._rhs_per_patch[:n_i].sum(axis=1), check_finite=False
         )
-        self._z0.flags.writeable = False  # the solution of every single-patch solve
+        self._z0.flags.writeable = False  # the interior under the prescribed load alone; every solve adds it
         z = np.zeros((n_i, n_patches))
         z[np.arange(n_i), self._interior_patch] = -self._z0
         self._g_rhs = self._coupling @ z - self._rhs_per_patch[n_i:]
@@ -417,6 +419,8 @@ class ForwardModel:
             tail, end = block_tail[k], block_end[k]
             position[n_i + g] = np.arange(g.size)
             s_k = _dense_rows(a, k * n_free + n_i + g, position, np.zeros((g.size, g.size)))
+            # dtbtrs aborts the process ("double free or corruption", SciPy
+            # 1.17.1) on a band with no columns, so an empty Y is not solved.
             if tail < end:
                 # A_k[g, I_k] A_k[I_k, I_k]^-1 A_k[I_k, g] = Y^T Y with Y = L^-1 A_k[I_k, g],
                 # and Y is zero above row tail, as A_k[I_k, g] is (L is lower triangular).
@@ -536,9 +540,11 @@ class ForwardModel:
         takes the fill of its S(E) (its own product with the slot weights,
         written into one matrix for the stack: ``splu`` reads contiguous
         values, and gathering them from one stacked product costs more than
-        the product), one factorization and one LU solve. The rest runs once for the stack: the interface loads are one
-        product, the interior is one banded solve with m right-hand sides,
-        and the A_k products and the checks of every design are one product
+        the product), one factorization and one LU solve, also when the
+        interface is empty (one patch) and S(E) is 0 x 0. The rest runs once
+        for the stack: the interface loads are one product, the interior is
+        ``_recover`` (one banded solve with m right-hand sides) plus z0, and
+        the A_k products and the checks of every design are one product
         each. A design whose solve fails does not stop the others: its
         column is NaN and its error is recorded. Each column is bitwise the
         solution of its design alone.
@@ -550,34 +556,27 @@ class ForwardModel:
         if m == 1 and held is not None and held[0] == values.tobytes():
             return held[1], held[2], [None], held[3]
         del held
-        n_i = self._interior_patch.size
         errors = [None] * m
-        lu = None
-        if n_i == self._free.size:
-            uf = np.repeat(self._z0[:, None], m, axis=1)
-        else:
-            g_rhs = self._g_rhs @ values.T
-            u_g = np.empty_like(g_rhs)
-            # One S(E) matrix for the stack: each design writes its slot values
-            # into it (a factor keeps no reference to the matrix it was made
-            # from), which spares a matrix construction and format check.
-            n_g = g_rhs.shape[0]
-            s_e = sp.csc_matrix((np.empty(self._s_indices.size), self._s_indices, self._s_indptr), shape=(n_g, n_g))
-            for j in range(m):
-                s_e.data = self._s_weights @ values[j]
-                lu = None  # the previous design's factor is freed before this one is made
-                self.factorizations += 1
-                try:
-                    lu = _factor(s_e)
-                except SingularSystemError as exc:
-                    errors[j] = exc
-                    u_g[:, j] = np.nan
-                else:
-                    u_g[:, j] = lu.solve(g_rhs[:, j])
-            u_i = self._z0[:, None] - cho_solve_banded(
-                (self._interior, True), self._coupling_t @ u_g, check_finite=False
-            )
-            uf = np.concatenate([u_i, u_g])
+        g_rhs = self._g_rhs @ values.T
+        u_g = np.empty_like(g_rhs)
+        # One S(E) matrix for the stack: each design writes its slot values
+        # into it (a factor keeps no reference to the matrix it was made
+        # from), which spares a matrix construction and format check.
+        n_g = g_rhs.shape[0]
+        s_e = sp.csc_matrix((np.empty(self._s_indices.size), self._s_indices, self._s_indptr), shape=(n_g, n_g))
+        for j in range(m):
+            s_e.data = self._s_weights @ values[j]
+            lu = None  # the previous design's factor is freed before this one is made
+            self.factorizations += 1
+            try:
+                lu = _factor(s_e)
+            except SingularSystemError as exc:
+                errors[j] = exc
+                u_g[:, j] = np.nan
+            else:
+                u_g[:, j] = lu.solve(g_rhs[:, j])
+        uf = self._recover(u_g)
+        uf[:self._z0.size] += self._z0[:, None]
         au = (self._patch_stiffness @ uf).reshape(values.shape[1], uf.shape[0], m)
         rhs = -(self._rhs_per_patch @ values.T)
         residual = np.linalg.norm(np.einsum("kfj,jk->fj", au, values) - rhs, axis=0)
@@ -647,7 +646,7 @@ class ForwardModel:
         interior equations, zero. So K(E)^-1 (A_k u_f + R_k) is
         u_G = S(E)^-1 (A_k u_f + R_k)_G, one LU solve on the forward
         solve's factor, and u_I = -D^-1 B^T u_G, one banded solve, each
-        with P columns (``_interface_solve``); du is its negative. One
+        with P columns (``_recover``); du is its negative. One
         factorization per call, none when the call repeats the design of the
         model's held solve; the forward solve is checked as in
         ``solve_displacement``.
@@ -663,23 +662,21 @@ class ForwardModel:
         So K(E)^-1 q is one single-column LU solve on this call's factor of
         S(E) and one banded solve: no new factorization. ``second`` holds
         that factor; drop it before the next solve so that two factors are
-        never held at once. A single-patch model (u = z0 whatever the
-        modulus) has du = 0 and u'' = 0.
+        never held at once. A one-patch model takes the same path: its
+        interface is empty, so du = 0 and u'' = 0.
         """
         values = self._check_values(values)
         uf, au, errors, lu = self._solve(values[None])
         if errors[0] is not None:
             raise errors[0]
         n_i = self._interior_patch.size
-        du = np.zeros((self._n_dofs, values.size))  # a single patch: u = z0 whatever the modulus
-        if lu is not None:
-            du[self._free] = -self._interface_solve(lu, au[:, n_i:, 0].T + self._rhs_per_patch[n_i:])
+        du = np.zeros((self._n_dofs, values.size))
+        du[self._free] = -self._recover(lu.solve(au[:, n_i:, 0].T + self._rhs_per_patch[n_i:]))
 
         def second(rate: np.ndarray, acceleration: np.ndarray) -> np.ndarray:
             u2 = du @ acceleration
-            if lu is not None:
-                q = self._path_load(rate, (du @ rate)[self._free])
-                u2[self._free] -= 2.0 * self._interface_solve(lu, q[n_i:])
+            q = self._path_load(rate, (du @ rate)[self._free])
+            u2[self._free] -= 2.0 * self._recover(lu.solve(q[n_i:]))
             return u2
 
         return self._full(uf)[0], du, second
@@ -689,11 +686,10 @@ class ForwardModel:
         u' = ``du_rate``: one product with the stacked A_k."""
         return rate @ (self._patch_stiffness @ du_rate).reshape(rate.size, -1)
 
-    def _interface_solve(self, lu, rhs_g: np.ndarray) -> np.ndarray:
-        """K(E)^-1 of right-hand sides (free dofs, condensed order) that vanish
-        on the interior, given their interface rows ``rhs_g``:
-        u_G = S(E)^-1 rhs_g on the factor ``lu``, u_I = -D^-1 B^T u_G."""
-        u_g = lu.solve(rhs_g)
+    def _recover(self, u_g: np.ndarray) -> np.ndarray:
+        """[-D^-1 B^T u_G; u_G] over the free dofs (condensed order): K(E)^-1
+        of right-hand sides that vanish on the interior, given u_G, their
+        solution on the interface. One banded solve for all columns."""
         u_i = cho_solve_banded((self._interior, True), self._coupling_t @ u_g, check_finite=False)
         return np.concatenate([-u_i, u_g])
 

@@ -129,6 +129,32 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="measurement.grid_spacing_mm"):
             load_config({"geometry": geometry, "measurement": {"grid_spacing_mm": ["nan", 1.0]}})
 
+    @pytest.mark.parametrize(
+        "keys, value, path, message",
+        [
+            (("geometry",), 5, "geometry", "expected an object, got int"),
+            (("measurement", "grid_counts"), 5, "measurement.grid_counts", "expected a pair [x, y]"),
+            (("measurement", "grid_counts"), [1, 2, 3], "measurement.grid_counts", "expected a pair [x, y]"),
+            (("measurement", "grid_counts"), [0, 5], "measurement.grid_counts", "values must be positive and finite"),
+            (("material", "truth_moduli_mpa"), [60000.0], "material.truth_moduli_mpa",
+             "expected an object mapping patch index to MPa"),
+            (("patches", "defects"), {}, "patches.defects", "expected a list of boxes"),
+            (("patches", "defects", 0, "box_min"), 5, "patches.defects[0].box_min", "expected a list of coordinates"),
+        ],
+        ids=["section", "pair-scalar", "pair-triple", "pair-zero", "truth-list", "defects-object", "corner-scalar"],
+    )
+    def test_shape_error_names_its_field(self, keys, value, path, message):
+        """A value of the wrong shape raises a ConfigError naming its field."""
+        cfg = base_config("out")
+        target = cfg
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert info.value.path == path
+        assert str(info.value) == f"{path}: {message}"
+
     def test_defect_box_validation(self):
         with pytest.raises(ConfigError, match=r"patches.defects\[0\]"):
             load_config(

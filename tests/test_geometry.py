@@ -205,6 +205,10 @@ class TestDefectSpec:
         with pytest.raises(ValueError, match="box_min < box_max"):
             fu.DefectSpec((5, 5), (5, 10))
 
+    def test_four_coordinates_per_corner_rejected(self):
+        with pytest.raises(ValueError, match="^defect box must have 2 or 3 coordinates per corner$"):
+            fu.DefectSpec((0, 0, 0, 0), (1, 1, 1, 1))
+
     def test_contains_is_closed(self):
         spec = fu.DefectSpec((0, 0), (1, 1))
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [1.0001, 0.5]])
@@ -215,6 +219,10 @@ class TestPatchMap:
     def test_empty_patch_rejected(self):
         with pytest.raises(ValueError, match="patch 1"):
             fu.PatchMap(np.array([0, 0, 2, 2]), 3)
+
+    def test_zero_patch_count_rejected(self):
+        with pytest.raises(ValueError, match="^patch_count must be >= 1$"):
+            fu.PatchMap(np.zeros(3, int), 0)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

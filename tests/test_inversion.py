@@ -613,6 +613,33 @@ class TestCostStack:
         assert costs[3] == np.inf
         assert np.array_equal(np.delete(costs, 3), np.delete(alone, 3))
 
+    def test_non_finite_solution_scores_inf_others_unchanged(self, stacked, monkeypatch):
+        """A factor whose solve gives NaN: a single design raises
+        SingularSystemError("solution is non-finite"), not the equilibrium
+        check's NumericalError; in a stack that design scores +inf and the
+        others are bitwise their costs alone."""
+        from femupdate import solver
+
+        context, designs = stacked
+        alone = [context.cost(x) for x in designs]
+        calls, nan_at = [], [0]
+
+        def factor(k):
+            calls.append(1)
+            lu = REAL_FACTOR(k)
+            if len(calls) - 1 != nan_at[0]:
+                return lu
+            return types.SimpleNamespace(solve=lambda rhs: np.full_like(lu.solve(rhs), np.nan))
+
+        monkeypatch.setattr(solver, "_factor", factor)
+        with pytest.raises(fu.SingularSystemError, match="^solution is non-finite$"):
+            context.cost(designs[2])
+        calls.clear()
+        nan_at[0] = 3
+        costs = context.cost(designs)
+        assert costs[3] == np.inf
+        assert np.array_equal(np.delete(costs, 3), np.delete(alone, 3))
+
     def test_run_ga_counts_the_failed_design_once(self, monkeypatch):
         context, truth, lower, upper = small_context()
         config = fu.GAConfig(population_size=10, generations_max=4, rng_seed=1)
@@ -1137,7 +1164,10 @@ class TiltedDoubleWell:
     """Least squares in one coordinate, r(x) = (x^2 - 1, 0.3 (x - 1)): the
     global minimum is 0 at x = 1, a local one lies near x = -0.95. Stands in
     for a CostContext: ``cost`` scores a stack (m, 1); the data are
-    noiseless, so there is no noise floor."""
+    noiseless, so there is no noise floor. It has no forward model, so a
+    history counts one forward solve per evaluated design."""
+
+    forward = None
 
     def noise_floor(self):
         return None

@@ -50,6 +50,15 @@ class TestMeasurementGrid:
         with pytest.raises(ValueError, match="finite"):
             fu.MeasurementGrid(origin, spacing, (3, 2))
 
+    def test_zero_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^grid counts must be >= 1, got \(3, 0\)$"):
+            fu.MeasurementGrid((0, 0), (1, 1), (3, 0))
+
+    def test_grid_for_footprint_margin_leaving_no_points(self):
+        """A margin wider than half the footprint leaves no grid points."""
+        with pytest.raises(ValueError, match=r"^margin 6 and spacing \(1.0, 1.0\) leave no grid points$"):
+            fu.grid_for_footprint((10, 10), spacing=(1, 1), margin=6)
+
     def test_grid_for_footprint_infinite_spacing(self):
         with pytest.raises(ValueError, match="finite"):
             fu.grid_for_footprint((100, 20), spacing=(np.inf, 5))

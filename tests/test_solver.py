@@ -1,5 +1,6 @@
 """Element stiffness, assembly, static solves and strain extraction."""
 
+import dataclasses
 import functools
 import tracemalloc
 
@@ -255,6 +256,13 @@ class TestBoundaryConditions:
         bcs = fu.BoundaryConditions("xmin", np.nan)
         with pytest.raises(ValueError, match="finite"):
             bcs.prescribed_dofs(coupon_mesh)
+
+    def test_empty_loaded_face_rejected(self, coupon_mesh):
+        """A mesh whose extent reaches past its nodes has no node on the
+        loaded face (x = 200 on the 100 mm coupon)."""
+        mesh = dataclasses.replace(coupon_mesh, extent=(200.0, 20.0))
+        with pytest.raises(ValueError, match="^fixed and loaded faces must be nonempty$"):
+            fu.BoundaryConditions("xmin", 0.1).prescribed_dofs(mesh)
 
 
 def nodal_displacements(mesh, pmap, values, bcs):
@@ -569,6 +577,23 @@ class TestCondensation:
         model = assert_matches_dense(mesh, pmap, np.array([E_STEEL]), uniaxial_bcs)
         assert model._interior_patch.size == model.free_dofs.size
 
+    @pytest.mark.parametrize("dims", [(100, 20, 2, 12, 4), (100, 20, 8, 6, 3, 2)], ids=["2d", "3d"])
+    def test_single_patch_solution_is_z0(self, dims, uniaxial_bcs):
+        """One patch takes the general solve on its 0 x 0 S(E): the free
+        displacements are z0, the interior under the prescribed load alone,
+        bitwise, for one design and for every row of a stack, whatever the
+        modulus; du and u'' are exactly 0."""
+        mesh = fu.build_coupon_mesh(*dims)
+        model = fu.ForwardModel(mesh, fu.partition_longitudinal(mesh, 1), NU, uniaxial_bcs)
+        free, z0 = model.free_dofs, model._z0.tobytes()
+        values = np.array([E_STEEL])
+        u, du, second = model.displacement_derivatives(values)
+        assert u[free].tobytes() == z0
+        for row in model.solve_displacement(np.array([[0.5], [2.0]]) * E_STEEL):
+            assert row[free].tobytes() == z0
+        assert not du.any()
+        assert not second(0.5 * values, 0.25 * values).any()
+
     def test_touching_rows_not_trailing(self, uniaxial_bcs):
         """Three sections, the middle one coupled to the interface at both
         ends, and a defect straddling the first cut: the middle block's
@@ -741,64 +766,13 @@ class TestCondensation:
             assert peak <= max_peak_mb * 1e6, f"build peak {peak / 1e6:.1f} MB"
 
 
-class TestFactorizationCount:
-    """The factorization hook the benchmark traces: ``solver.splu``, looked
-    up at call time, is called once per solve and not at model build, whose
-    rank check factors S(1) as a band (``_interface_pivots``)."""
-
-    @pytest.fixture
-    def splu_calls(self, monkeypatch):
-        from femupdate import solver
-
-        calls = []
-        real = solver.splu
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "splu", counting)
-        return calls
-
-    @pytest.mark.parametrize(
-        "dims, defect",
-        [
-            ((100, 20, 2, 20, 5), fu.DefectSpec((40, 5), (60, 15))),
-            ((100, 20, 8, 10, 4, 2), fu.DefectSpec((40, 5, 0), (60, 15, 4))),
-        ],
-        ids=["2d", "3d"],
-    )
-    def test_one_factorization_per_build_and_solve(self, dims, defect, uniaxial_bcs, splu_calls):
-        mesh = fu.build_coupon_mesh(*dims)
-        pmap = fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 2), mesh, [defect])
-        values = np.array([1.0, 1.2, 0.3]) * E_STEEL
-        model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
-        assert len(splu_calls) == 0
-        model.solve_displacement(values)
-        assert len(splu_calls) == 1
-        grid = fu.grid_for_footprint((100, 20), counts=(8, 4))
-        field = fu.generate_synthetic(model, values, grid)
-        context = fu.CostContext(model, field)
-        del splu_calls[:]
-        context.cost_and_derivatives(values)
-        assert len(splu_calls) == 1
-
-    def test_single_patch_solves_without_factorization(self, coupon_mesh, single_patch, uniaxial_bcs, splu_calls):
-        model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
-        model.solve_displacement(np.array([E_STEEL]))
-        assert len(splu_calls) == 0
-
-
 # Three-patch models (two sections and a defect) on which every solve
 # factors S(E); the ids follow the dimension.
-THREE_PATCH = pytest.mark.parametrize(
-    "dims, defect",
-    [
-        ((100, 20, 2, 20, 5), fu.DefectSpec((40, 5), (60, 15))),
-        ((100, 20, 8, 10, 4, 2), fu.DefectSpec((40, 5, 0), (60, 15, 4))),
-    ],
-    ids=["2d", "3d"],
-)
+THREE_PATCH_CASES = [
+    ((100, 20, 2, 20, 5), fu.DefectSpec((40, 5), (60, 15))),
+    ((100, 20, 8, 10, 4, 2), fu.DefectSpec((40, 5, 0), (60, 15, 4))),
+]
+THREE_PATCH = pytest.mark.parametrize("dims, defect", THREE_PATCH_CASES, ids=["2d", "3d"])
 
 
 def three_patch_model(dims, defect, bcs):
@@ -814,9 +788,58 @@ def cost_context(model):
     return fu.CostContext(model, field)
 
 
+# The models of the count tests: the three-patch ones and one patch on the 2D
+# coupon (defect None), whose interface is empty and whose S(E) is 0 x 0.
+COUNTED = pytest.mark.parametrize(
+    "dims, defect", THREE_PATCH_CASES + [((100, 20, 2, 20, 5), None)], ids=["2d", "3d", "one-patch"]
+)
+
+
+def counted_model(dims, defect, bcs):
+    """The model of a COUNTED case and a design other than ``cost_context``'s."""
+    if defect is None:
+        mesh = fu.build_coupon_mesh(*dims)
+        return fu.ForwardModel(mesh, fu.partition_longitudinal(mesh, 1), NU, bcs), np.array([1.2]) * E_STEEL
+    return three_patch_model(dims, defect, bcs), np.array([1.0, 1.2, 0.3]) * E_STEEL
+
+
+class TestFactorizationCount:
+    """The factorization hook the benchmark traces: ``solver.splu``, looked
+    up at call time, is called once per solve, also on a one-patch model's
+    0 x 0 S(E), and not at model build, whose rank check factors S(1) as a
+    band (``_interface_pivots``)."""
+
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        from femupdate import solver
+
+        calls = []
+        real = solver.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "splu", counting)
+        return calls
+
+    @COUNTED
+    def test_one_factorization_per_build_and_solve(self, dims, defect, uniaxial_bcs, splu_calls):
+        model, values = counted_model(dims, defect, uniaxial_bcs)
+        assert len(splu_calls) == 0
+        model.solve_displacement(values)
+        assert len(splu_calls) == 1
+        grid = fu.grid_for_footprint((100, 20), counts=(8, 4))
+        field = fu.generate_synthetic(model, values, grid)
+        context = fu.CostContext(model, field)
+        del splu_calls[:]
+        context.cost_and_derivatives(values)
+        assert len(splu_calls) == 1
+
+
 class TestBandedSolveCount:
     """The interior solves of the condensation: the forward solve takes one
-    banded solve (none with one patch), the sensitivities one more."""
+    banded solve, the sensitivities one more, on one patch too."""
 
     @pytest.fixture
     def banded_calls(self, monkeypatch):
@@ -832,23 +855,16 @@ class TestBandedSolveCount:
         monkeypatch.setattr(solver, "cho_solve_banded", counting)
         return calls
 
-    @THREE_PATCH
+    @COUNTED
     def test_three_patch_solves(self, dims, defect, uniaxial_bcs, banded_calls):
-        model = three_patch_model(dims, defect, uniaxial_bcs)
+        model, values = counted_model(dims, defect, uniaxial_bcs)
         context = cost_context(model)
-        values = np.array([1.0, 1.2, 0.3]) * E_STEEL
         del banded_calls[:]
         model.solve_displacement(values)
         assert len(banded_calls) == 1
         del banded_calls[:]
         context.cost_and_derivatives(values * 1.1)  # another design: not served by the held solve
         assert len(banded_calls) == 2
-
-    def test_single_patch_solve_has_no_banded_solve(self, coupon_mesh, single_patch, uniaxial_bcs, banded_calls):
-        model = fu.ForwardModel(coupon_mesh, single_patch, NU, uniaxial_bcs)
-        del banded_calls[:]
-        model.solve_displacement(np.array([E_STEEL]))
-        assert len(banded_calls) == 0
 
 
 class TestHeldSolve:
