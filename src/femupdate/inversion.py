@@ -25,7 +25,8 @@ as one stack.
 The misfit is a sum of squared weighted residuals r(E), so the second
 stage works on r and its exact Jacobian J = dr/dE, both from one
 evaluation of ``CostContext.cost_and_derivatives``: one factorization
-serves the forward solve and the P sensitivity solves (the structure of
+serves the forward solve and the sensitivity solves of the moduli that
+can move, not of those pinned by equal bounds (the structure of
 Oberai, Gokhale & Feijoo, Inverse Problems 19, 2003), so a cost and its
 Jacobian cost one forward solve. Each step fixes the active bounds, as in
 Bertsekas' projected Newton method (SIAM J. Control Optim. 20, 1982), and
@@ -269,7 +270,7 @@ class CostContext:
         costs[np.isnan(u).any(axis=1)] = np.inf
         return costs
 
-    def cost_and_derivatives(self, design: np.ndarray):
+    def cost_and_derivatives(self, design: np.ndarray, moving: np.ndarray | None = None):
         """Cost, relative residuals, their exact Jacobian and their second
         derivative along a path, for one design.
 
@@ -280,12 +281,16 @@ class CostContext:
         derivative r'' = -(M u'') / max(|measured|, strain_floor) along a
         path of moduli through ``design`` with that first and second
         derivative. All come from one ``ForwardModel.displacement_derivatives``:
-        one factorization, shared by the forward solve and the P
-        sensitivity solves, and ``second`` is one more single-column solve
-        on it, no factorization. The gradient of the cost is 2 J^T r. This
-        is ``run_gradient``'s provider shape.
+        one factorization, shared by the forward solve and the sensitivity
+        solves, and ``second`` is one more single-column solve on it, no
+        factorization. ``moving``, a boolean mask over the patches (all when
+        None), names the moduli to differentiate: only their sensitivities
+        are solved, J is 0 in the other columns, and ``second`` takes a rate
+        and an acceleration that are 0 there. The gradient of the cost is
+        2 J^T r. With ``moving`` bound, this is ``run_gradient``'s provider
+        shape.
         """
-        u, du, u_second = self.forward.displacement_derivatives(design)
+        u, du, u_second = self.forward.displacement_derivatives(design, moving)
         r = self.residuals(self._operator @ u)
         jac = -(self._operator @ du) / self._denominator[:, None]
 
@@ -716,8 +721,10 @@ def run_hybrid(
     data to their noise, GA exploration with Gauss-Newton handoffs from the
     GA's best.
 
-    Gauss-Newton (``run_gradient`` on ``context.cost_and_derivatives``,
-    whose second derivatives accelerate its steps geodesically) first
+    Gauss-Newton (``run_gradient`` on ``context.cost_and_derivatives``
+    with ``moving`` = ``upper > lower``, so the sensitivities of pinned
+    moduli are never solved for, and whose second derivatives accelerate
+    its steps geodesically) first
     refines the initial guess, clipped into the box (the bounds midpoint
     when omitted; the GA's ``pop[0]``).
     When ``context.noise_floor()`` gives (expected, sd) and that end's
@@ -776,6 +783,10 @@ def run_hybrid(
     history = ConvergenceHistory(model=context.forward)
     ends = {}  # start design bytes -> (end record, stalled flag) of Gauss-Newton from it
     last = None  # the last handoff's end record
+    moving = upper > lower  # a pinned modulus is never differentiated
+
+    def cost_and_derivatives(design):
+        return context.cost_and_derivatives(design, moving)
 
     def gauss_newton(design, noise_floor=None):
         """The end record of the run from ``design``; sets the history's
@@ -783,7 +794,7 @@ def run_hybrid(
         key = design.tobytes()
         if key not in ends:
             history.gradient_stalled = False
-            run_gradient(context.cost_and_derivatives, design, lower, upper, grad_config, history, noise_floor)
+            run_gradient(cost_and_derivatives, design, lower, upper, grad_config, history, noise_floor)
             ends[key] = history.final, history.gradient_stalled
         end, history.gradient_stalled = ends[key]
         return end

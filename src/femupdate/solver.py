@@ -11,9 +11,11 @@ blocks are factored, and the prescribed-displacement load condensed, once
 per model; a solve factors only the Schur complement on the interface
 dofs, S(E) = sum_k E_k S_k, without pivoting (K(E) and S(E) are
 symmetric positive definite for positive moduli), and recovers the
-interior with one banded solve. K(E) is never assembled per solve: the
-equilibrium check and the displacement sensitivities du/dE use the
-per-patch products A_k u, and the sensitivities of all P moduli are one
+interior with a forward and a back sweep of the banded factor, the forward
+one only over the rows from each patch's first interior row coupled to the
+interface. K(E) is never assembled per solve: the equilibrium check and
+the displacement sensitivities du/dE use the per-patch products A_k u,
+and the sensitivities of the moduli asked for (all P by default) are one
 multi-right-hand-side solve on the factors of the forward solve, as is the
 second derivative of the displacements along a path of moduli. Surface
 strain sampling is one sparse matrix from displacements to strains,
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 from scipy.sparse.linalg import splu
 
@@ -210,23 +212,32 @@ class ForwardModel:
     z0 = -Z 1, whatever the moduli. A solve fills and factors S(E)
     (``splu`` with the natural order and no pivoting; S(E) is symmetric
     positive definite), solves S(E) u_G = (B Z - R_G) E and recovers
-    u_I = z0 - D^-1 B^T u_G with one banded solve (``_recover``, the one
-    place u_I is computed from u_G). A one-patch model is the case of an
-    empty interface and takes the same path: its S(E) is 0 x 0, so its u
-    is z0 and its du and u'' are 0. Each solution is checked for finite
+    u_I = z0 - D^-1 B^T u_G (``_recover``, the one place u_I is computed
+    from u_G). B^T u_G, like Y, is zero above the first coupled row of
+    each block, so the forward sweep L y = B^T u_G runs only over the rows
+    from there to the block's end, merged where they adjoin
+    (``_recovery_sweeps``), and the back sweep L^T x = y over the blocks
+    that have such rows; together they are bitwise the full banded solve
+    (``_interior_solve``). z0 takes the same two sweeps over the whole
+    interior. A one-patch model is the case of an empty
+    interface and takes the same path: its S(E) is 0 x 0 and its block
+    has no coupled row, so no sweep runs, its u is z0 and its du and u''
+    are 0. Each solution is checked for finite
     values and for its equilibrium residual on the physics,
     sum_k E_k A_k u_f = -R E, from the per-patch products A_k u_f (K(E) is
     not assembled). A stack of designs takes one fill, factorization and
-    LU solve of S(E) per design; the interface loads, the banded solve, the
-    A_k products and the checks run once for the stack, each result bitwise
-    that of its design alone.
-    ``displacement_derivatives`` reuses the same factors for the P
-    sensitivity solves (K(E) is symmetric): their right-hand sides vanish
-    on the interior, so they take one LU solve of S(E) and one banded
-    solve, each with P columns. On those factors it also gives the second
+    LU solve of S(E) per design; the interface loads, the interior
+    recovery, the A_k products and the checks run once for the stack, each
+    result bitwise that of its design alone.
+    ``displacement_derivatives`` reuses the same factors for the
+    sensitivity solves (K(E) is symmetric), one per modulus asked for (all
+    P by default): their right-hand sides vanish on the interior, so they
+    take one LU solve of S(E) and one interior recovery, each with one
+    column per such modulus. On those factors it also gives the second
     derivative u'' of the displacements along a path of moduli: its
     right-hand side vanishes on the interior too, so it takes one
-    single-column LU solve and one banded solve, and no new factorization.
+    single-column LU solve and one interior recovery, and no new
+    factorization.
 
     The surface strains are the sparse linear map ``strain_sampling`` of the
     displacements, sampled on the one measured surface: the midplane of a
@@ -395,23 +406,29 @@ class ForwardModel:
         )
         del g_rows, inner
         self._coupling_t = self._coupling.T  # CSR over the same arrays
+        # Per patch: the rows tail..end-1 of its block from its first
+        # interior row coupled to its interface dofs.
+        block_tail = block_end.copy()  # a block without coupled rows needs no Y and no sweep
+        coupled_rows = np.flatnonzero(np.diff(self._coupling_t.indptr))
+        coupled, first = np.unique(self._interior_patch[coupled_rows], return_index=True)
+        block_tail[coupled] = coupled_rows[first]
+        # The sweeps of ``_recover``: B^T u_G is zero above each block's
+        # tail, so the forward sweep starts there; the back sweep runs over
+        # the blocks it reached.
+        self._recovery_sweeps = (
+            _row_ranges(block_tail, block_end),
+            _row_ranges(np.where(block_tail < block_end, block_start, block_end), block_end),
+        )
         # An interior row of R has one nonzero, in the column of its own
         # patch, and D is block diagonal, so row i of Z = D^-1 R_I has one
         # nonzero too, -z0[i] with z0 = -D^-1 R_I 1, in the column of its patch.
-        self._z0 = -cho_solve_banded(
-            (self._interior, True), self._rhs_per_patch[:n_i].sum(axis=1), check_finite=False
-        )
+        whole = [(0, n_i)] if n_i else []
+        self._z0 = -self._interior_solve(self._rhs_per_patch[:n_i].sum(axis=1), whole, whole)
         self._z0.flags.writeable = False  # the interior under the prescribed load alone; every solve adds it
         z = np.zeros((n_i, n_patches))
         z[np.arange(n_i), self._interior_patch] = -self._z0
         self._g_rhs = self._coupling @ z - self._rhs_per_patch[n_i:]
 
-        # Per patch: the rows tail..end-1 of its block from its first
-        # interior row coupled to its interface dofs.
-        block_tail = block_end.copy()  # a block without coupled rows needs no Y
-        coupled_rows = np.flatnonzero(np.diff(self._coupling_t.indptr))
-        coupled, first = np.unique(self._interior_patch[coupled_rows], return_index=True)
-        block_tail[coupled] = coupled_rows[first]
         # Slot weights of S(E) = _s_weights @ E: column k holds the block S_k.
         s_value = []
         position = np.full(n_free, -1)  # column -> position in g of the current patch, -1 off g
@@ -543,7 +560,8 @@ class ForwardModel:
         the product), one factorization and one LU solve, also when the
         interface is empty (one patch) and S(E) is 0 x 0. The rest runs once
         for the stack: the interface loads are one product, the interior is
-        ``_recover`` (one banded solve with m right-hand sides) plus z0, and
+        ``_recover`` (one forward and one back sweep over the rows B^T u_G
+        reaches, m columns each; none for one patch) plus z0, and
         the A_k products and the checks of every design are one product
         each. A design whose solve fails does not stop the others: its
         column is NaN and its error is recorded. Each column is bitwise the
@@ -631,22 +649,25 @@ class ForwardModel:
         """(exx, eyy, gamma_xy) of a flat displacement vector at the surface points."""
         return tuple(np.split(self._strain_sampling @ u, 3))
 
-    def displacement_derivatives(self, values: np.ndarray):
+    def displacement_derivatives(self, values: np.ndarray, moving: np.ndarray | None = None):
         """Displacements of one solve, their sensitivities to the moduli,
         and second derivatives on the same factor.
 
         Returns (u, du, second): u the flat displacement vector that
         ``solve_displacement`` returns, du = du/dE of shape (n_dofs, P),
         zero at the prescribed dofs, and ``second(rate, acceleration)``,
-        below. Differentiating K(E) u_f = -R E gives
-        K(E) du_f/dE_k = -(A_k u_f + R_k) (K(E) is symmetric), all P columns
+        below. ``moving``, a boolean mask of shape (P,) (all True when
+        None), names the moduli to differentiate: the columns of the others
+        are not solved for and are 0. Differentiating K(E) u_f = -R E gives
+        K(E) du_f/dE_k = -(A_k u_f + R_k) (K(E) is symmetric), each column
         from the per-patch products A_k u_f of the forward solve. The
         interior rows of these right-hand sides vanish: on I_k only patch k
         contributes, and there E_k (A_k u_f + R_k) is the residual of the
         interior equations, zero. So K(E)^-1 (A_k u_f + R_k) is
         u_G = S(E)^-1 (A_k u_f + R_k)_G, one LU solve on the forward
-        solve's factor, and u_I = -D^-1 B^T u_G, one banded solve, each
-        with P columns (``_recover``); du is its negative. One
+        solve's factor, and u_I = -D^-1 B^T u_G (``_recover``), each with
+        one column per moving modulus (none are solved when none moves);
+        du is its negative. One
         factorization per call, none when the call repeats the design of the
         model's held solve; the forward solve is checked as in
         ``solve_displacement``.
@@ -654,26 +675,37 @@ class ForwardModel:
         ``second(rate, acceleration)`` is the flat vector
         u'' = d^2 u / dt^2 at t = 0 along a path of moduli E(t) through
         E(0) = ``values`` with E'(0) = ``rate`` and E''(0) = ``acceleration``
-        (both (P,)); E(t) = E exp(t d) has rate E d and acceleration E d^2.
+        (both (P,), and 0 off ``moving``, else ValueError); E(t) = E exp(t d)
+        has rate E d and acceleration E d^2.
         Differentiating K(E(t)) u_f(t) = -R E(t) twice gives
         u'' = du E'' - 2 K(E)^-1 q with q = sum_k E'_k A_k u', u' = du E'.
         The interior rows of q vanish for the same reason: there
         A_k u' = 0 is the interior equation of K u' = -sum_k E'_k (A_k u_f + R_k).
         So K(E)^-1 q is one single-column LU solve on this call's factor of
-        S(E) and one banded solve: no new factorization. ``second`` holds
+        S(E) and one interior recovery: no new factorization. ``second`` holds
         that factor; drop it before the next solve so that two factors are
         never held at once. A one-patch model takes the same path: its
         interface is empty, so du = 0 and u'' = 0.
         """
         values = self._check_values(values)
+        if moving is None:
+            moving = np.ones(values.size, dtype=bool)
+        moving = np.asarray(moving)
+        if moving.dtype != bool or moving.shape != values.shape:
+            raise ValueError(f"moving must be a boolean mask of shape {values.shape}, got {moving.dtype} {moving.shape}")
         uf, au, errors, lu = self._solve(values[None])
         if errors[0] is not None:
             raise errors[0]
         n_i = self._interior_patch.size
         du = np.zeros((self._n_dofs, values.size))
-        du[self._free] = -self._recover(lu.solve(au[:, n_i:, 0].T + self._rhs_per_patch[n_i:]))
+        columns = np.flatnonzero(moving)
+        if columns.size:  # no solve on no column
+            rhs = au[:, n_i:, 0].T[:, columns] + self._rhs_per_patch[n_i:, columns]
+            du[self._free[:, None], columns] = -self._recover(lu.solve(rhs))
 
         def second(rate: np.ndarray, acceleration: np.ndarray) -> np.ndarray:
+            if np.any(np.asarray(rate)[~moving]) or np.any(np.asarray(acceleration)[~moving]):
+                raise ValueError("rate and acceleration must be zero off the moving moduli")
             u2 = du @ acceleration
             q = self._path_load(rate, (du @ rate)[self._free])
             u2[self._free] -= 2.0 * self._recover(lu.solve(q[n_i:]))
@@ -689,9 +721,30 @@ class ForwardModel:
     def _recover(self, u_g: np.ndarray) -> np.ndarray:
         """[-D^-1 B^T u_G; u_G] over the free dofs (condensed order): K(E)^-1
         of right-hand sides that vanish on the interior, given u_G, their
-        solution on the interface. One banded solve for all columns."""
-        u_i = cho_solve_banded((self._interior, True), self._coupling_t @ u_g, check_finite=False)
+        solution on the interface. B^T u_G is zero above the first coupled
+        row of each block, so the forward sweep covers only the rows from
+        there to the block's end, and the back sweep only the blocks with
+        such rows (``_interior_solve``); a one-patch model sweeps nothing."""
+        u_i = self._interior_solve(self._coupling_t @ u_g, *self._recovery_sweeps)
         return np.concatenate([-u_i, u_g])
+
+    def _interior_solve(self, b: np.ndarray, forward, back) -> np.ndarray:
+        """D^-1 b for b (n_i,) or (n_i, m) that is zero outside the row ranges
+        ``forward``, solved in place: L y = b over ``forward``, then
+        L^T x = y over ``back``, which must hold ``forward`` and every block
+        it touches. Rows outside ``back`` stay zero. Each column is bitwise
+        ``cho_solve_banded((L, True), b)``: that is the same two ``dtbsv``
+        sweeps over every row, and a skipped row only adds exact zeros. No
+        sweep runs on no column (``dtbtrs`` corrupts the heap there, SciPy
+        1.17.1)."""
+        columns = b[:, None] if b.ndim == 1 else b
+        if columns.shape[1]:
+            for ranges, trans in ((forward, "N"), (back, "T")):
+                for start, end in ranges:
+                    columns[start:end], _ = dtbtrs(
+                        self._interior[:, start:end], columns[start:end], uplo="L", trans=trans, overwrite_b=True
+                    )
+        return b
 
     def surface_strain_arrays(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exx, eyy, gamma_xy) at the surface sample points; one solve."""
@@ -746,6 +799,18 @@ def _condensed_free_dofs(mesh: Mesh, patch_map: PatchMap, prescribed: np.ndarray
     free.flags.writeable = False
     dof_patch = np.repeat(node_patch[order], dim)[keep]
     return free, dof_patch[dof_patch < n_patches]
+
+
+def _row_ranges(starts: np.ndarray, ends: np.ndarray) -> list:
+    """The nonempty row ranges [start, end), in order, those that adjoin
+    merged into one: a list of (start, end) pairs."""
+    ranges = []
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        if ranges and ranges[-1][1] == start < end:
+            ranges[-1] = ranges[-1][0], end
+        elif start < end:
+            ranges.append((start, end))
+    return ranges
 
 
 def _dense_rows(a: sp.csr_matrix, rows: np.ndarray, position: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -324,6 +324,28 @@ class TestJacobian:
             rel = np.abs(jac[:, k] - fd).max() / np.abs(fd).max()
             assert rel < 1e-6, f"column {k}: J vs central differences relative error {rel:.2e}"
 
+    @pytest.mark.parametrize("fixture", ["2d_11_patches", "3d_3_patches"])
+    def test_moving_columns_bitwise_the_full_jacobian(self, fixture):
+        """With ``moving``, J is bitwise the full J on the moving columns and
+        exactly 0 on the others; f and r are unchanged, and ``second``
+        rejects a path that moves a modulus off ``moving``."""
+        context = eleven_patch_context() if fixture.startswith("2d") else front_face_context()[0]
+        p = context.forward.patch_map.patch_count
+        design = np.random.default_rng(13).uniform(0.3, 2.0, p) * E0
+        f, r, jac, _ = context.cost_and_derivatives(design)
+        rng = np.random.default_rng(p)
+        for moving in (np.arange(p) > 0, rng.random(p) < 0.5, np.zeros(p, dtype=bool)):
+            f_m, r_m, jac_m, second = context.cost_and_derivatives(design, moving)
+            assert f_m == f and r_m.tobytes() == r.tobytes()
+            assert jac_m[:, moving].tobytes() == jac[:, moving].tobytes()
+            assert np.all(jac_m[:, ~moving] == 0.0)
+            if not moving.all():
+                off = np.where(moving, 0.0, design)
+                with pytest.raises(ValueError, match="zero off the moving moduli"):
+                    second(off, np.zeros(p))
+                with pytest.raises(ValueError, match="zero off the moving moduli"):
+                    second(np.zeros(p), off)
+
     def test_sensitivities_zero_at_prescribed_dofs(self):
         context = front_face_context()[0]
         forward = context.forward
@@ -1165,7 +1187,9 @@ class TiltedDoubleWell:
     global minimum is 0 at x = 1, a local one lies near x = -0.95. Stands in
     for a CostContext: ``cost`` scores a stack (m, 1); the data are
     noiseless, so there is no noise floor. It has no forward model, so a
-    history counts one forward solve per evaluated design."""
+    history counts one forward solve per evaluated design. Its one
+    coordinate always moves, so ``cost_and_derivatives`` ignores the mask
+    of moving coordinates ``run_hybrid`` passes."""
 
     forward = None
 
@@ -1176,7 +1200,7 @@ class TiltedDoubleWell:
         x = designs[:, 0]
         return (x * x - 1) ** 2 + (0.3 * (x - 1)) ** 2
 
-    def cost_and_derivatives(self, design):
+    def cost_and_derivatives(self, design, moving=None):
         x = float(design[0])
         r = np.array([x * x - 1, 0.3 * (x - 1)])
         return float(np.sum(r**2)), r, np.array([[2 * x], [0.3]]), None
@@ -1189,10 +1213,10 @@ class LeftHalfFails(TiltedDoubleWell):
     def cost(self, designs):
         return np.where(designs[:, 0] < 0, np.inf, super().cost(designs))
 
-    def cost_and_derivatives(self, design):
+    def cost_and_derivatives(self, design, moving=None):
         if design[0] < 0:
             raise fu.SingularSystemError("stiffness is numerically singular")
-        return super().cost_and_derivatives(design)
+        return super().cost_and_derivatives(design, moving)
 
 
 class CostlierGaussNewton(TiltedDoubleWell):
@@ -1201,8 +1225,8 @@ class CostlierGaussNewton(TiltedDoubleWell):
     than a GA best below 1. Its Jacobian is negated for x < 0, so the step
     from there points uphill and the line search stalls."""
 
-    def cost_and_derivatives(self, design):
-        cost, r, j, second = super().cost_and_derivatives(design)
+    def cost_and_derivatives(self, design, moving=None):
+        cost, r, j, second = super().cost_and_derivatives(design, moving)
         return cost + 1.0, r, -j if design[0] < 0 else j, second
 
 
@@ -1248,6 +1272,22 @@ def hybrid_run():
 
 
 class TestRunHybrid:
+
+    def test_hybrid_differentiates_only_the_moving_moduli(self, monkeypatch):
+        """``run_hybrid`` asks every evaluation for the moduli its bounds
+        leave free, ``upper > lower``: the pinned patch is never solved for."""
+        context, _, lower, upper = small_context(noise=0.01, seed=3, strain_floor=3e-5)
+        masks = []
+        real = context.cost_and_derivatives
+
+        def recording(design, moving=None):
+            masks.append(moving)
+            return real(design, moving)
+
+        monkeypatch.setattr(context, "cost_and_derivatives", recording)
+        fu.run_hybrid(context, lower, upper, fu.GAConfig(population_size=6), fu.GradConfig(),
+                      initial_guess=np.full(4, E0))
+        assert masks and all(np.array_equal(mask, [False, True, True, True]) for mask in masks)
 
     def test_recovers_truth(self, hybrid_run):
         _, truth, _, _, _, _, final, history = hybrid_run

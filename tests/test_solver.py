@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.linalg import eigvalsh
 from numpy.testing import assert_allclose
-from scipy.linalg import cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 import femupdate as fu
 from conftest import Prescribed, dense_stiffness, element_stiffness, interface_stiffness, stiffness
@@ -838,33 +838,193 @@ class TestFactorizationCount:
 
 
 class TestBandedSolveCount:
-    """The interior solves of the condensation: the forward solve takes one
-    banded solve, the sensitivities one more, on one patch too."""
+    """The interior recoveries of the condensation: the forward solve takes
+    one, the sensitivities one more. A recovery is the forward sweeps
+    (``dtbtrs``, no transpose) over the model's forward row ranges, each
+    from a block's first coupled row to its end, then the transposed back
+    sweeps over the blocks they reach; a one-patch model has no coupled row
+    and runs no sweep."""
 
     @pytest.fixture
-    def banded_calls(self, monkeypatch):
+    def sweeps(self, monkeypatch):
+        """Each ``dtbtrs`` call as (trans, rows, columns)."""
         from femupdate import solver
 
         calls = []
-        real = solver.cho_solve_banded
+        real = solver.dtbtrs
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(ab, b, **kwargs):
+            calls.append((kwargs.get("trans", "N"), ab.shape[1], b.shape[1]))
+            return real(ab, b, **kwargs)
 
-        monkeypatch.setattr(solver, "cho_solve_banded", counting)
+        monkeypatch.setattr(solver, "dtbtrs", counting)
         return calls
 
     @COUNTED
-    def test_three_patch_solves(self, dims, defect, uniaxial_bcs, banded_calls):
+    def test_three_patch_solves(self, dims, defect, uniaxial_bcs, sweeps):
         model, values = counted_model(dims, defect, uniaxial_bcs)
         context = cost_context(model)
-        del banded_calls[:]
+        forward, back = model._recovery_sweeps
+        n_i = model._interior_patch.size
+        if defect is None:
+            assert forward == back == []
+        else:
+            assert back == [(0, n_i)] and sum(end - start for start, end in forward) < n_i
+
+        def recovery(columns):
+            return ([("N", end - start, columns) for start, end in forward]
+                    + [("T", end - start, columns) for start, end in back])
+
+        del sweeps[:]
         model.solve_displacement(values)
-        assert len(banded_calls) == 1
-        del banded_calls[:]
+        assert sweeps == recovery(1)
+        del sweeps[:]
         context.cost_and_derivatives(values * 1.1)  # another design: not served by the held solve
-        assert len(banded_calls) == 2
+        assert sweeps == recovery(1) + recovery(values.size)
+
+
+def sweep_model(case):
+    """The models of the interior-sweep oracle tests."""
+    bcs = fu.BoundaryConditions("xmin", 0.1)
+    if case == "invert2d":
+        mesh = fu.build_coupon_mesh(100.0, 20.0, 2.0, 40, 10)
+        defects = [fu.DefectSpec((20, 6), (32, 14)), fu.DefectSpec((60, 4), (72, 12))]
+        return fu.ForwardModel(mesh, fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 9), mesh, defects), NU, bcs)
+    if case == "invert3d":
+        mesh = fu.build_coupon_mesh(100.0, 20.0, 8.0, 30, 8, 4)
+        defects = [fu.DefectSpec((40, 5, 0), (60, 15, 4))]
+        return fu.ForwardModel(mesh, fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 2), mesh, defects), NU, bcs)
+    mesh = fu.build_coupon_mesh(100, 20, 2, 20, 4)
+    if case == "one-element-patch":
+        defects = [fu.DefectSpec((40, 5), (45, 10))]
+        return fu.ForwardModel(mesh, fu.stamp_defect_patches(fu.partition_longitudinal(mesh, 2), mesh, defects), NU, bcs)
+    return fu.ForwardModel(mesh, fu.partition_longitudinal(mesh, 1), NU, bcs)
+
+
+SWEEP_CASES = ["invert2d", "invert3d", "one-element-patch", "one-patch"]
+
+
+class TestInteriorSweeps:
+    """``_interior_solve`` over the recovery's row ranges against the full
+    banded solve ``cho_solve_banded((L, True), B^T u_G)``, bitwise."""
+
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    @pytest.mark.parametrize("columns", ["1", "P", "m"])
+    def test_recovery_bitwise_the_full_banded_solve(self, case, columns):
+        model = sweep_model(case)
+        n_g = model._coupling.shape[0]
+        m = {"1": 1, "P": model.patch_map.patch_count, "m": 6}[columns]
+        u_g = np.random.default_rng(m).normal(size=(n_g, m))
+        oracle = cho_solve_banded((model._interior, True), model._coupling_t @ u_g)
+        swept = model._interior_solve(model._coupling_t @ u_g, *model._recovery_sweeps)
+        assert swept.tobytes() == oracle.tobytes()
+        assert model._recover(u_g).tobytes() == np.concatenate([-oracle, u_g]).tobytes()
+        one = model._recover(u_g[:, 0])  # a 1-D right-hand side, as u'' solves it
+        assert one.tobytes() == np.concatenate([-oracle[:, 0], u_g[:, 0]]).tobytes()
+
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_sweep_ranges_and_z0(self, case):
+        """The forward ranges start at coupled rows and hold every coupled
+        row, the back ranges hold the forward ones, a one-patch model has
+        none, and z0 is bitwise -cho_solve_banded of the interior load."""
+        model = sweep_model(case)
+        forward, back = model._recovery_sweeps
+        n_i = model._interior_patch.size
+        coupled = np.diff(model._coupling_t.indptr) > 0
+        in_forward, in_back = np.zeros(n_i, dtype=bool), np.zeros(n_i, dtype=bool)
+        for start, end in forward:
+            in_forward[start:end] = True
+        for start, end in back:
+            in_back[start:end] = True
+        assert np.all(in_forward[coupled]) and np.all(in_back[in_forward])
+        assert all(coupled[start] for start, _ in forward)
+        assert (forward == []) == (case == "one-patch")
+        load = model._rhs_per_patch[:n_i].sum(axis=1)
+        assert model._z0.tobytes() == (-cho_solve_banded((model._interior, True), load)).tobytes()
+
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_no_sweep_on_no_column(self, case, monkeypatch):
+        """An empty stack, and sensitivities with no moving modulus, run no
+        sweep and no LU solve on no column; du is then exactly 0."""
+        from femupdate import solver
+
+        model = sweep_model(case)
+        sweeps, solves = [], []
+        real_dtbtrs, real_factor = solver.dtbtrs, solver._factor
+
+        def dtbtrs(ab, b, **kwargs):
+            sweeps.append(b.shape[1])
+            return real_dtbtrs(ab, b, **kwargs)
+
+        class Factor:
+            """A factor of S(E) that records the columns of each solve."""
+
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                solves.append(b.shape[1:])
+                return self.lu.solve(b)
+
+        monkeypatch.setattr(solver, "dtbtrs", dtbtrs)
+        monkeypatch.setattr(solver, "_factor", lambda s: Factor(real_factor(s)))
+        n_i, p = model._interior_patch.size, model.patch_map.patch_count
+        assert model._interior_solve(np.zeros((n_i, 0)), *model._recovery_sweeps).shape == (n_i, 0)
+        assert model.solve_displacement(np.empty((0, p))).shape == (0, model.strain_sampling.shape[1])
+        assert sweeps == [] and solves == []
+        _, du, _ = model.displacement_derivatives(np.full(p, E_STEEL), np.zeros(p, dtype=bool))
+        assert not du.any()
+        # The forward solve's LU solve and recovery, one column each, and nothing more.
+        assert solves == [()] and sweeps == [1] * sum(map(len, model._recovery_sweeps))
+
+
+class TestMovingModuli:
+    """``displacement_derivatives(values, moving)`` solves only the moving
+    columns: each bitwise that column of the full du, the others 0."""
+
+    @pytest.mark.parametrize("case", ["invert2d", "invert3d"])
+    def test_moving_columns_bitwise_the_full_ones(self, case, monkeypatch):
+        from femupdate import solver
+
+        model = sweep_model(case)
+        p = model.patch_map.patch_count
+        values = np.random.default_rng(p).uniform(0.3, 2.0, p) * E_STEEL
+        u, du, second = model.displacement_derivatives(values)
+        moving = np.arange(p) > 0  # patch 0 pinned, as the CLI's bounds do
+        rate = np.where(moving, values * 0.3, 0.0)
+        acceleration = np.where(moving, values * 0.09, 0.0)
+        widths = []
+        real = solver.dtbtrs
+
+        def counting(ab, b, **kwargs):
+            widths.append(b.shape[1])
+            return real(ab, b, **kwargs)
+
+        monkeypatch.setattr(solver, "dtbtrs", counting)
+        u_moving, du_moving, second_moving = model.displacement_derivatives(values, moving)  # the held solve
+        assert widths == [p - 1] * sum(map(len, model._recovery_sweeps))  # one recovery, of P - 1 columns
+        assert u_moving.tobytes() == u.tobytes()
+        assert du_moving[:, moving].tobytes() == du[:, moving].tobytes()
+        assert du_moving.shape == du.shape and not du_moving[:, ~moving].any()
+        assert second_moving(rate, acceleration).tobytes() == second(rate, acceleration).tobytes()
+
+    def test_second_rejects_a_path_off_the_moving_moduli(self):
+        model = sweep_model("invert3d")
+        values = np.array([1.0, 1.2, 0.3]) * E_STEEL
+        moving = np.array([False, True, True])
+        _, _, second = model.displacement_derivatives(values, moving)
+        zero = np.zeros(3)
+        for rate, acceleration in [(values, zero), (zero, values), (np.array([1.0, 0, 0]), zero)]:
+            with pytest.raises(ValueError, match="zero off the moving moduli"):
+                second(rate, acceleration)
+        assert second(np.where(moving, values, 0.0), zero).shape == (model.strain_sampling.shape[1],)
+
+    @pytest.mark.parametrize("moving", [np.ones(3), np.ones(2, dtype=bool), np.ones((1, 3), dtype=bool)],
+                             ids=["floats", "short", "2-d"])
+    def test_moving_must_be_a_boolean_mask_per_patch(self, moving):
+        model = sweep_model("invert3d")
+        with pytest.raises(ValueError, match="moving must be a boolean mask of shape"):
+            model.displacement_derivatives(np.full(3, E_STEEL), moving)
 
 
 class TestHeldSolve:
