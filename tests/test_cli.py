@@ -671,6 +671,29 @@ class TestCmdInvert:
         assert cli.main(["report", str(inv / "report.json")]) == 0
         assert capsysbinary.readouterr().out == (inv / "summary.txt").read_bytes()
 
+    def test_main_freezes_the_heap_alive_at_entry(self, inverted):
+        """``main`` moves every object alive at its entry into the permanent
+        generation, so no collection, the interpreter's exit included, walks
+        the import heap. Over that frozen heap stdout still flushes at exit:
+        the command prints summary.txt byte for byte."""
+        _, inv = inverted
+        report = str(inv / "report.json")
+        code = (
+            "import gc, femupdate.cli; "
+            "gc.collect(); alive = len(gc.get_objects()); "
+            f"code = femupdate.cli.main(['report', {report!r}]); "
+            "print(code, alive, gc.get_freeze_count())"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))  # the femupdate under test
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        code, alive, frozen = map(int, run.stdout.splitlines()[-1].split())
+        assert code == 0
+        assert frozen >= alive > 0
+        printed = subprocess.run([sys.executable, "-m", "femupdate.cli", "report", report],
+                                 capture_output=True, check=True, env=env).stdout
+        assert printed == (inv / "summary.txt").read_bytes()
+
     def test_noisy_report_z_against_the_measurement(self, tmp_path):
         """With 1 % noise Gauss-Newton from the guess fits the data to their
         noise, so the GA never runs; report.json's z equals one written out
