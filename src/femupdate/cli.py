@@ -392,17 +392,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; return its exit code.
 
-    First moves every object alive at entry into the garbage collector's
-    permanent generation (``gc.freeze``), so no collection walks the import
-    heap again, including the ones the interpreter runs at exit. Objects the
-    command creates are collected as before.
+    The first call in a process moves every object alive at entry into the
+    garbage collector's permanent generation (``gc.freeze``), so no
+    collection walks the import heap again, including the ones the
+    interpreter runs at exit. Objects the command creates are collected as
+    before, and so is what a caller that runs ``main`` again leaves behind:
+    later calls freeze nothing.
     """
     # The modules, classes and functions numpy, scipy and femupdate create at
     # import (~41,000 objects) live until exit anyway. Walking and freeing
     # them at interpreter shutdown took 0.05-0.07 s of a ~0.4 s `invert` of
     # the 2D benchmark workload, 7x its solves; frozen, exit takes ~0.011 s
-    # (2-core x86, one BLAS thread).
-    gc.freeze()
+    # (2-core x86, one BLAS thread). Frozen objects are never collected, so
+    # only the first call freezes: the cyclic garbage pending at a later
+    # call is the caller's, not the import heap.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":

@@ -621,8 +621,7 @@ def run_gradient(
     lower, upper = _checked_bounds(lower, upper, "start_design", start_design)
     x = np.clip(np.asarray(start_design, dtype=float), lower, upper)
     history = ConvergenceHistory() if history is None else history
-    span = upper - lower
-    pinned = span == 0
+    pinned = upper == lower
     log = lower > 0  # positive scale parameters: step in ln x
 
     def evaluate(z):
@@ -683,12 +682,11 @@ def run_gradient(
         if not accepted:
             history.gradient_stalled = True
             break
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rel_step = np.where(span > 0, np.abs(step) / span, 0.0)
+        negligible = _relative_gap(x_new, x, lower, upper) < _STEP_TOL
         x, f, r, jac, grad, second = x_new, f_new, r_new, jac_new, grad_new, second_new
         t_cap = t if failed else np.inf
         history.append(STAGE_GRADIENT, it, f, x)
-        if float(rel_step.max()) < _STEP_TOL:
+        if negligible:
             break
     return x.copy(), history
 

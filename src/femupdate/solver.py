@@ -209,9 +209,10 @@ class ForwardModel:
     An interior row of R is nonzero only in the column of its own patch, so
     the condensed load is linear in E too: with Z = D^-1 R_I, factored once,
     the interface load is (B Z - R_G) E and the interior load alone gives
-    z0 = -Z 1, whatever the moduli. A solve fills and factors S(E)
-    (``splu`` with the natural order and no pivoting; S(E) is symmetric
-    positive definite), solves S(E) u_G = (B Z - R_G) E and recovers
+    z0 = -Z 1, whatever the moduli. A solve factors S(E) with ``_factor``,
+    the one place a solve forms S(E) as a matrix and factors it (``splu``
+    with the natural order and no pivoting; S(E) is symmetric positive
+    definite), solves S(E) u_G = (B Z - R_G) E and recovers
     u_I = z0 - D^-1 B^T u_G (``_recover``, the one place u_I is computed
     from u_G). B^T u_G, like Y, is zero above the first coupled row of
     each block, so the forward sweep L y = B^T u_G runs only over the rows
@@ -225,8 +226,8 @@ class ForwardModel:
     are 0. Each solution is checked for finite
     values and for its equilibrium residual on the physics,
     sum_k E_k A_k u_f = -R E, from the per-patch products A_k u_f (K(E) is
-    not assembled). A stack of designs takes one fill, factorization and
-    LU solve of S(E) per design; the interface loads, the interior
+    not assembled). A stack of designs takes one ``_factor`` and one LU
+    solve of S(E) per design; the interface loads, the interior
     recovery, the A_k products and the checks run once for the stack, each
     result bitwise that of its design alone.
     ``displacement_derivatives`` reuses the same factors for the
@@ -554,11 +555,9 @@ class ForwardModel:
         the factor of S(E) of a one-design stack (otherwise None). A
         one-design solve that succeeds is held for one repeat, its uf and au
         read-only (see the class docstring); a repeat returns it as is. Each design
-        takes the fill of its S(E) (its own product with the slot weights,
-        written into one matrix for the stack: ``splu`` reads contiguous
-        values, and gathering them from one stacked product costs more than
-        the product), one factorization and one LU solve, also when the
-        interface is empty (one patch) and S(E) is 0 x 0. The rest runs once
+        takes one factor of its S(E) (``_factor``, counted in
+        ``factorizations``) and one solve on it, also when the interface is
+        empty (one patch) and S(E) is 0 x 0. The rest runs once
         for the stack: the interface loads are one product, the interior is
         ``_recover`` (one forward and one back sweep over the rows B^T u_G
         reaches, m columns each; none for one patch) plus z0, and
@@ -577,17 +576,11 @@ class ForwardModel:
         errors = [None] * m
         g_rhs = self._g_rhs @ values.T
         u_g = np.empty_like(g_rhs)
-        # One S(E) matrix for the stack: each design writes its slot values
-        # into it (a factor keeps no reference to the matrix it was made
-        # from), which spares a matrix construction and format check.
-        n_g = g_rhs.shape[0]
-        s_e = sp.csc_matrix((np.empty(self._s_indices.size), self._s_indices, self._s_indptr), shape=(n_g, n_g))
         for j in range(m):
-            s_e.data = self._s_weights @ values[j]
             lu = None  # the previous design's factor is freed before this one is made
             self.factorizations += 1
             try:
-                lu = _factor(s_e)
+                lu = self._factor(values[j])
             except SingularSystemError as exc:
                 errors[j] = exc
                 u_g[:, j] = np.nan
@@ -617,6 +610,23 @@ class ForwardModel:
             uf.flags.writeable = au.flags.writeable = False
             self._held = values.tobytes(), uf, au, lu
         return uf, au, errors, lu
+
+    def _factor(self, values: np.ndarray):
+        """The factor of S(E) for the moduli E (P,): an object whose
+        ``solve(b)`` gives S(E)^-1 b. S(E) is formed from its slot weights
+        and factored by ``splu`` in a fixed order: no column reordering, no
+        pivoting and no equilibration (S(E) is symmetric positive definite).
+        ``splu`` is looked up in this module at each call, so a wrapper put
+        there sees every factorization. A failed factorization is a
+        SingularSystemError."""
+        n_g = self._s_indptr.size - 1
+        s_e = sp.csc_matrix((self._s_weights @ values, self._s_indices, self._s_indptr), shape=(n_g, n_g))
+        try:
+            return splu(
+                s_e, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True, Equil=False)
+            )
+        except RuntimeError as exc:
+            raise SingularSystemError(f"stiffness factorization failed: {exc}") from exc
 
     def _full(self, uf: np.ndarray) -> np.ndarray:
         """Flat displacement vectors, one row per column of ``uf``."""
@@ -824,14 +834,3 @@ def _dense_rows(a: sp.csr_matrix, rows: np.ndarray, position: np.ndarray, out: n
     kept = column >= 0
     out[np.repeat(np.arange(rows.size), count)[kept], column[kept]] = a.data[entry[kept]]
     return out
-
-
-def _factor(k: sp.csc_matrix):
-    """LU of a symmetric positive definite matrix in a fixed order: no
-    column reordering, no pivoting and no equilibration."""
-    try:
-        return splu(
-            k, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True, Equil=False)
-        )
-    except RuntimeError as exc:
-        raise SingularSystemError(f"stiffness factorization failed: {exc}") from exc

@@ -75,6 +75,19 @@ def interface_stiffness(model, values):
     return sp.csc_matrix((weights, model._s_indices, model._s_indptr), shape=(n_g, n_g))
 
 
+def perturb_factors(monkeypatch, at=None):
+    """Make ``ForwardModel._factor`` factor S(E) of the moduli scaled by
+    1 + 1e-3, which is S(E) scaled by 1 + 1e-3 (S is linear in E): on every
+    call, or on call number ``at`` (from 1) alone."""
+    real, calls = fu.ForwardModel._factor, []
+
+    def perturbed(self, values):
+        calls.append(1)
+        return real(self, values * (1.0 + 1e-3) if at in (None, len(calls)) else values)
+
+    monkeypatch.setattr(fu.ForwardModel, "_factor", perturbed)
+
+
 def dense_stiffness(mesh, patch_map, values, nu=0.3):
     """Global stiffness assembled element by element from element_stiffness."""
     dim = mesh.dimension

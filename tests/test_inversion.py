@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import femupdate as fu
+from conftest import perturb_factors
 from femupdate.inversion import STAGE_GA, STAGE_GRADIENT
-from femupdate.solver import _factor as REAL_FACTOR
+
+REAL_FACTOR = fu.ForwardModel._factor
 
 E0 = 200000.0
 
@@ -553,19 +555,18 @@ def stacked(request):
 
 
 def failing_on_call(monkeypatch, fail_at=None):
-    """Count the calls of ``solver._factor`` and make call number ``fail_at``
-    (from 0) raise SingularSystemError; returns the list of calls made."""
-    from femupdate import solver
-
+    """Count the calls of ``ForwardModel._factor`` and make call number
+    ``fail_at`` (from 0) raise SingularSystemError; returns the list of
+    calls made."""
     calls = []
 
-    def factor(k):
+    def factor(self, values):
         calls.append(1)
         if len(calls) - 1 == fail_at:
             raise fu.SingularSystemError("stiffness factorization failed")
-        return REAL_FACTOR(k)
+        return REAL_FACTOR(self, values)
 
-    monkeypatch.setattr(solver, "_factor", factor)
+    monkeypatch.setattr(fu.ForwardModel, "_factor", factor)
     return calls
 
 
@@ -617,20 +618,9 @@ class TestCostStack:
     def test_equilibrium_failure_scores_inf_others_unchanged(self, stacked, monkeypatch):
         """A factor of a perturbed S(E) for one design: that design fails
         the equilibrium check, the others pass unchanged."""
-        from femupdate import solver
-
         context, designs = stacked
         alone = [context.cost(x) for x in designs]
-        real, calls = solver.splu, []
-
-        def perturbed(k, *args, **kwargs):
-            calls.append(1)
-            if len(calls) == 4:
-                k = k.copy()
-                k.data *= 1.0 + 1e-3
-            return real(k, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "splu", perturbed)
+        perturb_factors(monkeypatch, at=4)
         costs = context.cost(designs)
         assert costs[3] == np.inf
         assert np.array_equal(np.delete(costs, 3), np.delete(alone, 3))
@@ -640,20 +630,18 @@ class TestCostStack:
         SingularSystemError("solution is non-finite"), not the equilibrium
         check's NumericalError; in a stack that design scores +inf and the
         others are bitwise their costs alone."""
-        from femupdate import solver
-
         context, designs = stacked
         alone = [context.cost(x) for x in designs]
         calls, nan_at = [], [0]
 
-        def factor(k):
+        def factor(self, values):
             calls.append(1)
-            lu = REAL_FACTOR(k)
+            lu = REAL_FACTOR(self, values)
             if len(calls) - 1 != nan_at[0]:
                 return lu
             return types.SimpleNamespace(solve=lambda rhs: np.full_like(lu.solve(rhs), np.nan))
 
-        monkeypatch.setattr(solver, "_factor", factor)
+        monkeypatch.setattr(fu.ForwardModel, "_factor", factor)
         with pytest.raises(fu.SingularSystemError, match="^solution is non-finite$"):
             context.cost(designs[2])
         calls.clear()
@@ -1004,10 +992,7 @@ class TestRunGradient:
         at the guess): the first evaluation takes that solve, the count is
         the factorizations made, one per later evaluation, and no
         factorization starts while another factor is alive."""
-        from femupdate import solver
-
         context, truth, lower, upper = small_context(noise=0.01, seed=3, strain_floor=3e-5)
-        real = solver.splu
         alive, alive_at_factor, evaluations = [0], [], []
 
         class Factor:
@@ -1020,9 +1005,9 @@ class TestRunGradient:
         def released():
             alive[0] -= 1
 
-        def splu(*args, **kwargs):
+        def tracked(self, values):
             alive_at_factor.append(alive[0])
-            factor = Factor(real(*args, **kwargs))
+            factor = Factor(REAL_FACTOR(self, values))
             alive[0] += 1
             weakref.finalize(factor, released)
             return factor
@@ -1031,7 +1016,7 @@ class TestRunGradient:
             evaluations.append(1)
             return context.cost_and_derivatives(x)
 
-        monkeypatch.setattr(solver, "splu", splu)
+        monkeypatch.setattr(fu.ForwardModel, "_factor", tracked)
         start = np.full(4, E0)
         context.forward.solve_displacement(start)
         del alive_at_factor[:]

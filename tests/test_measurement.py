@@ -413,6 +413,19 @@ class TestMeasurementCsv:
             bom.write_bytes(b"\xef\xbb\xbfx_mm,y_mm,exx,eyy,exy\n1,1,0,0,0\n# caf\xe9\n")
             fu.load_measurement_csv(bom)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        """Blank lines before the header, between data rows and at the end
+        leave the field that of the file without them."""
+        rows = ["# noise_sigma=0.01", "x_mm,y_mm,exx,eyy,exy", "1,1,1e-3,2e-3,3e-3", "2,1,4e-3,5e-3,6e-3",
+                "1,2,7e-3,8e-3,9e-3", "2,2,1e-3,3e-3,5e-3"]
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("\n".join(rows) + "\n")
+        spaced.write_text("\n".join(rows[:1] + [""] + rows[1:4] + ["  ", ""] + rows[4:]) + "\n\n\t\n")
+        a, b = fu.load_measurement_csv(plain), fu.load_measurement_csv(spaced)
+        for name in ("exx", "eyy", "exy"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert (a.load_step, a.noise_sigma, a.rng_seed, a.grid) == (b.load_step, b.noise_sigma, b.rng_seed, b.grid)
+
     def test_irregular_grid_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(

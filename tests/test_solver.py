@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 import femupdate as fu
-from conftest import Prescribed, dense_stiffness, element_stiffness, interface_stiffness, stiffness
+from conftest import Prescribed, dense_stiffness, element_stiffness, interface_stiffness, perturb_factors, stiffness
 from femupdate._shape import (
     HEX8_SIGNS, QUAD4_SIGNS, distinct_shapes, gauss_points, shape_gradients, shape_values, strain_displacement,
 )
@@ -657,12 +657,10 @@ class TestCondensation:
         """On grids of equal block patches, where the interface is large,
         the LU of S(1) in the condensed order fills no more than it did
         with the interface in reverse Cuthill-McKee order (``max_fill``)."""
-        from femupdate import solver
-
         mesh = fu.build_coupon_mesh(*dims)
         pmap = block_patches(mesh, blocks)
         model = fu.ForwardModel(mesh, pmap, NU, uniaxial_bcs)
-        lu = solver._factor(interface_stiffness(model, np.ones(pmap.patch_count)))
+        lu = model._factor(np.ones(pmap.patch_count))
         assert lu.L.nnz + lu.U.nnz <= max_fill
 
     @pytest.mark.parametrize(
@@ -803,40 +801,6 @@ def counted_model(dims, defect, bcs):
     return three_patch_model(dims, defect, bcs), np.array([1.0, 1.2, 0.3]) * E_STEEL
 
 
-class TestFactorizationCount:
-    """The factorization hook the benchmark traces: ``solver.splu``, looked
-    up at call time, is called once per solve, also on a one-patch model's
-    0 x 0 S(E), and not at model build, whose rank check factors S(1) as a
-    band (``_interface_pivots``)."""
-
-    @pytest.fixture
-    def splu_calls(self, monkeypatch):
-        from femupdate import solver
-
-        calls = []
-        real = solver.splu
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "splu", counting)
-        return calls
-
-    @COUNTED
-    def test_one_factorization_per_build_and_solve(self, dims, defect, uniaxial_bcs, splu_calls):
-        model, values = counted_model(dims, defect, uniaxial_bcs)
-        assert len(splu_calls) == 0
-        model.solve_displacement(values)
-        assert len(splu_calls) == 1
-        grid = fu.grid_for_footprint((100, 20), counts=(8, 4))
-        field = fu.generate_synthetic(model, values, grid)
-        context = fu.CostContext(model, field)
-        del splu_calls[:]
-        context.cost_and_derivatives(values)
-        assert len(splu_calls) == 1
-
-
 class TestBandedSolveCount:
     """The interior recoveries of the condensation: the forward solve takes
     one, the sensitivities one more. A recovery is the forward sweeps
@@ -950,7 +914,7 @@ class TestInteriorSweeps:
 
         model = sweep_model(case)
         sweeps, solves = [], []
-        real_dtbtrs, real_factor = solver.dtbtrs, solver._factor
+        real_dtbtrs, real_factor = solver.dtbtrs, fu.ForwardModel._factor
 
         def dtbtrs(ab, b, **kwargs):
             sweeps.append(b.shape[1])
@@ -967,7 +931,7 @@ class TestInteriorSweeps:
                 return self.lu.solve(b)
 
         monkeypatch.setattr(solver, "dtbtrs", dtbtrs)
-        monkeypatch.setattr(solver, "_factor", lambda s: Factor(real_factor(s)))
+        monkeypatch.setattr(fu.ForwardModel, "_factor", lambda self, values: Factor(real_factor(self, values)))
         n_i, p = model._interior_patch.size, model.patch_map.patch_count
         assert model._interior_solve(np.zeros((n_i, 0)), *model._recovery_sweeps).shape == (n_i, 0)
         assert model.solve_displacement(np.empty((0, p))).shape == (0, model.strain_sampling.shape[1])
@@ -1032,22 +996,8 @@ class TestHeldSolve:
     the bitwise-same design is served with no factorization, and any other
     solve drops it first."""
 
-    @pytest.fixture
-    def splu_calls(self, monkeypatch):
-        from femupdate import solver
-
-        calls = []
-        real = solver.splu
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "splu", counting)
-        return calls
-
     @THREE_PATCH
-    def test_derivatives_after_a_solve_take_its_factor(self, dims, defect, uniaxial_bcs, splu_calls):
+    def test_derivatives_after_a_solve_take_its_factor(self, dims, defect, uniaxial_bcs):
         """``solve_displacement(E)`` then ``displacement_derivatives(E)``:
         one factorization, and u, du and u'' bitwise those of a fresh model."""
         model = three_patch_model(dims, defect, uniaxial_bcs)
@@ -1055,7 +1005,7 @@ class TestHeldSolve:
         rate, acceleration = values * np.array([0.4, -0.7, 1.1]), values * np.array([0.16, 0.49, 1.21])
         u = model.solve_displacement(values)
         u_again, du, second = model.displacement_derivatives(values)
-        assert len(splu_calls) == model.factorizations == 1
+        assert model.factorizations == 1
         u_fresh, du_fresh, second_fresh = three_patch_model(dims, defect, uniaxial_bcs).displacement_derivatives(values)
         assert u.tobytes() == u_again.tobytes() == u_fresh.tobytes()
         assert du.tobytes() == du_fresh.tobytes()
@@ -1064,22 +1014,20 @@ class TestHeldSolve:
     def test_nothing_reused_but_one_repeat_of_one_design(self, coupon_mesh, uniaxial_bcs, monkeypatch):
         """Another design, a stack or a failed solve drops the held solve,
         and a repeat uses it up: a third solve at E factors again."""
-        from femupdate import solver
-
         pmap = fu.stamp_defect_patches(fu.partition_longitudinal(coupon_mesh, 2), coupon_mesh,
                                        [fu.DefectSpec((40, 5), (60, 15))])
         model = fu.ForwardModel(coupon_mesh, pmap, NU, uniaxial_bcs)
         e, other = np.array([1.0, 1.2, 0.3]) * E_STEEL, np.array([1.0, 0.8, 0.5]) * E_STEEL
         calls, fail_at = [], [None]
-        real = solver._factor
+        real = fu.ForwardModel._factor
 
-        def factor(k):
+        def factor(self, values):
             calls.append(1)
             if len(calls) == fail_at[0]:
                 raise fu.SingularSystemError("stiffness factorization failed")
-            return real(k)
+            return real(self, values)
 
-        monkeypatch.setattr(solver, "_factor", factor)
+        monkeypatch.setattr(fu.ForwardModel, "_factor", factor)
         steps = [
             (e, 1), (e, 0), (e, 1),  # a repeat is served once
             (other, 1), (e, 1),  # another design drops it
@@ -1175,17 +1123,8 @@ class TestSolveChecks:
     def test_equilibrium_check_reads_the_assembled_physics(self, dims, defect, uniaxial_bcs, monkeypatch):
         """A factorization of a perturbed S(E) solves the condensed system it
         was given, but the solution is out of equilibrium on K(E)."""
-        from femupdate import solver
-
         model = three_patch_model(dims, defect, uniaxial_bcs)
-        real = solver.splu
-
-        def perturbed(k, *args, **kwargs):
-            k = k.copy()
-            k.data *= 1.0 + 1e-3
-            return real(k, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "splu", perturbed)
+        perturb_factors(monkeypatch)
         with pytest.raises(NumericalError, match="equilibrium residual"):
             model.solve_displacement(np.array([1.0, 1.2, 0.3]) * E_STEEL)
 
@@ -1194,17 +1133,8 @@ class TestSolveChecks:
         """``displacement_derivatives`` raises the NumericalError of
         its forward solve, here the equilibrium failure of a perturbed
         factor: the error ``solve_displacement`` raises for the same moduli."""
-        from femupdate import solver
-
         model = three_patch_model(dims, defect, uniaxial_bcs)
-        real = solver.splu
-
-        def perturbed(k, *args, **kwargs):
-            k = k.copy()
-            k.data *= 1.0 + 1e-3
-            return real(k, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "splu", perturbed)
+        perturb_factors(monkeypatch)
         values = np.array([1.0, 1.2, 0.3]) * E_STEEL
         with pytest.raises(NumericalError, match="equilibrium residual") as forward:
             model.solve_displacement(values)
@@ -1226,13 +1156,13 @@ class TestSolveChecks:
         with pytest.raises(ValueError, match=rf"^poisson_ratio must satisfy 0 <= nu < 0.5, got {nu}$"):
             fu.ForwardModel(coupon_mesh, single_patch, nu, uniaxial_bcs)
 
-    def test_superlu_failure_is_a_singular_system(self):
-        """``_factor`` maps SuperLU's RuntimeError on an exactly singular
-        matrix to SingularSystemError, with SuperLU's message."""
-        from femupdate import solver
-
+    def test_superlu_failure_is_a_singular_system(self, uniaxial_bcs):
+        """``ForwardModel._factor`` maps SuperLU's RuntimeError on an exactly
+        singular S(E), that of zero moduli, to SingularSystemError, with
+        SuperLU's message."""
+        model = three_patch_model(*THREE_PATCH_CASES[0], uniaxial_bcs)
         with pytest.raises(fu.SingularSystemError, match="factorization failed: Factor is exactly singular") as info:
-            solver._factor(sp.csc_matrix(np.diag([1.0, 0.0])))
+            model._factor(np.zeros(3))
         assert isinstance(info.value.__cause__, RuntimeError)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
